@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race fastpath fastforwardtest smparalleltest benchbuild daemontest obstest clustertest tenanttest flighttest benchdiff benchdiff-write baseline check bench benchquick profile report papercheck
+.PHONY: build test vet race fastpath fastforwardtest sleeptest smparalleltest benchbuild daemontest obstest clustertest tenanttest flighttest benchdiff benchdiff-write baseline check bench benchquick profile report papercheck
 
 build:
 	$(GO) build ./...
@@ -29,6 +29,17 @@ fastpath:
 # the fast-forward both on and off (the differential runs both sides).
 fastforwardtest:
 	$(GO) test -race -run 'TestFastForwardDifferential|TestFastPathEquivalence' -count=1 ./prosim
+
+# The wake-source gate for event-driven structural stalls (DESIGN.md
+# §8.3): an SM asleep on a refused load, a refused store, SFU saturation
+# or the LD/ST busy window must tick on exactly the cycle its un-slept
+# twin makes progress, with identical per-slot stalls; a fill with an
+# empty LD/ST unit must not wake a Scoreboard sleeper; and the stall
+# ledger must balance at every sample. Under -race because the wake
+# callbacks are the part that runs on the coordinator between parallel
+# tick phases.
+sleeptest:
+	$(GO) test -race -count=1 -run 'TestSleepsThrough|TestFillWithEmptyLDSTUnit|TestStallAccountingInvariant' ./internal/engine ./internal/gpu
 
 # The parallel-SM determinism gate: ticking SMs on a worker pool with
 # two-phase memsys commit must be byte-identical to serial ticking for
@@ -96,7 +107,7 @@ benchdiff-write:
 
 baseline: bench benchdiff-write
 
-check: vet race fastpath fastforwardtest smparalleltest daemontest obstest clustertest tenanttest flighttest benchbuild
+check: vet race fastpath fastforwardtest sleeptest smparalleltest daemontest obstest clustertest tenanttest flighttest benchbuild
 	-$(MAKE) benchdiff
 
 # Statistically meaningful bench run for before/after comparisons:

@@ -13,6 +13,7 @@
 //	Sec. IV   -> BenchmarkAblationBarrierHandling (scalarProd ablation)
 //	Sec. III  -> BenchmarkAblationThreshold/*   (THRESHOLD sensitivity)
 //	(extra)   -> BenchmarkSimulatorThroughput   (simulated cycles/s)
+//	(extra)   -> BenchmarkSMTickPipelineStall/* (ns per stalled SM-cycle)
 //
 // Benchmarks run on shrunk grids so `go test -bench=.` finishes in
 // minutes; the full-scale numbers in EXPERIMENTS.md come from cmd/report.
@@ -24,9 +25,14 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/gpu"
+	"repro/internal/isa"
+	"repro/internal/memsys"
+	"repro/internal/sched"
 	"repro/internal/stats"
+	"repro/internal/timing"
 	"repro/internal/workloads"
 	"repro/prosim"
 )
@@ -389,4 +395,62 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		simCycles += r.Cycles
 	}
 	b.ReportMetric(float64(simCycles)/b.Elapsed().Seconds(), "sim_cycles/s")
+}
+
+// BenchmarkSMTickPipelineStall is the measurement-ladder rung for
+// structural stalls: one SM holding 48 warps of a streaming-load loop,
+// so the 32 L1 MSHRs stay saturated and the LD/ST unit's head
+// transaction is refused on most cycles. One op is one simulated
+// SM-cycle (wheel advance + memory tick + SM tick), with stall-aware
+// cycle skipping on — the SM sleeps until an MSHR fill — and off, where
+// it re-offers the transaction and rescans both slots every cycle.
+func BenchmarkSMTickPipelineStall(b *testing.B) {
+	pb := isa.NewBuilder("bench_stream")
+	pb.Loop(isa.LoopSpec{Min: 1 << 20, Max: 1 << 20})
+	pb.LdGlobal(1, isa.MemSpec{Pattern: isa.PatCoalesced, IterVaries: true})
+	pb.FAdd(2, 1, 2)
+	pb.EndLoop()
+	pb.Exit()
+	prog := pb.MustBuild()
+	for _, tc := range []struct {
+		name    string
+		skipOff bool
+	}{{"skip", false}, {"noskip", true}} {
+		b.Run(tc.name, func(b *testing.B) {
+			cfg := config.GTX480()
+			cfg.NumSMs = 1
+			cfg.DisableCycleSkip = tc.skipOff
+			launch := &engine.Launch{Program: prog, GridTBs: 1 << 30, BlockThreads: 256, RegsPerThread: 16, Seed: 1}
+			if err := launch.Validate(cfg); err != nil {
+				b.Fatal(err)
+			}
+			if got := launch.ResidentTBs(cfg) * launch.WarpsPerTB(); got != 48 {
+				b.Fatalf("rig holds %d resident warps, want 48", got)
+			}
+			wheel := timing.NewWheel()
+			mem := memsys.New(cfg, wheel)
+			sm := engine.NewSM(0, cfg, wheel, mem, launch, sched.NewGTO)
+			for tb := 0; sm.CanAccept(); tb++ {
+				sm.AssignTB(tb, 0)
+			}
+			cycle := int64(0)
+			step := func() {
+				cycle++
+				wheel.Advance(cycle)
+				mem.Tick(cycle)
+				sm.Tick(cycle)
+			}
+			for i := 0; i < 2000; i++ { // fill the MSHRs and the DRAM queues
+				step()
+			}
+			before := sm.StallTotal()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step()
+			}
+			b.StopTimer()
+			st := sm.StallTotal()
+			b.ReportMetric(float64(st.Pipeline-before.Pipeline)/float64(st.Slots()-before.Slots()), "pipeline_share")
+		})
+	}
 }

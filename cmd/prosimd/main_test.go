@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/daemon"
 	"repro/internal/jobs"
+	"repro/internal/jobs/jobstest"
 	"repro/internal/workloads"
 )
 
@@ -81,21 +82,17 @@ func TestSIGTERMDrainsAndExitsZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := workloads.ByKernel("scalarProdGPU")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A few hundred ms of simulation (several seconds under -race):
-	// long enough to be caught in flight, short enough to drain.
-	w = w.Shrunk(50)
+	// Long enough to be caught in flight by the poll below, short enough
+	// to drain. The daemon is this test binary re-executed, so a job
+	// sized in-process is sized for it too.
+	job := jobstest.SlowJob(250 * time.Millisecond)
 	type out struct {
 		cycles int64
 		err    error
 	}
 	got := make(chan out, 1)
 	go func() {
-		rs, err := c.Run(context.Background(),
-			[]jobs.Job{{Launch: w.Launch, Kernel: w.Kernel, Scheduler: "PRO"}})
+		rs, err := c.Run(context.Background(), []jobs.Job{job})
 		if err != nil {
 			got <- out{err: err}
 			return

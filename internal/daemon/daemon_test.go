@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/gpu"
 	"repro/internal/jobs"
+	"repro/internal/jobs/jobstest"
 	"repro/internal/schedreg"
 	"repro/internal/workloads"
 )
@@ -35,18 +36,20 @@ func newTestDaemon(t *testing.T, cfg Config) (*Daemon, *Client) {
 	return d, c
 }
 
-// slowJob is a job that simulates for a few hundred milliseconds (a
-// multiple of that under the race detector) — long enough that a
-// second submission reliably arrives while it runs, short enough that
-// a graceful drain finishes well inside its timeout.
+// slowFloor is the least host time slowJob simulates for: two orders
+// of magnitude above a loopback round trip, so a request sent once the
+// job is observed running (waitFor) reliably lands mid-run, and well
+// above the 50 ms budget TestJobTimeoutAbortsRun must overrun — yet
+// short enough that a graceful drain finishes well inside its timeout.
+const slowFloor = 250 * time.Millisecond
+
+// slowJob is a job measured to simulate for at least slowFloor on this
+// host and build. Tests that need "while it runs" synchronise on daemon
+// state with waitFor; the floor only has to cover the request latency
+// after that observation.
 func slowJob(t *testing.T) jobs.Job {
 	t.Helper()
-	w, err := workloads.ByKernel("scalarProdGPU")
-	if err != nil {
-		t.Fatal(err)
-	}
-	w = w.Shrunk(50)
-	return jobs.Job{Launch: w.Launch, Kernel: w.Kernel, Scheduler: "PRO"}
+	return jobstest.SlowJob(slowFloor)
 }
 
 // quickBatch is a small grid that simulates in well under a second.
@@ -70,8 +73,11 @@ func TestConcurrentDuplicateSubmissionsSimulateOnce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			// Stagger the second client so it arrives mid-run.
-			time.Sleep(time.Duration(i) * 100 * time.Millisecond)
+			if i == 1 {
+				// The second client submits once the first one's job
+				// is running, so it arrives mid-run.
+				waitFor(t, "the leader to run", func() bool { return d.running.Load() == 1 })
+			}
 			rs, err := c.Run(context.Background(), []jobs.Job{j})
 			if err != nil {
 				errs[i] = err
@@ -245,9 +251,7 @@ func TestGracefulShutdownDrainsRunningBatch(t *testing.T) {
 		got <- out{cycles: rs[0].Cycles}
 	}()
 	// Let the job reach the engine, then shut down mid-run.
-	for i := 0; d.running.Load() == 0 && i < 100; i++ {
-		time.Sleep(20 * time.Millisecond)
-	}
+	waitFor(t, "the job to run", func() bool { return d.running.Load() == 1 })
 	if err := d.Shutdown(); err != nil {
 		t.Fatalf("drain failed: %v", err)
 	}

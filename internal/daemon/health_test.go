@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/jobs"
 )
@@ -128,9 +127,9 @@ func TestRunWrapsMidStreamDisconnect(t *testing.T) {
 		_, err := c.Run(context.Background(), []jobs.Job{j})
 		errc <- err
 	}()
-	// Let the submit land and the stream open, then sever every
-	// connection while the job still runs.
-	time.Sleep(100 * time.Millisecond)
+	// Let the submit land and the job start (the stream opens before
+	// admission), then sever every connection while it still runs.
+	waitFor(t, "the job to run", func() bool { return d.running.Load() == 1 })
 	srv.CloseClientConnections()
 
 	err = <-errc

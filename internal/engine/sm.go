@@ -31,18 +31,14 @@ type SM struct {
 	// range [slot*WarpsPerTB, (slot+1)*WarpsPerTB).
 	WarpSlots []*Warp
 
-	// liveBits and validBits pack per-warp-slot state into 64-slot words
-	// — the flat, branch-light scan layout of DESIGN.md §8.10 — so the
-	// hot scan loops (trySleep, round-robin order rebuilds) test 64
-	// warps per word instead of dereferencing every WarpSlots entry.
-	// A liveBits bit marks a slot holding a resident, unfinished warp
-	// (set by AssignTB, cleared on Exit and TB retirement); a validBits
-	// bit mirrors Warp.Valid — equivalently nextIn != nil — and is
-	// maintained at the single choke point every Valid transition runs
-	// through, refreshNextInstr. slotMasks[k] selects the warp slots
-	// owned by scheduler slot k (Slot % SchedulersPerSM).
+	// liveBits packs per-warp-slot liveness into 64-slot words — the
+	// flat, branch-light scan layout of DESIGN.md §8.10 — so round-robin
+	// order rebuilds test 64 warps per word instead of dereferencing
+	// every WarpSlots entry. A bit marks a slot holding a resident,
+	// unfinished warp (set by AssignTB, cleared on Exit and TB
+	// retirement). slotMasks[k] selects the warp slots owned by
+	// scheduler slot k (Slot % SchedulersPerSM).
 	liveBits  []uint64
-	validBits []uint64
 	slotMasks [][]uint64
 	// TBSlots holds resident TBs, nil when free. Its length is the
 	// launch's per-SM residency limit.
@@ -212,7 +208,6 @@ func NewSM(id int, cfg *config.Config, wheel *timing.Wheel, mem *memsys.System, 
 	}
 	words := (len(sm.WarpSlots) + 63) / 64
 	sm.liveBits = make([]uint64, words)
-	sm.validBits = make([]uint64, words)
 	sm.slotMasks = make([][]uint64, cfg.SchedulersPerSM)
 	for k := range sm.slotMasks {
 		sm.slotMasks[k] = make([]uint64, words)
@@ -223,7 +218,14 @@ func NewSM(id int, cfg *config.Config, wheel *timing.Wheel, mem *memsys.System, 
 	sm.orderCaches = make([]orderCache, cfg.SchedulersPerSM)
 	sm.slotClass = make([]slotOutcome, cfg.SchedulersPerSM)
 	sm.slotGates = make([]slotGate, cfg.SchedulersPerSM)
-	sm.sfuDone = func(int64) { sm.sfuInflight-- }
+	sm.sfuDone = func(int64) {
+		// Only leaving saturation can unblock a Pipeline-stalled warp.
+		if sm.sfuInflight >= cfg.SFUQueueDepth {
+			sm.wakeEvent()
+		}
+		sm.sfuInflight--
+	}
+	mem.OnStoreRelease(id, sm.storeReleased)
 	sm.poolOn = !cfg.DisableWarpPooling
 	sm.Sched = factory(sm)
 	if oc, ok := sm.Sched.(OrderCacher); ok {
@@ -375,7 +377,14 @@ func (sm *SM) getMemOp() *memOp {
 		op = &memOp{sm: sm}
 		op.doneFn = func(cy int64) {
 			op.outstanding--
-			op.sm.memOpLineDone(op, cy)
+			// Every L1 MSHR fill on this SM runs one of these, so this
+			// is where a refused load/atomic head learns that an entry
+			// (or its line) became available. With the unit empty there
+			// is nothing to retry and a sleeper stays asleep.
+			if sm.memOp != nil {
+				sm.wakeEvent()
+			}
+			sm.memOpLineDone(op, cy)
 		}
 	} else {
 		sm.memOpFree = op.next
@@ -401,10 +410,10 @@ func (sm *SM) putMemOp(op *memOp) {
 // as issued / Idle / Scoreboard / Pipeline.
 //
 // When the policy implements OrderCacher and cycle skipping is enabled,
-// a Tick on which every slot stalls on frozen state (Idle/Scoreboard,
-// no in-flight mem op) puts the SM to sleep: subsequent Ticks return
-// immediately and the skipped cycles' stalls are accounted in bulk on
-// wake (see trySleep for the invariants).
+// a Tick on which nothing moved — no slot issued, and the LD/ST unit is
+// empty or had its head transaction refused — puts the SM to sleep:
+// subsequent Ticks return immediately and the skipped cycles' stalls are
+// accounted in bulk on wake (see trySleep for the invariants).
 func (sm *SM) Tick(cycle int64) {
 	if sm.asleep {
 		if cycle < sm.wakeAt {
@@ -414,20 +423,23 @@ func (sm *SM) Tick(cycle int64) {
 	}
 	sm.sfuToken = true
 	sm.memToken = true
-	sm.drainMemOp(cycle)
-	canSleep := sm.cycleSkipOn && sm.memOp == nil
+	refused := sm.drainMemOp(cycle)
+	canSleep := sm.cycleSkipOn && (sm.memOp == nil || refused)
+	wake := neverWake
 	for slot := 0; slot < sm.Cfg.SchedulersPerSM; slot++ {
-		out := sm.tickSlot(slot, cycle)
+		out, until := sm.tickSlot(slot, cycle)
 		sm.slotClass[slot] = out
 		if sm.fl != nil {
 			sm.fl.OnSlotOutcome(cycle, slot, uint8(out))
 		}
-		if out == outIssued || out == outPipeline {
+		if out == outIssued {
 			canSleep = false
+		} else if until < wake {
+			wake = until
 		}
 	}
-	if canSleep && sm.memOp == nil {
-		sm.trySleep(cycle)
+	if canSleep {
+		sm.trySleep(cycle, wake)
 	}
 }
 
@@ -455,36 +467,32 @@ const neverWake = int64(math.MaxInt64)
 // explicit event (wheel callback or TB assignment).
 const NeverWake = neverWake
 
-// trySleep puts the SM to sleep after a cycle on which every slot
-// stalled with Idle or Scoreboard and the LD/ST unit is empty. The frozen
-// per-slot classification cannot change while asleep, because every state
-// transition that could change it either
+// trySleep puts the SM to sleep after a cycle on which no slot issued
+// and the LD/ST unit made no progress (empty, or head transaction
+// refused). wake is the minimum of the slots' self-timed horizons, as the
+// full scans that just ran computed them (tickSlot). The frozen per-slot
+// classification — Idle, Scoreboard or Pipeline — cannot change while
+// asleep, because every state transition that could change it either
 //
-//   - happens at a statically-known cycle — a register becoming ready,
-//     captured by readyAt and folded into wakeAt below, or a policy's
-//     timed refresh, bounded by TimedScheduler.NextTimedEvent — or
-//   - is driven by a wheel/assignment event that calls wakeEvent (load
-//     completion, i-buffer refill, TB assignment), which forces a full
-//     re-evaluation on the next Tick.
+//   - happens at a statically-known cycle — a register becoming ready
+//     (readyAt, kept in the warp's gate), the LD/ST unit's busy window
+//     closing (memBusyUntil), both folded into wake by tickSlot, or a
+//     policy's timed refresh, bounded by TimedScheduler.NextTimedEvent — or
+//   - is driven by a wheel/assignment event that calls wakeEvent, which
+//     forces a full re-evaluation on the next Tick: load completion,
+//     i-buffer refill and TB assignment for blocked warps, and for a
+//     scoreboard-ready warp the release of the structure that refused it
+//     — an L1 MSHR fill or a store-buffer slot while a mem op holds the
+//     LD/ST unit (memOp.doneFn, storeReleased), a mem-queue entry
+//     (memOpLineDone), the SFU queue leaving saturation (sfuDone).
 //
-// Barrier releases and TB retirements only happen on the SM's own issue
-// path, which cannot run while asleep; SFU drain only affects issue
-// admission, which is irrelevant while no warp is scoreboard-ready.
-func (sm *SM) trySleep(cycle int64) {
-	wake := neverWake
-	// Only Valid warps (validBits ≡ !finished && !atBar && ibuf > 0 —
-	// exactly the warps the old per-slot walk kept) have a time-driven
-	// state change; everything else arrives via wakeEvent, not with time.
-	for wi, word := range sm.validBits {
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &^= 1 << uint(b)
-			w := sm.WarpSlots[wi<<6|b]
-			if at := w.readyAt(w.nextIn); at < wake {
-				wake = at
-			}
-		}
-	}
+// With no issue this cycle both per-cycle unit tokens are intact, so those
+// persistent conditions are the only reasons a ready warp was refused, and
+// a refused memory transaction has no side effects, so skipping its
+// retries changes nothing. Barrier releases and TB retirements only happen
+// on the SM's own issue path, which cannot run while asleep.
+// DESIGN.md §8.3 tabulates every block reason against its wake source.
+func (sm *SM) trySleep(cycle, wake int64) {
 	if sm.timed != nil && sm.residentTBs > 0 {
 		if nt := sm.timed.NextTimedEvent(cycle); nt > cycle && nt < wake {
 			wake = nt
@@ -496,18 +504,6 @@ func (sm *SM) trySleep(cycle int64) {
 	sm.asleep = true
 	sm.wakeAt = wake
 	sm.sleepFrom = cycle
-}
-
-// setValidBit mirrors w.nextIn != nil into validBits. Called only from
-// the warp's refreshNextInstr (and reset), which every Valid-state
-// transition funnels through, so the mask can never drift from the
-// pointer it mirrors.
-func (sm *SM) setValidBit(slot int, ok bool) {
-	if ok {
-		sm.validBits[slot>>6] |= 1 << uint(slot&63)
-	} else {
-		sm.validBits[slot>>6] &^= 1 << uint(slot&63)
-	}
 }
 
 func (sm *SM) setLiveBit(slot int)   { sm.liveBits[slot>>6] |= 1 << uint(slot&63) }
@@ -564,9 +560,12 @@ func (sm *SM) flushSleep(through int64) {
 	}
 	n := through - sm.sleepFrom
 	for slot, class := range sm.slotClass {
-		if class == outScoreboard {
+		switch class {
+		case outPipeline:
+			sm.Stalls[slot].Pipeline += n
+		case outScoreboard:
 			sm.Stalls[slot].Scoreboard += n
-		} else {
+		default:
 			sm.Stalls[slot].Idle += n
 		}
 	}
@@ -574,11 +573,20 @@ func (sm *SM) flushSleep(through int64) {
 }
 
 // wakeEvent forces a sleeping SM to re-evaluate on its next Tick. Called
-// from every callback that can change a warp's validity or readiness
-// outside the SM's own issue path.
+// from every callback that can change a warp's validity or readiness, or
+// release a structure a ready warp was refused by, outside the SM's own
+// issue path.
 func (sm *SM) wakeEvent() {
 	if sm.asleep {
 		sm.wakeAt = 0
+	}
+}
+
+// storeReleased is the memory system's store-buffer notification: a
+// slot freed, which matters only to a store the LD/ST unit is retrying.
+func (sm *SM) storeReleased() {
+	if sm.memOp != nil {
+		sm.wakeEvent()
 	}
 }
 
@@ -586,7 +594,7 @@ func (sm *SM) wakeEvent() {
 // horizon, queried after the SM has been ticked at now: the earliest
 // future cycle at which the SM could change state on its own clock.
 //
-//   - Asleep: wakeAt, computed by trySleep from the warps' readyAt and
+//   - Asleep: wakeAt, computed by trySleep from the slots' horizons and
 //     the policy's NextTimedEvent. neverWake means only an explicit
 //     event (a wheel callback or an assignment) can wake it — both are
 //     covered by the other components' horizons — and the skipped
@@ -621,18 +629,19 @@ func (sm *SM) SleepState() (asleep bool, wake int64) {
 }
 
 // drainMemOp issues at most one transaction of the in-flight memory
-// instruction. The unit frees as soon as all transactions are issued; the
-// data return path is tracked by callbacks.
-func (sm *SM) drainMemOp(cycle int64) {
+// instruction and reports whether the memory system refused it (leaving
+// the unit exactly as it was). The unit frees as soon as all transactions
+// are issued; the data return path is tracked by callbacks.
+func (sm *SM) drainMemOp(cycle int64) (refused bool) {
 	op := sm.memOp
 	if op == nil {
-		return
+		return false
 	}
 	line := op.lines[0]
 	switch op.kind {
 	case isa.OpStGlobal:
 		if !sm.storeLine(line) {
-			return // store buffer full; retry next cycle
+			return true // store buffer full; retry on storeReleased
 		}
 	case isa.OpLdGlobal, isa.OpAtomGlobal:
 		var ok bool
@@ -642,7 +651,7 @@ func (sm *SM) drainMemOp(cycle int64) {
 			ok = sm.atomicLine(line, op.doneFn)
 		}
 		if !ok {
-			return // MSHRs full; retry next cycle
+			return true // MSHRs full; retry on the next fill (doneFn)
 		}
 		op.outstanding++
 	}
@@ -659,6 +668,7 @@ func (sm *SM) drainMemOp(cycle int64) {
 			sm.memOpLineDone(op, cycle)
 		}
 	}
+	return false
 }
 
 // storeLine / loadLine / atomicLine route one memory transaction
@@ -705,10 +715,14 @@ func (sm *SM) memOpLineDone(op *memOp, cy int64) {
 	sm.putMemOp(op)
 }
 
-func (sm *SM) tickSlot(slot int, cycle int64) slotOutcome {
+// tickSlot runs one scheduler slot's cycle. Besides the outcome it
+// returns, for a slot that did not issue under cycle skipping, the
+// earliest cycle at which the outcome can change on the SM's own clock
+// (neverWake: only through an event) — trySleep's per-slot horizon.
+func (sm *SM) tickSlot(slot int, cycle int64) (slotOutcome, int64) {
 	if sm.residentTBs == 0 {
 		sm.Stalls[slot].Idle++
-		return outIdle
+		return outIdle, neverWake
 	}
 	var order []*Warp
 	var gen uint64
@@ -764,10 +778,10 @@ func (sm *SM) tickSlot(slot int, cycle int64) slotOutcome {
 		// classified.
 		if anyValid {
 			sm.Stalls[slot].Scoreboard++
-			return outScoreboard
+			return outScoreboard, minGate
 		}
 		sm.Stalls[slot].Idle++
-		return outIdle
+		return outIdle, minGate
 	}
 
 	// contig tracks whether every entry examined so far (including the
@@ -844,7 +858,7 @@ func (sm *SM) tickSlot(slot int, cycle int64) slotOutcome {
 				sm.slotGates[slot] = slotGate{until: pMin, gen: gen, epoch: epochStart, resume: resumeIdx, valid: pValid, armed: true}
 			}
 			sm.Stalls[slot].Issued++
-			return outIssued
+			return outIssued, 0
 		}
 	}
 	switch {
@@ -860,7 +874,12 @@ func (sm *SM) tickSlot(slot int, cycle int64) slotOutcome {
 			}
 		}
 		sm.Stalls[slot].Pipeline++
-		return outPipeline
+		// The LD/ST unit's busy window is the one structural block that
+		// ends with time rather than with an event.
+		if cycle < sm.memBusyUntil && sm.memBusyUntil < minGate {
+			minGate = sm.memBusyUntil
+		}
+		return outPipeline, minGate
 	case anyValid:
 		// Every warp is gated strictly beyond cycle, so the outcome is
 		// frozen until minGate, barring gen/epoch invalidation.
@@ -868,13 +887,13 @@ func (sm *SM) tickSlot(slot int, cycle int64) slotOutcome {
 			sm.slotGates[slot] = slotGate{until: minGate, gen: gen, epoch: epochStart, resume: len(order), valid: true, armed: true}
 		}
 		sm.Stalls[slot].Scoreboard++
-		return outScoreboard
+		return outScoreboard, minGate
 	default:
 		if skipOn && sm.cacher != nil {
 			sm.slotGates[slot] = slotGate{until: minGate, gen: gen, epoch: epochStart, resume: len(order), valid: false, armed: true}
 		}
 		sm.Stalls[slot].Idle++
-		return outIdle
+		return outIdle, minGate
 	}
 }
 
@@ -1045,12 +1064,10 @@ func (sm *SM) retireTB(tb *ThreadBlock, cycle int64) {
 	sm.WarpDisparitySum += tb.WarpDisparity()
 	wpt := sm.Launch.WarpsPerTB()
 	for i := 0; i < wpt; i++ {
-		// Every warp already finished (cleared its live and valid bits
-		// on Exit via clearLiveBit / refreshNextInstr); clear anyway so
-		// the masks can never outlive the slot pointers.
+		// Every warp already finished (cleared its live bit on Exit);
+		// clear anyway so the mask can never outlive the slot pointers.
 		sm.WarpSlots[tb.Slot*wpt+i] = nil
 		sm.clearLiveBit(tb.Slot*wpt + i)
-		sm.setValidBit(tb.Slot*wpt+i, false)
 	}
 	sm.TBSlots[tb.Slot] = nil
 	sm.residentTBs--

@@ -192,10 +192,7 @@ func (w *Warp) reset(tb *ThreadBlock, idInTB, slot int, cycle int64) {
 	}
 	w.ibuf, w.fetchBusy = 0, false
 	w.gate, w.gateInstr = 0, false
-	// Through the choke point rather than a direct nil, so the SM's
-	// validBits mirror tracks this slot too (ibuf is 0 here, so the
-	// result is the same nil/clear).
-	w.refreshNextInstr()
+	w.refreshNextInstr() // ibuf is 0: clears nextIn and the ready sentinel
 }
 
 // armLoop initializes the remaining-take counters of loopID for every
@@ -253,7 +250,6 @@ func (w *Warp) refreshNextInstr() {
 	w.scoreboardOK = false
 	if w.finished || w.atBar || w.ibuf == 0 {
 		w.nextIn = nil
-		w.SM.setValidBit(w.Slot, false)
 		return
 	}
 	top := &w.stack[len(w.stack)-1]
@@ -261,7 +257,6 @@ func (w *Warp) refreshNextInstr() {
 	w.nextPC = top.PC
 	w.nextMask = top.Mask
 	w.nextIter = w.visits[top.PC]
-	w.SM.setValidBit(w.Slot, w.nextIn != nil)
 }
 
 // ScoreboardReady reports whether in's source and destination registers

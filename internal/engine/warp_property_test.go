@@ -107,9 +107,7 @@ func warpLaneInstrs(t *testing.T, prog *isa.Program, kseed uint64, maxSteps int)
 	t.Helper()
 	var counts [32]int
 	launch := &Launch{Program: prog, GridTBs: 1, BlockThreads: 32, Seed: kseed}
-	// Bare SM (no NewSM): give it one bitmask word so the warp's
-	// refreshNextInstr can mirror its valid bit.
-	sm := &SM{ID: 0, Cfg: config.GTX480(), liveBits: make([]uint64, 1), validBits: make([]uint64, 1)}
+	sm := &SM{ID: 0, Cfg: config.GTX480()}
 	tb := &ThreadBlock{Global: 0, Launch: launch}
 	w := newWarp(sm, tb, 0, 0, 0)
 	for steps := 0; steps < maxSteps; steps++ {
@@ -208,9 +206,7 @@ func TestPropertyStackBounded(t *testing.T) {
 		prog := genProgram(rng, "depth")
 		kseed := rng.Next()
 		launch := &Launch{Program: prog, GridTBs: 1, BlockThreads: 32, Seed: kseed}
-		// Bare SM (no NewSM): give it one bitmask word so the warp's
-	// refreshNextInstr can mirror its valid bit.
-	sm := &SM{ID: 0, Cfg: config.GTX480(), liveBits: make([]uint64, 1), validBits: make([]uint64, 1)}
+		sm := &SM{ID: 0, Cfg: config.GTX480()}
 		tb := &ThreadBlock{Global: 0, Launch: launch}
 		w := newWarp(sm, tb, 0, 0, 0)
 		maxDepth := 0

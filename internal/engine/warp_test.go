@@ -17,7 +17,7 @@ func testWarp(t *testing.T, prog *isa.Program, blockThreads, warpID int) *Warp {
 	if err := launch.Validate(cfg); err != nil {
 		t.Fatal(err)
 	}
-	sm := &SM{ID: 0, Cfg: cfg, liveBits: make([]uint64, 1), validBits: make([]uint64, 1)}
+	sm := &SM{ID: 0, Cfg: cfg}
 	tb := &ThreadBlock{Global: 0, Launch: launch}
 	return newWarp(sm, tb, warpID, warpID, 0)
 }

@@ -101,18 +101,65 @@ func TestAllSchedulersCompleteAndConserveWork(t *testing.T) {
 	}
 }
 
+// pipelineKernel is dominated by Pipeline stalls of every kind the SM
+// sleeps through: scattered loads against full L1 MSHRs, a scattered
+// store against a full store buffer, bank-conflicted shared accesses and
+// bursts of independent SFU ops.
+func pipelineKernel(t *testing.T) *engine.Launch {
+	t.Helper()
+	b := isa.NewBuilder("pipetest")
+	b.Loop(isa.LoopSpec{Min: 3, Max: 3})
+	b.LdGlobal(1, isa.MemSpec{Pattern: isa.PatRandom, Region: 8 << 20, IterVaries: true})
+	b.LdShared(2, isa.MemSpec{Pattern: isa.PatStrided, Stride: 128})
+	b.SFU(3, 0)
+	b.SFU(4, 0)
+	b.StGlobal(2, isa.MemSpec{Pattern: isa.PatRandom, Region: 8 << 20, Space: 1, IterVaries: true})
+	b.FAdd(5, 1, 5)
+	b.EndLoop()
+	b.Exit()
+	prog, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &engine.Launch{Program: prog, GridTBs: 12, BlockThreads: 256, Seed: 7}
+}
+
 func TestStallAccountingInvariant(t *testing.T) {
 	// Every scheduler-slot cycle is classified exactly once:
-	// issued + idle + scoreboard + pipeline == cycles × SMs × slots.
-	cfg := miniConfig()
-	launch := barrierKernel(t)
-	for name, r := range runAll(t, cfg, launch, gpu.Options{}) {
-		slots := r.Cycles * int64(cfg.NumSMs) * int64(cfg.SchedulersPerSM)
-		if got := r.Stalls.Slots(); got != slots {
-			t.Errorf("%s: accounted %d scheduler-cycles, want %d", name, got, slots)
-		}
-		if r.Stalls.Issued != r.WarpInstrs {
-			t.Errorf("%s: issued slots %d != warp instrs %d", name, r.Stalls.Issued, r.WarpInstrs)
+	// issued + idle + scoreboard + pipeline == cycles × SMs × slots, in
+	// every sample window — the dense odd interval lands sample points
+	// inside SM sleeps, whose stalls are accounted in bulk — and at exit.
+	// On the one-SM configuration the aggregate is the SM's own ledger.
+	oneSM := miniConfig()
+	oneSM.NumSMs = 1
+	for _, cfg := range []*config.Config{miniConfig(), oneSM} {
+		for _, launch := range []*engine.Launch{barrierKernel(t), pipelineKernel(t)} {
+			for name, r := range runAll(t, cfg, launch, gpu.Options{SampleEvery: 37}) {
+				name = launch.Program.Name + "/" + name
+				perCycle := int64(cfg.NumSMs) * int64(cfg.SchedulersPerSM)
+				if got := r.Stalls.Slots(); got != r.Cycles*perCycle {
+					t.Errorf("%s: accounted %d scheduler-cycles, want %d", name, got, r.Cycles*perCycle)
+				}
+				if r.Stalls.Issued != r.WarpInstrs {
+					t.Errorf("%s: issued slots %d != warp instrs %d", name, r.Stalls.Issued, r.WarpInstrs)
+				}
+				if len(r.Samples) == 0 {
+					t.Fatalf("%s: no samples", name)
+				}
+				if launch.Program.Name == "pipetest" && r.Stalls.Pipeline < r.Stalls.Slots()/4 {
+					t.Errorf("%s: only %d of %d slot-cycles are Pipeline stalls; the kernel lost its point", name, r.Stalls.Pipeline, r.Stalls.Slots())
+				}
+				prev := int64(0)
+				for _, s := range r.Samples {
+					if got, want := s.Stalls.Slots(), (s.Cycle-prev)*perCycle; got != want {
+						t.Errorf("%s: window ending at cycle %d accounted %d scheduler-cycles, want %d", name, s.Cycle, got, want)
+					}
+					if s.Stalls.Issued != s.WarpInstrs {
+						t.Errorf("%s: window ending at cycle %d: issued slots %d != warp instrs %d", name, s.Cycle, s.Stalls.Issued, s.WarpInstrs)
+					}
+					prev = s.Cycle
+				}
+			}
 		}
 	}
 }

@@ -42,6 +42,10 @@ type System struct {
 	chans  []*dram.Channel
 
 	storesOut []int // per-SM outstanding global stores
+	// storeWake[sm], when set, is told each time one of sm's store-buffer
+	// slots is released, so an SM whose LD/ST unit had a store refused can
+	// sleep until then instead of re-offering it every cycle.
+	storeWake []func()
 
 	// dramQueued counts requests sitting in channel queues (enqueued but
 	// not yet granted). Everything else in the hierarchy is event-driven
@@ -240,6 +244,9 @@ func (s *System) popWrite() *writeReq {
 			sys.storesOut[r.sm]--
 			r.next = sys.writeFree
 			sys.writeFree = r
+			if fn := sys.storeWake[r.sm]; fn != nil {
+				fn()
+			}
 		}
 		r.retryDRAM = func(int64) { r.s.enqueueDRAM(r.p, &r.dreq, r.retryDRAM) }
 	}
@@ -273,6 +280,7 @@ func New(cfg *config.Config, wheel *timing.Wheel) *System {
 		l2mshr:    make([]*cache.MSHR, cfg.L2Partitions),
 		chans:     make([]*dram.Channel, cfg.L2Partitions),
 		storesOut: make([]int, cfg.NumSMs),
+		storeWake: make([]func(), cfg.NumSMs),
 		horizons:  timing.NewWakeHeap(cfg.L2Partitions),
 		granted:   make([]*dram.Request, cfg.L2Partitions),
 		grantAt:   make([]int64, cfg.L2Partitions),
@@ -439,9 +447,10 @@ func (s *System) loadLine(sm int, line uint64, done timing.Event, fx effects) bo
 		// The in-flight fill will wake us; no downstream traffic.
 		return true
 	default: // Refused: MSHRs full, retry later.
-		// Undo the miss that Access counted? No: real hardware also
-		// re-probes on replay; counting each attempt would inflate the
-		// miss rate, so compensate here.
+		// Undo the miss that Access counted: hardware re-probes on every
+		// replay too, but counting each attempt would inflate the miss
+		// rate — and a refusal must stay free of side effects, so that
+		// the SM may skip the replays it knows will be refused.
 		s.l1[sm].Accesses--
 		s.l1[sm].Misses--
 		return false
@@ -598,6 +607,10 @@ func (s *System) enqueueDRAM(p int, r *dram.Request, retry timing.Event) {
 	s.dramQueued++
 	s.refreshHorizon(p)
 }
+
+// OnStoreRelease registers fn to run, on the goroutine that advances the
+// timing wheel, each time one of SM sm's store-buffer slots is released.
+func (s *System) OnStoreRelease(sm int, fn func()) { s.storeWake[sm] = fn }
 
 // OutstandingStores returns SM sm's store-buffer occupancy (for tests).
 func (s *System) OutstandingStores(sm int) int { return s.storesOut[sm] }

@@ -9,6 +9,7 @@ package prosim_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"repro/internal/schedreg"
@@ -18,14 +19,24 @@ import (
 func TestFastForwardDifferential(t *testing.T) {
 	// Two memory-divergent kernels with different TB churn profiles keep
 	// the sweep affordable while exercising both the idle-memsys jump
-	// (aes compute bursts) and the drain/retire boundary (scalarProd).
-	kernels := []string{"aesEncrypt128", "scalarProdGPU"}
-	for _, k := range kernels {
+	// (aes compute bursts) and the drain/retire boundary (scalarProd);
+	// the memory-bound rows add the jumps that only exist because SMs now
+	// sleep through Pipeline stalls, clamped by dense sample boundaries.
+	rows := append([]diffRow{
+		{"aesEncrypt128", 8, []prosim.Options{{}}}, {"scalarProdGPU", 8, []prosim.Options{{}}},
+	}, memoryBoundRows...)
+	for _, row := range rows {
+		k, opts := row.kernel, row.opts[0]
 		w, err := prosim.WorkloadByKernel(k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		w = w.Shrunk(8)
+		w = w.Shrunk(row.maxTBs)
+		if row.maxTBs != 8 {
+			// The 8-TB rows keep their historical subtest names;
+			// scalarProdGPU runs at both sizes.
+			k = fmt.Sprintf("%s@%d", k, row.maxTBs)
+		}
 		for _, s := range schedreg.All() {
 			s := s
 			t.Run(k+"/"+s, func(t *testing.T) {
@@ -34,7 +45,7 @@ func TestFastForwardDifferential(t *testing.T) {
 				for _, disable := range []bool{true, false} {
 					cfg := prosim.GTX480()
 					cfg.DisableFastForward = disable
-					r, err := prosim.Run(cfg, w.Launch, s, prosim.Options{})
+					r, err := prosim.Run(cfg, w.Launch, s, opts)
 					if err != nil {
 						t.Fatal(err)
 					}

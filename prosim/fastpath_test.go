@@ -47,27 +47,62 @@ var naivePaths = fastPaths{
 	disableAdaptiveFanout: true,
 }
 
+// diffRow is one kernel of a differential grid: its grid size and the
+// observation options it runs under.
+type diffRow struct {
+	kernel string
+	maxTBs int
+	opts   []prosim.Options
+}
+
+// memoryBoundRows are kernels that park SMs in Pipeline stalls, at least
+// one per structural block reason the engine sleeps through (DESIGN.md
+// §8.3): L1-MSHR back-pressure on loads
+// (bpnn_layerforward, scalarProdGPU), store-buffer back-pressure from
+// an uncoalesced store (bpnn_adjust_weights_cuda), SFU-queue saturation
+// (MonteCarloOneBlockPerOption) and the LD/ST busy window of
+// bank-conflicted shared accesses (GPU_laplace3d). Sixteen TBs put two
+// on some SMs and one on the rest (about a third of all slot-cycles are
+// Pipeline stalls at that size; more costs too much under -race); the
+// dense, odd sampling interval makes sample boundaries land inside
+// sleeps, so the bulk stall accounting is flushed mid-sleep over and
+// over and must still add up.
+var memoryBoundRows = func() []diffRow {
+	dense := []prosim.Options{{SampleEvery: 37}}
+	var rows []diffRow
+	for _, k := range []string{
+		"bpnn_layerforward", "scalarProdGPU", "bpnn_adjust_weights_cuda",
+		"MonteCarloOneBlockPerOption", "GPU_laplace3d",
+	} {
+		rows = append(rows, diffRow{k, 16, dense})
+	}
+	return rows
+}()
+
 // fastPathGrid simulates the differential grid with the given fast-path
 // switches and returns one canonical JSON encoding per run.
 func fastPathGrid(t *testing.T, fp fastPaths) []string {
 	t.Helper()
-	kernels := []string{"aesEncrypt128", "scalarProdGPU", "calculate_temp"}
-	// PRO-adaptive exercises the timed-refresh path (the adaptive
-	// profiler switches phases on a schedule, not on issue events).
-	scheds := []string{"TL", "LRR", "GTO", "PRO", "PRO-adaptive"}
 	// The sampled run checks that mid-run observations (per-interval
 	// counters, TB timelines) see the same state at the same cycles.
 	opts := []prosim.Options{{}, {Timeline: true, SampleEvery: 500}}
+	rows := append([]diffRow{
+		{"aesEncrypt128", 8, opts}, {"scalarProdGPU", 8, opts}, {"calculate_temp", 8, opts},
+	}, memoryBoundRows...)
+	// PRO-adaptive exercises the timed-refresh path (the adaptive
+	// profiler switches phases on a schedule, not on issue events).
+	scheds := []string{"TL", "LRR", "GTO", "PRO", "PRO-adaptive"}
 
 	var out []string
-	for _, k := range kernels {
+	for _, row := range rows {
+		k := row.kernel
 		w, err := prosim.WorkloadByKernel(k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		w = w.Shrunk(8)
+		w = w.Shrunk(row.maxTBs)
 		for _, s := range scheds {
-			for _, o := range opts {
+			for _, o := range row.opts {
 				cfg := prosim.GTX480()
 				cfg.DisableOrderCache = fp.disableOrderCache
 				cfg.DisableCycleSkip = fp.disableCycleSkip
