@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race fastpath fastforwardtest sleeptest smparalleltest benchbuild daemontest obstest clustertest tenanttest flighttest benchdiff benchdiff-write baseline check bench benchquick profile report papercheck
+.PHONY: build test vet race fastpath fastforwardtest sleeptest fuzz benchbuild daemontest obstest clustertest tenanttest flighttest benchdiff benchdiff-write baseline check bench benchquick profile report papercheck
 
 build:
 	$(GO) build ./...
@@ -35,26 +35,26 @@ fastforwardtest:
 # or the LD/ST busy window must tick on exactly the cycle its un-slept
 # twin makes progress, with identical per-slot stalls; a fill with an
 # empty LD/ST unit must not wake a Scoreboard sleeper; and the stall
-# ledger must balance at every sample. Under -race because the wake
-# callbacks are the part that runs on the coordinator between parallel
-# tick phases.
+# ledger must balance at every sample. Under -race like the other gates:
+# the wake callbacks fire from wheel events and memory-system
+# notifications, and the detector proves nothing else reaches an SM.
 sleeptest:
 	$(GO) test -race -count=1 -run 'TestSleepsThrough|TestFillWithEmptyLDSTUnit|TestStallAccountingInvariant' ./internal/engine ./internal/gpu
 
-# The parallel-SM determinism gate: ticking SMs on a worker pool with
-# two-phase memsys commit must be byte-identical to serial ticking for
-# every registered scheduler, at every worker count, under the race
-# detector (which proves the staged phase has no cross-SM data races
-# even on a single-core host).
-smparalleltest:
-	$(GO) test -race -run 'TestParallelSM' -count=1 ./prosim
+# Fuzz the daemon's wire-job decoder (untrusted bytes off the socket)
+# for 10 s; its seed corpus also runs under plain `go test`.
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzWireJobToJob -fuzztime 10s ./internal/daemon
 
-# The bench harness must always compile (it is easy to break silently,
-# since plain `go test ./...` runs it but a refactor of the experiment
-# API can leave stale benchmarks behind on partial builds).
+# The bench harnesses must always compile (they are easy to break
+# silently: a refactor of the experiment API can leave stale root
+# benchmarks behind, and bench/ is a nested module importing
+# repro/internal/... that root `go build ./...` and `go test ./...`
+# never see, so pruning an internal name breaks it with tier-1 green).
 benchbuild:
 	$(GO) vet .
 	$(GO) test -run '^$$' -bench '^$$' .
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # The daemon's concurrency surface (singleflight dedupe, NDJSON stream
 # fan-in, graceful drain) under the race detector, re-run every time:
@@ -79,7 +79,7 @@ tenanttest:
 
 # The flight-recorder gate under the race detector, re-run every time:
 # the bit-identity differential (recorder on vs off for every
-# scheduler, serial and parallel SM ticking), the disabled-path
+# scheduler), the disabled-path
 # zero-allocation pin, the cache-key kill switch, the ring/sampling
 # unit tests and the structural validation of the Perfetto and NDJSON
 # exports.
@@ -107,7 +107,7 @@ benchdiff-write:
 
 baseline: bench benchdiff-write
 
-check: vet race fastpath fastforwardtest sleeptest smparalleltest daemontest obstest clustertest tenanttest flighttest benchbuild
+check: vet race fastpath fastforwardtest sleeptest daemontest obstest clustertest tenanttest flighttest benchbuild
 	-$(MAKE) benchdiff
 
 # Statistically meaningful bench run for before/after comparisons:
@@ -121,8 +121,8 @@ benchquick:
 	$(GO) test -bench=. -benchtime=1x .
 
 # CPU + heap profiles of the paper grid (all kernels, the four headline
-# schedulers) into results/, for digging into where tick vs commit time
-# goes: `go tool pprof results/cpu.pprof`.
+# schedulers) into results/, for digging into where a simulated cycle's
+# wall time goes: `go tool pprof results/cpu.pprof`.
 profile:
 	@mkdir -p results
 	$(GO) run ./cmd/prosim -all -maxtbs 128 \

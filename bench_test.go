@@ -27,7 +27,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/experiments"
-	"repro/internal/gpu"
 	"repro/internal/isa"
 	"repro/internal/memsys"
 	"repro/internal/sched"
@@ -318,63 +317,28 @@ func BenchmarkFutureWorkVariants(b *testing.B) {
 	}
 }
 
-func BenchmarkWideGPUParallelSM(b *testing.B) {
-	// Intra-simulation SM parallelism on wide GPUs (2x and 4x the
-	// GTX480's 14 SMs): serial ticking vs the staged two-phase parallel
-	// path. Results are bit-identical in every mode (pinned by
-	// TestParallelSMDifferential); this bench records the wall-clock
-	// effect. "parallel" resolves the worker count automatically
-	// (min(NumSMs, GOMAXPROCS) — on a single-core host it degenerates
-	// to serial), while "parallel4" forces 4 workers so the staging
-	// machinery is exercised even there; a real speedup needs spare
-	// cores.
+func BenchmarkWideGPU(b *testing.B) {
+	// The clock loop on wide GPUs (2x and 4x the GTX480's 14 SMs): the
+	// per-iteration cost of walking a mostly sleeping SM array.
 	w, err := workloads.ByKernel("calculate_temp")
 	if err != nil {
 		b.Fatal(err)
 	}
 	w = w.Shrunk(112) // two full residency rounds on the widest GPU
 	for _, sms := range []int{28, 56} {
-		for _, mode := range []string{"serial", "parallel", "parallel4"} {
-			b.Run(fmt.Sprintf("sms%d/%s", sms, mode), func(b *testing.B) {
-				cfg := prosim.GTX480()
-				cfg.NumSMs = sms
-				switch mode {
-				case "serial":
-					cfg.DisableSMParallel = true
-				case "parallel4":
-					cfg.ParallelSMs = 4
+		b.Run(fmt.Sprintf("sms%d", sms), func(b *testing.B) {
+			cfg := prosim.GTX480()
+			cfg.NumSMs = sms
+			var simCycles int64
+			for i := 0; i < b.N; i++ {
+				r, err := prosim.Run(cfg, w.Launch, "PRO", prosim.Options{})
+				if err != nil {
+					b.Fatal(err)
 				}
-				// Per-phase attribution via the heartbeat listener: the
-				// listener fires on the simulation goroutine, so plain
-				// accumulators are safe here (one run at a time).
-				var parTicks, serTicks, tickNS, commitNS int64
-				gpu.SetHeartbeat(func(h gpu.Heartbeat) {
-					parTicks += h.ParTicks
-					serTicks += h.SerialTicks
-					tickNS += h.TickNS
-					commitNS += h.CommitNS
-				}, 1<<14)
-				defer gpu.SetHeartbeat(nil, 0)
-				var simCycles int64
-				for i := 0; i < b.N; i++ {
-					r, err := prosim.Run(cfg, w.Launch, "PRO", prosim.Options{})
-					if err != nil {
-						b.Fatal(err)
-					}
-					simCycles += r.Cycles
-				}
-				b.ReportMetric(float64(simCycles)/b.Elapsed().Seconds(), "sim_cycles/s")
-				if simCycles > 0 {
-					b.ReportMetric(float64(tickNS)/float64(simCycles), "tick_ns/cycle")
-					b.ReportMetric(float64(commitNS)/float64(simCycles), "commit_ns/cycle")
-				}
-				if d := parTicks + serTicks; d > 0 {
-					// Fraction of pool-backed iterations the fan-out
-					// decision actually parallelised.
-					b.ReportMetric(float64(parTicks)/float64(d), "fanout_rate")
-				}
-			})
-		}
+				simCycles += r.Cycles
+			}
+			b.ReportMetric(float64(simCycles)/b.Elapsed().Seconds(), "sim_cycles/s")
+		})
 	}
 }
 

@@ -38,7 +38,6 @@ func main() {
 	maxTBs := flag.Int("maxtbs", 0, "shrink grid (0 = full)")
 	format := flag.String("format", "report", "output format: report | perfetto | ndjson")
 	out := flag.String("out", "", "output file (default stdout)")
-	smWorkers := flag.Int("sm-workers", 0, "SM-tick workers inside each simulation (0 = auto; results identical either way)")
 	warpSample := flag.Int("warp-sample", 1, "record warp-level events for every Nth warp slot (1 = all)")
 	memSample := flag.Int("mem-sample", 1, "record every Nth memory transaction as a span (1 = all)")
 	ringEvents := flag.Int("ring-events", 0, fmt.Sprintf("per-SM event ring capacity (0 = %d)", flight.DefaultRingEvents))
@@ -76,7 +75,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	eng.SMWorkers = *smWorkers
 
 	dst := io.Writer(os.Stdout)
 	if *out != "" {

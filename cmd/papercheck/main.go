@@ -61,7 +61,6 @@ func main() {
 	maxTBs := flag.Int("maxtbs", 0, "shrink grids to at most this many TBs (0 = full)")
 	quiet := flag.Bool("quiet", true, "suppress per-run progress")
 	njobs := flag.Int("jobs", runtime.NumCPU(), "parallel simulation workers")
-	smWorkers := flag.Int("sm-workers", 0, "SM-tick workers inside each simulation (0 = auto: spare cores per job; 1 = serial; results identical either way)")
 	cacheDir := flag.String("cache", "", "result-cache directory (optional)")
 	cacheGC := flag.String("cache-gc", "", "after the run, evict least-recently-used cache entries down to this size (e.g. 256M; needs -cache)")
 	logCfg := obs.LogFlags(nil)
@@ -88,7 +87,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "papercheck:", err)
 		os.Exit(1)
 	}
-	eng.SMWorkers = *smWorkers
 	suite, err := experiments.RunSuite(workloads.All(),
 		[]string{"TL", "LRR", "GTO", "PRO"}, *maxTBs, eng)
 	if err != nil {

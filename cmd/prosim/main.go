@@ -33,7 +33,6 @@ func main() {
 	list := flag.Bool("list", false, "list workloads and exit")
 	maxTBs := flag.Int("maxtbs", 0, "shrink grids to at most this many TBs (0 = full)")
 	njobs := flag.Int("jobs", runtime.NumCPU(), "parallel simulation workers")
-	smWorkers := flag.Int("sm-workers", 0, "SM-tick workers inside each simulation (0 = auto: spare cores per job; 1 = serial; results identical either way)")
 	cacheDir := flag.String("cache", "", "result-cache directory (optional)")
 	cacheGC := flag.String("cache-gc", "", "after the run, evict least-recently-used cache entries down to this size (e.g. 256M; needs -cache)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -123,7 +122,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	eng.SMWorkers = *smWorkers
 	results, err := prosim.RunJobs(context.Background(), eng,
 		prosim.WorkloadJobs(targets, names, *maxTBs, prosim.Options{}))
 	if err != nil {

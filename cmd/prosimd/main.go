@@ -51,7 +51,6 @@ func main() {
 	listen := flag.String("listen", "127.0.0.1:9753",
 		"listen address: host:port for TCP or unix:/path/to.sock for a unix socket")
 	njobs := flag.Int("jobs", runtime.NumCPU(), "concurrent simulation workers")
-	smWorkers := flag.Int("sm-workers", 0, "SM-tick workers inside each simulation (0 = auto: spare cores per job; 1 = serial; results identical either way)")
 	cacheDir := flag.String("cache", "", "result-cache directory (optional; strongly recommended for a daemon)")
 	jobTimeout := flag.Duration("job-timeout", 0, "per-job wall-clock cap (0 = none)")
 	drain := flag.Duration("drain", daemon.DefaultDrainTimeout,
@@ -89,7 +88,6 @@ func main() {
 
 	cfg := daemon.Config{
 		Workers:            *njobs,
-		SMWorkers:          *smWorkers,
 		CacheDir:           *cacheDir,
 		JobTimeout:         *jobTimeout,
 		DrainTimeout:       *drain,

@@ -40,7 +40,6 @@ func main() {
 	maxTBs := flag.Int("maxtbs", 0, "shrink grids to at most this many TBs (0 = full)")
 	outDir := flag.String("out", "", "directory to write fig4.txt and table3.txt into (optional)")
 	slots := flag.Int("slots", 0, "concurrent jobs per worker (0 = ask each worker via /v1/health)")
-	smWorkers := flag.Int("sm-workers", 0, "SM-tick workers inside each simulation on the workers (0 = worker policy; 1 = serial; results identical either way)")
 	jobTimeout := flag.Duration("job-timeout", 0, "per-attempt wall-clock cap; an over-budget attempt is retried elsewhere (0 = none)")
 	retries := flag.Int("retries", 3, "dispatch attempts per job before the batch fails")
 	backoff := flag.Duration("backoff", 100*time.Millisecond, "delay before the first retry (doubles per attempt)")
@@ -64,7 +63,6 @@ func main() {
 	coord, err := cluster.New(cluster.Config{
 		Workers:        addrs,
 		SlotsPerWorker: *slots,
-		SMWorkers:      *smWorkers,
 		CacheDir:       *cacheDir,
 		JobTimeout:     *jobTimeout,
 		MaxAttempts:    *retries,

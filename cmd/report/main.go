@@ -53,7 +53,6 @@ func main() {
 	outDir := flag.String("out", "", "directory to write artifact files into (optional)")
 	quiet := flag.Bool("quiet", false, "suppress per-run progress")
 	njobs := flag.Int("jobs", runtime.NumCPU(), "parallel simulation workers")
-	smWorkers := flag.Int("sm-workers", 0, "SM-tick workers inside each simulation (0 = auto: spare cores per job; 1 = serial; results identical either way)")
 	cacheDir := flag.String("cache", "", "result-cache directory (optional; makes warm re-runs instant)")
 	cacheGC := flag.String("cache-gc", "", "after the run, evict least-recently-used cache entries down to this size (e.g. 256M; needs -cache)")
 	daemonAddr := flag.String("daemon", "", "run simulations on a prosimd daemon at this address (host:port or unix:/path) instead of locally")
@@ -100,7 +99,6 @@ func main() {
 			fatal(err)
 		}
 		client.Progress = progress
-		client.SMWorkers = *smWorkers
 		client.Priority = *priority
 		client.Token = *token
 		run = client
@@ -112,12 +110,11 @@ func main() {
 			}
 		}
 		coord, err := cluster.New(cluster.Config{
-			Workers:   addrs,
-			CacheDir:  *cacheDir,
-			SMWorkers: *smWorkers,
-			Priority:  *priority,
-			Token:     *token,
-			Log:       log,
+			Workers:  addrs,
+			CacheDir: *cacheDir,
+			Priority: *priority,
+			Token:    *token,
+			Log:      log,
 		})
 		if err != nil {
 			fatal(err)

@@ -30,7 +30,6 @@ func main() {
 	maxTBs := flag.Int("maxtbs", 0, "shrink grids to at most this many TBs (0 = full)")
 	quiet := flag.Bool("quiet", false, "suppress progress")
 	njobs := flag.Int("jobs", runtime.NumCPU(), "parallel simulation workers")
-	smWorkers := flag.Int("sm-workers", 0, "SM-tick workers inside each simulation (0 = auto: spare cores per job; 1 = serial; results identical either way)")
 	cacheDir := flag.String("cache", "", "result-cache directory (optional)")
 	logCfg := obs.LogFlags(nil)
 	flag.Parse()
@@ -56,7 +55,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "stalls:", err)
 		os.Exit(1)
 	}
-	eng.SMWorkers = *smWorkers
 	suite, err := experiments.RunSuite(workloads.All(), scheds, *maxTBs, eng)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "stalls:", err)

@@ -65,7 +65,6 @@ func main() {
 	maxTBs := flag.Int("maxtbs", 0, "shrink grids (0 = full)")
 	quiet := flag.Bool("quiet", false, "suppress progress")
 	njobs := flag.Int("jobs", runtime.NumCPU(), "parallel simulation workers")
-	smWorkers := flag.Int("sm-workers", 0, "SM-tick workers inside each simulation (0 = auto: spare cores per job; 1 = serial; results identical either way)")
 	cacheDir := flag.String("cache", "", "result-cache directory (optional)")
 	cacheGC := flag.String("cache-gc", "", "after the run, evict least-recently-used cache entries down to this size (e.g. 256M; needs -cache)")
 	daemonAddr := flag.String("daemon", "", "run simulations on a prosimd daemon at this address (host:port or unix:/path) instead of locally")
@@ -111,7 +110,6 @@ func main() {
 			fatal(err)
 		}
 		client.Progress = progress
-		client.SMWorkers = *smWorkers
 		client.Priority = *priority
 		client.Token = *token
 		runner = client
@@ -123,12 +121,11 @@ func main() {
 			}
 		}
 		coord, err := cluster.New(cluster.Config{
-			Workers:   addrs,
-			CacheDir:  *cacheDir,
-			SMWorkers: *smWorkers,
-			Priority:  *priority,
-			Token:     *token,
-			Log:       log,
+			Workers:  addrs,
+			CacheDir: *cacheDir,
+			Priority: *priority,
+			Token:    *token,
+			Log:      log,
 		})
 		if err != nil {
 			fatal(err)
@@ -141,7 +138,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		eng.SMWorkers = *smWorkers
 		runner = eng
 	}
 

@@ -25,7 +25,6 @@ func main() {
 	rows := flag.Int("rows", 16, "max sample rows to print (0 = all)")
 	maxTBs := flag.Int("maxtbs", 0, "shrink grid (0 = full)")
 	njobs := flag.Int("jobs", 1, "parallel simulation workers (a trace is one job)")
-	smWorkers := flag.Int("sm-workers", 0, "SM-tick workers inside the simulation (0 = auto: spare cores; 1 = serial; results identical either way)")
 	cacheDir := flag.String("cache", "", "result-cache directory (optional)")
 	logCfg := obs.LogFlags(nil)
 	flag.Parse()
@@ -46,7 +45,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	eng.SMWorkers = *smWorkers
 	samples, err := experiments.OrderTrace(w, *threshold, eng)
 	if err != nil {
 		fatal(err)

@@ -33,7 +33,6 @@ func main() {
 	maxTBs := flag.Int("maxtbs", 0, "shrink grid (0 = full)")
 	quiet := flag.Bool("quiet", true, "suppress progress")
 	njobs := flag.Int("jobs", runtime.NumCPU(), "parallel simulation workers")
-	smWorkers := flag.Int("sm-workers", 0, "SM-tick workers inside each simulation (0 = auto: spare cores per job; 1 = serial; results identical either way)")
 	cacheDir := flag.String("cache", "", "result-cache directory (optional)")
 	logCfg := obs.LogFlags(nil)
 	flag.Parse()
@@ -58,7 +57,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	eng.SMWorkers = *smWorkers
 
 	scheds := []string{"LRR", "PRO"}
 	rs, err := eng.Run(context.Background(),

@@ -29,7 +29,6 @@ func main() {
 	every := flag.Int64("every", 1000, "sampling window in cycles")
 	maxTBs := flag.Int("maxtbs", 0, "shrink grid (0 = full)")
 	njobs := flag.Int("jobs", 1, "parallel simulation workers (a trace is one job)")
-	smWorkers := flag.Int("sm-workers", 0, "SM-tick workers inside the simulation (0 = auto: spare cores; 1 = serial; results identical either way)")
 	cacheDir := flag.String("cache", "", "result-cache directory (optional)")
 	flightOut := flag.String("flight-out", "",
 		"write the run's flight-recorder capture as Perfetto trace-event JSON to this file (a cache-served run records nothing; a warning is printed)")
@@ -52,7 +51,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	eng.SMWorkers = *smWorkers
 	opts := prosim.Options{SampleEvery: *every}
 	var rec *flight.Recorder
 	if *flightOut != "" {

@@ -143,10 +143,24 @@ func TestDiffGoldenCycles(t *testing.T) {
 }
 
 func TestDiffNewBenchmarkInformational(t *testing.T) {
-	base := snap(map[string]*Result{}, nil)
-	cur := snap(map[string]*Result{"N": {Name: "N", AllocsOp: 5}}, nil)
-	fs := Diff(base, cur, Thresholds{})
-	if len(fs) != 1 || fs[0].Fail {
-		t.Fatalf("new benchmark must be informational: %+v", fs)
+	one := map[string]*Result{"N": {Name: "N", AllocsOp: 5}}
+	gold := map[string]GoldenEntry{"G": {JobKey: "k1", Cycles: 5410}}
+	for _, tc := range []struct {
+		name      string
+		base, cur *Snapshot
+		bench     string
+		msg       string
+	}{
+		{"new benchmark", snap(map[string]*Result{}, nil), snap(one, nil), "N", "new benchmark (no baseline)"},
+		{"removed benchmark", snap(one, nil), snap(map[string]*Result{}, nil), "N", "removed benchmark (was in baseline)"},
+		{"new golden", snap(nil, nil), snap(nil, gold), "G", "new golden entry (no baseline)"},
+		{"removed golden", snap(nil, gold), snap(nil, nil), "G", "removed golden entry (was in baseline)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := Diff(tc.base, tc.cur, Thresholds{})
+			if len(fs) != 1 || fs[0].Fail || fs[0].Bench != tc.bench || fs[0].Msg != tc.msg {
+				t.Fatalf("want one informational %q finding on %s, got %+v", tc.msg, tc.bench, fs)
+			}
+		})
 	}
 }

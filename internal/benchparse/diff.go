@@ -78,7 +78,8 @@ type Finding struct {
 //     change, not noise;
 //   - golden entries whose job key changed are reported as skipped
 //     (the workload or config was deliberately altered);
-//   - benchmarks present in only one run are informational.
+//   - benchmarks and golden entries present in only one run are
+//     informational, whether new in cur or removed since base.
 func Diff(base, cur *Snapshot, t Thresholds) []Finding {
 	t = t.withDefaults()
 	var fs []Finding
@@ -118,6 +119,7 @@ func Diff(base, cur *Snapshot, t Thresholds) []Finding {
 			}
 		}
 	}
+	fs = append(fs, removed(base.Benchmarks, cur.Benchmarks, "removed benchmark (was in baseline)")...)
 	gnames := make([]string, 0, len(cur.Golden))
 	for name := range cur.Golden {
 		gnames = append(gnames, name)
@@ -137,7 +139,22 @@ func Diff(base, cur *Snapshot, t Thresholds) []Finding {
 				og.Cycles, ng.Cycles)})
 		}
 	}
+	fs = append(fs, removed(base.Golden, cur.Golden, "removed golden entry (was in baseline)")...)
 	sort.SliceStable(fs, func(i, j int) bool { return fs[i].Fail && !fs[j].Fail })
+	return fs
+}
+
+// removed reports, in name order, the entries of base that cur no longer
+// has, so a benchmark dropped from the run shows up in the trajectory
+// instead of silently ending it.
+func removed[V any](base, cur map[string]V, msg string) []Finding {
+	var fs []Finding
+	for name := range base {
+		if _, ok := cur[name]; !ok {
+			fs = append(fs, Finding{Bench: name, Msg: msg})
+		}
+	}
+	sort.Slice(fs, func(i, j int) bool { return fs[i].Bench < fs[j].Bench })
 	return fs
 }
 

@@ -55,12 +55,6 @@ type Config struct {
 	// HealthFailLimit is how many consecutive failed health probes mark
 	// a worker down; <= 0 means 2.
 	HealthFailLimit int
-	// SMWorkers, when positive, is stamped onto every dispatched wire
-	// job as its intra-simulation SM tick worker count (see
-	// daemon.Client.SMWorkers); zero defers to each worker's own
-	// -sm-workers policy. Execution knob only — results and cache keys
-	// are unaffected.
-	SMWorkers int
 	// Priority is the scheduling class every dispatched batch carries
 	// (daemon.PriorityInteractive or daemon.PriorityBulk); empty means
 	// the daemon default (interactive). Sweeps should run bulk so they
@@ -170,7 +164,6 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	for id, addr := range cfg.Workers {
 		client := daemon.NewClient(addr)
-		client.SMWorkers = cfg.SMWorkers
 		client.Priority = cfg.Priority
 		client.Token = cfg.Token
 		w := &worker{

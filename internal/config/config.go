@@ -148,36 +148,6 @@ type Config struct {
 	// DisableWarpPooling allocates fresh warp/thread-block objects on
 	// every TB assignment instead of recycling retired ones.
 	DisableWarpPooling bool `json:"-"`
-
-	// ParallelSMs selects how many worker goroutines tick SMs inside one
-	// simulation (two-phase commit: parallel SM ticks staging their
-	// memory-system and wheel side effects into per-SM lanes, then a
-	// serial drain in SM-ID order — see DESIGN.md, "Parallel SM
-	// ticking"). 0 picks min(NumSMs, GOMAXPROCS) automatically, 1 forces
-	// the serial loop, and N>1 uses exactly N workers regardless of core
-	// count. Like the Disable* switches it cannot change any observable
-	// result, so it is excluded from result-cache keys.
-	ParallelSMs int `json:"-"`
-	// DisableSMParallel forces the serial SM tick loop regardless of
-	// ParallelSMs (differential-testing kill switch).
-	DisableSMParallel bool `json:"-"`
-	// DisableCommitBatch makes the staged-lane drain commit wheel
-	// schedules one append at a time instead of batching consecutive
-	// same-cycle runs into a single bucket copy, and acquire request
-	// carriers op by op instead of in one pre-pop pass (differential
-	// kill switch for the batched commit, DESIGN.md §12.5).
-	DisableCommitBatch bool `json:"-"`
-	// DisableMemsysParallel keeps the DRAM channel arbitration scan at
-	// its serial position in the clock loop instead of overlapping it
-	// with the parallel SM tick phase (staged grants, committed in
-	// channel order at the phase barrier — DESIGN.md §12.5).
-	DisableMemsysParallel bool `json:"-"`
-	// DisableAdaptiveFanout pins the fixed fan-out gate (fan out
-	// whenever at least two SMs are awake) instead of the measured
-	// serial-vs-parallel controller. Differential tests set it to
-	// guarantee staged-path coverage regardless of host timing; like
-	// every switch above it cannot change results, only wall-clock.
-	DisableAdaptiveFanout bool `json:"-"`
 }
 
 // GTX480 returns the configuration from Table I of the paper.
@@ -277,7 +247,6 @@ func (c *Config) Validate() error {
 		{c.IFetchLatency >= 0, "IFetchLatency must be non-negative"},
 		{c.ICacheSize == 0 || (c.ICacheAssoc > 0 && c.ICacheLineInstrs > 0 && c.ICacheMissLatency > 0),
 			"enabled ICache needs positive assoc, line and miss latency"},
-		{c.ParallelSMs >= 0, "ParallelSMs must be non-negative"},
 	}
 	for _, ch := range checks {
 		if !ch.ok {

@@ -30,12 +30,6 @@ type Client struct {
 	// unchanged. Calls arrive on Run's goroutine.
 	Progress func(jobs.Event)
 
-	// SMWorkers, when positive, is stamped onto every submitted wire job
-	// as its intra-simulation worker count (WireJob.SMWorkers); zero
-	// defers to the daemon's own policy. Execution knob only — it cannot
-	// change results or cache keys.
-	SMWorkers int
-
 	// Token authenticates the client to a tokened daemon: it is sent as
 	// X-Prosim-Token on every request. Empty means the default tenant.
 	Token string
@@ -180,9 +174,6 @@ func (c *Client) Run(ctx context.Context, js []jobs.Job) ([]*stats.KernelResult,
 		wj, err := FromJob(&js[i])
 		if err != nil {
 			return nil, fmt.Errorf("daemon: job %d: %w", i, err)
-		}
-		if c.SMWorkers > 0 {
-			wj.SMWorkers = c.SMWorkers
 		}
 		req.Jobs[i] = wj
 	}

@@ -68,49 +68,7 @@ var (
 	mSimIters    = obs.NewCounter("sim_loop_iters_total", "top-level simulation loop iterations summed over heartbeats")
 	mSimCycle    = obs.NewGauge("sim_last_heartbeat_cycle", "simulated cycle of the most recent heartbeat")
 	mSimResident = obs.NewGauge("sim_resident_tbs", "resident thread blocks at the most recent heartbeat")
-
-	// Parallel SM ticking (two-phase commit; see gpu.Heartbeat). The
-	// phase histograms record the mean per-iteration duration of each
-	// phase over a heartbeat window, so the ratio of tick (parallel) to
-	// commit (serial drain) time — the Amdahl split — is readable
-	// straight off /metrics.
-	mSimSMWorkers = obs.NewGauge("sim_sm_workers", "intra-simulation SM tick workers of the most recent heartbeat (1 = serial)")
-	mSimParTicks  = obs.NewCounter("sim_parallel_ticks_total", "loop iterations whose SM ticks fanned out to the worker pool")
-	mSimPhaseTick = obs.NewHistogram(
-		obs.Labeled("sim_phase_seconds", "phase", "tick"),
-		"mean per-iteration duration of the parallel SM tick phase, per heartbeat window", phaseBuckets)
-	mSimPhaseCommit = obs.NewHistogram(
-		obs.Labeled("sim_phase_seconds", "phase", "commit"),
-		"mean per-iteration duration of the serial lane-drain commit phase, per heartbeat window", phaseBuckets)
-	mSimImbalance = obs.NewCounter("sim_phase_imbalance_ns_total",
-		"cumulative slowest-minus-fastest worker shard nanoseconds across fanned iterations")
-
-	// Adaptive fan-out and batched-commit telemetry (DESIGN.md §12.5).
-	// The decision counters split every pool-backed iteration by the
-	// fan-out controller's verdict; their ratio is the realized
-	// parallel fraction. The batch-size histogram records the mean
-	// staged ops per non-empty lane drain over a heartbeat window, and
-	// the memsys counter tracks iterations whose DRAM channel scan was
-	// overlapped with the parallel tick phase.
-	mSimFanoutPar = obs.NewCounter(
-		obs.Labeled("sim_fanout_decisions_total", "mode", "parallel"),
-		"pool-backed loop iterations the fan-out decision parallelised")
-	mSimFanoutSer = obs.NewCounter(
-		obs.Labeled("sim_fanout_decisions_total", "mode", "serial"),
-		"pool-backed loop iterations the fan-out decision ran serially")
-	mSimLaneBatch = obs.NewHistogram("sim_lane_batch_size",
-		"mean staged effects per non-empty lane drain, per heartbeat window", laneBatchBuckets)
-	mSimMemPar = obs.NewCounter("sim_memsys_par_ticks_total",
-		"fanned iterations whose DRAM channel scan overlapped the parallel tick phase")
 )
-
-// phaseBuckets spans the microsecond scale of one tick/commit phase
-// (DefBuckets starts at 5ms — three orders of magnitude too coarse).
-var phaseBuckets = []float64{1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 1e-3, 1e-2}
-
-// laneBatchBuckets spans plausible mean commit batch sizes: an SM stages
-// a handful of effects per cycle, so the interesting range is 1..128.
-var laneBatchBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128}
 
 // httpMetrics wraps an endpoint handler with a request counter and a
 // latency histogram labeled by path. For /v1/batch the latency is the
@@ -137,11 +95,9 @@ type Config struct {
 	CacheDir string
 	// JobTimeout caps one job's wall-clock time; 0 means no cap.
 	JobTimeout time.Duration
-	// SMWorkers is the default intra-simulation SM tick parallelism for
-	// jobs that do not carry their own WireJob.SMWorkers: 0 derives
-	// GOMAXPROCS/Workers (so a lightly-loaded daemon parallelizes inside
-	// jobs), > 0 forces that count, < 0 defers to the simulator's auto
-	// mode (see jobs.Engine.SMWorkers).
+	// Deprecated: SMWorkers configured the removed intra-simulation
+	// parallel tick (DESIGN.md §12) and is ignored. The field survives
+	// only because bench/, which this tree may not edit, sets it.
 	SMWorkers int
 	// DrainTimeout bounds how long Shutdown waits for running batches
 	// before aborting their jobs; 0 means DefaultDrainTimeout.
@@ -265,7 +221,6 @@ func New(cfg Config) (*Daemon, error) {
 		return nil, err
 	}
 	eng.Trace = cfg.Trace
-	eng.SMWorkers = cfg.SMWorkers
 	eng.FlightDir = cfg.FlightDir
 	log := cfg.Log
 	if log == nil {
@@ -302,19 +257,6 @@ func New(cfg Config) (*Daemon, error) {
 		mSimIters.Add(h.Iters)
 		mSimCycle.Set(h.Cycle)
 		mSimResident.Set(int64(h.ResidentTBs))
-		mSimSMWorkers.Set(int64(h.SMWorkers))
-		if h.ParTicks > 0 {
-			mSimParTicks.Add(h.ParTicks)
-			mSimFanoutPar.Add(h.ParTicks)
-			mSimPhaseTick.Observe(float64(h.TickNS) / float64(h.ParTicks) * 1e-9)
-			mSimPhaseCommit.Observe(float64(h.CommitNS) / float64(h.ParTicks) * 1e-9)
-			mSimImbalance.Add(h.ImbalanceNS)
-		}
-		mSimFanoutSer.Add(h.SerialTicks)
-		mSimMemPar.Add(h.MemsysParTicks)
-		if h.LaneDrains > 0 {
-			mSimLaneBatch.Observe(float64(h.LaneOps) / float64(h.LaneDrains))
-		}
 	}, 0)
 	return d, nil
 }

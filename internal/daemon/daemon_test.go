@@ -53,7 +53,7 @@ func slowJob(t *testing.T) jobs.Job {
 }
 
 // quickBatch is a small grid that simulates in well under a second.
-func quickBatch(t *testing.T) []jobs.Job {
+func quickBatch(t testing.TB) []jobs.Job {
 	t.Helper()
 	w, err := workloads.ByKernel("aesEncrypt128")
 	if err != nil {

@@ -63,9 +63,6 @@ func TestMetricsEndpointServesPrometheus(t *testing.T) {
 		"resultcache_hits_total",
 		"resultcache_written_bytes_total",
 		"sim_heartbeats_total",
-		"sim_fanout_decisions_total",
-		"sim_lane_batch_size",
-		"sim_memsys_par_ticks_total",
 		"sim_flight_runs_total",
 		"sim_flight_events_total",
 		"sim_flight_spans_total",
@@ -79,14 +76,10 @@ func TestMetricsEndpointServesPrometheus(t *testing.T) {
 	if !strings.Contains(text, `prosimd_http_requests_total{path="/v1/batch"}`) {
 		t.Errorf("/metrics missing per-endpoint request series:\n%s", text)
 	}
-	// Both fan-out decision modes must be pre-registered label series, so
-	// dashboards can rate() them from daemon start.
+	// The flight-recorder attribution histograms are pre-registered per
+	// component at package init, so dashboards see the full label set
+	// from daemon start even before any recorded run.
 	for _, series := range []string{
-		`sim_fanout_decisions_total{mode="parallel"}`,
-		`sim_fanout_decisions_total{mode="serial"}`,
-		// The flight-recorder attribution histograms are pre-registered
-		// per component at package init, so dashboards see the full label
-		// set from daemon start even before any recorded run.
 		`sim_flight_attr_cycles_bucket{component="dram_queue"`,
 		`sim_flight_attr_cycles_bucket{component="total"`,
 	} {

@@ -41,17 +41,10 @@ type WireJob struct {
 	Options gpu.Options `json:"options"`
 	// Cost is the job's expected relative run time (informational).
 	Cost int64 `json:"cost,omitempty"`
-	// SMWorkers, when positive, asks the daemon to tick this job's SMs
-	// on that many workers (config.ParallelSMs). It is an execution
-	// knob, not part of the job's identity: the config field it sets is
-	// excluded from cache-key JSON, so a job submitted with any
-	// SMWorkers value keys identically to a local run. Zero defers to
-	// the daemon's own -sm-workers policy.
-	SMWorkers int `json:"smWorkers,omitempty"`
 	// Priority is this job's scheduling class (PriorityInteractive or
-	// PriorityBulk), overriding the batch-level default. Like SMWorkers
-	// it is an execution knob, not identity: it never reaches the cache
-	// key. Empty defers to the batch (and ultimately to interactive).
+	// PriorityBulk), overriding the batch-level default. It is an
+	// execution knob, not identity: it never reaches the cache key.
+	// Empty defers to the batch (and ultimately to interactive).
 	Priority string `json:"priority,omitempty"`
 }
 
@@ -67,7 +60,10 @@ const (
 // Job converts the wire form into an executable job. Plain names pass
 // through as Job.Scheduler; parameterized specs resolve to a factory
 // with the spec as FactoryKey — either way the cache key matches the
-// local execution path for the same job.
+// local execution path for the same job. Payloads from older clients may
+// still carry the removed "smWorkers" field; the decoder ignores unknown
+// fields, so such a job decodes, keys and runs exactly as without it
+// (pinned by TestWireJobLegacySMWorkersIgnored).
 func (wj *WireJob) Job() (jobs.Job, error) {
 	j := jobs.Job{
 		Config:  wj.Config,
@@ -87,23 +83,6 @@ func (wj *WireJob) Job() (jobs.Job, error) {
 		j.Factory, j.FactoryKey = f, wj.Scheduler
 	} else {
 		j.Scheduler = wj.Scheduler
-	}
-	if wj.SMWorkers > 0 {
-		// Stamp the execution knob onto a copy of the config. Materializing
-		// the GTX480 default is key-neutral: the engine resolves a nil
-		// Config to the same value before hashing, and ParallelSMs itself
-		// is excluded from key JSON.
-		cfg := j.Config
-		if cfg == nil {
-			cfg = config.GTX480()
-		} else {
-			cc := *cfg
-			cfg = &cc
-		}
-		if cfg.ParallelSMs == 0 && !cfg.DisableSMParallel {
-			cfg.ParallelSMs = wj.SMWorkers
-			j.Config = cfg
-		}
 	}
 	return j, nil
 }

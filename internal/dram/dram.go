@@ -24,9 +24,7 @@ type Request struct {
 
 	// Span, when non-nil, is the flight recorder's lifecycle span for
 	// this transaction; Tick stamps the grant cycle and row-hit outcome
-	// onto it. The stamp happens in the same synchronization domain as
-	// the granted request itself (the staged scan publishes both through
-	// one barrier), so it is race-free under the overlapped DRAM scan.
+	// onto it.
 	Span *flight.MemSpan
 
 	arrival int64

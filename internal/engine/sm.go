@@ -129,20 +129,8 @@ type SM struct {
 	slotGates []slotGate
 	gateEpoch uint64
 
-	// lane, when non-nil, stages this Tick's shared side effects
-	// (memory-system transactions and timing-wheel schedules) instead of
-	// applying them, so multiple SMs can tick concurrently. Set only for
-	// the duration of TickStaged; every other entry point (AssignTB,
-	// wheel callbacks, StallTotal) runs on the coordinator goroutine
-	// with the lane unset and keeps direct wheel/memsys access.
-	lane *memsys.Lane
-
 	// fl, when non-nil, is the flight recorder's per-SM trace. Every
-	// hook is behind a single nil check and only reads SM state; under
-	// parallel ticking the trace is written exclusively by this SM's
-	// goroutine (phase 1) or the coordinator (between phases), never
-	// both at once — the same single-writer discipline as the rest of
-	// the SM.
+	// hook is behind a single nil check and only reads SM state.
 	fl *flight.SMTrace
 }
 
@@ -330,19 +318,7 @@ func (sm *SM) scheduleFetch(w *Warp) {
 			delay += int64(sm.Cfg.ICacheMissLatency)
 		}
 	}
-	sm.schedule(delay, w.fetchDone)
-}
-
-// schedule routes a wheel schedule through the staging lane when one is
-// active (TickStaged), and straight to the wheel otherwise. Every
-// ScheduleAfter reachable from Tick must go through this so concurrent
-// ticks never append to shared wheel buckets.
-func (sm *SM) schedule(delay int64, fn timing.Event) {
-	if sm.lane != nil {
-		sm.lane.ScheduleAfter(delay, fn)
-		return
-	}
-	sm.Wheel.ScheduleAfter(delay, fn)
+	sm.Wheel.ScheduleAfter(delay, w.fetchDone)
 }
 
 // Done reports whether the SM has no resident TBs.
@@ -441,22 +417,6 @@ func (sm *SM) Tick(cycle int64) {
 	if canSleep {
 		sm.trySleep(cycle, wake)
 	}
-}
-
-// TickStaged is Tick with every shared side effect staged into lane
-// instead of applied, so SMs can tick concurrently (one goroutine per
-// SM at most). It is safe because the tick's decisions read and write
-// only this SM's state: memory accept/refuse consults the per-SM L1 /
-// MSHR / store-buffer slices via the lane, PendingTBsFn reads a
-// coordinator variable that is stable between phases, and the pre-bound
-// callbacks that Tick can invoke synchronously (memOp doneFn resolving
-// on the final issued line, wakeEvent) touch their own SM only. The
-// caller must drain the lanes in SM-ID order afterwards, on one
-// goroutine, before anything else observes the wheel or memory system.
-func (sm *SM) TickStaged(cycle int64, lane *memsys.Lane) {
-	sm.lane = lane
-	sm.Tick(cycle)
-	sm.lane = nil
 }
 
 // neverWake marks a wake-up that only an explicit event can trigger.
@@ -640,15 +600,15 @@ func (sm *SM) drainMemOp(cycle int64) (refused bool) {
 	line := op.lines[0]
 	switch op.kind {
 	case isa.OpStGlobal:
-		if !sm.storeLine(line) {
+		if !sm.Mem.StoreLine(sm.ID, line) {
 			return true // store buffer full; retry on storeReleased
 		}
 	case isa.OpLdGlobal, isa.OpAtomGlobal:
 		var ok bool
 		if op.kind == isa.OpLdGlobal {
-			ok = sm.loadLine(line, op.doneFn)
+			ok = sm.Mem.LoadLine(sm.ID, line, op.doneFn)
 		} else {
-			ok = sm.atomicLine(line, op.doneFn)
+			ok = sm.Mem.AtomicLine(sm.ID, line, op.doneFn)
 		}
 		if !ok {
 			return true // MSHRs full; retry on the next fill (doneFn)
@@ -669,32 +629,6 @@ func (sm *SM) drainMemOp(cycle int64) (refused bool) {
 		}
 	}
 	return false
-}
-
-// storeLine / loadLine / atomicLine route one memory transaction
-// through the staging lane when one is active, and straight to the
-// memory system otherwise. The accept/refuse answer is identical either
-// way (same decision core in memsys); only the shared side effects are
-// deferred.
-func (sm *SM) storeLine(line uint64) bool {
-	if sm.lane != nil {
-		return sm.lane.StoreLine(line)
-	}
-	return sm.Mem.StoreLine(sm.ID, line)
-}
-
-func (sm *SM) loadLine(line uint64, done func(int64)) bool {
-	if sm.lane != nil {
-		return sm.lane.LoadLine(line, done)
-	}
-	return sm.Mem.LoadLine(sm.ID, line, done)
-}
-
-func (sm *SM) atomicLine(line uint64, done func(int64)) bool {
-	if sm.lane != nil {
-		return sm.lane.AtomicLine(line, done)
-	}
-	return sm.Mem.AtomicLine(sm.ID, line, done)
 }
 
 // memOpLineDone resolves a load/atomic op when every transaction has
@@ -982,7 +916,7 @@ func (sm *SM) tryIssue(w *Warp, in *isa.Instr, cycle int64) bool {
 	case isa.OpSFU:
 		w.setRegLatency(in.Dst, cycle, int64(sm.Cfg.SFULatency))
 		sm.sfuInflight++
-		sm.schedule(int64(sm.Cfg.SFULatency), sm.sfuDone)
+		sm.Wheel.ScheduleAfter(int64(sm.Cfg.SFULatency), sm.sfuDone)
 		sm.sfuToken = false
 
 	default: // SP arithmetic and control

@@ -12,13 +12,9 @@
 // TestFlightRecorderDoesNotAlterResults). The gpu.Options kill switch
 // carries `json:"-"` so result-cache keys are unaffected.
 //
-// Concurrency: under parallel SM ticking (DESIGN.md §12) the engine-side
-// hooks fire from per-SM goroutines during phase 1, so each SM records
-// into its own SMTrace ring and never touches shared recorder state.
-// Every memory-side hook runs on the coordinator goroutine (carrier
-// callbacks, lane drains, grant commits) or inside the staged DRAM scan
-// whose results are published at the same barrier as the grants
-// themselves, so MemTrace needs no locking either.
+// Concurrency: one simulation runs on one goroutine (DESIGN.md §12), so
+// neither the per-SM SMTrace rings nor the MemTrace need locking; a
+// Recorder must not be shared between concurrent runs.
 //
 // Ring semantics are true flight-recorder semantics: when a ring fills,
 // the oldest record is overwritten and counted as dropped, so a capture
@@ -239,9 +235,8 @@ func (r *Recorder) eventCounts() (captured, dropped int64) {
 	return captured, dropped
 }
 
-// SMTrace is one SM's event ring. During a parallel tick phase it is
-// written only by its SM's goroutine; between phases only by the
-// coordinator — single-writer at all times, so no synchronization.
+// SMTrace is one SM's event ring, written only by the goroutine that
+// runs the simulation — no synchronization.
 type SMTrace struct {
 	rec *Recorder
 	id  int16
@@ -513,10 +508,8 @@ type SpanComponents struct {
 }
 
 // MemTrace records memory-request spans. Every method runs on the
-// coordinator goroutine (carrier callbacks, lane drains, grant
-// commits); the staged DRAM scan writes span fields only through the
-// same publication barrier as the grants themselves, so there is no
-// concurrent access.
+// goroutine that runs the simulation (carrier callbacks, grants), so
+// there is no concurrent access.
 type MemTrace struct {
 	rec *Recorder
 

@@ -111,42 +111,6 @@ func TestFlightRecorderDoesNotAlterResults(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderParallelDoesNotAlterResults extends the gate to
-// the parallel SM-tick path: a recorder-attached run with 4 SM workers
-// must stay byte-identical to a bare serial run. Under -race this also
-// proves the per-SM traces are single-writer and the memory-side trace
-// stays on the coordinator.
-func TestFlightRecorderParallelDoesNotAlterResults(t *testing.T) {
-	launch := flProg(t)
-	factory, err := schedreg.New("PRO")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial := config.GTX480()
-	serial.DisableSMParallel = true
-	bare, err := Run(serial, launch, factory, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	rec := flight.New(flight.Options{ProgressEvery: 1})
-	par := config.GTX480()
-	par.ParallelSMs = 4
-	observed, err := Run(par, launch, factory, Options{Flight: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	a, _ := json.Marshal(bare)
-	b, _ := json.Marshal(observed)
-	if !bytes.Equal(a, b) {
-		t.Fatal("parallel SM ticking with a flight recorder changed the simulation result")
-	}
-	if rep := rec.Report(); rep.Events == 0 || rep.Spans == 0 {
-		t.Fatalf("parallel run captured events=%d spans=%d", rep.Events, rep.Spans)
-	}
-}
-
 // TestFlightSinkRecordsRun pins the process-wide sink: with no
 // per-run recorder in Options, a registered sink receives one capture
 // per run; an explicit Options.Flight recorder takes precedence and

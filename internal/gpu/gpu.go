@@ -6,7 +6,6 @@ package gpu
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/config"
 	"repro/internal/engine"
@@ -103,11 +102,7 @@ func RunContext(ctx context.Context, cfg *config.Config, launch *engine.Launch, 
 	// every SM full, the per-cycle assignment step is skipped until the
 	// next retire instead of re-probing all SMs each cycle.
 	assignDirty := true
-	// handleRetire is the coordinator-side retire notification. Under
-	// parallel SM ticking it runs at the phase barrier (drained from the
-	// per-SM retire buffers in SM-ID order) instead of inside Tick, so
-	// concurrent SMs never touch assignDirty or the shared timeline.
-	handleRetire := func(tb *engine.ThreadBlock) {
+	handleRetire := func(tb *engine.ThreadBlock, _ int64) {
 		assignDirty = true
 		if opts.Timeline {
 			res.Timeline = append(res.Timeline, stats.TBSpan{
@@ -117,31 +112,11 @@ func RunContext(ctx context.Context, cfg *config.Config, launch *engine.Launch, 
 		}
 	}
 
-	smWorkers := resolveSMWorkers(cfg)
-	par := smWorkers > 1
-
 	sms := make([]*engine.SM, cfg.NumSMs)
-	var retired [][]*engine.ThreadBlock
-	if par {
-		retired = make([][]*engine.ThreadBlock, cfg.NumSMs)
-	}
 	for i := range sms {
 		sm := engine.NewSM(i, cfg, wheel, mem, launch, factory)
 		sm.PendingTBsFn = func() int { return pending }
-		if par {
-			// Stage retires per SM. Buffering the TB pointer is safe:
-			// a retired TB's fields are stable until the pool can hand
-			// it out again, which first happens in the next iteration's
-			// assignment step — after this iteration's drain.
-			buf := &retired[i]
-			sm.OnTBRetireFn = func(tb *engine.ThreadBlock, cycle int64) {
-				*buf = append(*buf, tb)
-			}
-		} else {
-			sm.OnTBRetireFn = func(tb *engine.ThreadBlock, cycle int64) {
-				handleRetire(tb)
-			}
-		}
+		sm.OnTBRetireFn = handleRetire
 		sms[i] = sm
 	}
 	res.Scheduler = sms[0].Sched.Name()
@@ -162,35 +137,6 @@ func RunContext(ctx context.Context, cfg *config.Config, launch *engine.Launch, 
 			sm.SetFlight(rec.SM(i))
 		}
 		mem.SetFlight(rec.Mem())
-	}
-
-	// drainRetires delivers staged retire notifications in SM-ID order
-	// — the order the serial loop's in-tick callbacks fire in.
-	drainRetires := func() {
-		for i := range retired {
-			for j, tb := range retired[i] {
-				handleRetire(tb)
-				retired[i][j] = nil
-			}
-			retired[i] = retired[i][:0]
-		}
-	}
-
-	var pool *smPool
-	var lanes []*memsys.Lane
-	var ctl *fanoutCtl
-	memsysPar := false
-	if par {
-		lanes = make([]*memsys.Lane, cfg.NumSMs)
-		for i := range lanes {
-			lanes[i] = mem.NewLane(i)
-		}
-		pool = newSMPool(sms, lanes, smWorkers)
-		defer pool.close()
-		memsysPar = !cfg.DisableMemsysParallel
-		if !cfg.DisableAdaptiveFanout {
-			ctl = newFanoutCtl()
-		}
 	}
 
 	// Thread Block Scheduler: breadth-first round-robin assignment; after
@@ -259,7 +205,7 @@ func RunContext(ctx context.Context, cfg *config.Config, launch *engine.Launch, 
 	// and folds changes into a lazy-deletion min-heap: an awake count
 	// answers "may anything tick next cycle?" in O(1), and the heap
 	// yields the earliest finite wake cycle in O(log n) per update. The
-	// mirror is refreshed after every tick phase, so an SM woken early
+	// mirror is refreshed after every tick, so an SM woken early
 	// by an event (wakeAt zeroed, full tick this cycle) is re-mirrored
 	// before the next horizon query and the heap never serves a stale
 	// earlier entry.
@@ -359,8 +305,6 @@ func RunContext(ctx context.Context, cfg *config.Config, launch *engine.Launch, 
 	hb := hbState.Load()
 	hbOn := hb != nil
 	var hbPrevCycle, hbIters, hbJumps, hbNext int64
-	var hbParTicks, hbTickNS, hbCommitNS, hbImbalNS int64
-	var hbSerTicks, hbMemParTicks, hbLaneOps, hbLaneDrains int64
 	if hbOn {
 		hbNext = hb.every
 	}
@@ -372,40 +316,10 @@ func RunContext(ctx context.Context, cfg *config.Config, launch *engine.Launch, 
 		hb.fn(Heartbeat{
 			Kernel: launch.Program.Name, Scheduler: res.Scheduler,
 			Cycle: cycle, ResidentTBs: resident, PendingTBs: pending,
-			Iters: hbIters, FFJumps: hbJumps,
-			SMWorkers: smWorkers, ParTicks: hbParTicks,
-			TickNS: hbTickNS, CommitNS: hbCommitNS, ImbalanceNS: hbImbalNS,
-			SerialTicks: hbSerTicks, MemsysParTicks: hbMemParTicks,
-			LaneOps: hbLaneOps, LaneDrains: hbLaneDrains,
-			Final: final,
+			Iters: hbIters, FFJumps: hbJumps, Final: final,
+			SMWorkers: 1, // deprecated compat group, see Heartbeat
 		})
 		hbIters, hbJumps = 0, 0
-		hbParTicks, hbTickNS, hbCommitNS, hbImbalNS = 0, 0, 0, 0
-		hbSerTicks, hbMemParTicks, hbLaneOps, hbLaneDrains = 0, 0, 0, 0
-	}
-
-	// commitLanes is phase 2 of a fanned iteration: one pass over the
-	// SMs in ID order, draining each SM's staged lane and then its
-	// retire buffer. Fusing the two walks into one pass is identity-
-	// safe: lane effects (wheel buckets, interconnect sends, carrier
-	// pops) and retire effects (assignDirty, timeline rows) touch
-	// disjoint state, so the per-SM interleaving leaves every structure
-	// exactly as the two separate SM-ordered passes would have.
-	commitLanes := func() {
-		for i, l := range lanes {
-			if hbOn {
-				if n := l.Pending(); n > 0 {
-					hbLaneOps += int64(n)
-					hbLaneDrains++
-				}
-			}
-			l.Drain()
-			for j, tb := range retired[i] {
-				handleRetire(tb)
-				retired[i][j] = nil
-			}
-			retired[i] = retired[i][:0]
-		}
 	}
 
 	lastIssued := int64(-1)
@@ -422,111 +336,20 @@ func RunContext(ctx context.Context, cfg *config.Config, launch *engine.Launch, 
 			}
 		}
 		wheel.Advance(cycle)
-		// Fan-out decision for this iteration. eligible: the pool exists
-		// and enough SMs are awake to ever justify fanning. fanned: the
-		// adaptive controller's (or, with the controller disabled, the
-		// static rule's) verdict. Both paths commit identical state, so
-		// this is pure execution policy (DESIGN.md §12.5).
-		eligible := par && awake >= fanOutMin
-		fanned := eligible
-		sampled := false
-		if ctl != nil && eligible {
-			fanned = ctl.parallel()
-			sampled = ctl.sampleIter()
-		}
-		awakeNow := awake
-		// On fanned iterations the DRAM channel scan is staged by the
-		// coordinator while the workers run phase 1 and committed at the
-		// top of phase 2; otherwise it runs here, at the classic
-		// pre-assign position. Channel state is untouched between here
-		// and the barrier (assign and SM ticks never reach the channels),
-		// so both scans observe identical state.
-		stageMem := fanned && memsysPar
-		if !stageMem {
-			mem.Tick(cycle)
-		} else if hbOn && mem.QueuedDRAM() > 0 {
-			hbMemParTicks++
-		}
+		mem.Tick(cycle)
 		assign(cycle)
 		done := true
-		// The watchdog's issued sum is accumulated once all SM ticks for
-		// the cycle have completed: an SM's WarpInstrs is final for the
-		// cycle when its own Tick returns (no cross-SM path mutates it),
-		// so serial fusing and the post-barrier pass compute the same
-		// sum. trackSM in the same pass refreshes the sleep mirror and
-		// wake-heap used by nextCycle.
+		// The watchdog's issued sum and the sleep mirror used by
+		// nextCycle are folded into the tick pass: an SM's WarpInstrs is
+		// final for the cycle when its own Tick returns.
 		var issued int64
-		if fanned {
-			// Two-phase commit: parallel staged ticks, then a serial
-			// drain in SM-ID order that replays the shared side effects
-			// exactly as the serial loop would have interleaved them.
-			timed := hbOn || sampled
-			pool.timed = timed
-			var t0, t1 time.Time
-			if timed {
-				t0 = time.Now()
+		for i, sm := range sms {
+			sm.Tick(cycle)
+			if !sm.Done() {
+				done = false
 			}
-			if stageMem {
-				pool.tick(cycle, mem)
-			} else {
-				pool.tick(cycle, nil)
-			}
-			if timed {
-				t1 = time.Now()
-			}
-			if stageMem {
-				mem.TickCommit()
-			}
-			commitLanes()
-			if timed {
-				tickNS := t1.Sub(t0).Nanoseconds()
-				commitNS := time.Since(t1).Nanoseconds()
-				imbal := pool.imbalance()
-				if hbOn {
-					hbParTicks++
-					hbTickNS += tickNS
-					hbCommitNS += commitNS
-					hbImbalNS += imbal
-				}
-				if sampled {
-					ctl.record(awakeNow, tickNS+commitNS, tickNS, imbal)
-				}
-			}
-			for i, sm := range sms {
-				if !sm.Done() {
-					done = false
-				}
-				issued += sm.WarpInstrs
-				trackSM(i, sm)
-			}
-		} else {
-			var t0 time.Time
-			if sampled {
-				t0 = time.Now()
-			}
-			for i, sm := range sms {
-				sm.Tick(cycle)
-				if !sm.Done() {
-					done = false
-				}
-				issued += sm.WarpInstrs
-				trackSM(i, sm)
-			}
-			if sampled {
-				ctl.record(awakeNow, time.Since(t0).Nanoseconds(), 0, 0)
-			}
-			if par {
-				// The staged retire closure is wired whenever the pool
-				// exists, including iterations ticked serially below
-				// the fan-out threshold or by the controller's choice.
-				drainRetires()
-				if hbOn {
-					hbSerTicks++
-				}
-			}
-		}
-		if eligible && ctl != nil && ctl.endIter() && !pool.dynamic {
-			pool.dynamic = true
+			issued += sm.WarpInstrs
+			trackSM(i, sm)
 		}
 		if opts.SampleEvery > 0 && cycle%opts.SampleEvery == 0 {
 			sample(cycle)

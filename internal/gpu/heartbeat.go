@@ -23,39 +23,20 @@ type Heartbeat struct {
 	// §8.6). Deltas, so a listener can feed counters directly.
 	Iters   int64
 	FFJumps int64
-	// SMWorkers is the run's resolved intra-simulation worker count
-	// (1 = serial SM ticking; see config.ParallelSMs).
-	SMWorkers int
-	// ParTicks counts iterations since the previous heartbeat whose SM
-	// tick phase fanned out to the worker pool; TickNS and CommitNS are
-	// the wall nanoseconds those iterations spent in the parallel tick
-	// phase and the serial commit (lane + retire drain) phase, and
-	// ImbalanceNS accumulates each fanned iteration's slowest-minus-
-	// fastest worker shard time. All deltas; zero on serial runs. Phase
-	// timing is measured only while a listener is registered, so
-	// unobserved runs never call the clock.
-	ParTicks    int64
-	TickNS      int64
-	CommitNS    int64
-	ImbalanceNS int64
-	// SerialTicks counts iterations since the previous heartbeat whose
-	// fan-out decision was serial even though the pool existed (awake
-	// SMs below the floor, or the adaptive controller estimating the
-	// fused serial loop cheaper). ParTicks + SerialTicks is the total
-	// decision count on a parallel-capable run.
-	SerialTicks int64
-	// MemsysParTicks counts fanned iterations whose DRAM channel scan
-	// was overlapped with the parallel tick phase (staged grants,
-	// committed at the barrier) and actually had queued requests.
-	MemsysParTicks int64
-	// LaneOps is the number of staged lane effects committed since the
-	// previous heartbeat; LaneDrains the number of non-empty lane
-	// drains. Their ratio is the mean commit batch size
-	// (sim_lane_batch_size).
-	LaneOps    int64
-	LaneDrains int64
 	// Final marks the run-completion heartbeat.
 	Final bool
+
+	// Deprecated: telemetry of the removed intra-simulation parallel
+	// tick (DESIGN.md §12). Read only by bench/'s decorator, which this
+	// tree may not edit; SMWorkers always reports 1 and the deltas are
+	// always zero. A later benchmark PR drops the group.
+	SMWorkers   int
+	ParTicks    int64
+	SerialTicks int64
+	TickNS      int64
+	CommitNS    int64
+	LaneOps     int64
+	LaneDrains  int64
 }
 
 // hbConfig pairs the listener with its sampling interval so both swap

@@ -94,76 +94,6 @@ func TestHeartbeatDoesNotAlterResults(t *testing.T) {
 	}
 }
 
-// TestHeartbeatParallelDoesNotAlterResults extends the bit-identity
-// gate to the parallel SM-tick path: a run with both an aggressive
-// heartbeat listener AND ParallelSMs workers must stay byte-identical
-// to a bare serial run, and the parallel-phase telemetry (SMWorkers,
-// ParTicks, TickNS/CommitNS deltas) must be sane — the per-shard
-// timing merged at the phase barrier may not disturb results.
-func TestHeartbeatParallelDoesNotAlterResults(t *testing.T) {
-	launch := hbProg(t)
-	factory, err := schedreg.New("PRO")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	SetHeartbeat(nil, 0)
-	serial := config.GTX480()
-	serial.DisableSMParallel = true
-	bare, err := Run(serial, launch, factory, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var (
-		mu    sync.Mutex
-		beats []Heartbeat
-	)
-	SetHeartbeat(func(h Heartbeat) {
-		mu.Lock()
-		beats = append(beats, h)
-		mu.Unlock()
-	}, 256)
-	defer SetHeartbeat(nil, 0)
-	par := config.GTX480()
-	par.ParallelSMs = 4
-	observed, err := Run(par, launch, factory, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	a, _ := json.Marshal(bare)
-	b, _ := json.Marshal(observed)
-	if !bytes.Equal(a, b) {
-		t.Fatal("parallel SM ticking with a heartbeat listener changed the simulation result")
-	}
-
-	if len(beats) < 2 {
-		t.Fatalf("only %d heartbeats for a %d-cycle run at interval 256", len(beats), bare.Cycles)
-	}
-	var parTicks, tickNS, commitNS int64
-	for i, h := range beats {
-		if h.SMWorkers != 4 {
-			t.Fatalf("heartbeat %d reports SMWorkers=%d, want 4", i, h.SMWorkers)
-		}
-		if h.ParTicks < 0 || h.TickNS < 0 || h.CommitNS < 0 || h.ImbalanceNS < 0 {
-			t.Fatalf("heartbeat %d has negative phase telemetry: %+v", i, h)
-		}
-		parTicks += h.ParTicks
-		tickNS += h.TickNS
-		commitNS += h.CommitNS
-	}
-	if parTicks <= 0 {
-		t.Fatal("no parallel ticks observed with ParallelSMs=4 on a 15-SM run")
-	}
-	if parTicks > bare.Cycles {
-		t.Fatalf("summed ParTicks %d exceeds total cycles %d", parTicks, bare.Cycles)
-	}
-	if tickNS <= 0 || commitNS <= 0 {
-		t.Fatalf("phase timing not measured under a listener: tick=%dns commit=%dns", tickNS, commitNS)
-	}
-}
-
 // TestHeartbeatObservesFastForwardJumps pins that the FFJumps delta
 // actually counts event-horizon jumps on a memory-bound kernel, where
 // fast-forward is known to engage.

@@ -151,16 +151,9 @@ type Runner interface {
 type Engine struct {
 	// Workers is the pool size; <= 0 means runtime.NumCPU().
 	Workers int
-	// SMWorkers controls intra-simulation parallelism (parallel SM
-	// ticking, config.ParallelSMs) for jobs that leave the knob at auto:
-	// 0 derives max(1, GOMAXPROCS/Workers) so batch fan-out and
-	// per-simulation fan-out share the machine (at -jobs 1 a lone
-	// simulation gets every core; at -jobs NumCPU simulations stay
-	// serial), a positive value forces that worker count, and a negative
-	// value leaves the decision to the simulator's own auto mode. Jobs
-	// whose Config sets ParallelSMs or DisableSMParallel explicitly are
-	// never overridden. Like the knob itself this cannot affect results
-	// or cache keys, only wall-clock time.
+	// Deprecated: SMWorkers configured the removed intra-simulation
+	// parallel tick (DESIGN.md §12) and is ignored. The field survives
+	// only because bench/, which this tree may not edit, sets it.
 	SMWorkers int
 	// Cache, when non-nil, memoizes results on disk.
 	Cache *resultcache.Cache
@@ -466,18 +459,6 @@ func (e *Engine) runOne(ctx context.Context, j *Job) (r *stats.KernelResult, fro
 		}
 	}
 
-	// Resolve intra-simulation parallelism for auto jobs. This happens
-	// after the cache key is computed, and the knobs are excluded from
-	// key JSON anyway (`json:"-"`), so the identity of the job cannot
-	// depend on how it is executed.
-	if cfg.ParallelSMs == 0 && !cfg.DisableSMParallel {
-		if n := e.smWorkers(); n > 0 {
-			cc := *cfg
-			cc.ParallelSMs = n
-			cfg = &cc
-		}
-	}
-
 	// Flight capture: attach a per-job recorder when the engine has a
 	// capture directory and the job doesn't carry its own. The copy of
 	// Options is essential — jobs are shared batch-slice entries, and
@@ -552,23 +533,6 @@ func (e *Engine) store() resultcache.Backend {
 		return e.Cache
 	}
 	return nil
-}
-
-// smWorkers resolves the Engine.SMWorkers policy to a concrete
-// config.ParallelSMs value for auto jobs; <= 0 means "do not stamp".
-func (e *Engine) smWorkers() int {
-	if e.SMWorkers != 0 {
-		return e.SMWorkers
-	}
-	w := e.Workers
-	if w <= 0 {
-		w = runtime.NumCPU()
-	}
-	n := runtime.GOMAXPROCS(0) / w
-	if n < 1 {
-		n = 1
-	}
-	return n
 }
 
 // observeDone records one finished runOne in the process metrics and

@@ -330,6 +330,13 @@ func TestKeyMatchesCachedEntries(t *testing.T) {
 	if _, hit := cache.Get(key); !hit {
 		t.Fatal("Engine.Key does not address the entry RunOne wrote")
 	}
+	// The key of this default-GTX480 job as computed at PR 12, before
+	// config.Config lost its parallel-tick fields: removing execution
+	// knobs must leave existing .simcache directories warm.
+	const pr12Key = "19446b5661f74c38841767202dab78486284638289e72432df1433a6a7917093"
+	if key != pr12Key {
+		t.Fatalf("cache key of a default-GTX480 job moved:\n got %s\nwant %s", key, pr12Key)
+	}
 
 	// An anonymous factory has no stable identity.
 	j2 := Job{Launch: w.Shrunk(4).Launch, Factory: sched.NewLRR}

@@ -63,14 +63,6 @@ type System struct {
 	// instead of rescanning every channel queue per clock iteration.
 	horizons *timing.WakeHeap
 
-	// Staged-tick state for the overlapped (parallel-phase) DRAM scan:
-	// TickStage records at most one grant per channel here, and
-	// TickCommit applies them in channel order — the exact order the
-	// serial Tick loop would have committed them in.
-	granted []*dram.Request
-	grantAt []int64
-	staged  bool
-
 	// Free lists of pooled request carriers. Each carrier binds its event
 	// callbacks once at first allocation, so the steady-state memory path
 	// schedules wheel/network events without allocating closures. The
@@ -82,9 +74,8 @@ type System struct {
 	// fl, when non-nil, records each transaction's lifecycle span for
 	// the flight recorder. Every site that touches it — span creation in
 	// the send helpers, stage stamps in the carrier callbacks and L2
-	// handlers — runs on the coordinator goroutine (the lane drain calls
-	// the send helpers there even under parallel SM ticking), so the
-	// trace needs no locking.
+	// handlers — runs on the clock-loop goroutine, so the trace needs no
+	// locking.
 	fl *flight.MemTrace
 }
 
@@ -116,12 +107,11 @@ type readReq struct {
 	retryDRAM timing.Event // DRAM queue was full: replay the enqueue
 }
 
-// popRead takes a carrier off the free list, building one (and binding
-// its callbacks) when the list is empty. Pop order is part of the
-// determinism contract: the staged-lane drain pre-pops the exact number
-// of carriers a drain will consume, in op order, which yields the same
-// carrier sequence as the serial loop's pop-per-transaction.
-func (s *System) popRead() *readReq {
+// getRead takes a carrier off the free list, building one (and binding
+// its callbacks) when the list is empty, and points it at a concrete
+// transaction. The dreq literal also clears the previous use's Span; the
+// span pointer itself is re-armed (or left nil) by traceRead.
+func (s *System) getRead(sm int, line uint64, fillL1 bool) *readReq {
 	r := s.readFree
 	if r != nil {
 		s.readFree = r.next
@@ -172,22 +162,10 @@ func (s *System) popRead() *readReq {
 		r.retryL2 = func(int64) { r.s.l2Read(r) }
 		r.retryDRAM = func(int64) { r.s.enqueueDRAM(r.p, &r.dreq, r.retryDRAM) }
 	}
-	return r
-}
-
-// initRead points a pooled carrier at a concrete transaction. The dreq
-// literal also clears the previous use's Span; the span pointer itself
-// is re-armed (or left nil) by traceRead.
-func (s *System) initRead(r *readReq, sm int, line uint64, fillL1 bool) {
 	r.sm, r.line, r.fillL1 = sm, line, fillL1
 	r.p = s.partition(line)
 	r.span = nil
 	r.dreq = dram.Request{Line: line, Done: r.dramDone}
-}
-
-func (s *System) getRead(sm int, line uint64, fillL1 bool) *readReq {
-	r := s.popRead()
-	s.initRead(r, sm, line, fillL1)
 	return r
 }
 
@@ -216,9 +194,8 @@ type writeReq struct {
 	retryDRAM timing.Event
 }
 
-// popWrite is popRead's store-side counterpart (same pooling and pop
-// order contract).
-func (s *System) popWrite() *writeReq {
+// getWrite is getRead's store-side counterpart.
+func (s *System) getWrite(sm int, line uint64) *writeReq {
 	r := s.writeFree
 	if r != nil {
 		s.writeFree = r.next
@@ -250,20 +227,10 @@ func (s *System) popWrite() *writeReq {
 		}
 		r.retryDRAM = func(int64) { r.s.enqueueDRAM(r.p, &r.dreq, r.retryDRAM) }
 	}
-	return r
-}
-
-// initWrite points a pooled carrier at a concrete store transaction.
-func (s *System) initWrite(r *writeReq, sm int, line uint64) {
 	r.sm, r.line = sm, line
 	r.p = s.partition(line)
 	r.span = nil
 	r.dreq = dram.Request{Line: line, Write: true, Done: r.release}
-}
-
-func (s *System) getWrite(sm int, line uint64) *writeReq {
-	r := s.popWrite()
-	s.initWrite(r, sm, line)
 	return r
 }
 
@@ -282,8 +249,6 @@ func New(cfg *config.Config, wheel *timing.Wheel) *System {
 		storesOut: make([]int, cfg.NumSMs),
 		storeWake: make([]func(), cfg.NumSMs),
 		horizons:  timing.NewWakeHeap(cfg.L2Partitions),
-		granted:   make([]*dram.Request, cfg.L2Partitions),
-		grantAt:   make([]int64, cfg.L2Partitions),
 	}
 	for i := range s.l1 {
 		s.l1[i] = cache.MustNew(cfg.L1Size, cfg.L1Assoc, cfg.L1Line)
@@ -318,54 +283,13 @@ func (s *System) Tick(cycle int64) {
 	s.TickScans++
 	for p, ch := range s.chans {
 		if r, doneAt := ch.Tick(cycle); r != nil {
-			s.commitGrant(p, r, doneAt)
+			s.dramQueued--
+			if r.Done != nil {
+				s.wheel.Schedule(doneAt, r.Done)
+			}
+			s.refreshHorizon(p)
 		}
 	}
-}
-
-// TickStage is the arbitration half of Tick, safe to run concurrently
-// with staged SM ticks: it scans every channel (each channel's queue,
-// bank and row state is private to this call) and records the grants
-// without touching the timing wheel or any other shared structure.
-// TickCommit must follow on the coordinator goroutine before any wheel
-// event can fire. The split lets the clock loop overlap the DRAM scan
-// with phase 1 of the parallel SM tick (DESIGN.md §12.5).
-func (s *System) TickStage(cycle int64) {
-	if s.dramQueued == 0 {
-		return
-	}
-	s.TickScans++
-	s.staged = true
-	for p, ch := range s.chans {
-		s.granted[p], s.grantAt[p] = ch.Tick(cycle)
-	}
-}
-
-// TickCommit applies the grants recorded by the last TickStage in
-// channel order — exactly the order the serial Tick loop interleaves
-// its wheel schedules in — and clears the staging buffer.
-func (s *System) TickCommit() {
-	if !s.staged {
-		return
-	}
-	s.staged = false
-	for p, r := range s.granted {
-		if r == nil {
-			continue
-		}
-		s.granted[p] = nil
-		s.commitGrant(p, r, s.grantAt[p])
-	}
-}
-
-// commitGrant applies one channel grant's shared effects: the queue
-// count, the completion event, and the channel's refreshed horizon.
-func (s *System) commitGrant(p int, r *dram.Request, doneAt int64) {
-	s.dramQueued--
-	if r.Done != nil {
-		s.wheel.Schedule(doneAt, r.Done)
-	}
-	s.refreshHorizon(p)
 }
 
 // refreshHorizon re-mirrors channel p's earliest-grantable cycle into
@@ -407,41 +331,18 @@ func (s *System) NextEvent(now int64) (cycle int64, ok bool) {
 	return at, true
 }
 
-// effects is the sink for the shared side effects of one SM-facing
-// transaction. The accept/refuse decision of each entry point depends
-// only on per-SM state (l1[sm], l1mshr[sm], storesOut[sm]); everything
-// that touches shared structures — the timing wheel, the interconnect,
-// the pooled request carriers — goes through this interface. *System
-// applies them immediately (the serial path); *Lane records them for a
-// later in-order drain (the parallel SM-tick path). Keeping one
-// decision core for both guarantees the two modes accept exactly the
-// same transactions.
-type effects interface {
-	schedule(delay int64, fn timing.Event)
-	read(sm int, line uint64, fillL1 bool)
-	write(sm int, line uint64)
-}
-
-func (s *System) schedule(delay int64, fn timing.Event) { s.wheel.ScheduleAfter(delay, fn) }
-func (s *System) read(sm int, line uint64, fillL1 bool) { s.sendRead(sm, line, fillL1) }
-func (s *System) write(sm int, line uint64)             { s.sendWrite(sm, line) }
-
 // LoadLine issues one load transaction from SM sm for the line-aligned
 // address line. It returns false without side effects when the L1 MSHRs
 // cannot track the miss this cycle; when accepted, done fires once, at
 // the cycle the line's data is available in the SM.
 func (s *System) LoadLine(sm int, line uint64, done func(cycle int64)) bool {
-	return s.loadLine(sm, line, done, s)
-}
-
-func (s *System) loadLine(sm int, line uint64, done timing.Event, fx effects) bool {
 	if s.l1[sm].Access(line) {
-		fx.schedule(int64(s.cfg.L1HitLatency), done)
+		s.wheel.ScheduleAfter(int64(s.cfg.L1HitLatency), done)
 		return true
 	}
 	switch s.l1mshr[sm].Add(line, done) {
 	case cache.Allocated:
-		fx.read(sm, line, true)
+		s.sendRead(sm, line, true)
 		return true
 	case cache.Merged:
 		// The in-flight fill will wake us; no downstream traffic.
@@ -462,13 +363,9 @@ func (s *System) loadLine(sm int, line uint64, done timing.Event, fx effects) bo
 // the line behaves like an L1 miss whose response does not allocate in
 // L1. Tracking shares the L1 MSHR file, bounding outstanding requests.
 func (s *System) AtomicLine(sm int, line uint64, done func(cycle int64)) bool {
-	return s.atomicLine(sm, line, done, s)
-}
-
-func (s *System) atomicLine(sm int, line uint64, done timing.Event, fx effects) bool {
 	switch s.l1mshr[sm].Add(line, done) {
 	case cache.Allocated:
-		fx.read(sm, line, false)
+		s.sendRead(sm, line, false)
 		return true
 	case cache.Merged:
 		return true
@@ -484,21 +381,17 @@ func (s *System) atomicLine(sm int, line uint64, done timing.Event, fx effects) 
 // per-SM store buffer bounds outstanding store lines; a full buffer
 // refuses the transaction (replay → pipeline stall).
 func (s *System) StoreLine(sm int, line uint64) bool {
-	return s.storeLine(sm, line, s)
-}
-
-func (s *System) storeLine(sm int, line uint64, fx effects) bool {
 	if s.storesOut[sm] >= s.cfg.StoreBufferPerSM {
 		return false
 	}
 	s.storesOut[sm]++
 	s.l1[sm].Invalidate(line)
-	fx.write(sm, line)
+	s.sendWrite(sm, line)
 	return true
 }
 
 // traceRead starts a flight span for an accepted read transaction (no-op
-// without a recorder, nil-span under sampling). Called after initRead,
+// without a recorder, nil-span under sampling). Called after getRead,
 // before the network injection, so Inject and the port backlog reflect
 // the injection decision point.
 func (s *System) traceRead(r *readReq) {
@@ -533,21 +426,6 @@ func (s *System) sendRead(sm int, line uint64, fillL1 bool) {
 // sendWrite injects a line-sized store data packet.
 func (s *System) sendWrite(sm int, line uint64) {
 	r := s.getWrite(sm, line)
-	s.traceWrite(r)
-	s.net.Send(s.net.SMPort(sm), s.cfg.L1Line, r.start)
-}
-
-// sendReadCarrier is sendRead with the carrier already popped (the lane
-// drain's batched acquisition pass pops its carriers up front).
-func (s *System) sendReadCarrier(r *readReq, sm int, line uint64, fillL1 bool) {
-	s.initRead(r, sm, line, fillL1)
-	s.traceRead(r)
-	s.net.Send(s.net.SMPort(sm), readReqBytes, r.start)
-}
-
-// sendWriteCarrier is sendWrite with the carrier already popped.
-func (s *System) sendWriteCarrier(r *writeReq, sm int, line uint64) {
-	s.initWrite(r, sm, line)
 	s.traceWrite(r)
 	s.net.Send(s.net.SMPort(sm), s.cfg.L1Line, r.start)
 }
@@ -614,11 +492,6 @@ func (s *System) OnStoreRelease(sm int, fn func()) { s.storeWake[sm] = fn }
 
 // OutstandingStores returns SM sm's store-buffer occupancy (for tests).
 func (s *System) OutstandingStores(sm int) int { return s.storesOut[sm] }
-
-// QueuedDRAM returns the number of requests waiting in channel queues —
-// the predicate for whether a Tick (or TickStage) will actually scan.
-// The clock loop reads it for the memsys-parallel telemetry counter.
-func (s *System) QueuedDRAM() int { return s.dramQueued }
 
 // Stats sums the hierarchy's counters.
 func (s *System) Stats() stats.MemStats {

@@ -1,6 +1,7 @@
 package memsys
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/config"
@@ -291,5 +292,49 @@ func TestIdleSystemDoesNoTickWork(t *testing.T) {
 	}
 	if _, ok := s.NextEvent(w.Now()); ok {
 		t.Fatal("drained system reported a DRAM horizon")
+	}
+}
+
+// TestHorizonHeapMatchesChannelScan drives random load/store/atomic
+// traffic and requires, every cycle, that the heap-tracked DRAM horizon
+// NextEvent answers from equals a brute-force scan of every channel's
+// own NextEvent — the horizon is refreshed only when a channel mutates,
+// so a missed refresh would let the clock loop fast-forward past a grant.
+func TestHorizonHeapMatchesChannelScan(t *testing.T) {
+	s, w, _ := testSystem()
+	rng := rand.New(rand.NewSource(11))
+	nop := func(int64) {}
+	issued := 0
+	for c := int64(1); c <= 80000; c++ {
+		w.Advance(c)
+		s.Tick(c)
+		if issued < 300 && rng.Intn(4) == 0 {
+			sm := rng.Intn(2)
+			// A small line pool forces row hits, row conflicts, MSHR
+			// merges and L1/L2 reuse on top of cold misses.
+			line := uint64(rng.Intn(256)) << 7
+			switch rng.Intn(4) {
+			case 0, 1:
+				s.LoadLine(sm, line, nop)
+			case 2:
+				s.StoreLine(sm, line)
+			default:
+				s.AtomicLine(sm, line, nop)
+			}
+			issued++
+		}
+		got, ok := s.NextEvent(c)
+		want, okWant := int64(0), false
+		for _, ch := range s.chans {
+			if at, ok := ch.NextEvent(c); ok && (!okWant || at < want) {
+				want, okWant = at, true
+			}
+		}
+		if ok != okWant || (ok && got != want) {
+			t.Fatalf("cycle %d: heap horizon (%d,%v) != channel scan (%d,%v)", c, got, ok, want, okWant)
+		}
+	}
+	if s.Stats().DRAMReqs == 0 {
+		t.Fatal("traffic never reached DRAM")
 	}
 }

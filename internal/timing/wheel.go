@@ -81,11 +81,13 @@ func (w *Wheel) ScheduleAfter(delay int64, fn Event) {
 
 // ScheduleBatch registers every event in fns to fire at cycle at,
 // equivalent to calling Schedule(at, fn) for each element in slice
-// order but with one bucket append for the whole run. The staged-lane
-// drain uses it to commit a run of same-cycle events as a single slab
-// copy instead of len(fns) individual appends; because the events land
-// in the bucket in slice order, FIFO dispatch order — and therefore
-// simulation results — are identical to the sequential calls.
+// order but with one bucket append for the whole run; because the events
+// land in the bucket in slice order, FIFO dispatch order is identical to
+// the sequential calls.
+//
+// Deprecated: no caller inside the simulator since the parallel tick was
+// removed (DESIGN.md §12); kept only because bench/'s
+// timing.schedule_batch driver calls it.
 func (w *Wheel) ScheduleBatch(at int64, fns []Event) {
 	if len(fns) == 0 {
 		return

@@ -23,28 +23,14 @@ type fastPaths struct {
 	disableCycleSkip   bool
 	disableFastForward bool
 	disableWarpPooling bool
-	disableSMParallel  bool
-	// Parallel-path refinements, each individually toggleable so the
-	// grid can isolate one layer of the commit pipeline at a time.
-	disableCommitBatch    bool
-	disableMemsysParallel bool
-	disableAdaptiveFanout bool
-	// parallelSMs pins the SM-tick worker count when parallelism is on,
-	// so the grid exercises real fan-out even on single-core CI hosts
-	// (auto mode would resolve to serial there).
-	parallelSMs int
 }
 
 // naivePaths disables every fast path — the reference implementation.
 var naivePaths = fastPaths{
-	disableOrderCache:     true,
-	disableCycleSkip:      true,
-	disableFastForward:    true,
-	disableWarpPooling:    true,
-	disableSMParallel:     true,
-	disableCommitBatch:    true,
-	disableMemsysParallel: true,
-	disableAdaptiveFanout: true,
+	disableOrderCache:  true,
+	disableCycleSkip:   true,
+	disableFastForward: true,
+	disableWarpPooling: true,
 }
 
 // diffRow is one kernel of a differential grid: its grid size and the
@@ -108,11 +94,6 @@ func fastPathGrid(t *testing.T, fp fastPaths) []string {
 				cfg.DisableCycleSkip = fp.disableCycleSkip
 				cfg.DisableFastForward = fp.disableFastForward
 				cfg.DisableWarpPooling = fp.disableWarpPooling
-				cfg.DisableSMParallel = fp.disableSMParallel
-				cfg.DisableCommitBatch = fp.disableCommitBatch
-				cfg.DisableMemsysParallel = fp.disableMemsysParallel
-				cfg.DisableAdaptiveFanout = fp.disableAdaptiveFanout
-				cfg.ParallelSMs = fp.parallelSMs
 				r, err := prosim.Run(cfg, w.Launch, s, o)
 				if err != nil {
 					t.Fatalf("%s/%s: %v", k, s, err)
@@ -143,26 +124,8 @@ func TestFastPathEquivalence(t *testing.T) {
 		{"cycle-skip-only", each(func(fp *fastPaths) { fp.disableCycleSkip = false })},
 		{"fast-forward-only", each(func(fp *fastPaths) { fp.disableFastForward = false })},
 		{"warp-pooling-only", each(func(fp *fastPaths) { fp.disableWarpPooling = false })},
-		// Bare two-phase commit: parallel staged ticks with the batched
-		// lane commit, overlapped DRAM scan and adaptive controller all
-		// held off.
-		{"sm-parallel-only", each(func(fp *fastPaths) { fp.disableSMParallel = false; fp.parallelSMs = 4 })},
-		// One commit-pipeline refinement at a time on top of the bare
-		// parallel path.
-		{"commit-batch-only", each(func(fp *fastPaths) {
-			fp.disableSMParallel = false
-			fp.parallelSMs = 4
-			fp.disableCommitBatch = false
-		})},
-		{"memsys-parallel-only", each(func(fp *fastPaths) {
-			fp.disableSMParallel = false
-			fp.parallelSMs = 4
-			fp.disableMemsysParallel = false
-		})},
-		// Everything on together — including the adaptive fan-out
-		// controller — with fan-out forced so the two-phase commit
-		// composes with the other fast paths on any host.
-		{"default-all-on", fastPaths{parallelSMs: 4}},
+		// Everything on together: the production configuration.
+		{"default-all-on", fastPaths{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got := fastPathGrid(t, tc.fp)
