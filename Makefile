@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race fastpath fastforwardtest sleeptest fuzz benchbuild daemontest obstest clustertest tenanttest flighttest benchdiff benchdiff-write baseline check bench benchquick profile report papercheck
+.PHONY: build test vet race fastpath fastforwardtest sleeptest retrytest identity fuzz benchbuild daemontest obstest clustertest tenanttest flighttest benchdiff benchdiff-write baseline check bench benchquick profile report papercheck
 
 build:
 	$(GO) build ./...
@@ -40,6 +40,37 @@ fastforwardtest:
 # notifications, and the detector proves nothing else reaches an SM.
 sleeptest:
 	$(GO) test -race -count=1 -run 'TestSleepsThrough|TestFillWithEmptyLDSTUnit|TestStallAccountingInvariant' ./internal/engine ./internal/gpu
+
+# The exactness gate for the memory side of §8.3: a refused L2 re-poll
+# settled by an MSHR stamp must be a re-poll the probe would have refused
+# (property test against a map model), re-polls coalesced onto one wheel
+# event must fire in the order one event each would (twin-wheel property
+# test), and the two together must leave a retry storm's every delivery
+# cycle and counter where the commit before them had it (pinned golden),
+# with re-polls outnumbering wheel events and skipping the tag probe.
+retrytest:
+	$(GO) test -race -count=1 -run 'TestMSHRStampSound|TestTrain|TestRetryStormGolden|TestCheapRepoll' ./internal/cache ./internal/timing ./internal/memsys
+
+# The one command a bit-identical-by-construction PR cites:
+# `make identity BASE=<ref>` builds cmd/prosim from BASE (a `git archive`
+# export in a temp dir, so nothing is left behind in .git) and from this
+# tree, simulates all 25 Table II kernels under the nine schedulers at
+# full grid into two fresh result caches and `diff -r`s them. An entry is
+# the whole KernelResult (cycles, stalls, memory counters) under its
+# jobs.Key, so a changed key shows as a missing file and a changed result
+# as a differing one; any difference fails the target.
+# Keep in step with schedreg.All().
+IDENTITY_SCHEDS := TL,LRR,GTO,PRO,PRO-nobar,PRO-adaptive,PRO-norm,CAWS-lite,OWL-lite
+identity:
+	@test -n "$(BASE)" || { echo "usage: make identity BASE=<git ref>" >&2; exit 2; }
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/base"; git archive "$(BASE)" | tar -x -C "$$tmp/base"; \
+	(cd "$$tmp/base" && $(GO) build -o "$$tmp/prosim-base" ./cmd/prosim); \
+	$(GO) build -o "$$tmp/prosim-tree" ./cmd/prosim; \
+	"$$tmp/prosim-base" -all -sched $(IDENTITY_SCHEDS) -cache "$$tmp/cache-base" >"$$tmp/out-base"; \
+	"$$tmp/prosim-tree" -all -sched $(IDENTITY_SCHEDS) -cache "$$tmp/cache-tree" >"$$tmp/out-tree"; \
+	diff -r "$$tmp/cache-base" "$$tmp/cache-tree"; cmp "$$tmp/out-base" "$$tmp/out-tree"; \
+	echo "identity: $$(find "$$tmp/cache-tree" -type f | wc -l) result-cache entries and the printed table identical to $(BASE)"
 
 # Fuzz the daemon's wire-job decoder (untrusted bytes off the socket)
 # for 10 s; its seed corpus also runs under plain `go test`.
@@ -107,14 +138,16 @@ benchdiff-write:
 
 baseline: bench benchdiff-write
 
-check: vet race fastpath fastforwardtest sleeptest daemontest obstest clustertest tenanttest flighttest benchbuild
+check: vet race fastpath fastforwardtest sleeptest retrytest daemontest obstest clustertest tenanttest flighttest benchbuild
 	-$(MAKE) benchdiff
 
 # Statistically meaningful bench run for before/after comparisons:
-# 5 repetitions with allocation counts, archived under results/.
+# 5 repetitions with allocation counts, archived under results/: the
+# whole-simulation paper benches of the root package plus the per-layer
+# rungs that live beside their layer (internal/memsys: L2 retry storm).
 bench:
 	@mkdir -p results
-	$(GO) test -bench=. -benchmem -count=5 . | tee results/bench.txt
+	$(GO) test -bench=. -benchmem -count=5 . ./internal/memsys | tee results/bench.txt
 
 # Quick bench pass (one iteration per benchmark, no allocation stats).
 benchquick:

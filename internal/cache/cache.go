@@ -73,7 +73,7 @@ func MustNew(size, assoc, lineSize int) *Cache {
 
 func (c *Cache) index(addr uint64) (set int, tag uint64) {
 	line := addr >> c.lineBits
-	return int(line & c.setMask), line >> 0 // full line id as tag (simplest, unambiguous)
+	return int(line & c.setMask), line // full line id as tag (simplest, unambiguous)
 }
 
 // Access looks up addr; on hit it refreshes LRU recency and returns true.

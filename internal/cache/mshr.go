@@ -13,6 +13,8 @@ type MSHR struct {
 	// allocates and fills entries at memory-traffic rate, so without
 	// reuse the entry table dominates the simulator's allocation count.
 	free []*mshrEntry
+	// gen[c] counts the allocations for lines of stamp class c; see Stamp.
+	gen [stampClasses]uint64
 
 	// Merged counts requests absorbed into existing entries.
 	Merged int64
@@ -86,8 +88,33 @@ func (m *MSHR) Add(line uint64, waiter func(cycle int64)) Outcome {
 	}
 	e.waiters = append(e.waiters[:0], waiter)
 	m.entries[line] = e
+	m.gen[stampClass(line)]++
 	m.Allocated++
 	return Allocated
+}
+
+// stampClasses is the number of generation counters a file keeps; lines
+// hash onto them, so a collision can only void a stamp, never forge one.
+const stampClasses = 64
+
+func stampClass(line uint64) uint64 { return line * 0x9E3779B97F4A7C15 >> 58 }
+
+// Stamp returns a token for a request Add has just Refused: zero when line
+// has an entry (at its merge limit), else non-zero and valid until the next
+// allocation in line's class — so while valid, no entry for line was
+// allocated, hence none is pending and none was filled.
+func (m *MSHR) Stamp(line uint64) uint64 {
+	if _, found := m.entries[line]; found {
+		return 0
+	}
+	return m.gen[stampClass(line)] + 1
+}
+
+// StillRefused reports, without a table lookup, that Add(line) is certain to
+// be Refused as it was when stamp was taken: the stamp is still valid and
+// the table is full. False means "ask Add".
+func (m *MSHR) StillRefused(line, stamp uint64) bool {
+	return stamp == m.gen[stampClass(line)]+1 && len(m.entries) >= m.capacity
 }
 
 // Fill completes the in-flight line: the entry is removed and every

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -104,5 +105,125 @@ func TestMSHRWaiterSeesFillCycle(t *testing.T) {
 	m.Fill(128, 12345)
 	if at != 12345 {
 		t.Fatalf("waiter saw cycle %d, want 12345", at)
+	}
+}
+
+// TestMSHRStampSoundAgainstMapModel drives seeded random Add/Fill traffic
+// at a two-entry file whose lines mostly collide in one stamp class, keeps
+// every refused request parked with its stamp, and checks the predicate
+// against a plain map model after every operation: whenever StillRefused
+// answers true, the line has no entry, the table is full (so Add would
+// refuse it), and no Fill of the line happened since the stamp was taken.
+// A merge-limit refusal must stamp zero and never be answered true.
+//
+// Mutation-checked: dropping the table-full half of StillRefused, or the
+// generation bump in Add, each fail it within the first seeds.
+func TestMSHRStampSoundAgainstMapModel(t *testing.T) {
+	const capacity, merges = 2, 2
+	// Four lines of one class and two outsiders.
+	lines := []uint64{0}
+	for l := uint64(128); len(lines) < 4; l += 128 {
+		if stampClass(l) == stampClass(0) {
+			lines = append(lines, l)
+		}
+	}
+	for l := uint64(128); len(lines) < 6; l += 128 {
+		if stampClass(l) != stampClass(0) {
+			lines = append(lines, l)
+		}
+	}
+
+	type parked struct {
+		line, stamp uint64
+		fills       int // fills[line] when the stamp was taken
+	}
+	stillTrue, zeroStamps := 0, 0
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		m := NewMSHR(capacity, merges)
+		model := map[uint64]int{} // line -> waiters
+		fills := map[uint64]int{}
+		var lot []parked
+
+		add := func(line uint64) {
+			got := m.Add(line, func(int64) {})
+			n, pending := model[line]
+			var want Outcome
+			switch {
+			case pending && n < merges:
+				model[line]++
+				want = Merged
+			case !pending && len(model) < capacity:
+				model[line] = 1
+				want = Allocated
+			default:
+				want = Refused
+			}
+			if got != want {
+				t.Fatalf("seed %d: Add(%d) = %v, model says %v", seed, line, got, want)
+			}
+			if got != Refused {
+				return
+			}
+			st := m.Stamp(line)
+			if (st == 0) != pending {
+				t.Fatalf("seed %d: Stamp(%d) = %d with entry pending = %v", seed, line, st, pending)
+			}
+			if st == 0 {
+				zeroStamps++
+			}
+			lot = append(lot, parked{line, st, fills[line]})
+		}
+
+		for step := 0; step < 400; step++ {
+			if rng.Intn(3) == 0 && len(model) > 0 {
+				// Fill a random pending line, picked by its position in
+				// lines: ranging over the model map would not be seeded.
+				var pend []uint64
+				for _, l := range lines {
+					if _, ok := model[l]; ok {
+						pend = append(pend, l)
+					}
+				}
+				l := pend[rng.Intn(len(pend))]
+				m.Fill(l, int64(step))
+				delete(model, l)
+				fills[l]++
+			} else {
+				add(lines[rng.Intn(len(lines))])
+			}
+
+			kept := lot[:0]
+			var retry []uint64
+			for _, p := range lot {
+				if m.StillRefused(p.line, p.stamp) {
+					stillTrue++
+					_, pending := model[p.line]
+					ok, _ := m.CanAccept(p.line, 0)
+					switch {
+					case p.stamp == 0:
+						t.Fatalf("seed %d step %d: zero stamp for line %d answered still-refused", seed, step, p.line)
+					case pending || m.Pending(p.line):
+						t.Fatalf("seed %d step %d: line %d still-refused but has an entry", seed, step, p.line)
+					case len(model) < capacity || ok:
+						t.Fatalf("seed %d step %d: line %d still-refused but the table has room", seed, step, p.line)
+					case fills[p.line] != p.fills:
+						t.Fatalf("seed %d step %d: line %d still-refused across a Fill", seed, step, p.line)
+					}
+					kept = append(kept, p)
+				} else if rng.Intn(2) == 0 {
+					retry = append(retry, p.line) // re-offer, as retryL2 does
+				} else {
+					kept = append(kept, p) // a stale stamp must stay void
+				}
+			}
+			lot = kept
+			for _, l := range retry {
+				add(l)
+			}
+		}
+	}
+	if stillTrue < 1000 || zeroStamps < 100 {
+		t.Fatalf("vacuous run: %d still-refused answers, %d merge-limit stamps", stillTrue, zeroStamps)
 	}
 }

@@ -29,6 +29,9 @@ type Wheel struct {
 	buckets  [][]Event // ring, indexed by cycle % Horizon
 	overflow []deferred
 	pending  int
+	// seq counts Schedule and ScheduleBatch calls: two equal reads prove
+	// nothing was scheduled in between (what a Train needs to know).
+	seq uint64
 }
 
 // bucketSeed is the initial per-bucket capacity. Buckets are carved out
@@ -53,8 +56,8 @@ func NewWheel() *Wheel {
 // Now returns the wheel's current cycle.
 func (w *Wheel) Now() int64 { return w.now }
 
-// Pending returns the number of scheduled-but-unfired events. The GPU clock
-// loop uses it to detect quiescence.
+// Pending returns the number of scheduled-but-unfired events (a Train's
+// linked cars count as the one event that carries them).
 func (w *Wheel) Pending() int { return w.pending }
 
 // Schedule registers fn to fire at cycle at. Scheduling in the past or at
@@ -65,6 +68,7 @@ func (w *Wheel) Schedule(at int64, fn Event) {
 		panic("timing: event scheduled at or before current cycle")
 	}
 	w.pending++
+	w.seq++
 	if at-w.now < Horizon {
 		idx := at % Horizon
 		w.buckets[idx] = append(w.buckets[idx], fn)
@@ -96,6 +100,7 @@ func (w *Wheel) ScheduleBatch(at int64, fns []Event) {
 		panic("timing: event scheduled at or before current cycle")
 	}
 	w.pending += len(fns)
+	w.seq++
 	if at-w.now < Horizon {
 		idx := at % Horizon
 		w.buckets[idx] = append(w.buckets[idx], fns...)
@@ -169,13 +174,6 @@ func (w *Wheel) refillFromOverflow() {
 	kept := w.overflow[:0]
 	for _, d := range w.overflow {
 		if d.at-w.now < Horizon {
-			if d.at <= w.now {
-				// Only possible for d.at == w.now because Schedule rejected
-				// past cycles and we refill every cycle.
-				idx := d.at % Horizon
-				w.buckets[idx] = append(w.buckets[idx], d.fn)
-				continue
-			}
 			w.buckets[d.at%Horizon] = append(w.buckets[d.at%Horizon], d.fn)
 			continue
 		}
