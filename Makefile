@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race fastpath fastforwardtest sleeptest retrytest identity fuzz benchbuild daemontest obstest clustertest tenanttest flighttest benchdiff benchdiff-write baseline check bench benchquick profile report papercheck
+.PHONY: build test vet race fastpath fastforwardtest sleeptest issuetest retrytest identity fuzz benchbuild daemontest obstest clustertest tenanttest flighttest benchdiff benchdiff-write baseline check bench benchquick profile profile-grid report papercheck
 
 build:
 	$(GO) build ./...
@@ -40,6 +40,16 @@ fastforwardtest:
 # notifications, and the detector proves nothing else reaches an SM.
 sleeptest:
 	$(GO) test -race -count=1 -run 'TestSleepsThrough|TestFillWithEmptyLDSTUnit|TestStallAccountingInvariant' ./internal/engine ./internal/gpu
+
+# The issue-board gate (DESIGN.md §8.4, §8.1): on seeded random programs,
+# under policies that push honoured hints, void hints and none, every
+# slot-cycle must pick the warp and the stall class a plain walk over the
+# policy's own Order() picks, with a wake horizon no later than that
+# walk's; GTO's order, with its greedy warp listed twice, must still read
+# greedy-then-oldest at first occurrences. (The >64-warps-per-slot rows
+# that make the masks multi-word run in fastpath / fastforwardtest.)
+issuetest:
+	$(GO) test -race -count=1 -run 'TestIssueBoard|TestGTOGreedyFirstThenOldest|TestLRROrderRotates|TestTLDoesNotDemoteOnALUIssue' ./internal/engine ./internal/sched
 
 # The exactness gate for the memory side of §8.3: a refused L2 re-poll
 # settled by an MSHR stamp must be a re-poll the probe would have refused
@@ -138,7 +148,7 @@ benchdiff-write:
 
 baseline: bench benchdiff-write
 
-check: vet race fastpath fastforwardtest sleeptest retrytest daemontest obstest clustertest tenanttest flighttest benchbuild
+check: vet race fastpath fastforwardtest sleeptest issuetest retrytest daemontest obstest clustertest tenanttest flighttest benchbuild
 	-$(MAKE) benchdiff
 
 # Statistically meaningful bench run for before/after comparisons:
@@ -161,6 +171,24 @@ profile:
 	$(GO) run ./cmd/prosim -all -maxtbs 128 \
 		-cpuprofile results/cpu.pprof -memprofile results/mem.pprof
 	@echo "profiles written: results/cpu.pprof results/mem.pprof"
+
+# The layer-share table of one benchmark grid, regenerated instead of
+# pasted: `make profile-grid WORKLOAD=compute|memory` profiles cmd/prosim
+# (one worker, the four headline schedulers) over the four kernels of
+# bench's compute_grid (full grids) or memory_grid (128 TBs) and prints
+# the merged `pprof -top` of three repetitions (a single one is ~1.3 s of
+# samples, too few for stable shares); the profiles stay in a temp dir.
+GRID_compute := cenergy MonteCarloOneBlockPerOption sha1_overlap aesEncrypt128
+GRID_memory := bpnn_layerforward bpnn_adjust_weights_cuda mergeHistogram64Kernel scalarProdGPU
+MAXTBS_memory := -maxtbs 128
+profile-grid:
+	@test -n "$(GRID_$(WORKLOAD))" || { echo "usage: make profile-grid WORKLOAD=compute|memory" >&2; exit 2; }
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/prosim" ./cmd/prosim; \
+	for k in $(GRID_$(WORKLOAD)); do for rep in 1 2 3; do \
+		"$$tmp/prosim" -kernel $$k $(MAXTBS_$(WORKLOAD)) -jobs 1 -cpuprofile "$$tmp/$$k.$$rep.pprof" >/dev/null; \
+	done; done; \
+	$(GO) tool pprof -top -nodecount=40 "$$tmp/prosim" "$$tmp"/*.pprof
 
 # Regenerate every paper artifact into results/ using all cores and a
 # local result cache (warm re-runs are nearly instant).

@@ -9,8 +9,9 @@ import "repro/internal/isa"
 //
 // The engine invokes Order once per slot per cycle — or, for policies
 // implementing OrderCacher, only when the slot's order generation
-// changes — and walks the returned warps in order, issuing the first one
-// that is valid, scoreboard-ready and has a free pipeline. A warp is owned by slot w.SchedSlot. Warps
+// changes — and considers the returned warps in order, each at its first
+// occurrence, issuing the first one that is valid, scoreboard-ready and
+// has a free pipeline. A warp is owned by slot w.SchedSlot. Warps
 // omitted from Order cannot issue that cycle; a policy that filters (TL
 // only exposes its active set) must guarantee every live warp is
 // eventually exposed, or the SM deadlocks. The engine performs all
@@ -54,8 +55,11 @@ type Factory func(sm *SM) Scheduler
 // OrderCacher is an optional Scheduler extension that makes the per-slot
 // order cacheable. Implementing it is a promise that Order is a pure
 // function of policy state: the sequence of warps Order returns for a
-// slot changes only when that slot's generation counter changes, and all
-// state mutation happens in the event hooks or inside OrderGen itself.
+// slot changes only when that slot's generation counter changes — or in
+// the way the policy told the SM from OnIssue (SM.RotateOrderAfter,
+// SM.ReplaceOrderHead: O(1) alternatives to a bump when an issue only
+// moves where the scan starts) — and all state mutation happens in the
+// event hooks or inside OrderGen itself.
 //
 // The engine calls OrderGen once per slot per cycle (whenever the SM has
 // resident TBs), *before* consulting its cached order, and rebuilds the

@@ -31,15 +31,8 @@ type SM struct {
 	// range [slot*WarpsPerTB, (slot+1)*WarpsPerTB).
 	WarpSlots []*Warp
 
-	// liveBits packs per-warp-slot liveness into 64-slot words — the
-	// flat, branch-light scan layout of DESIGN.md §8.10 — so round-robin
-	// order rebuilds test 64 warps per word instead of dereferencing
-	// every WarpSlots entry. A bit marks a slot holding a resident,
-	// unfinished warp (set by AssignTB, cleared on Exit and TB
-	// retirement). slotMasks[k] selects the warp slots owned by
-	// scheduler slot k (Slot % SchedulersPerSM).
-	liveBits  []uint64
-	slotMasks [][]uint64
+	// boards holds one issue board per scheduler slot (see issueBoard).
+	boards []issueBoard
 	// TBSlots holds resident TBs, nil when free. Its length is the
 	// launch's per-SM residency limit.
 	TBSlots []*ThreadBlock
@@ -96,8 +89,12 @@ type SM struct {
 	timed        TimedScheduler
 	orderCacheOn bool
 	cycleSkipOn  bool
-	// orderCaches holds one generation-tagged cached order per slot.
-	orderCaches []orderCache
+
+	// WarpsExamined counts warps the issue scans dereferenced and
+	// OrderBuilds the Scheduler.Order calls — exported for benchmarks
+	// and tests that pin the scan's cost per issued instruction.
+	WarpsExamined int64
+	OrderBuilds   int64
 
 	// Sleep state for stall-aware cycle skipping: while asleep, Tick
 	// returns immediately until wakeAt (or a wake event zeroes it) and
@@ -122,13 +119,6 @@ type SM struct {
 	tbFree []*ThreadBlock
 	poolOn bool
 
-	// slotGates short-circuit individual scheduler slots (cycle
-	// skipping at slot granularity: one slot can be fast-forwarded
-	// while its sibling still issues); gateEpoch invalidates them — it
-	// is bumped by every event that zeroes a warp's issue gate.
-	slotGates []slotGate
-	gateEpoch uint64
-
 	// fl, when non-nil, is the flight recorder's per-SM trace. Every
 	// hook is behind a single nil check and only reads SM state.
 	fl *flight.SMTrace
@@ -142,27 +132,78 @@ func (sm *SM) SetFlight(t *flight.SMTrace) {
 	}
 }
 
-// slotGate caches the contiguous gated prefix of a scheduler slot's
-// priority order: strictly before cycle until — as long as the policy's
-// order generation and the SM's gate epoch are unchanged — the first
-// resume entries of the order are known to be gated with aggregate
-// Idle/Scoreboard contribution valid, so the scan restarts at resume
-// (or, when resume covers the whole order, the slot re-produces its
-// outcome without examining any warp at all).
-type slotGate struct {
-	until  int64 // prefix min gate: resume is valid strictly before this
-	gen    uint64
-	epoch  uint64
-	resume int  // order index to restart from; >= len(order): whole slot gated
-	valid  bool // anyValid aggregate of the skipped prefix
-	armed  bool
+// issueBoard is one scheduler slot's issue state as word-packed masks
+// in slot-local index space: warp slot s is bit s/SchedulersPerSM of
+// board s%SchedulersPerSM. A scan computes its candidates with a few
+// word operations and dereferences only those. DESIGN.md §8.4 tabulates
+// each mask's meaning, who sets and clears it, and why the stall class
+// stays exact.
+type issueBoard struct {
+	live    []uint64 // resident and unfinished
+	blocked []uint64 // cannot pass the issue checks before gate[i]
+	instr   []uint64 // of blocked: has a decoded instruction (Scoreboard, not Idle)
+	ready   []uint64 // passed the scoreboard; sticky until the warp issues
+	memU    []uint64 // of ready: its instruction needs the LD/ST unit
+	sfuU    []uint64 // of ready: its instruction needs the SFU
+	inOrder []uint64 // appears in order
+	cand    []uint64 // scan scratch: candidates not yet examined
+	gate    []int64
+	// minGate is a lower bound on the gates of blocked warps: events
+	// clear blocked bits without raising it, expire recomputes it.
+	minGate int64
+
+	// order is the cached priority order as local indices, walked from
+	// start. pos is the entry the scan last offered to tryIssue (the
+	// anchor of RotateOrderAfter); headDup records that order[0] recurs.
+	order      []int32
+	start, pos int
+	headDup    bool
+	gen        uint64
+	valid      bool
 }
 
-// orderCache memoizes one scheduler slot's priority order.
-type orderCache struct {
-	gen   uint64
-	valid bool
-	order []*Warp
+func (b *issueBoard) init(warps int) {
+	words := (warps + 63) / 64
+	slab := make([]uint64, 8*words)
+	for _, m := range []*[]uint64{&b.live, &b.blocked, &b.instr, &b.ready, &b.memU, &b.sfuU, &b.inOrder, &b.cand} {
+		*m, slab = slab[:words:words], slab[words:]
+	}
+	b.gate = make([]int64, warps)
+	b.order = make([]int32, 0, warps+1) // room for GTO's recurring head
+	b.minGate = neverWake
+}
+
+// block records that local warp i cannot pass the issue checks before
+// gate, with or without a decoded instruction.
+func (b *issueBoard) block(i int, gate int64, instr bool) {
+	wi, bit := i>>6, uint64(1)<<uint(i&63)
+	b.blocked[wi] |= bit
+	b.instr[wi] &^= bit
+	if instr {
+		b.instr[wi] |= bit
+	}
+	b.gate[i] = gate
+	if gate < b.minGate {
+		b.minGate = gate
+	}
+}
+
+// expire unblocks every warp whose gate has passed and recomputes
+// minGate exactly. Only warps blocked with an instruction have a gate
+// that time can reach.
+func (b *issueBoard) expire(cycle int64) {
+	min := neverWake
+	for wi, word := range b.blocked {
+		for word &= b.instr[wi]; word != 0; word &= word - 1 {
+			t := bits.TrailingZeros64(word)
+			if g := b.gate[wi<<6|t]; g <= cycle {
+				b.blocked[wi] &^= 1 << uint(t)
+			} else if g < min {
+				min = g
+			}
+		}
+	}
+	b.minGate = min
 }
 
 // slotOutcome classifies one scheduler slot's cycle, mirroring the
@@ -194,18 +235,9 @@ func NewSM(id int, cfg *config.Config, wheel *timing.Wheel, mem *memsys.System, 
 	if cfg.ICacheSize > 0 {
 		sm.icache = cache.MustNew(cfg.ICacheSize, cfg.ICacheAssoc, cfg.ICacheLineInstrs*8)
 	}
-	words := (len(sm.WarpSlots) + 63) / 64
-	sm.liveBits = make([]uint64, words)
-	sm.slotMasks = make([][]uint64, cfg.SchedulersPerSM)
-	for k := range sm.slotMasks {
-		sm.slotMasks[k] = make([]uint64, words)
-	}
-	for i := range sm.WarpSlots {
-		sm.slotMasks[i%cfg.SchedulersPerSM][i>>6] |= 1 << uint(i&63)
-	}
-	sm.orderCaches = make([]orderCache, cfg.SchedulersPerSM)
+	sm.initBoards(len(sm.WarpSlots))
+	sm.orderBuf = make([]*Warp, 0, len(sm.WarpSlots)+1)
 	sm.slotClass = make([]slotOutcome, cfg.SchedulersPerSM)
-	sm.slotGates = make([]slotGate, cfg.SchedulersPerSM)
 	sm.sfuDone = func(int64) {
 		// Only leaving saturation can unblock a Pipeline-stalled warp.
 		if sm.sfuInflight >= cfg.SFUQueueDepth {
@@ -225,6 +257,16 @@ func NewSM(id int, cfg *config.Config, wheel *timing.Wheel, mem *memsys.System, 
 		sm.timed = ts
 	}
 	return sm
+}
+
+// initBoards sizes one issue board per scheduler slot for warpSlots
+// warp slots.
+func (sm *SM) initBoards(warpSlots int) {
+	n := sm.Cfg.SchedulersPerSM
+	sm.boards = make([]issueBoard, n)
+	for k := range sm.boards {
+		sm.boards[k].init((warpSlots + n - 1) / n)
+	}
 }
 
 // CanAccept reports whether a further TB of the launch fits now.
@@ -265,7 +307,6 @@ func (sm *SM) AssignTB(global int, cycle int64) *ThreadBlock {
 		for i, w := range tb.Warps {
 			w.reset(tb, i, slot*wpt+i, cycle)
 			sm.WarpSlots[w.Slot] = w
-			sm.setLiveBit(w.Slot)
 			sm.scheduleFetch(w)
 		}
 	} else {
@@ -282,7 +323,6 @@ func (sm *SM) AssignTB(global int, cycle int64) *ThreadBlock {
 			w := newWarp(sm, tb, i, slot*wpt+i, cycle)
 			tb.Warps[i] = w
 			sm.WarpSlots[w.Slot] = w
-			sm.setLiveBit(w.Slot)
 			sm.scheduleFetch(w)
 		}
 	}
@@ -293,7 +333,6 @@ func (sm *SM) AssignTB(global int, cycle int64) *ThreadBlock {
 	if sm.fl != nil {
 		sm.fl.OnTBStart(cycle, tb.Global, slot)
 	}
-	sm.gateEpoch++
 	sm.wakeEvent()
 	return tb
 }
@@ -435,7 +474,7 @@ const NeverWake = neverWake
 // asleep, because every state transition that could change it either
 //
 //   - happens at a statically-known cycle — a register becoming ready
-//     (readyAt, kept in the warp's gate), the LD/ST unit's busy window
+//     (readyAt, kept in the board's gate), the LD/ST unit's busy window
 //     closing (memBusyUntil), both folded into wake by tickSlot, or a
 //     policy's timed refresh, bounded by TimedScheduler.NextTimedEvent — or
 //   - is driven by a wheel/assignment event that calls wakeEvent, which
@@ -466,40 +505,32 @@ func (sm *SM) trySleep(cycle, wake int64) {
 	sm.sleepFrom = cycle
 }
 
-func (sm *SM) setLiveBit(slot int)   { sm.liveBits[slot>>6] |= 1 << uint(slot&63) }
-func (sm *SM) clearLiveBit(slot int) { sm.liveBits[slot>>6] &^= 1 << uint(slot&63) }
-
 // ScanLive appends scheduler slot schedSlot's live warps (resident and
 // not yet finished) to dst in warp-slot order, starting at warp slot
 // start and wrapping — the rotation primitive for round-robin order
-// rebuilds. It walks the packed liveBits words, so a rebuild tests 64
-// slots per word instead of loading every WarpSlots pointer. Excluding
-// finished warps here is invisible to issue behaviour: compactOrder
-// drops them from every produced order anyway.
+// rebuilds. It walks the board's packed live mask, so a rebuild tests 64
+// warps per word instead of loading every WarpSlots pointer.
 func (sm *SM) ScanLive(schedSlot, start int, dst []*Warp) []*Warp {
-	words := sm.liveBits
-	mask := sm.slotMasks[schedSlot]
-	sw, sb := start>>6, uint(start&63)
+	n := sm.Cfg.SchedulersPerSM
+	words := sm.boards[schedSlot].live
+	first := (start - schedSlot + n - 1) / n // first local index at or after warp slot start
+	sw, sb := first>>6, uint(first&63)
 	for wi := sw; wi < len(words); wi++ {
-		word := words[wi] & mask[wi]
+		word := words[wi]
 		if wi == sw {
 			word &= ^uint64(0) << sb
 		}
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &^= 1 << uint(b)
-			dst = append(dst, sm.WarpSlots[wi<<6|b])
+		for ; word != 0; word &= word - 1 {
+			dst = append(dst, sm.WarpSlots[(wi<<6|bits.TrailingZeros64(word))*n+schedSlot])
 		}
 	}
 	for wi := 0; wi <= sw && wi < len(words); wi++ {
-		word := words[wi] & mask[wi]
+		word := words[wi]
 		if wi == sw {
 			word &= 1<<sb - 1
 		}
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &^= 1 << uint(b)
-			dst = append(dst, sm.WarpSlots[wi<<6|b])
+		for ; word != 0; word &= word - 1 {
+			dst = append(dst, sm.WarpSlots[(wi<<6|bits.TrailingZeros64(word))*n+schedSlot])
 		}
 	}
 	return dst
@@ -641,8 +672,9 @@ func (sm *SM) memOpLineDone(op *memOp, cy int64) {
 	if op.dst != isa.NoReg {
 		op.w.regReady[op.dst] = cy
 	}
-	op.w.gate = 0
-	sm.gateEpoch++
+	// (A warp that exited with the load in flight may have handed its
+	// board index on; its successor is then re-examined once, no more.)
+	op.w.unblock()
 	op.w.outstandingLoads--
 	sm.memInflight--
 	sm.wakeEvent()
@@ -650,205 +682,185 @@ func (sm *SM) memOpLineDone(op *memOp, cy int64) {
 }
 
 // tickSlot runs one scheduler slot's cycle. Besides the outcome it
-// returns, for a slot that did not issue under cycle skipping, the
-// earliest cycle at which the outcome can change on the SM's own clock
-// (neverWake: only through an event) — trySleep's per-slot horizon.
+// returns, for a slot that did not issue under cycle skipping, a lower
+// bound on the cycle at which the outcome can change on the SM's own
+// clock (neverWake: only through an event) — trySleep's per-slot horizon.
 func (sm *SM) tickSlot(slot int, cycle int64) (slotOutcome, int64) {
 	if sm.residentTBs == 0 {
 		sm.Stalls[slot].Idle++
 		return outIdle, neverWake
 	}
-	var order []*Warp
-	var gen uint64
-	skipOn := sm.cycleSkipOn
-	startIdx := 0
-	anyValid := false
-	minGate := neverWake
+	b := &sm.boards[slot]
 	if sm.cacher != nil {
 		// OrderGen runs unconditionally — time-driven refreshes (PRO's
 		// THRESHOLD re-sort) live inside it — and its generation decides
 		// whether the cached order is still current.
-		gen = sm.cacher.OrderGen(slot, cycle)
-		if skipOn {
-			// Slot fast-forward: the last scan recorded its contiguous
-			// gated prefix. If nothing since could have changed it —
-			// same order generation, no gate-zeroing event, earliest
-			// prefix gate still in the future — the scan resumes past
-			// the prefix with its aggregate contribution; when the
-			// prefix covers the whole order, the slot repeats its
-			// outcome without touching a single warp. Stale armed
-			// records can never validate spuriously: gen and epoch
-			// only grow, and a scan only runs once this check fails.
-			sg := &sm.slotGates[slot]
-			if sg.armed && sg.gen == gen && sg.epoch == sm.gateEpoch && cycle < sg.until {
-				startIdx = sg.resume
-				anyValid = sg.valid
-				minGate = sg.until
-			}
-		}
-		oc := &sm.orderCaches[slot]
-		if sm.orderCacheOn && oc.valid && oc.gen == gen {
-			order = oc.order
-		} else {
-			oc.order = compactOrder(sm.Sched.Order(slot, oc.order[:0], cycle), slot)
-			oc.gen = gen
-			oc.valid = true
-			order = oc.order
+		gen := sm.cacher.OrderGen(slot, cycle)
+		if !sm.orderCacheOn || !b.valid || b.gen != gen {
+			sm.buildOrder(b, slot, cycle)
+			b.gen, b.valid = gen, true
 			if sm.fl != nil {
-				// A generation bump on a cacher policy is a real
-				// re-sort (PRO's THRESHOLD cadence, barrier/retire
-				// invalidations); non-cachers rebuild every cycle, so
-				// only this path is a meaningful event.
+				// A rebuild on a cacher policy is a real membership or
+				// priority change; non-cachers rebuild every cycle.
 				sm.fl.OnResort(cycle, slot, gen)
 			}
 		}
 	} else {
-		order = compactOrder(sm.Sched.Order(slot, sm.orderBuf[:0], cycle), slot)
-		sm.orderBuf = order[:0]
+		sm.buildOrder(b, slot, cycle)
+	}
+	if cycle >= b.minGate {
+		b.expire(cycle)
 	}
 
-	if startIdx >= len(order) && startIdx > 0 {
-		// Whole slot gated: every warp is blocked exactly as last
-		// classified.
-		if anyValid {
-			sm.Stalls[slot].Scoreboard++
-			return outScoreboard, minGate
+	// Candidates: in order, live, not blocked. A ready warp waiting for a
+	// unit that cannot accept this cycle would fail tryIssue's first check
+	// (which has no side effects); such warps leave as a class.
+	memBusy := !sm.memToken || cycle < sm.memBusyUntil || sm.memOp != nil
+	sfuBusy := !sm.sfuToken || sm.sfuInflight >= sm.Cfg.SFUQueueDepth
+	anyValid, anyReady := false, false
+	left := 0
+	for i, in := range b.inOrder {
+		in &= b.live[i]
+		anyValid = anyValid || in&b.blocked[i]&b.instr[i] != 0
+		c := in &^ b.blocked[i]
+		var refused uint64
+		if memBusy {
+			refused = c & b.ready[i] & b.memU[i]
 		}
-		sm.Stalls[slot].Idle++
-		return outIdle, minGate
+		if sfuBusy {
+			refused |= c & b.ready[i] & b.sfuU[i]
+		}
+		anyReady = anyReady || refused != 0
+		b.cand[i] = c &^ refused
+		left += bits.OnesCount64(b.cand[i])
 	}
 
-	// contig tracks whether every entry examined so far (including the
-	// resumed prefix) is gated strictly beyond cycle; the snapshot taken
-	// when it breaks — at the first scoreboard-ready warp — becomes the
-	// next cycle's resume point.
-	// epochStart snapshots the gate epoch before any issue this scan
-	// can perform: a tryIssue side effect that zeroes gates (a barrier
-	// release freeing warps already scanned into the prefix) bumps the
-	// live epoch, so a record armed with the snapshot self-invalidates.
-	epochStart := sm.gateEpoch
-	anyReady := false
-	contig := true
-	resumeIdx := 0
-	var pValid bool
-	pMin := neverWake
-	for idx := startIdx; idx < len(order); idx++ {
-		w := order[idx]
-		if w.finished {
-			// Finished after the order was built; compactOrder drops it
-			// at the next rebuild.
-			continue
+	skipOn := sm.cycleSkipOn
+	k := b.start
+	for n := len(b.order); n > 0 && left > 0; n-- {
+		pos := k
+		if k++; k == len(b.order) {
+			k = 0
 		}
-		if skipOn && cycle < w.gate {
-			// Still blocked as classified when the gate was set.
-			anyValid = anyValid || w.gateInstr
-			if w.gate < minGate {
-				minGate = w.gate
-			}
-			continue
+		li := int(b.order[pos])
+		wi, bit := li>>6, uint64(1)<<uint(li&63)
+		if b.cand[wi]&bit == 0 {
+			continue // not a candidate, or a later duplicate of one examined
 		}
-		in := w.NextInstr()
-		if in == nil {
+		b.cand[wi] &^= bit
+		left--
+		sm.WarpsExamined++
+		w := sm.WarpSlots[li*len(sm.boards)+slot]
+		in := w.nextIn
+		switch {
+		case in == nil:
 			// At a barrier or awaiting an i-buffer refill: both end via
-			// events that zero the gate (barrier release on the SM's
-			// own issue path, the warp's fetchDone callback).
-			w.gate, w.gateInstr = neverWake, false
-			continue
-		}
-		if !(skipOn && w.scoreboardOK) && !w.ScoreboardReady(in, cycle) {
+			// events that unblock the warp.
+			if skipOn {
+				b.block(li, neverWake, false)
+			}
+		case b.ready[wi]&bit == 0 && !w.ScoreboardReady(in, cycle):
 			// Blocked until the registers are ready (readyAt > cycle
 			// whenever the scoreboard blocks); a pending load gates at
-			// neverWake and its resolution zeroes the gate.
+			// neverWake and its resolution unblocks the warp.
 			anyValid = true
-			w.gate, w.gateInstr = w.readyAt(in), true
+			gate := w.readyAt(in)
+			if skipOn {
+				b.block(li, gate, true)
+			}
 			if sm.fl != nil {
-				sm.fl.OnWarpStall(cycle, w.Slot, w.TB.Global, w.gate)
+				sm.fl.OnWarpStall(cycle, w.Slot, w.TB.Global, gate)
 			}
-			if w.gate < minGate {
-				minGate = w.gate
+		default:
+			anyValid, anyReady = true, true
+			if skipOn && b.ready[wi]&bit == 0 {
+				// Readiness is sticky: registers only become unavailable
+				// through the warp's own issue, which ends in
+				// refreshNextInstr clearing the bit.
+				b.ready[wi] |= bit
+				b.memU[wi] &^= bit
+				b.sfuU[wi] &^= bit
+				switch in.Op.Unit() {
+				case isa.UnitMem:
+					b.memU[wi] |= bit
+				case isa.UnitSFU:
+					b.sfuU[wi] |= bit
+				}
 			}
-			continue
-		}
-		// Scoreboard-ready: the gated prefix ends here — this warp must
-		// be re-examined next cycle whether it issues or stays
-		// pipeline-blocked. The sentinel makes that re-examination a
-		// single flag load (see Warp.scoreboardOK for why readiness is
-		// sticky until the warp issues).
-		w.scoreboardOK = true
-		if contig {
-			contig = false
-			resumeIdx, pValid, pMin = idx, anyValid, minGate
-		}
-		anyValid = true
-		anyReady = true
-		if sm.tryIssue(w, in, cycle) {
-			// Arming is worthwhile only when there is a gated prefix to
-			// skip (resumeIdx > 0). With no prefix the record would be a
-			// no-op, and leaving the previous record in place is safe:
-			// its gen/epoch stamps are from an earlier scan, and both
-			// counters only grow, so it can only validate while the
-			// order and every recorded gate are provably unchanged.
-			if skipOn && sm.cacher != nil && resumeIdx > 0 {
-				sm.slotGates[slot] = slotGate{until: pMin, gen: gen, epoch: epochStart, resume: resumeIdx, valid: pValid, armed: true}
+			b.pos = pos
+			if sm.tryIssue(w, in, cycle) {
+				sm.Stalls[slot].Issued++
+				return outIssued, 0
 			}
-			sm.Stalls[slot].Issued++
-			return outIssued, 0
 		}
 	}
 	switch {
 	case anyReady:
-		if skipOn && sm.cacher != nil && resumeIdx > 0 {
-			// A pipeline-blocked slot re-arms the same record every
-			// cycle (no issue, so gen, gates and the prefix are all
-			// unchanged); comparing first keeps the cache line clean on
-			// those long runs instead of rewriting it.
-			sg := &sm.slotGates[slot]
-			if !(sg.armed && sg.gen == gen && sg.epoch == epochStart && sg.resume == resumeIdx && sg.until == pMin && sg.valid == pValid) {
-				*sg = slotGate{until: pMin, gen: gen, epoch: epochStart, resume: resumeIdx, valid: pValid, armed: true}
-			}
-		}
 		sm.Stalls[slot].Pipeline++
 		// The LD/ST unit's busy window is the one structural block that
 		// ends with time rather than with an event.
-		if cycle < sm.memBusyUntil && sm.memBusyUntil < minGate {
-			minGate = sm.memBusyUntil
+		if cycle < sm.memBusyUntil && sm.memBusyUntil < b.minGate {
+			return outPipeline, sm.memBusyUntil
 		}
-		return outPipeline, minGate
+		return outPipeline, b.minGate
 	case anyValid:
-		// Every warp is gated strictly beyond cycle, so the outcome is
-		// frozen until minGate, barring gen/epoch invalidation.
-		if skipOn && sm.cacher != nil {
-			sm.slotGates[slot] = slotGate{until: minGate, gen: gen, epoch: epochStart, resume: len(order), valid: true, armed: true}
-		}
 		sm.Stalls[slot].Scoreboard++
-		return outScoreboard, minGate
+		return outScoreboard, b.minGate
 	default:
-		if skipOn && sm.cacher != nil {
-			sm.slotGates[slot] = slotGate{until: minGate, gen: gen, epoch: epochStart, resume: len(order), valid: false, armed: true}
-		}
 		sm.Stalls[slot].Idle++
-		return outIdle, minGate
+		return outIdle, b.minGate
 	}
 }
 
-// compactOrder drops, in place, the entries slot's issue scan would skip
-// unconditionally — nil slots, the other scheduler's warps, finished
-// warps. Policies return SM-wide orders, so without this every per-cycle
-// walk re-skips half the entries. Dropping at rebuild time is safe
-// because none of the three conditions can reverse for a warp object
-// while a cached order lives: slots never un-nil, SchedSlot is fixed at
-// assignment, and a finished warp only comes back through AssignTB's
-// pool reuse, which invalidates every cached order via the policy's
-// generation bump.
-func compactOrder(order []*Warp, slot int) []*Warp {
-	out := order[:0]
-	for _, w := range order {
+// buildOrder asks the policy for slot's order and stores it on the
+// board, dropping the entries a scan would skip unconditionally — nil
+// slots, the other scheduler's warps, finished warps. Duplicates stay:
+// a scan examines a candidate once, at its first occurrence.
+func (sm *SM) buildOrder(b *issueBoard, slot int, cycle int64) {
+	ws := sm.Sched.Order(slot, sm.orderBuf[:0], cycle)
+	sm.orderBuf = ws[:0]
+	sm.OrderBuilds++
+	clear(b.inOrder)
+	b.order, b.start, b.headDup = b.order[:0], 0, false
+	for _, w := range ws {
 		if w == nil || w.SchedSlot != slot || w.finished {
 			continue
 		}
-		out = append(out, w)
+		if b.inOrder[w.word]&w.bit != 0 && b.order[0] == int32(w.local) {
+			b.headDup = true
+		}
+		b.inOrder[w.word] |= w.bit
+		b.order = append(b.order, int32(w.local))
 	}
-	return out
+}
+
+// RotateOrderAfter is a hint a policy may push from OnIssue(w) instead
+// of bumping its generation: slot's Order is now the cached one restarted
+// just after w. Void — the cache is dropped and Order consulted — unless
+// w is the entry being issued.
+func (sm *SM) RotateOrderAfter(w *Warp) {
+	b := w.board
+	if !b.valid || b.pos >= len(b.order) || int(b.order[b.pos]) != w.local {
+		b.valid = false
+		return
+	}
+	if b.start = b.pos + 1; b.start == len(b.order) {
+		b.start = 0
+	}
+}
+
+// ReplaceOrderHead is the hint for a policy whose issue only moves the
+// head of an order that lists the head again at its usual place: slot's
+// Order is now the cached one with w in place of old at position 0. Void
+// unless old is at the unrotated head and recurs, and w is in the order.
+func (sm *SM) ReplaceOrderHead(old, w *Warp) {
+	b := w.board
+	if !b.valid || b.start != 0 || !b.headDup || old.board != b ||
+		int(b.order[0]) != old.local || b.inOrder[w.word]&w.bit == 0 {
+		b.valid = false
+		return
+	}
+	b.order[0] = int32(w.local)
 }
 
 // tryIssue attempts to issue in from w at cycle; it returns false — with
@@ -959,10 +971,9 @@ func (sm *SM) tryIssue(w *Warp, in *isa.Instr, cycle int64) bool {
 		if tb.barrierComplete() {
 			for _, sib := range tb.Warps {
 				sib.atBar = false
-				sib.gate = 0
+				sib.unblock()
 				sib.refreshNextInstr()
 			}
-			sm.gateEpoch++
 			tb.WarpsAtBarrier = 0
 			sm.BarrierWaitSum += cycle - tb.barrierStart
 			sm.BarrierEpisodes++
@@ -971,7 +982,7 @@ func (sm *SM) tryIssue(w *Warp, in *isa.Instr, cycle int64) bool {
 		}
 	case isa.OpExit:
 		w.finished = true
-		sm.clearLiveBit(w.Slot)
+		w.board.live[w.word] &^= w.bit
 		w.FinishCycle = cycle
 		w.stack = w.stack[:0]
 		tb.WarpsFinished++
@@ -996,12 +1007,8 @@ func (sm *SM) tryIssue(w *Warp, in *isa.Instr, cycle int64) bool {
 func (sm *SM) retireTB(tb *ThreadBlock, cycle int64) {
 	tb.EndCycle = cycle
 	sm.WarpDisparitySum += tb.WarpDisparity()
-	wpt := sm.Launch.WarpsPerTB()
-	for i := 0; i < wpt; i++ {
-		// Every warp already finished (cleared its live bit on Exit);
-		// clear anyway so the mask can never outlive the slot pointers.
-		sm.WarpSlots[tb.Slot*wpt+i] = nil
-		sm.clearLiveBit(tb.Slot*wpt + i)
+	for _, w := range tb.Warps {
+		sm.WarpSlots[w.Slot] = nil // its live bit went at Exit
 	}
 	sm.TBSlots[tb.Slot] = nil
 	sm.residentTBs--

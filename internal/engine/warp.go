@@ -23,24 +23,12 @@ type simtEntry struct {
 // Warp is one warp's execution state. All mutation happens through the
 // owning SM's issue path.
 //
-// Field order is deliberate: the leading group holds everything the
-// per-cycle issue scan reads, so classifying a blocked warp touches one
-// cache line; the SIMT stack, scoreboard and visit counters that only
-// matter when the warp progresses come after.
+// Field order is deliberate: the leading group is what the issue scan
+// reads of a warp it examines (a candidate on the SM's issue board — a
+// blocked warp is not touched at all) and what the issue path charges;
+// the SIMT stack, scoreboard and visit counters that only matter when
+// the warp progresses come after.
 type Warp struct {
-	// gate caches the earliest cycle at which the warp could next pass
-	// the issue checks (decodable instruction + scoreboard clear), so
-	// the per-cycle order walk skips blocked warps with one compare.
-	// Valid because a blocked warp's state only changes at a
-	// statically-known cycle (readyAt, folded into gate) or via an
-	// event that zeroes the gate (i-buffer refill, load resolution,
-	// barrier release). gateInstr preserves the warp's Idle-vs-
-	// Scoreboard contribution while skipped: whether it had a decodable
-	// instruction when the gate was set (stable until the gate clears,
-	// since a gated warp cannot issue and nothing else drains its
-	// i-buffer or moves it to a barrier).
-	gate int64
-
 	// nextIn caches NextInstr's result — the decoded instruction the warp
 	// would issue, nil when the warp is not Valid. Refreshed by
 	// refreshNextInstr at every site that changes the inputs (PC moves,
@@ -64,19 +52,16 @@ type Warp struct {
 	// issue path charges progress to it on every instruction.
 	TB *ThreadBlock
 
-	gateInstr bool
+	// board is the owning scheduler slot's issue board; local is the
+	// warp's index on it (Slot / SchedulersPerSM), i.e. bit of mask word
+	// word.
+	board *issueBoard
+	local int
+	word  int
+	bit   uint64
+
 	finished  bool
 	atBar     bool
-
-	// scoreboardOK is the ready sentinel: once nextIn has passed the
-	// scoreboard at some cycle it stays ready at every later cycle until
-	// the warp issues, because registers only become unavailable through
-	// the warp's own issue path (setRegLatency / a pending-load mark) and
-	// that path ends in refreshNextInstr, which clears the sentinel. A
-	// pipeline-blocked warp is therefore re-checked with one flag load
-	// instead of a register walk on every scan.
-	scoreboardOK bool
-
 	fetchBusy bool
 
 	// SchedSlot is the hardware scheduler that owns this warp
@@ -148,9 +133,8 @@ func newWarp(sm *SM, tb *ThreadBlock, idInTB, slot int, cycle int64) *Warp {
 		}
 		w.ibuf = sm.Cfg.IBufferEntries
 		w.fetchBusy = false
-		w.gate = 0
+		w.unblock()
 		w.refreshNextInstr()
-		sm.gateEpoch++
 		sm.wakeEvent()
 	}
 	w.reset(tb, idInTB, slot, cycle)
@@ -177,7 +161,11 @@ func (w *Warp) reset(tb *ThreadBlock, idInTB, slot int, cycle int64) {
 	w.TB = tb
 	w.IDInTB = idInTB
 	w.Slot = slot
-	w.SchedSlot = slot % w.SM.Cfg.SchedulersPerSM
+	w.SchedSlot = slot % len(w.SM.boards)
+	w.board, w.local = &w.SM.boards[w.SchedSlot], slot/len(w.SM.boards)
+	w.word, w.bit = w.local>>6, 1<<uint(w.local&63)
+	w.board.live[w.word] |= w.bit
+	w.unblock()
 	w.Progress, w.Issued = 0, 0
 	w.SpawnCycle, w.FinishCycle = cycle, 0
 	w.stack = append(w.stack[:0], simtEntry{PC: 0, Reconv: -1, Mask: mask})
@@ -191,8 +179,7 @@ func (w *Warp) reset(tb *ThreadBlock, idInTB, slot int, cycle int64) {
 		w.armLoop(loopID)
 	}
 	w.ibuf, w.fetchBusy = 0, false
-	w.gate, w.gateInstr = 0, false
-	w.refreshNextInstr() // ibuf is 0: clears nextIn and the ready sentinel
+	w.refreshNextInstr() // ibuf is 0: clears nextIn and the ready bit
 }
 
 // armLoop initializes the remaining-take counters of loopID for every
@@ -239,6 +226,11 @@ func (w *Warp) ActiveMask() uint32 {
 // ActiveLanes returns the number of active lanes.
 func (w *Warp) ActiveLanes() int { return bits.OnesCount32(w.ActiveMask()) }
 
+// unblock makes the next issue scan re-examine the warp; every event
+// that can end a block calls it (i-buffer refill, load resolution,
+// barrier release, reassignment).
+func (w *Warp) unblock() { w.board.blocked[w.word] &^= w.bit }
+
 // NextInstr returns the instruction the warp would issue, or nil when not
 // Valid.
 func (w *Warp) NextInstr() *isa.Instr { return w.nextIn }
@@ -247,7 +239,7 @@ func (w *Warp) NextInstr() *isa.Instr { return w.nextIn }
 // after any change to the warp's finished/barrier/i-buffer state or its
 // program counter.
 func (w *Warp) refreshNextInstr() {
-	w.scoreboardOK = false
+	w.board.ready[w.word] &^= w.bit
 	if w.finished || w.atBar || w.ibuf == 0 {
 		w.nextIn = nil
 		return

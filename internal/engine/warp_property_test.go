@@ -4,7 +4,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/config"
 	"repro/internal/isa"
 	"repro/internal/xrand"
 )
@@ -107,7 +106,7 @@ func warpLaneInstrs(t *testing.T, prog *isa.Program, kseed uint64, maxSteps int)
 	t.Helper()
 	var counts [32]int
 	launch := &Launch{Program: prog, GridTBs: 1, BlockThreads: 32, Seed: kseed}
-	sm := &SM{ID: 0, Cfg: config.GTX480()}
+	sm := newTestSM()
 	tb := &ThreadBlock{Global: 0, Launch: launch}
 	w := newWarp(sm, tb, 0, 0, 0)
 	for steps := 0; steps < maxSteps; steps++ {
@@ -206,7 +205,7 @@ func TestPropertyStackBounded(t *testing.T) {
 		prog := genProgram(rng, "depth")
 		kseed := rng.Next()
 		launch := &Launch{Program: prog, GridTBs: 1, BlockThreads: 32, Seed: kseed}
-		sm := &SM{ID: 0, Cfg: config.GTX480()}
+		sm := newTestSM()
 		tb := &ThreadBlock{Global: 0, Launch: launch}
 		w := newWarp(sm, tb, 0, 0, 0)
 		maxDepth := 0

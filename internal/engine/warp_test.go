@@ -8,16 +8,24 @@ import (
 	"repro/internal/isa"
 )
 
+// newTestSM returns an SM with no wheel, memory system or policy behind
+// it: enough for warps that only exercise SIMT-stack and scoreboard
+// mechanics, which need Cfg and an issue board to keep their bits on.
+func newTestSM() *SM {
+	sm := &SM{ID: 0, Cfg: config.GTX480()}
+	sm.initBoards(sm.Cfg.MaxWarpsPerSM())
+	return sm
+}
+
 // testWarp builds a warp over prog with the given block size, without a
 // full SM behind it (SIMT-stack and scoreboard mechanics only need Cfg).
 func testWarp(t *testing.T, prog *isa.Program, blockThreads, warpID int) *Warp {
 	t.Helper()
-	cfg := config.GTX480()
+	sm := newTestSM()
 	launch := &Launch{Program: prog, GridTBs: 1, BlockThreads: blockThreads, Seed: 7}
-	if err := launch.Validate(cfg); err != nil {
+	if err := launch.Validate(sm.Cfg); err != nil {
 		t.Fatal(err)
 	}
-	sm := &SM{ID: 0, Cfg: cfg}
 	tb := &ThreadBlock{Global: 0, Launch: launch}
 	return newWarp(sm, tb, warpID, warpID, 0)
 }

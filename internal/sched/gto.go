@@ -31,8 +31,10 @@ func NewGTO(sm *engine.SM) engine.Scheduler {
 // Name implements engine.Scheduler.
 func (s *GTO) Name() string { return "GTO" }
 
-// OrderGen implements engine.OrderCacher: the order changes only when the
-// slot's greedy warp moves or its age list changes membership.
+// OrderGen implements engine.OrderCacher: the generation moves when the
+// slot's age list changes membership or its head appears or disappears;
+// one greedy warp succeeding another only swaps the head
+// (ReplaceOrderHead).
 func (s *GTO) OrderGen(slot int, _ int64) uint64 { return s.gens[slot] }
 
 // bumpAll invalidates every slot's cached order.
@@ -43,24 +45,26 @@ func (s *GTO) bumpAll() {
 }
 
 // Order implements engine.Scheduler: greedy warp first, then all warps
-// oldest-first.
+// oldest-first. The greedy warp recurs at its age position; the engine
+// considers a warp at its first occurrence only.
 func (s *GTO) Order(slot int, dst []*engine.Warp, _ int64) []*engine.Warp {
 	if g := s.greedy[slot]; g != nil && !g.Finished() {
 		dst = append(dst, g)
 	}
-	for _, w := range s.aged[slot] {
-		if w != s.greedy[slot] {
-			dst = append(dst, w)
-		}
-	}
-	return dst
+	return append(dst, s.aged[slot]...)
 }
 
 // OnIssue implements engine.Scheduler: the issuing warp becomes greedy.
 func (s *GTO) OnIssue(w *engine.Warp, _ *isa.Instr, _ int, _ int64) {
-	if s.greedy[w.SchedSlot] != w {
-		s.greedy[w.SchedSlot] = w
-		s.gens[w.SchedSlot]++
+	old := s.greedy[w.SchedSlot]
+	if old == w {
+		return
+	}
+	s.greedy[w.SchedSlot] = w
+	if old == nil || old.Finished() {
+		s.gens[w.SchedSlot]++ // Order had no head to replace
+	} else {
+		s.sm.ReplaceOrderHead(old, w)
 	}
 }
 

@@ -32,13 +32,14 @@ func NewLRR(sm *engine.SM) engine.Scheduler {
 // Name implements engine.Scheduler.
 func (s *LRR) Name() string { return "LRR" }
 
-// OrderGen implements engine.OrderCacher: the order changes when a slot's
-// round-robin cursor moves or the SM's warp-slot population changes.
+// OrderGen implements engine.OrderCacher: the order's membership changes
+// when the SM's warp-slot population does; a moving round-robin cursor
+// only restarts it (RotateOrderAfter).
 func (s *LRR) OrderGen(slot int, _ int64) uint64 { return s.gens[slot] }
 
 // Order implements engine.Scheduler: all live warps of slot, starting
 // just after the last issued warp's slot. The rotated scan runs on the
-// SM's packed live-warp bitmask (64 slots per word) via ScanLive.
+// slot's packed live mask (64 warps per word) via ScanLive.
 func (s *LRR) Order(slot int, dst []*engine.Warp, _ int64) []*engine.Warp {
 	n := len(s.sm.WarpSlots)
 	if n == 0 {
@@ -49,10 +50,8 @@ func (s *LRR) Order(slot int, dst []*engine.Warp, _ int64) []*engine.Warp {
 
 // OnIssue implements engine.Scheduler.
 func (s *LRR) OnIssue(w *engine.Warp, _ *isa.Instr, _ int, _ int64) {
-	if s.last[w.SchedSlot] != w.Slot {
-		s.last[w.SchedSlot] = w.Slot
-		s.gens[w.SchedSlot]++
-	}
+	s.last[w.SchedSlot] = w.Slot
+	s.sm.RotateOrderAfter(w)
 }
 
 // OnTBAssign implements engine.Scheduler: Order reads sm.WarpSlots live,

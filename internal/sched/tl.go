@@ -28,9 +28,9 @@ type TL struct {
 	// blocked tracks warps known (from events) to be barrier-blocked;
 	// refill must not promote them or they would wedge an active slot.
 	blocked map[*engine.Warp]bool
-	// gens are the per-slot order generations: every event hook mutates
-	// the active sets or cursors, so each bumps them all. The cache
-	// mainly wins on stalled stretches between events.
+	// gens are the per-slot order generations: the TB and barrier hooks
+	// touch every slot's sets and bump them all; an issue bumps its own
+	// slot, and only when it demotes.
 	gens []uint64
 }
 
@@ -82,16 +82,13 @@ func (s *TL) Order(slot int, dst []*engine.Warp, _ int64) []*engine.Warp {
 		return dst
 	}
 	start := (s.lastIssue[slot] + 1) % n
-	for i := 0; i < n; i++ {
-		dst = append(dst, act[(start+i)%n])
-	}
-	return dst
+	return append(append(dst, act[start:]...), act[:start]...)
 }
 
 // OnIssue implements engine.Scheduler: update the round-robin cursor and
-// demote the warp on long-latency instructions.
+// demote the warp on long-latency instructions. Only a demotion changes
+// the slot's membership; a moved cursor restarts the cached order.
 func (s *TL) OnIssue(w *engine.Warp, in *isa.Instr, _ int, _ int64) {
-	s.bumpAll()
 	slot := w.SchedSlot
 	for i, a := range s.active[slot] {
 		if a == w {
@@ -100,7 +97,10 @@ func (s *TL) OnIssue(w *engine.Warp, in *isa.Instr, _ int, _ int64) {
 		}
 	}
 	if in.Op.IsGlobalMem() {
+		s.gens[slot]++
 		s.demote(w)
+	} else {
+		s.sm.RotateOrderAfter(w)
 	}
 }
 

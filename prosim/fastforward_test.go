@@ -23,7 +23,8 @@ func TestFastForwardDifferential(t *testing.T) {
 	// the memory-bound rows add the jumps that only exist because SMs now
 	// sleep through Pipeline stalls, clamped by dense sample boundaries.
 	rows := append([]diffRow{
-		{"aesEncrypt128", 8, []prosim.Options{{}}}, {"scalarProdGPU", 8, []prosim.Options{{}}},
+		{kernel: "aesEncrypt128", maxTBs: 8, opts: []prosim.Options{{}}},
+		{kernel: "scalarProdGPU", maxTBs: 8, opts: []prosim.Options{{}}},
 	}, memoryBoundRows...)
 	for _, row := range rows {
 		k, opts := row.kernel, row.opts[0]

@@ -33,12 +33,27 @@ var naivePaths = fastPaths{
 	disableWarpPooling: true,
 }
 
-// diffRow is one kernel of a differential grid: its grid size and the
-// observation options it runs under.
+// diffRow is one kernel of a differential grid: its grid size, the
+// observation options it runs under and, when set, a change to the
+// GTX480 hardware it runs on.
 type diffRow struct {
 	kernel string
 	maxTBs int
 	opts   []prosim.Options
+	hw     func(*prosim.Config)
+}
+
+// wideSlot is one SM with a single scheduler owning 128 warp slots, the
+// other per-SM limits raised to admit them: sixteen 256-thread blocks
+// are resident, so the issue board's masks (DESIGN.md §8.4) span two
+// words and its multi-word paths execute.
+func wideSlot(cfg *prosim.Config) {
+	cfg.NumSMs = 1
+	cfg.SchedulersPerSM = 1
+	cfg.MaxThreadsPerSM = 4096
+	cfg.MaxTBsPerSM = 32
+	cfg.RegistersPerSM = 1 << 17
+	cfg.SharedMemPerSM = 192 << 10
 }
 
 // memoryBoundRows are kernels that park SMs in Pipeline stalls, at least
@@ -60,7 +75,7 @@ var memoryBoundRows = func() []diffRow {
 		"bpnn_layerforward", "scalarProdGPU", "bpnn_adjust_weights_cuda",
 		"MonteCarloOneBlockPerOption", "GPU_laplace3d",
 	} {
-		rows = append(rows, diffRow{k, 16, dense})
+		rows = append(rows, diffRow{kernel: k, maxTBs: 16, opts: dense})
 	}
 	return rows
 }()
@@ -73,7 +88,10 @@ func fastPathGrid(t *testing.T, fp fastPaths) []string {
 	// counters, TB timelines) see the same state at the same cycles.
 	opts := []prosim.Options{{}, {Timeline: true, SampleEvery: 500}}
 	rows := append([]diffRow{
-		{"aesEncrypt128", 8, opts}, {"scalarProdGPU", 8, opts}, {"calculate_temp", 8, opts},
+		{kernel: "aesEncrypt128", maxTBs: 8, opts: opts}, {kernel: "scalarProdGPU", maxTBs: 8, opts: opts},
+		{kernel: "calculate_temp", maxTBs: 8, opts: opts},
+		{kernel: "aesEncrypt128", maxTBs: 24, opts: opts[:1], hw: wideSlot},
+		{kernel: "scalarProdGPU", maxTBs: 24, opts: opts[:1], hw: wideSlot},
 	}, memoryBoundRows...)
 	// PRO-adaptive exercises the timed-refresh path (the adaptive
 	// profiler switches phases on a schedule, not on issue events).
@@ -90,6 +108,9 @@ func fastPathGrid(t *testing.T, fp fastPaths) []string {
 		for _, s := range scheds {
 			for _, o := range row.opts {
 				cfg := prosim.GTX480()
+				if row.hw != nil {
+					row.hw(cfg)
+				}
 				cfg.DisableOrderCache = fp.disableOrderCache
 				cfg.DisableCycleSkip = fp.disableCycleSkip
 				cfg.DisableFastForward = fp.disableFastForward
