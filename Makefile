@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race fastpath fastforwardtest sleeptest issuetest retrytest identity fuzz benchbuild daemontest obstest clustertest tenanttest flighttest benchdiff benchdiff-write baseline check bench benchquick profile profile-grid report papercheck
+.PHONY: build test vet race fastpath fastforwardtest sleeptest issuetest retrytest identity fuzz benchbuild daemontest servetest obstest clustertest tenanttest flighttest benchdiff benchdiff-write baseline check bench benchquick profile profile-grid profile-serve report papercheck
 
 build:
 	$(GO) build ./...
@@ -104,6 +104,17 @@ benchbuild:
 daemontest:
 	$(GO) test -race -count=1 ./internal/daemon ./cmd/prosimd
 
+# The warm-path gate (DESIGN.md §9.5) under the race detector, re-run
+# every time: a daemon that keeps its decoded-request memo must answer a
+# seeded request stream exactly as a fresh daemon per request does
+# (mutation-checked), another encoding of a job must miss the memo and
+# land on the same key, a memoised factory job must re-simulate to the
+# same result, /v1/batch's bytes are pinned against the commit before
+# the memo, and the result cache's decoded front must count, evict,
+# bypass, drop on GC and touch as a disk hit would.
+servetest:
+	$(GO) test -race -count=1 -run 'TestMemo|TestReencodedJob|TestBatchWireFormatPinned|FuzzWireJobToJob|TestFront|TestCorruptEntryFallsBackToMiss|TestKeyMatchesCachedEntries' ./internal/daemon ./internal/resultcache ./internal/jobs
+
 # Telemetry smoke under the race detector: the /metrics acceptance test
 # (valid Prometheus exposition after real work), the pprof/expvar debug
 # mux, the heartbeat bit-identity gate and the tracer's line atomicity.
@@ -116,7 +127,7 @@ obstest:
 # the two-daemons-share-an-L2 acceptance test) and the singleflight /
 # fan-out / socket-takeover regression tests.
 tenanttest:
-	$(GO) test -race -count=1 -run 'TestLeaderDisconnect|TestFullQueue|TestOversizeBatch|TestBulkFlood|TestTenant|TestLargeBatchBounded|TestTwoDaemonsSharedL2|TestStatsAndHealthReject|TestListenRefuses|TestClientSurfacesOverload|TestDispatcherWeighted|TestStatsWireCompat|TestTiered|TestStoreHandler' ./internal/daemon ./internal/resultcache
+	$(GO) test -race -count=1 -run 'TestLeaderDisconnect|TestFullQueue|TestOversizeBatch|TestOversizeBody|TestBulkFlood|TestTenant|TestLargeBatchBounded|TestTwoDaemonsSharedL2|TestStatsAndHealthReject|TestListenRefuses|TestClientSurfacesOverload|TestDispatcherWeighted|TestStatsWireCompat|TestTiered|TestStoreHandler' ./internal/daemon ./internal/resultcache
 
 # The flight-recorder gate under the race detector, re-run every time:
 # the bit-identity differential (recorder on vs off for every
@@ -148,7 +159,7 @@ benchdiff-write:
 
 baseline: bench benchdiff-write
 
-check: vet race fastpath fastforwardtest sleeptest issuetest retrytest daemontest obstest clustertest tenanttest flighttest benchbuild
+check: vet race fastpath fastforwardtest sleeptest issuetest retrytest daemontest servetest obstest clustertest tenanttest flighttest benchbuild
 	-$(MAKE) benchdiff
 
 # Statistically meaningful bench run for before/after comparisons:
@@ -189,6 +200,25 @@ profile-grid:
 		"$$tmp/prosim" -kernel $$k $(MAXTBS_$(WORKLOAD)) -jobs 1 -cpuprofile "$$tmp/$$k.$$rep.pprof" >/dev/null; \
 	done; done; \
 	$(GO) tool pprof -top -nodecount=40 "$$tmp/prosim" "$$tmp"/*.pprof
+
+# The serving twin of profile-grid: the layer-share table of the warm
+# path (DESIGN.md §9.5), regenerated instead of pasted. Profiles
+# BenchmarkServeWarm — client and in-process daemon together, one-job
+# and 25-job requests over a pre-filled cache — and prints its ns/job and
+# allocs/job, then who the request handler, its per-job workers and the
+# client spend their samples in (`pprof -peek`: request decode, memo,
+# engine, emit; request marshal, response decode), then the process-wide
+# lines a peek cannot show (syscalls, GC, malloc). Shares are of all
+# samples, the benchmark's own cache pre-fill included (~10 %). The
+# profile stays in a temp dir.
+SERVE_PEEK := daemon\.\(\*Daemon\)\.(handleBatch(\.func[12])?|runJob|decodeJob)$$|daemon\.\(\*Client\)\.Run$$|jobs\.\(\*Engine\)\.runOne$$
+profile-serve:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) test -run '^$$' -bench ServeWarm -benchtime 5000x -o "$$tmp/daemon.test" \
+		-cpuprofile "$$tmp/cpu.pprof" ./internal/daemon; \
+	$(GO) tool pprof -peek '$(SERVE_PEEK)' "$$tmp/daemon.test" "$$tmp/cpu.pprof" | grep -v '^ *$$'; \
+	$(GO) tool pprof -top -cum -nodecount=400 "$$tmp/daemon.test" "$$tmp/cpu.pprof" | \
+		grep -E 'flat%|Syscall6$$|gcBgMarkWorker$$|mallocgc$$|gpu\.RunContext$$'
 
 # Regenerate every paper artifact into results/ using all cores and a
 # local result cache (warm re-runs are nearly instant).

@@ -31,7 +31,9 @@ package daemon
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net"
@@ -61,6 +63,9 @@ var (
 	mInflight = obs.NewGauge("prosimd_jobs_inflight", "jobs executing or waiting for a worker slot")
 	mAttached = obs.NewGauge("prosimd_attached_waiting", "submissions currently waiting on a leader's run")
 	mDraining = obs.NewGauge("prosimd_draining", "1 while the daemon drains for shutdown")
+
+	mMemoHits   = obs.NewCounter("prosimd_wire_memo_hits_total", "wire jobs whose decoded form and cache key came from the request memo")
+	mMemoMisses = obs.NewCounter("prosimd_wire_memo_misses_total", "wire jobs decoded, resolved and keyed from their bytes")
 
 	// Simulation heartbeat mirror (gpu.SetHeartbeat; registered by New).
 	mSimBeats    = obs.NewCounter("sim_heartbeats_total", "simulation heartbeats observed")
@@ -182,6 +187,12 @@ type Daemon struct {
 
 	mu       sync.Mutex
 	inflight map[string]*flight
+
+	// The decoded-request memo (see decodeJob): SHA-256 of a wire job's
+	// bytes → its decoded form, bounded by memoBudget summed wire bytes.
+	memoMu    sync.Mutex
+	memo      map[[sha256.Size]byte]*memoJob
+	memoBytes int
 
 	running  atomic.Int64
 	attached atomic.Int64
@@ -371,16 +382,16 @@ func (d *Daemon) ServeUntilSignal(l net.Listener) error {
 // slot wait and execution proceed under the daemon's own context, so a
 // leader whose client disconnects mid-queue cannot poison the result
 // its attached followers are waiting on.
-func (d *Daemon) runJob(waitCtx context.Context, j *jobs.Job, cl class) (r *stats.KernelResult, fromCache, deduped bool, err error) {
-	key, ok, err := d.eng.Key(j)
-	if err != nil {
+func (d *Daemon) runJob(waitCtx context.Context, mj *memoJob, cl class) (r *stats.KernelResult, fromCache, deduped bool, err error) {
+	j, key := &mj.job, mj.key
+	if mj.keyErr != nil {
 		d.disp.forfeit(cl)
-		return nil, false, false, err
+		return nil, false, false, mj.keyErr
 	}
-	if !ok {
+	if key == "" {
 		// No stable identity — run without dedupe. Nobody can attach,
 		// so the submitter's context may bound the whole slot wait.
-		r, fromCache, err = d.execute(waitCtx, j, cl)
+		r, fromCache, err = d.execute(waitCtx, j, "", cl)
 		return r, fromCache, false, err
 	}
 
@@ -399,7 +410,7 @@ func (d *Daemon) runJob(waitCtx context.Context, j *jobs.Job, cl class) (r *stat
 		case <-f.done:
 			mDeduped.Inc()
 			d.cfg.Trace.Emit(obs.Span{
-				Event: "done", Key: key, Kernel: jobLabel(j), Sched: schedLabel(j),
+				Event: "done", Key: key, Kernel: j.Label(), Sched: j.SchedLabel(),
 				Outcome: obs.OutcomeDeduped, DurationMS: obs.Millis(time.Since(start)),
 				SimCycles: simCycles(f.res),
 			})
@@ -414,7 +425,7 @@ func (d *Daemon) runJob(waitCtx context.Context, j *jobs.Job, cl class) (r *stat
 
 	// Leader: from here on the run belongs to every attached follower,
 	// so it waits and executes under d.baseCtx, not waitCtx.
-	f.res, f.fromCache, f.err = d.execute(d.baseCtx, j, cl)
+	f.res, f.fromCache, f.err = d.execute(d.baseCtx, j, key, cl)
 	d.mu.Lock()
 	delete(d.inflight, key)
 	d.mu.Unlock()
@@ -422,12 +433,12 @@ func (d *Daemon) runJob(waitCtx context.Context, j *jobs.Job, cl class) (r *stat
 	return f.res, f.fromCache, false, f.err
 }
 
-// execute waits for a worker slot and runs j through the engine. The
-// run itself is bound to the daemon's lifetime (plus JobTimeout), not
-// to the submitting request: followers may be attached to it. waitCtx
-// only bounds the slot wait (callers running on behalf of followers
-// pass d.baseCtx).
-func (d *Daemon) execute(waitCtx context.Context, j *jobs.Job, cl class) (*stats.KernelResult, bool, error) {
+// execute waits for a worker slot and runs j (cache key key, "" without
+// one) through the engine. The run itself is bound to the daemon's
+// lifetime (plus JobTimeout), not to the submitting request: followers
+// may be attached to it. waitCtx only bounds the slot wait (callers
+// running on behalf of followers pass d.baseCtx).
+func (d *Daemon) execute(waitCtx context.Context, j *jobs.Job, key string, cl class) (*stats.KernelResult, bool, error) {
 	if err := d.disp.acquire(waitCtx, d.baseCtx, cl); err != nil {
 		return nil, false, err
 	}
@@ -446,7 +457,7 @@ func (d *Daemon) execute(waitCtx context.Context, j *jobs.Job, cl class) (*stats
 		ctx, cancel = context.WithTimeout(ctx, d.cfg.JobTimeout)
 		defer cancel()
 	}
-	return d.eng.RunJob(ctx, j)
+	return d.eng.RunJobKeyed(ctx, j, key)
 }
 
 // reject refuses a batch before any job ran: it counts the rejection
@@ -510,8 +521,8 @@ func (d *Daemon) submitPoolSize(n int) int {
 // and do not abort the rest of the batch.
 //
 // Admission happens before the stream starts, in order: tenant
-// authentication (401), drain check (503), body and priority parsing
-// (400), batch-size cap (413), tenant rate limit and in-flight quota
+// authentication (401), drain check (503), body cap (413) and parsing
+// (400), job-count cap (413), tenant rate limit and in-flight quota
 // (429), per-class queue capacity (429). Every 429 carries Retry-After.
 func (d *Daemon) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
@@ -527,8 +538,17 @@ func (d *Daemon) handleBatch(w http.ResponseWriter, r *http.Request) {
 		d.reject(w, tn, http.StatusServiceUnavailable, "draining", "daemon is draining", 2*time.Second)
 		return
 	}
-	var req BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	var req struct { // BatchRequest, its jobs left as bytes for decodeJob
+		Jobs     []json.RawMessage `json:"jobs"`
+		Priority string            `json:"priority"`
+	}
+	bodyCap := maxJobBytes * int64(d.cfg.MaxBatchJobs)
+	r.Body = http.MaxBytesReader(w, r.Body, bodyCap)
+	if err := json.NewDecoder(r.Body).Decode(&req); errors.As(err, new(*http.MaxBytesError)) {
+		d.reject(w, tn, http.StatusRequestEntityTooLarge, "body_size",
+			fmt.Sprintf("batch body exceeds the %d-byte cap; split it", bodyCap), 0)
+		return
+	} else if err != nil {
 		http.Error(w, "bad batch: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -542,23 +562,19 @@ func (d *Daemon) handleBatch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	js := make([]jobs.Job, len(req.Jobs))
+	js := make([]*memoJob, len(req.Jobs))
 	cls := make([]class, len(req.Jobs))
 	var nByClass [numClasses]int
-	for i := range req.Jobs {
-		j, err := req.Jobs[i].Job()
+	for i, raw := range req.Jobs {
+		mj, err := d.decodeJob(raw)
+		if cls[i] = defCl; err == nil && mj.priority != "" {
+			cls[i], err = parseClass(mj.priority)
+		}
 		if err != nil {
 			http.Error(w, fmt.Sprintf("bad job %d: %v", i, err), http.StatusBadRequest)
 			return
 		}
-		js[i] = j
-		cls[i] = defCl
-		if p := req.Jobs[i].Priority; p != "" {
-			if cls[i], err = parseClass(p); err != nil {
-				http.Error(w, fmt.Sprintf("bad job %d: %v", i, err), http.StatusBadRequest)
-				return
-			}
-		}
+		js[i] = mj
 		nByClass[cls[i]]++
 	}
 
@@ -648,7 +664,8 @@ func (d *Daemon) handleBatch(w http.ResponseWriter, r *http.Request) {
 			streamDead = true
 			return
 		}
-		if flusher != nil {
+		// The last job event rides with the batch line written right after.
+		if flusher != nil && seq < len(js) {
 			flusher.Flush()
 		}
 	}
@@ -671,13 +688,13 @@ func (d *Daemon) handleBatch(w http.ResponseWriter, r *http.Request) {
 					results[i] = JobResult{Err: "submission canceled: " + err.Error()}
 					continue
 				}
-				res, fromCache, deduped, err := d.runJob(r.Context(), &js[i], cls[i])
+				res, fromCache, deduped, err := d.runJob(r.Context(), js[i], cls[i])
 				tn.done(1)
 				ev := Event{
 					Type:      "job",
 					Index:     i,
-					Kernel:    jobLabel(&js[i]),
-					Scheduler: schedLabel(&js[i]),
+					Kernel:    js[i].job.Label(),
+					Scheduler: js[i].job.SchedLabel(),
 					FromCache: fromCache,
 					Deduped:   deduped,
 				}
@@ -814,7 +831,3 @@ func (d *Daemon) handleGC(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(st)
 }
-
-// jobLabel and schedLabel name a job in event reporting.
-func jobLabel(j *jobs.Job) string   { return j.Label() }
-func schedLabel(j *jobs.Job) string { return j.SchedLabel() }

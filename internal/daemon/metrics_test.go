@@ -57,10 +57,13 @@ func TestMetricsEndpointServesPrometheus(t *testing.T) {
 		"prosimd_batches_total",
 		"prosimd_http_requests_total",
 		"prosimd_jobs_inflight",
+		"prosimd_wire_memo_hits_total",
+		"prosimd_wire_memo_misses_total",
 		"jobs_completed_total",
 		"jobs_simulated_total",
 		"jobs_sim_duration_seconds_bucket",
 		"resultcache_hits_total",
+		"resultcache_front_hits_total",
 		"resultcache_written_bytes_total",
 		"sim_heartbeats_total",
 		"sim_flight_runs_total",

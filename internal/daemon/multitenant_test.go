@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -23,6 +24,7 @@ import (
 
 	"repro/internal/gpu"
 	"repro/internal/jobs"
+	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/workloads"
 )
@@ -83,6 +85,13 @@ func batchBody(t *testing.T, js []jobs.Job, priority string) []byte {
 	return body
 }
 
+// keyedJob is what decodeJob would hand runJob for j's wire form.
+func keyedJob(d *Daemon, j jobs.Job) *memoJob {
+	mj := &memoJob{job: j}
+	mj.key, _, mj.keyErr = d.eng.Key(&mj.job)
+	return mj
+}
+
 // TestLeaderDisconnectDuringSlotWaitDoesNotPoisonFollowers is the
 // regression test for the context-poisoning bug: a leader that
 // registered a flight but was still waiting for a worker slot used to
@@ -98,7 +107,7 @@ func TestLeaderDisconnectDuringSlotWaitDoesNotPoisonFollowers(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		d.runJob(context.Background(), &blocker, classInteractive)
+		d.runJob(context.Background(), keyedJob(d, blocker), classInteractive)
 	}()
 	waitFor(t, "blocker to hold the slot", func() bool { return d.running.Load() == 1 })
 
@@ -110,7 +119,7 @@ func TestLeaderDisconnectDuringSlotWaitDoesNotPoisonFollowers(t *testing.T) {
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, _, _, err := d.runJob(leaderCtx, &shared, classInteractive)
+		_, _, _, err := d.runJob(leaderCtx, keyedJob(d, shared), classInteractive)
 		leaderErr <- err
 	}()
 	waitFor(t, "leader to register its flight", func() bool {
@@ -122,7 +131,7 @@ func TestLeaderDisconnectDuringSlotWaitDoesNotPoisonFollowers(t *testing.T) {
 	var followerRes *stats.KernelResult
 	followerErr := make(chan error, 1)
 	go func() {
-		r, _, _, err := d.runJob(context.Background(), &shared, classInteractive)
+		r, _, _, err := d.runJob(context.Background(), keyedJob(d, shared), classInteractive)
 		followerRes = r
 		followerErr <- err
 	}()
@@ -195,6 +204,43 @@ func TestOversizeBatchRejectedWith413(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("3-job batch against a 2-job cap: status %d, want 413", resp.StatusCode)
+	}
+}
+
+// TestOversizeBodyRejected: the body is capped (maxJobBytes per job the
+// batch may carry) before it is parsed, so a client cannot make the
+// daemon buffer an unbounded request; the refusal is a counted 413 like
+// the job-count cap's. A body just under the cap is parsed as usual.
+func TestOversizeBodyRejected(t *testing.T) {
+	d, c := newTestDaemon(t, Config{Workers: 1, MaxBatchJobs: 2})
+	padded := func(n int) []byte {
+		return []byte(`{"jobs":[{"scheduler":"PRO","kernel":"` + strings.Repeat("a", n) + `"}]}`)
+	}
+	refusals := obs.NewCounter(obs.Labeled("prosimd_rejected_total", "reason", "body_size"), "")
+	before, counted := d.rejected.Load(), refusals.Value()
+	resp, err := http.Post(c.base+"/v1/batch", "application/json", bytes.NewReader(padded(2*maxJobBytes)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(msg), "body exceeds") {
+		t.Fatalf("body over the cap: status %d (%s), want 413", resp.StatusCode, msg)
+	}
+	if got := d.rejected.Load() - before; got != 1 || refusals.Value()-counted != 1 {
+		t.Fatalf("oversize body counted %d refusals (%d by reason), want 1 and 1", got, refusals.Value()-counted)
+	}
+	resp, err = http.Post(c.base+"/v1/batch", "application/json", bytes.NewReader(padded(2*maxJobBytes-100)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "no launch") {
+		t.Fatalf("body under the cap: status %d (%s), want the job's own 400", resp.StatusCode, msg)
+	}
+	if len(d.memo) != 0 {
+		t.Fatalf("a job that failed to decode entered the memo (%d entries)", len(d.memo))
 	}
 }
 

@@ -14,6 +14,8 @@
 package daemon
 
 import (
+	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -85,6 +87,63 @@ func (wj *WireJob) Job() (jobs.Job, error) {
 		j.Scheduler = wj.Scheduler
 	}
 	return j, nil
+}
+
+// memoJob is a decoded wire job as the memo holds it: the job (shared
+// read-only by every request sending the same bytes), its own priority,
+// and Engine.Key's verdict on it — key "" for none, and the error, so an
+// unknown scheduler keeps failing that job and not the batch.
+type memoJob struct {
+	job           jobs.Job
+	priority, key string
+	keyErr        error
+}
+
+// maxJobBytes is the per-job share of the /v1/batch body cap and the
+// largest wire job the memo keeps: ~50× the largest Table II job.
+const maxJobBytes = 128 << 10
+
+// memoBudget bounds the memo by the summed wire bytes of its jobs (~3 500
+// paper-grid jobs; decoded, a hostile `{}`-stuffed program is ~12× its
+// bytes). Reaching it empties the memo: repeat traffic refills it in one
+// pass, cheaper than keeping an LRU list per hit.
+const memoBudget = 8 << 20
+
+// decodeJob is the only way a wire job becomes a jobs.Job. A memo hit
+// returns what decoding the same bytes produced earlier; a miss decodes,
+// resolves and keys the job, and remembers it unless it failed to decode.
+// The bytes are untrusted, hence a cryptographic hash; kernel, cost and
+// priority are inside them, so jobs differing only there never alias,
+// and another encoding of one job is a miss that lands on the same key.
+func (d *Daemon) decodeJob(raw []byte) (*memoJob, error) {
+	sum := sha256.Sum256(raw)
+	d.memoMu.Lock()
+	mj := d.memo[sum]
+	d.memoMu.Unlock()
+	if mj != nil {
+		mMemoHits.Inc()
+		return mj, nil
+	}
+	mMemoMisses.Inc()
+	var wj WireJob
+	err := json.Unmarshal(raw, &wj)
+	mj = &memoJob{priority: wj.Priority}
+	if err == nil {
+		mj.job, err = wj.Job()
+	}
+	if err != nil {
+		return nil, err
+	}
+	mj.key, _, mj.keyErr = d.eng.Key(&mj.job)
+	if len(raw) <= maxJobBytes {
+		d.memoMu.Lock()
+		if d.memoBytes += len(raw); d.memo == nil || d.memoBytes > memoBudget {
+			d.memo, d.memoBytes = make(map[[sha256.Size]byte]*memoJob), len(raw)
+		}
+		d.memo[sum] = mj
+		d.memoMu.Unlock()
+	}
+	return mj, nil
 }
 
 // FromJob converts a local job to wire form. A factory job is

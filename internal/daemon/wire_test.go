@@ -113,7 +113,10 @@ func TestWireJobLegacySMWorkersIgnored(t *testing.T) {
 // decoder: json.Unmarshal into a WireJob, then Job(). Either step may
 // fail; a job that comes out must survive the validation RunContext
 // performs first (Config.Validate, then Launch.Validate) with an error
-// or nil — never a panic. `make fuzz` runs it for 10 s; the seeds run
+// or nil — never a panic. The same bytes also go through decodeJob, the
+// memoising path /v1/batch takes, twice — a miss, then usually a hit —
+// and it must accept exactly what the plain decode accepts, with the
+// same scheduler and label. `make fuzz` runs it for 10 s; the seeds run
 // under plain `go test`.
 func FuzzWireJobToJob(f *testing.F) {
 	js := quickBatch(f)
@@ -134,13 +137,29 @@ func FuzzWireJobToJob(f *testing.F) {
 	composed.Scheduler = "PRO+threshold=500"
 	f.Add(seed(composed))
 	f.Add([]byte(`{"scheduler":"PRO"}`))
+	f.Add([]byte(`{"launch":7}`))
+	d, err := New(Config{Workers: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var wj WireJob
-		if err := json.Unmarshal(data, &wj); err != nil {
-			return
+		err := json.Unmarshal(data, &wj)
+		var j jobs.Job
+		if err == nil {
+			j, err = wj.Job()
 		}
-		j, err := wj.Job()
+		for pass := 0; pass < 2; pass++ {
+			mj, derr := d.decodeJob(data)
+			if (derr == nil) != (err == nil) {
+				t.Fatalf("pass %d: decodeJob says %v, Unmarshal+Job() says %v", pass, derr, err)
+			}
+			if derr == nil && (mj.job.SchedLabel() != j.SchedLabel() || mj.job.Label() != j.Label() || mj.priority != wj.Priority) {
+				t.Fatalf("pass %d: decodeJob returned %s/%s priority %q, the plain decode %s/%s priority %q",
+					pass, mj.job.Label(), mj.job.SchedLabel(), mj.priority, j.Label(), j.SchedLabel(), wj.Priority)
+			}
+		}
 		if err != nil {
 			return
 		}

@@ -297,7 +297,7 @@ func (e *Engine) Run(ctx context.Context, js []Job) ([]*stats.KernelResult, erro
 				if ctx.Err() != nil {
 					return
 				}
-				r, fromCache, err := e.runOne(ctx, &js[i])
+				r, fromCache, err := e.runOne(ctx, &js[i], "")
 				if err != nil {
 					fail(fmt.Errorf("jobs: job %d (%s/%s): %w",
 						i, js[i].label(), js[i].schedLabel(), err))
@@ -382,6 +382,23 @@ func (j *Job) resolve() (engine.Factory, string, error) {
 	return f, j.Scheduler, nil
 }
 
+// defaultConfig stands in for a nil Job.Config; shared, because keying
+// and simulation only read a config (a batch's jobs already share one).
+var defaultConfig = config.GTX480()
+
+// key hashes j's identity under the resolved scheduler identity schedID
+// at the schema version of the engine's cache (the current one without).
+func (e *Engine) key(j *Job, schedID string) (string, error) {
+	desc := cacheKey{Config: j.Config, Launch: j.Launch, Scheduler: schedID, Options: j.Options}
+	if desc.Config == nil {
+		desc.Config = defaultConfig
+	}
+	if e.Cache != nil {
+		return e.Cache.Key(desc)
+	}
+	return resultcache.Key(resultcache.SchemaVersion, desc)
+}
+
 // Key returns the content-addressed identity of j — the exact key the
 // result cache files its entry under — and whether j has one (jobs with
 // an anonymous factory do not). The key is stable across processes and
@@ -392,16 +409,7 @@ func (e *Engine) Key(j *Job) (key string, ok bool, err error) {
 	if err != nil || schedID == "" {
 		return "", false, err
 	}
-	cfg := j.Config
-	if cfg == nil {
-		cfg = config.GTX480()
-	}
-	desc := cacheKey{Config: cfg, Launch: j.Launch, Scheduler: schedID, Options: j.Options}
-	if e.Cache != nil {
-		key, err = e.Cache.Key(desc)
-	} else {
-		key, err = resultcache.Key(resultcache.SchemaVersion, desc)
-	}
+	key, err = e.key(j, schedID)
 	return key, err == nil, err
 }
 
@@ -417,12 +425,12 @@ func Key(j *Job) (key string, ok bool, err error) {
 
 // runOne resolves, memoizes and executes a single job, converting any
 // panic into an error. ctx aborts an in-flight simulation within a
-// bounded delay (see gpu.RunContext). Every call feeds the process
-// metrics and, when the engine has a tracer, emits a submit/done span
-// pair.
-func (e *Engine) runOne(ctx context.Context, j *Job) (r *stats.KernelResult, fromCache bool, err error) {
+// bounded delay (see gpu.RunContext). key is j's Engine.Key when the
+// caller already holds it; given "", runOne computes it if anything
+// needs it. Every call feeds the process metrics and, when the engine
+// has a tracer, emits a submit/done span pair.
+func (e *Engine) runOne(ctx context.Context, j *Job, key string) (r *stats.KernelResult, fromCache bool, err error) {
 	start := time.Now()
-	var key string
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("panic: %v\n%s", p, debug.Stack())
@@ -432,7 +440,7 @@ func (e *Engine) runOne(ctx context.Context, j *Job) (r *stats.KernelResult, fro
 
 	cfg := j.Config
 	if cfg == nil {
-		cfg = config.GTX480()
+		cfg = defaultConfig
 	}
 	factory, schedID, err := j.resolve()
 	if err != nil {
@@ -441,14 +449,8 @@ func (e *Engine) runOne(ctx context.Context, j *Job) (r *stats.KernelResult, fro
 
 	store := e.store()
 	cacheable := store != nil && schedID != ""
-	if cacheable || (e.Trace != nil && schedID != "") {
-		desc := cacheKey{Config: cfg, Launch: j.Launch, Scheduler: schedID, Options: j.Options}
-		if e.Cache != nil {
-			key, err = e.Cache.Key(desc)
-		} else {
-			key, err = resultcache.Key(resultcache.SchemaVersion, desc)
-		}
-		if err != nil {
+	if key == "" && (cacheable || (e.Trace != nil && schedID != "")) {
+		if key, err = e.key(j, schedID); err != nil {
 			return nil, false, err
 		}
 	}
@@ -577,10 +579,17 @@ func (e *Engine) observeDone(j *Job, key string, r *stats.KernelResult, fromCach
 // concurrency, progress streaming and dedupe live above the engine. It
 // additionally reports whether the result was replayed from the cache.
 func (e *Engine) RunJob(ctx context.Context, j *Job) (*stats.KernelResult, bool, error) {
+	return e.RunJobKeyed(ctx, j, "")
+}
+
+// RunJobKeyed is RunJob for a caller that already computed j's key: key
+// must be what e.Key(j) returned ("" when j has none), and saves the
+// engine hashing the job a second time.
+func (e *Engine) RunJobKeyed(ctx context.Context, j *Job, key string) (*stats.KernelResult, bool, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, false, fmt.Errorf("jobs: %w", err)
 	}
-	r, fromCache, err := e.runOne(ctx, j)
+	r, fromCache, err := e.runOne(ctx, j, key)
 	if err != nil {
 		return nil, false, fmt.Errorf("jobs: job (%s/%s): %w", j.label(), j.schedLabel(), err)
 	}

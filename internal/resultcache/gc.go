@@ -48,11 +48,11 @@ const tmpMaxAge = time.Hour
 // GC evicts least-recently-used entries until the cache fits in maxBytes
 // (the on-disk size of the entry files; maxBytes <= 0 empties the
 // cache). Recency is the entry's access time where the filesystem
-// tracks one — Get touches its entry's timestamps explicitly, so
-// relatime/noatime mounts still observe hits — with the modification
-// time as fallback. Concurrent writers are safe: eviction races at
-// worst delete an entry that was just re-read, which is a future cache
-// miss, never an error.
+// tracks one — Get touches its entry's timestamps explicitly (a hot
+// entry's at least once per touchEvery), so relatime/noatime mounts
+// still observe hits — with the modification time as fallback. Evicted
+// keys leave the decoded front too. Concurrent writers are safe: an
+// eviction race at worst deletes an entry that was just re-read.
 func (c *Cache) GC(maxBytes int64) (GCStats, error) {
 	type entry struct {
 		path string
@@ -105,6 +105,9 @@ func (c *Cache) GC(maxBytes int64) (GCStats, error) {
 			}
 			return st, fmt.Errorf("resultcache: gc: %w", err)
 		}
+		c.mu.Lock()
+		c.forget(strings.TrimSuffix(filepath.Base(e.path), ".json"))
+		c.mu.Unlock()
 		total -= e.size
 		st.Evicted++
 		st.Freed += e.size
@@ -143,13 +146,6 @@ func (c *Cache) gcTmp(st *GCStats) error {
 		st.Freed += fi.Size()
 	}
 	return nil
-}
-
-// touch marks key's entry as recently used. Best effort: a missing
-// entry or read-only directory is not an error.
-func (c *Cache) touch(key string) {
-	now := time.Now()
-	_ = os.Chtimes(c.path(key), now, now)
 }
 
 // ParseSize parses a human-friendly byte size: a plain integer is

@@ -20,7 +20,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/stats"
@@ -35,6 +37,7 @@ var (
 	mWrites     = obs.NewCounter("resultcache_writes_total", "successful cache Puts")
 	mBytesRead  = obs.NewCounter("resultcache_read_bytes_total", "bytes read by cache hits")
 	mBytesWrite = obs.NewCounter("resultcache_written_bytes_total", "bytes written by cache Puts")
+	mFrontHits  = obs.NewCounter("resultcache_front_hits_total", "cache hits served from the decoded in-memory front (a subset of hits)")
 )
 
 // SchemaVersion is the cache format generation. Bump it whenever the
@@ -64,7 +67,32 @@ type Cache struct {
 	gcRuns    atomic.Int64
 	gcEvicted atomic.Int64
 	gcFreed   atomic.Int64
+
+	// The decoded front (DESIGN.md §9.5): results Get read from disk and
+	// validated, by key; entries are immutable, so callers share them.
+	now         func() time.Time // the touch clock; tests inject one
+	frontBudget int64            // frontBudgetBytes; tests shrink it
+	mu          sync.Mutex
+	front       map[string]*frontEntry
+	frontBytes  int64
 }
+
+// frontEntry is one decoded result in the front. size is its encoded
+// length: the budget's unit, and what a hit adds to BytesRead.
+type frontEntry struct {
+	res     *stats.KernelResult
+	size    int64
+	touched time.Time
+}
+
+// frontBudgetBytes bounds the front by summed encoded entry bytes (~60 000
+// ordinary 0.5 KB entries). An entry over 1/32 of it — a Timeline-bearing
+// result — bypasses the front, so one large result cannot flush the rest.
+const frontBudgetBytes = 32 << 20
+
+// touchEvery is how often a front-served entry's file timestamps are
+// refreshed — often enough that GC's LRU still sees a hot key as hot.
+const touchEvery = time.Minute
 
 // envelope is the on-disk wrapper: the version and key guard against
 // reading entries written by a different schema or a corrupted file.
@@ -87,7 +115,8 @@ func OpenVersion(dir string, version int) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("resultcache: %w", err)
 	}
-	return &Cache{dir: dir, version: version}, nil
+	return &Cache{dir: dir, version: version, now: time.Now,
+		frontBudget: frontBudgetBytes, front: make(map[string]*frontEntry)}, nil
 }
 
 // Dir returns the cache directory.
@@ -117,27 +146,74 @@ func Key(version int, desc any) (string, error) {
 func (c *Cache) path(key string) string { return filepath.Join(c.dir, key+".json") }
 
 // Get returns the cached result for key, or (nil, false) on any kind of
-// miss — absent, unreadable, corrupt, or from a different schema.
+// miss — absent, unreadable, corrupt, or from a different schema. The
+// result may be shared with other callers: treat it as read-only.
 func (c *Cache) Get(key string) (*stats.KernelResult, bool) {
-	data, err := os.ReadFile(c.path(key))
-	if err != nil {
-		c.misses.Add(1)
-		mMisses.Inc()
-		return nil, false
+	now := c.now()
+	c.mu.Lock()
+	fe := c.front[key]
+	stale := fe != nil && now.Sub(fe.touched) >= touchEvery
+	if stale {
+		fe.touched = now
 	}
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil ||
+	c.mu.Unlock()
+	if fe != nil {
+		mFrontHits.Inc()
+		c.hit(key, fe.size, stale)
+		return fe.res, true
+	}
+	data, env, ok := c.readEntry(key)
+	if size := int64(len(data)); ok && size <= c.frontBudget/32 {
+		c.mu.Lock()
+		c.forget(key) // a racing Get of the same key may have filled it
+		for k := range c.front {
+			if c.frontBytes+size <= c.frontBudget {
+				break
+			}
+			c.forget(k)
+		}
+		c.front[key] = &frontEntry{res: env.Result, size: size, touched: now}
+		c.frontBytes += size
+		c.mu.Unlock()
+	}
+	return env.Result, ok
+}
+
+// forget drops key from the front; c.mu must be held.
+func (c *Cache) forget(key string) {
+	if fe := c.front[key]; fe != nil {
+		delete(c.front, key)
+		c.frontBytes -= fe.size
+	}
+}
+
+// readEntry reads key's entry from disk and validates its envelope,
+// counting a hit or a miss. Shared by Get and the HTTP store, whose
+// reads on behalf of a peer daemon are hits of this cache like any other.
+func (c *Cache) readEntry(key string) (data []byte, env envelope, ok bool) {
+	data, err := os.ReadFile(c.path(key))
+	if err != nil || json.Unmarshal(data, &env) != nil ||
 		env.Schema != c.version || env.Key != key || env.Result == nil {
 		c.misses.Add(1)
 		mMisses.Inc()
-		return nil, false
+		return nil, envelope{}, false
 	}
+	c.hit(key, int64(len(data)), true)
+	return data, env, true
+}
+
+// hit counts one successful read of an entry of size encoded bytes and,
+// when touch is set, marks its file as recently used — best effort: a
+// vanished entry or a read-only directory is not an error.
+func (c *Cache) hit(key string, size int64, touch bool) {
 	c.hits.Add(1)
-	c.bytesRead.Add(int64(len(data)))
+	c.bytesRead.Add(size)
 	mHits.Inc()
-	mBytesRead.Add(int64(len(data)))
-	c.touch(key)
-	return env.Result, true
+	mBytesRead.Add(size)
+	if touch {
+		now := c.now()
+		_ = os.Chtimes(c.path(key), now, now)
+	}
 }
 
 // errBadEnvelope rejects store PUTs whose body is not a valid envelope

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"os"
 	"strings"
 )
 
@@ -28,7 +27,7 @@ func StoreHandler(c *Cache) http.Handler {
 		}
 		switch r.Method {
 		case http.MethodGet, http.MethodHead:
-			data, ok := c.getRaw(key)
+			data, _, ok := c.readEntry(key)
 			if !ok {
 				http.NotFound(w, r)
 				return
@@ -59,32 +58,6 @@ func StoreHandler(c *Cache) http.Handler {
 			http.Error(w, "GET, HEAD or PUT required", http.StatusMethodNotAllowed)
 		}
 	})
-}
-
-// getRaw returns the stored envelope bytes for key after the same
-// validation Get performs, counting a hit or miss on the cache's own
-// counters — a store hit served to a peer daemon is still a hit of
-// this cache.
-func (c *Cache) getRaw(key string) ([]byte, bool) {
-	data, err := os.ReadFile(c.path(key))
-	if err != nil {
-		c.misses.Add(1)
-		mMisses.Inc()
-		return nil, false
-	}
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil ||
-		env.Schema != c.version || env.Key != key || env.Result == nil {
-		c.misses.Add(1)
-		mMisses.Inc()
-		return nil, false
-	}
-	c.hits.Add(1)
-	c.bytesRead.Add(int64(len(data)))
-	mHits.Inc()
-	mBytesRead.Add(int64(len(data)))
-	c.touch(key)
-	return data, true
 }
 
 // putRaw validates data as an envelope for key at this cache's schema
