@@ -82,10 +82,15 @@ identity:
 	diff -r "$$tmp/cache-base" "$$tmp/cache-tree"; cmp "$$tmp/out-base" "$$tmp/out-tree"; \
 	echo "identity: $$(find "$$tmp/cache-tree" -type f | wc -l) result-cache entries and the printed table identical to $(BASE)"
 
-# Fuzz the daemon's wire-job decoder (untrusted bytes off the socket)
-# for 10 s; its seed corpus also runs under plain `go test`.
+# Fuzz every target of the daemon's untrusted-input boundary (the
+# /v1/batch splitter, the wire-job decoder) for 10 s each, one after the
+# other (-fuzz takes one target per run); the seeds also run under plain
+# `go test`.
+FUZZ_TARGETS := FuzzSplitBatch FuzzWireJobToJob
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzWireJobToJob -fuzztime 10s ./internal/daemon
+	@set -e; for f in $(FUZZ_TARGETS); do \
+		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s ./internal/daemon; \
+	done
 
 # The bench harnesses must always compile (they are easy to break
 # silently: a refactor of the experiment API can leave stale root
@@ -110,10 +115,12 @@ daemontest:
 # (mutation-checked), another encoding of a job must miss the memo and
 # land on the same key, a memoised factory job must re-simulate to the
 # same result, /v1/batch's bytes are pinned against the commit before
-# the memo, and the result cache's decoded front must count, evict,
-# bypass, drop on GC and touch as a disk hit would.
+# the memo, the one-pass body read must answer a corpus of bodies as the
+# streaming decoder did (mutation-checked) and the splitter may only
+# accept what that decoder accepts, and the result cache's decoded front
+# must count, evict, bypass, drop on GC and touch as a disk hit would.
 servetest:
-	$(GO) test -race -count=1 -run 'TestMemo|TestReencodedJob|TestBatchWireFormatPinned|FuzzWireJobToJob|TestFront|TestCorruptEntryFallsBackToMiss|TestKeyMatchesCachedEntries' ./internal/daemon ./internal/resultcache ./internal/jobs
+	$(GO) test -race -count=1 -run 'TestMemo|TestReencodedJob|TestBatchWireFormatPinned|TestBatchReadMatchesReference|FuzzSplitBatch|FuzzWireJobToJob|TestFront|TestCorruptEntryFallsBackToMiss|TestKeyMatchesCachedEntries' ./internal/daemon ./internal/resultcache ./internal/jobs
 
 # Telemetry smoke under the race detector: the /metrics acceptance test
 # (valid Prometheus exposition after real work), the pprof/expvar debug
@@ -211,7 +218,7 @@ profile-grid:
 # lines a peek cannot show (syscalls, GC, malloc). Shares are of all
 # samples, the benchmark's own cache pre-fill included (~10 %). The
 # profile stays in a temp dir.
-SERVE_PEEK := daemon\.\(\*Daemon\)\.(handleBatch(\.func[12])?|runJob|decodeJob)$$|daemon\.\(\*Client\)\.Run$$|jobs\.\(\*Engine\)\.runOne$$
+SERVE_PEEK := daemon\.\(\*Daemon\)\.(readBatch|serveBatch(\.func[12])?|runJob|decodeJob)$$|daemon\.splitBatch$$|daemon\.\(\*Client\)\.Run$$|jobs\.\(\*Engine\)\.runOne$$
 profile-serve:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) test -run '^$$' -bench ServeWarm -benchtime 5000x -o "$$tmp/daemon.test" \

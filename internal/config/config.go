@@ -222,6 +222,7 @@ func (c *Config) Validate() error {
 		{c.SFUQueueDepth > 0, "SFUQueueDepth must be positive"},
 		{c.MemQueueDepth > 0, "MemQueueDepth must be positive"},
 		{c.SharedBanks > 0, "SharedBanks must be positive"},
+		{c.SharedBanks <= 64, "SharedBanks must be at most 64"}, // isa.BankPasses' counters
 		{c.L1Size > 0 && c.L1Assoc > 0 && c.L1Line > 0, "L1 geometry must be positive"},
 		{c.L1Line&(c.L1Line-1) == 0, "L1Line must be a power of two"},
 		{c.L1Size%(c.L1Assoc*c.L1Line) == 0, "L1Size must be divisible by L1Assoc*L1Line"},

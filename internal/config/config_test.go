@@ -58,6 +58,8 @@ func TestValidateCatchesEachBrokenField(t *testing.T) {
 		{"row miss lt hit", func(c *Config) { c.DRAMRowMiss = c.DRAMRowHit - 1 }, "DRAMRowMiss"},
 		{"small row", func(c *Config) { c.DRAMRowBytes = 64 }, "DRAMRowBytes"},
 		{"zero ibuf", func(c *Config) { c.IBufferEntries = 0 }, "IBufferEntries"},
+		{"zero banks", func(c *Config) { c.SharedBanks = 0 }, "SharedBanks must be positive"},
+		{"128 banks", func(c *Config) { c.SharedBanks = 128 }, "SharedBanks must be at most 64"},
 		{"warps not divisible", func(c *Config) { c.SchedulersPerSM = 5 }, "schedulers"},
 	}
 	for _, m := range mutations {

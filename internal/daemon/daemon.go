@@ -30,11 +30,14 @@
 package daemon
 
 import (
+	"bytes"
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -538,46 +541,84 @@ func (d *Daemon) handleBatch(w http.ResponseWriter, r *http.Request) {
 		d.reject(w, tn, http.StatusServiceUnavailable, "draining", "daemon is draining", 2*time.Second)
 		return
 	}
+	if js, cls, ok := d.readBatch(w, r, tn); ok {
+		d.serveBatch(w, r, tn, js, cls)
+	}
+}
+
+// readBatch reads the body once and splits it in one pass; any refusal is
+// left to the reference, the decoder over the same bytes and read error
+// (DESIGN.md §9.5). ok false means it answered (400 or a counted 413).
+func (d *Daemon) readBatch(w http.ResponseWriter, r *http.Request, tn *tenant) ([]*memoJob, []class, bool) {
+	bodyCap := maxJobBytes * int64(d.cfg.MaxBatchJobs)
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= bodyCap {
+		buf.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF
+	}
+	_, rerr := buf.ReadFrom(http.MaxBytesReader(w, r.Body, bodyCap))
+	if raws, priority, ok := splitBatch(buf.Bytes()); ok && rerr == nil && len(raws) <= d.cfg.MaxBatchJobs {
+		if js, cls, err := d.decodeBatch(raws, priority); err == nil {
+			return js, cls, true
+		}
+	}
 	var req struct { // BatchRequest, its jobs left as bytes for decodeJob
 		Jobs     []json.RawMessage `json:"jobs"`
 		Priority string            `json:"priority"`
 	}
-	bodyCap := maxJobBytes * int64(d.cfg.MaxBatchJobs)
-	r.Body = http.MaxBytesReader(w, r.Body, bodyCap)
-	if err := json.NewDecoder(r.Body).Decode(&req); errors.As(err, new(*http.MaxBytesError)) {
+	src := io.MultiReader(bytes.NewReader(buf.Bytes()), errReader{rerr})
+	if err := json.NewDecoder(src).Decode(&req); errors.As(err, new(*http.MaxBytesError)) {
 		d.reject(w, tn, http.StatusRequestEntityTooLarge, "body_size",
 			fmt.Sprintf("batch body exceeds the %d-byte cap; split it", bodyCap), 0)
-		return
+		return nil, nil, false
 	} else if err != nil {
 		http.Error(w, "bad batch: "+err.Error(), http.StatusBadRequest)
-		return
+		return nil, nil, false
 	}
 	if len(req.Jobs) > d.cfg.MaxBatchJobs {
 		d.reject(w, tn, http.StatusRequestEntityTooLarge, "batch_size",
 			fmt.Sprintf("batch of %d jobs exceeds the %d-job cap; split it", len(req.Jobs), d.cfg.MaxBatchJobs), 0)
-		return
+		return nil, nil, false
 	}
-	defCl, err := parseClass(req.Priority)
+	js, cls, err := d.decodeBatch(req.Jobs, req.Priority)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+		return nil, nil, false
 	}
-	js := make([]*memoJob, len(req.Jobs))
-	cls := make([]class, len(req.Jobs))
-	var nByClass [numClasses]int
-	for i, raw := range req.Jobs {
+	return js, cls, true
+}
+
+// errReader replays the error that ended a body read (io.EOF for none).
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, cmp.Or(e.err, io.EOF) }
+
+// decodeBatch decodes jobs and their classes; an error is the 400's text.
+func (d *Daemon) decodeBatch(raws []json.RawMessage, priority string) ([]*memoJob, []class, error) {
+	defCl, err := parseClass(priority)
+	if err != nil {
+		return nil, nil, err
+	}
+	js := make([]*memoJob, len(raws))
+	cls := make([]class, len(raws))
+	for i, raw := range raws {
 		mj, err := d.decodeJob(raw)
 		if cls[i] = defCl; err == nil && mj.priority != "" {
 			cls[i], err = parseClass(mj.priority)
 		}
 		if err != nil {
-			http.Error(w, fmt.Sprintf("bad job %d: %v", i, err), http.StatusBadRequest)
-			return
+			return nil, nil, fmt.Errorf("bad job %d: %v", i, err)
 		}
 		js[i] = mj
-		nByClass[cls[i]]++
 	}
+	return js, cls, nil
+}
 
+// serveBatch admits a decoded batch (rate, quota, queues) and streams it.
+func (d *Daemon) serveBatch(w http.ResponseWriter, r *http.Request, tn *tenant, js []*memoJob, cls []class) {
+	var nByClass [numClasses]int
+	for _, cl := range cls {
+		nByClass[cl]++
+	}
 	if ok, wait := tn.rl.take(len(js), time.Now()); !ok {
 		d.reject(w, tn, http.StatusTooManyRequests, "rate",
 			fmt.Sprintf("tenant %s over its rate limit", tn.name), wait)

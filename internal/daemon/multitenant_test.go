@@ -67,14 +67,18 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // batchBody marshals jobs into a BatchRequest body with a batch-level
-// priority.
-func batchBody(t *testing.T, js []jobs.Job, priority string) []byte {
+// priority, as Client.Run does, each wire job passed through edit (which
+// may be nil) with its index.
+func batchBody(t testing.TB, js []jobs.Job, priority string, edit func(int, *WireJob)) []byte {
 	t.Helper()
 	req := BatchRequest{Jobs: make([]WireJob, len(js)), Priority: priority}
 	for i := range js {
 		wj, err := FromJob(&js[i])
 		if err != nil {
 			t.Fatal(err)
+		}
+		if edit != nil {
+			edit(i, &wj)
 		}
 		req.Jobs[i] = wj
 	}
@@ -174,7 +178,7 @@ func TestFullQueueFastFailsWith429(t *testing.T) {
 		return d.running.Load() == 1 && qi == 2
 	})
 
-	body := batchBody(t, []jobs.Job{slowJobSched(t, "TL")}, "")
+	body := batchBody(t, []jobs.Job{slowJobSched(t, "TL")}, "", nil)
 	resp, err := http.Post(c.base+"/v1/batch", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +201,7 @@ func TestFullQueueFastFailsWith429(t *testing.T) {
 func TestOversizeBatchRejectedWith413(t *testing.T) {
 	_, c := newTestDaemon(t, Config{Workers: 1, MaxBatchJobs: 2})
 	js := []jobs.Job{quickJob(t, "LRR"), quickJob(t, "GTO"), quickJob(t, "TL")}
-	resp, err := http.Post(c.base+"/v1/batch", "application/json", bytes.NewReader(batchBody(t, js, "")))
+	resp, err := http.Post(c.base+"/v1/batch", "application/json", bytes.NewReader(batchBody(t, js, "", nil)))
 	if err != nil {
 		t.Fatal(err)
 	}

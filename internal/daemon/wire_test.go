@@ -138,6 +138,10 @@ func FuzzWireJobToJob(f *testing.F) {
 	f.Add(seed(composed))
 	f.Add([]byte(`{"scheduler":"PRO"}`))
 	f.Add([]byte(`{"launch":7}`))
+	wide := modern
+	wide.Config = config.GTX480()
+	wide.Config.SharedBanks = 128 // more than BankPasses counts: Validate refuses it
+	f.Add(bytes.Replace(seed(wide), []byte(`"SharedBanks"`), []byte(`"sharedBanks"`), 1))
 	d, err := New(Config{Workers: 1})
 	if err != nil {
 		f.Fatal(err)

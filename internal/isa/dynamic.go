@@ -155,15 +155,12 @@ func LineAddrs(dst []uint64, m *MemSpec, kseed uint64, tb, warpInTB, pc int, ite
 // BankPasses returns the number of serialized shared-memory bank passes
 // for the active lanes: 1 for conflict-free (or broadcast) access, k when
 // some bank is touched by k lanes at distinct addresses. banks is the
-// number of shared-memory banks (a power of two in practice).
+// number of shared-memory banks (a power of two in practice, ≤ 64: Validate).
 func BankPasses(m *MemSpec, kseed uint64, tb, warpInTB, pc int, iter int64, activeMask uint32, banks int) int {
 	if activeMask == 0 {
 		return 1
 	}
-	var counts [64]int // supports up to 64 banks
-	if banks > len(counts) {
-		banks = len(counts)
-	}
+	var counts [64]int
 	it := int64(0)
 	if m.IterVaries {
 		it = iter

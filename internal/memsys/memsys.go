@@ -29,7 +29,8 @@ const readReqBytes = 8
 // retryDelay is the back-off before re-offering a refused request. Two call
 // sites: parkL2 (a read refused by the L2 MSHR file — hot, ~97 % of
 // memory_grid's L2 accesses, hence the stamp and the train) and enqueueDRAM
-// (a full channel queue — under 1 % of its CPU samples, left a plain event).
+// (a full channel queue: ≈1.75 M plain events per compute_grid run, yet a
+// train made compute_grid only 0–3 % faster — DESIGN.md §8.3).
 const retryDelay = 8
 
 // System is the global-memory hierarchy for one GPU.
