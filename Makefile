@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race fastpath fastforwardtest sleeptest issuetest retrytest identity fuzz benchbuild daemontest servetest obstest clustertest tenanttest flighttest benchdiff benchdiff-write baseline check bench benchquick profile profile-grid profile-serve report papercheck
+.PHONY: build test vet race fastpath fastforwardtest sleeptest issuetest retrytest identity fuzz benchbuild daemontest servetest obstest clustertest tenanttest flighttest check bench profile profile-grid profile-serve report papercheck
 
 build:
 	$(GO) build ./...
@@ -92,14 +92,12 @@ fuzz:
 		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s ./internal/daemon; \
 	done
 
-# The bench harnesses must always compile (they are easy to break
-# silently: a refactor of the experiment API can leave stale root
-# benchmarks behind, and bench/ is a nested module importing
-# repro/internal/... that root `go build ./...` and `go test ./...`
-# never see, so pruning an internal name breaks it with tier-1 green).
+# The benchmark harness must always compile: bench/ is a nested module
+# importing repro/internal/... that root `go build ./...` and
+# `go test ./...` never see, so pruning an internal name breaks it with
+# tier-1 green. (The per-layer rungs are _test.go files of their
+# packages, so `go vet ./...` in check already compiles them.)
 benchbuild:
-	$(GO) vet .
-	$(GO) test -run '^$$' -bench '^$$' .
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # The daemon's concurrency surface (singleflight dedupe, NDJSON stream
@@ -152,34 +150,14 @@ flighttest:
 clustertest:
 	$(GO) test -race -count=1 ./internal/cluster
 
-# Diff the latest bench run against the newest recorded snapshot in
-# results/ (bench-<git-sha>.json). Non-blocking in check: a missing or
-# stale bench.txt should not fail unrelated changes. To advance the
-# baseline after landing a change on main, run `make baseline` — a
-# fresh 5-rep bench run persisted as results/bench-<git-sha>.json,
-# which later `make benchdiff` runs compare against.
-benchdiff:
-	$(GO) run ./cmd/benchdiff -in results/bench.txt
-
-benchdiff-write:
-	$(GO) run ./cmd/benchdiff -in results/bench.txt -write
-
-baseline: bench benchdiff-write
-
 check: vet race fastpath fastforwardtest sleeptest issuetest retrytest daemontest servetest obstest clustertest tenanttest flighttest benchbuild
-	-$(MAKE) benchdiff
 
-# Statistically meaningful bench run for before/after comparisons:
-# 5 repetitions with allocation counts, archived under results/: the
-# whole-simulation paper benches of the root package plus the per-layer
-# rungs that live beside their layer (internal/memsys: L2 retry storm).
+# The per-layer measurement rungs, 5 repetitions with allocation counts,
+# to stdout: SMTickPipelineStall and SMTickIssue (internal/engine),
+# WideGPU (internal/gpu) and L2RetryStorm (internal/memsys). Regressions
+# are judged by bench/ (BENCHMARK.json); these locate them in a layer.
 bench:
-	@mkdir -p results
-	$(GO) test -bench=. -benchmem -count=5 . ./internal/memsys | tee results/bench.txt
-
-# Quick bench pass (one iteration per benchmark, no allocation stats).
-benchquick:
-	$(GO) test -bench=. -benchtime=1x .
+	$(GO) test -run '^$$' -bench . -benchmem -count=5 ./internal/engine ./internal/gpu ./internal/memsys
 
 # CPU + heap profiles of the paper grid (all kernels, the four headline
 # schedulers) into results/, for digging into where a simulated cycle's

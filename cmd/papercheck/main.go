@@ -30,6 +30,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -41,6 +42,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/jobs"
 	"repro/internal/obs"
+	"repro/internal/resultcache"
 	"repro/internal/stats"
 	"repro/internal/workloads"
 	"repro/prosim"
@@ -67,8 +69,15 @@ func main() {
 	flag.Parse()
 
 	if _, err := logCfg.Setup(); err != nil {
-		fmt.Fprintln(os.Stderr, "papercheck:", err)
-		os.Exit(1)
+		fatal(err)
+	}
+	if *cacheGC != "" {
+		if _, err := resultcache.ParseSize(*cacheGC); err != nil {
+			fatal(err)
+		}
+		if *cacheDir == "" {
+			fatal(errors.New("-cache-gc needs -cache"))
+		}
 	}
 
 	if *maxTBs > 0 {
@@ -84,14 +93,12 @@ func main() {
 	}
 	eng, err := jobs.New(*njobs, *cacheDir, progress)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "papercheck:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	suite, err := experiments.RunSuite(workloads.All(),
 		[]string{"TL", "LRR", "GTO", "PRO"}, *maxTBs, eng)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "papercheck:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 
 	f4 := suite.ComputeFig4()
@@ -132,8 +139,7 @@ func main() {
 
 	aes, err := workloads.ByKernel("aesEncrypt128")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "papercheck:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	if *maxTBs > 0 {
 		aes = aes.Shrunk(*maxTBs)
@@ -142,8 +148,7 @@ func main() {
 	spreadOf := func(sched string) int64 {
 		spans, _, err := experiments.Timeline(aes, sched, 0, eng)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "papercheck:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		return finishSpread(spans, batch)
 	}
@@ -154,8 +159,7 @@ func main() {
 
 	trace, err := experiments.OrderTrace(aes, 0, eng)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "papercheck:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	churn := 0
 	for i := 1; i < len(trace); i++ {
@@ -168,8 +172,7 @@ func main() {
 
 	sp, err := workloads.ByKernel("scalarProdGPU")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "papercheck:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	if *maxTBs > 0 {
 		sp = sp.Shrunk(*maxTBs)
@@ -177,8 +180,7 @@ func main() {
 	ablation, err := eng.Run(context.Background(),
 		jobs.Grid([]*workloads.Workload{sp}, []string{"PRO", "PRO-nobar"}, 0, prosim.Options{}))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "papercheck:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	on, off := ablation[0], ablation[1]
 	check("C11", "scalarProd prefers barrier handling off (Sec. IV)",
@@ -195,8 +197,7 @@ func main() {
 	if *cacheGC != "" {
 		st, err := prosim.GCResultCache(*cacheDir, *cacheGC)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "papercheck:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "cache-gc: evicted %d of %d entries, freed %d bytes\n",
 			st.Evicted, st.Entries, st.Freed)
@@ -207,6 +208,11 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("\nall paper claims reproduced")
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "papercheck:", err)
+	os.Exit(1)
 }
 
 func finishSpread(spans []stats.TBSpan, batch int) int64 {

@@ -14,6 +14,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -23,6 +24,7 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/obs"
+	"repro/internal/resultcache"
 	"repro/prosim"
 )
 
@@ -51,6 +53,14 @@ func main() {
 	if _, err := logCfg.Setup(); err != nil {
 		fmt.Fprintln(os.Stderr, "prosim:", err)
 		os.Exit(1)
+	}
+	if *cacheGC != "" {
+		if _, err := resultcache.ParseSize(*cacheGC); err != nil {
+			fatal(err)
+		}
+		if *cacheDir == "" {
+			fatal(errors.New("-cache-gc needs -cache"))
+		}
 	}
 
 	if *cpuprofile != "" {

@@ -30,6 +30,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -43,6 +44,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/jobs"
 	"repro/internal/obs"
+	"repro/internal/resultcache"
 	"repro/internal/viz"
 	"repro/internal/workloads"
 	"repro/prosim"
@@ -70,6 +72,14 @@ func main() {
 	}
 	if *daemonAddr != "" && *workersFlag != "" {
 		fatal(fmt.Errorf("-daemon and -workers are mutually exclusive"))
+	}
+	if *cacheGC != "" {
+		if _, err := resultcache.ParseSize(*cacheGC); err != nil {
+			fatal(err)
+		}
+		if *cacheDir == "" && *daemonAddr == "" {
+			fatal(errors.New("-cache-gc needs -cache"))
+		}
 	}
 
 	emit := func(name, content string) {
@@ -236,17 +246,18 @@ func main() {
 	}
 	emit("table4.txt", experiments.FormatOrderTrace(samples, 16))
 
-	if client != nil {
+	done := fmt.Sprintf("report completed in %.1fs", time.Since(start).Seconds())
+	switch {
+	case eng != nil:
+		done += fmt.Sprintf(" (%d jobs: %d simulated, %d cache hits)",
+			eng.Completed(), eng.Simulated(), eng.Replayed())
+	case client != nil:
 		if st, err := client.Stats(context.Background()); err == nil {
-			fmt.Fprintf(os.Stderr, "report completed in %.1fs (daemon lifetime: %d jobs, %d simulated, %d replayed)\n",
-				time.Since(start).Seconds(), st.Completed, st.Simulated, st.Replayed)
-		} else {
-			fmt.Fprintf(os.Stderr, "report completed in %.1fs\n", time.Since(start).Seconds())
+			done += fmt.Sprintf(" (daemon lifetime: %d jobs, %d simulated, %d replayed)",
+				st.Completed, st.Simulated, st.Replayed)
 		}
-	} else {
-		fmt.Fprintf(os.Stderr, "report completed in %.1fs (%d jobs: %d simulated, %d cache hits)\n",
-			time.Since(start).Seconds(), eng.Completed(), eng.Simulated(), eng.Replayed())
 	}
+	fmt.Fprintln(os.Stderr, done)
 
 	if *cacheGC != "" {
 		var st prosim.CacheGCStats

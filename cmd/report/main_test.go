@@ -2,12 +2,15 @@ package main
 
 import (
 	"bytes"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/daemon"
 )
 
 // TestMain lets the test binary double as the report tool: with the
@@ -19,6 +22,23 @@ func TestMain(m *testing.M) {
 		os.Exit(0)
 	}
 	os.Exit(m.Run())
+}
+
+// runReport re-executes the test binary as the report tool with args and
+// returns what it wrote to stdout and stderr.
+func runReport(t *testing.T, args ...string) (stdout, stderr string, err error) {
+	t.Helper()
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(exe, args...)
+	cmd.Env = append(os.Environ(), "REPORT_TEST_MAIN=1")
+	var out, errOut bytes.Buffer
+	cmd.Stdout = &out
+	cmd.Stderr = &errOut
+	err = cmd.Run()
+	return out.String(), errOut.String(), err
 }
 
 // progressLine matches jobs.PrintProgress output, e.g.
@@ -33,21 +53,13 @@ func TestStdoutCarriesOnlyArtifacts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("re-exec integration test")
 	}
-	exe, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
 	cache := filepath.Join(t.TempDir(), "cache")
-	cmd := exec.Command(exe, "-maxtbs", "2", "-cache", cache)
-	cmd.Env = append(os.Environ(), "REPORT_TEST_MAIN=1")
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout = &stdout
-	cmd.Stderr = &stderr
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("report failed: %v\nstderr:\n%s", err, stderr.String())
+	stdout, stderr, err := runReport(t, "-maxtbs", "2", "-cache", cache)
+	if err != nil {
+		t.Fatalf("report failed: %v\nstderr:\n%s", err, stderr)
 	}
 
-	for i, line := range strings.Split(stdout.String(), "\n") {
+	for i, line := range strings.Split(stdout, "\n") {
 		if progressLine.MatchString(line) {
 			t.Errorf("stdout line %d is a progress line: %q", i+1, line)
 		}
@@ -59,13 +71,13 @@ func TestStdoutCarriesOnlyArtifacts(t *testing.T) {
 		"Fig. 4 — Speedup of PRO over baseline schedulers",
 		"Table III — Improvement in stall cycles with PRO",
 	} {
-		if !strings.Contains(stdout.String(), artifact) {
+		if !strings.Contains(stdout, artifact) {
 			t.Errorf("stdout missing artifact %q", artifact)
 		}
 	}
 
 	var sawProgress, sawTiming bool
-	for _, line := range strings.Split(stderr.String(), "\n") {
+	for _, line := range strings.Split(stderr, "\n") {
 		if progressLine.MatchString(line) {
 			sawProgress = true
 		}
@@ -78,5 +90,61 @@ func TestStdoutCarriesOnlyArtifacts(t *testing.T) {
 	}
 	if !sawTiming {
 		t.Error("no completion timing line on stderr")
+	}
+}
+
+// TestWorkersRunExitsZero runs the report through the cluster
+// coordinator (-workers) against an in-process daemon: every artifact
+// and the completion line must come out and the process must exit 0 —
+// the coordinator path has no local engine to take job counts from.
+func TestWorkersRunExitsZero(t *testing.T) {
+	if testing.Short() {
+		t.Skip("re-exec integration test")
+	}
+	d, err := daemon.New(daemon.Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(d.Handler())
+	t.Cleanup(srv.Close)
+	stdout, stderr, err := runReport(t, "-workers", srv.URL, "-maxtbs", "2", "-quiet")
+	if err != nil {
+		t.Fatalf("report -workers failed: %v\nstderr:\n%s", err, stderr)
+	}
+	if !strings.Contains(stdout, "Table IV") {
+		t.Errorf("stdout misses the last artifact (Table IV):\n%s", stdout)
+	}
+	if !strings.Contains(stderr, "report completed in") {
+		t.Errorf("no completion line on stderr:\n%s", stderr)
+	}
+}
+
+// TestBadCacheGCFailsFast pins that -cache-gc is validated before any
+// simulation: a malformed size, or a local run with nowhere to collect,
+// exits non-zero with nothing on stdout.
+func TestBadCacheGCFailsFast(t *testing.T) {
+	if testing.Short() {
+		t.Skip("re-exec integration test")
+	}
+	cache := filepath.Join(t.TempDir(), "cache")
+	for _, tc := range []struct {
+		name, want string
+		args       []string
+	}{
+		{"bad size", "invalid size", []string{"-cache", cache, "-cache-gc", "12Q"}},
+		{"no cache", "-cache-gc needs -cache", []string{"-cache-gc", "1M"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stdout, stderr, err := runReport(t, append(tc.args, "-maxtbs", "2")...)
+			if err == nil {
+				t.Fatal("report accepted the -cache-gc value")
+			}
+			if stdout != "" {
+				t.Errorf("report simulated before rejecting -cache-gc; stdout:\n%s", stdout)
+			}
+			if !strings.Contains(stderr, tc.want) {
+				t.Errorf("stderr %q does not say %q", stderr, tc.want)
+			}
+		})
 	}
 }

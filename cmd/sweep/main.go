@@ -32,6 +32,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -45,6 +46,7 @@ import (
 	"repro/internal/daemon"
 	"repro/internal/jobs"
 	"repro/internal/obs"
+	"repro/internal/resultcache"
 	"repro/internal/stats"
 	"repro/internal/workloads"
 	"repro/prosim"
@@ -83,6 +85,14 @@ func main() {
 	}
 	if *daemonAddr != "" && *workersFlag != "" {
 		fatal(fmt.Errorf("-daemon and -workers are mutually exclusive"))
+	}
+	if *cacheGC != "" {
+		if _, err := resultcache.ParseSize(*cacheGC); err != nil {
+			fatal(err)
+		}
+		if *cacheDir == "" && *daemonAddr == "" {
+			fatal(errors.New("-cache-gc needs -cache"))
+		}
 	}
 
 	if *cpuprofile != "" {
