@@ -50,12 +50,12 @@ func main() {
 		fatal(err)
 	}
 
-	w, err := workloads.ByKernel(*kernel)
-	if err != nil {
-		fatal(err)
-	}
-	if *maxTBs > 0 {
-		w = w.Shrunk(*maxTBs)
+	// Every argument check comes before -out is created or anything
+	// runs: a rejected invocation must not truncate an existing file.
+	switch *format {
+	case "report", "perfetto", "ndjson":
+	default:
+		fatal(fmt.Errorf("unknown format %q", *format))
 	}
 	names := splitScheds(*scheds)
 	if len(names) == 0 {
@@ -63,6 +63,13 @@ func main() {
 	}
 	if *format != "report" && len(names) != 1 {
 		fatal(fmt.Errorf("format %q writes one capture: give exactly one scheduler (got %d)", *format, len(names)))
+	}
+	w, err := workloads.ByKernel(*kernel)
+	if err != nil {
+		fatal(err)
+	}
+	if *maxTBs > 0 {
+		w = w.Shrunk(*maxTBs)
 	}
 
 	fopts := flight.Options{
@@ -113,8 +120,6 @@ func main() {
 			}
 		case "report":
 			reports = append(reports, rec.Report())
-		default:
-			fatal(fmt.Errorf("unknown format %q", *format))
 		}
 	}
 	if *format == "report" {

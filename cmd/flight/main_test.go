@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -12,6 +15,52 @@ import (
 	"repro/internal/workloads"
 	"repro/prosim"
 )
+
+// TestMain lets the test binary double as the flight tool: with the
+// helper env var set it runs main() on os.Args.
+func TestMain(m *testing.M) {
+	if os.Getenv("FLIGHT_TEST_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestFlightBadFormatKeepsOut pins that a rejected -format fails before
+// -out is created: an existing file keeps its bytes and nothing is
+// simulated.
+func TestFlightBadFormatKeepsOut(t *testing.T) {
+	if testing.Short() {
+		t.Skip("re-exec integration test")
+	}
+	out := filepath.Join(t.TempDir(), "keep.out")
+	want := []byte("an earlier capture\n")
+	if err := os.WriteFile(out, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(exe, "-kernel", "scalarProdGPU", "-scheds", "PRO", "-maxtbs", "2",
+		"-format", "pdf", "-out", out)
+	cmd.Env = append(os.Environ(), "FLIGHT_TEST_MAIN=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err == nil {
+		t.Fatal("flight accepted -format pdf")
+	}
+	if !strings.Contains(stderr.String(), `unknown format "pdf"`) {
+		t.Errorf("stderr %q does not name the bad format", stderr.String())
+	}
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("-out changed to %q, want %q", got, want)
+	}
+}
 
 // record runs one small recorded simulation, exactly as main does.
 func record(t *testing.T, sched string) *flight.Recorder {

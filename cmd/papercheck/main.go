@@ -30,19 +30,15 @@ package main
 
 import (
 	"context"
-	"errors"
-	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/jobs"
-	"repro/internal/obs"
-	"repro/internal/resultcache"
 	"repro/internal/stats"
 	"repro/internal/workloads"
 	"repro/prosim"
@@ -60,45 +56,22 @@ func check(id, claim string, ok bool, detail string) {
 }
 
 func main() {
-	maxTBs := flag.Int("maxtbs", 0, "shrink grids to at most this many TBs (0 = full)")
-	quiet := flag.Bool("quiet", true, "suppress per-run progress")
-	njobs := flag.Int("jobs", runtime.NumCPU(), "parallel simulation workers")
-	cacheDir := flag.String("cache", "", "result-cache directory (optional)")
-	cacheGC := flag.String("cache-gc", "", "after the run, evict least-recently-used cache entries down to this size (e.g. 256M; needs -cache)")
-	logCfg := obs.LogFlags(nil)
-	flag.Parse()
+	h := cli.New("papercheck", cli.Spec{Quiet: true, CacheGC: true})
+	h.Parse(os.Args[1:])
 
-	if _, err := logCfg.Setup(); err != nil {
-		fatal(err)
-	}
-	if *cacheGC != "" {
-		if _, err := resultcache.ParseSize(*cacheGC); err != nil {
-			fatal(err)
-		}
-		if *cacheDir == "" {
-			fatal(errors.New("-cache-gc needs -cache"))
-		}
-	}
-
-	if *maxTBs > 0 {
-		fmt.Printf("note: grids shrunk to %d TBs — the SM-residency claims (C2, C6, C8)\n", *maxTBs)
+	if h.MaxTBs > 0 {
+		fmt.Printf("note: grids shrunk to %d TBs — the SM-residency claims (C2, C6, C8)\n", h.MaxTBs)
 		fmt.Println("need multi-batch grids and may legitimately weaken; run without -maxtbs")
 		fmt.Println("for the authoritative check.")
 		fmt.Println()
 	}
 	start := time.Now()
-	var progress func(jobs.Event)
-	if !*quiet {
-		progress = jobs.PrintProgress(os.Stderr)
-	}
-	eng, err := jobs.New(*njobs, *cacheDir, progress)
-	if err != nil {
-		fatal(err)
-	}
+	h.Runner() // local: papercheck has no -daemon or -workers
+	eng := h.Engine
 	suite, err := experiments.RunSuite(workloads.All(),
-		[]string{"TL", "LRR", "GTO", "PRO"}, *maxTBs, eng)
+		[]string{"TL", "LRR", "GTO", "PRO"}, h.MaxTBs, eng)
 	if err != nil {
-		fatal(err)
+		h.Fatal(err)
 	}
 
 	f4 := suite.ComputeFig4()
@@ -137,18 +110,12 @@ func main() {
 		fmt.Sprintf("LRR %.1f%%, TL %.1f%%, GTO %.1f%%",
 			100*meanIdle["LRR"], 100*meanIdle["TL"], 100*meanIdle["GTO"]))
 
-	aes, err := workloads.ByKernel("aesEncrypt128")
-	if err != nil {
-		fatal(err)
-	}
-	if *maxTBs > 0 {
-		aes = aes.Shrunk(*maxTBs)
-	}
+	aes := h.Workload("aesEncrypt128")
 	batch := aes.Launch.ResidentTBs(config.GTX480())
 	spreadOf := func(sched string) int64 {
 		spans, _, err := experiments.Timeline(aes, sched, 0, eng)
 		if err != nil {
-			fatal(err)
+			h.Fatal(err)
 		}
 		return finishSpread(spans, batch)
 	}
@@ -159,7 +126,7 @@ func main() {
 
 	trace, err := experiments.OrderTrace(aes, 0, eng)
 	if err != nil {
-		fatal(err)
+		h.Fatal(err)
 	}
 	churn := 0
 	for i := 1; i < len(trace); i++ {
@@ -170,17 +137,11 @@ func main() {
 	check("C10", "TB priority order re-sorts over time (Table IV)",
 		churn >= 2, fmt.Sprintf("%d changes over %d samples", churn, len(trace)))
 
-	sp, err := workloads.ByKernel("scalarProdGPU")
-	if err != nil {
-		fatal(err)
-	}
-	if *maxTBs > 0 {
-		sp = sp.Shrunk(*maxTBs)
-	}
+	sp := h.Workload("scalarProdGPU")
 	ablation, err := eng.Run(context.Background(),
 		jobs.Grid([]*workloads.Workload{sp}, []string{"PRO", "PRO-nobar"}, 0, prosim.Options{}))
 	if err != nil {
-		fatal(err)
+		h.Fatal(err)
 	}
 	on, off := ablation[0], ablation[1]
 	check("C11", "scalarProd prefers barrier handling off (Sec. IV)",
@@ -194,25 +155,13 @@ func main() {
 	fmt.Fprintf(os.Stderr, "papercheck completed in %.1fs (%d jobs: %d simulated, %d cache hits)\n",
 		time.Since(start).Seconds(), eng.Completed(), eng.Simulated(), eng.Replayed())
 
-	if *cacheGC != "" {
-		st, err := prosim.GCResultCache(*cacheDir, *cacheGC)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "cache-gc: evicted %d of %d entries, freed %d bytes\n",
-			st.Evicted, st.Entries, st.Freed)
-	}
+	h.Finish()
 
 	if failures > 0 {
 		fmt.Printf("\n%d claim(s) FAILED\n", failures)
 		os.Exit(1)
 	}
 	fmt.Println("\nall paper claims reproduced")
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "papercheck:", err)
-	os.Exit(1)
 }
 
 func finishSpread(spans []stats.TBSpan, batch int) int64 {

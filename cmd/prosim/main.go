@@ -1,5 +1,6 @@
 // Command prosim runs one Table II kernel (or all of them) under one or
-// more warp schedulers and prints runtime and stall statistics.
+// more warp schedulers and prints runtime and stall statistics. Its
+// subcommands regenerate single paper artifacts (see subcommands.go).
 //
 // Usage:
 //
@@ -7,6 +8,7 @@
 //	prosim -all -sched TL,LRR,GTO,PRO
 //	prosim -program mykernel.k -grid 256 -block 128 -sched LRR,PRO
 //	prosim -list
+//	prosim speedup|stalls|timeline|tborder|trace [flags]
 //
 // -program runs a kernel written in the text format of internal/isa
 // (see examples/kernels/*.k for the syntax).
@@ -14,65 +16,33 @@ package main
 
 import (
 	"context"
-	"errors"
-	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 
+	"repro/internal/cli"
 	"repro/internal/isa"
-	"repro/internal/obs"
-	"repro/internal/resultcache"
 	"repro/prosim"
 )
 
 func main() {
-	kernel := flag.String("kernel", "", "Table II kernel name to run")
-	scheds := flag.String("sched", "TL,LRR,GTO,PRO", "comma-separated scheduler list")
-	all := flag.Bool("all", false, "run every Table II kernel")
-	list := flag.Bool("list", false, "list workloads and exit")
-	maxTBs := flag.Int("maxtbs", 0, "shrink grids to at most this many TBs (0 = full)")
-	njobs := flag.Int("jobs", runtime.NumCPU(), "parallel simulation workers")
-	cacheDir := flag.String("cache", "", "result-cache directory (optional)")
-	cacheGC := flag.String("cache-gc", "", "after the run, evict least-recently-used cache entries down to this size (e.g. 256M; needs -cache)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
-	quiet := flag.Bool("quiet", true, "suppress per-run progress (stderr)")
-	div := flag.Bool("div", false, "also print warp-level-divergence metrics (finish disparity, barrier wait)")
-	program := flag.String("program", "", "path to a kernel in the text format (overrides -kernel/-all)")
-	grid := flag.Int("grid", 128, "grid size in TBs for -program")
-	block := flag.Int("block", 128, "threads per TB for -program")
-	regs := flag.Int("regs", 16, "registers per thread for -program")
-	smem := flag.Int("smem", 0, "shared memory per TB in bytes for -program")
-	seed := flag.Uint64("seed", 1, "kernel seed for -program")
-	logCfg := obs.LogFlags(nil)
-	flag.Parse()
-
-	if _, err := logCfg.Setup(); err != nil {
-		fmt.Fprintln(os.Stderr, "prosim:", err)
-		os.Exit(1)
+	if len(os.Args) > 1 && !strings.HasPrefix(os.Args[1], "-") {
+		runSubcommand(os.Args[1], os.Args[2:])
+		return
 	}
-	if *cacheGC != "" {
-		if _, err := resultcache.ParseSize(*cacheGC); err != nil {
-			fatal(err)
-		}
-		if *cacheDir == "" {
-			fatal(errors.New("-cache-gc needs -cache"))
-		}
-	}
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer pprof.StopCPUProfile()
-	}
+	h := cli.New("prosim", cli.Spec{Quiet: true, CacheGC: true, Profile: true})
+	kernel := h.Flags.String("kernel", "", "Table II kernel name to run")
+	scheds := h.Flags.String("sched", "TL,LRR,GTO,PRO", "comma-separated scheduler list")
+	all := h.Flags.Bool("all", false, "run every Table II kernel")
+	list := h.Flags.Bool("list", false, "list workloads and exit")
+	div := h.Flags.Bool("div", false, "also print warp-level-divergence metrics (finish disparity, barrier wait)")
+	program := h.Flags.String("program", "", "path to a kernel in the text format (overrides -kernel/-all)")
+	grid := h.Flags.Int("grid", 128, "grid size in TBs for -program")
+	block := h.Flags.Int("block", 128, "threads per TB for -program")
+	regs := h.Flags.Int("regs", 16, "registers per thread for -program")
+	smem := h.Flags.Int("smem", 0, "shared memory per TB in bytes for -program")
+	seed := h.Flags.Uint64("seed", 1, "kernel seed for -program")
+	h.Parse(os.Args[1:])
 
 	if *list {
 		fmt.Printf("%-12s %-28s %-10s %8s %6s %6s\n", "APP", "KERNEL", "SUITE", "PAPERTBS", "GRID", "BLOCK")
@@ -80,6 +50,7 @@ func main() {
 			fmt.Printf("%-12s %-28s %-10s %8d %6d %6d\n",
 				w.App, w.Kernel, w.Suite, w.PaperTBs, w.Launch.GridTBs, w.Launch.BlockThreads)
 		}
+		h.Finish()
 		return
 	}
 
@@ -88,11 +59,11 @@ func main() {
 	case *program != "":
 		text, err := os.ReadFile(*program)
 		if err != nil {
-			fatal(err)
+			h.Fatal(err)
 		}
 		prog, err := isa.Parse(string(text))
 		if err != nil {
-			fatal(err)
+			h.Fatal(err)
 		}
 		targets = []*prosim.Workload{{
 			App:    prog.Name,
@@ -112,11 +83,11 @@ func main() {
 	case *kernel != "":
 		w, err := prosim.WorkloadByKernel(*kernel)
 		if err != nil {
-			fatal(err)
+			h.Fatal(err)
 		}
 		targets = []*prosim.Workload{w}
 	default:
-		fatal(fmt.Errorf("pass -kernel <name>, -program <file>, -all or -list"))
+		h.Fatal(fmt.Errorf("pass -kernel <name>, -program <file>, -all or -list"))
 	}
 
 	names := strings.Split(*scheds, ",")
@@ -124,18 +95,10 @@ func main() {
 		names[i] = strings.TrimSpace(name)
 	}
 
-	var progress func(prosim.JobEvent)
-	if !*quiet {
-		progress = prosimProgress(os.Stderr)
-	}
-	eng, err := prosim.NewJobEngine(*njobs, *cacheDir, progress)
+	results, err := h.Runner().Run(context.Background(),
+		prosim.WorkloadJobs(targets, names, h.MaxTBs, prosim.Options{}))
 	if err != nil {
-		fatal(err)
-	}
-	results, err := prosim.RunJobs(context.Background(), eng,
-		prosim.WorkloadJobs(targets, names, *maxTBs, prosim.Options{}))
-	if err != nil {
-		fatal(err)
+		h.Fatal(err)
 	}
 
 	fmt.Printf("%-28s %-9s %12s %8s %12s %12s %12s %8s",
@@ -164,37 +127,5 @@ func main() {
 			fmt.Println(speed)
 		}
 	}
-
-	if *cacheGC != "" {
-		st, err := prosim.GCResultCache(*cacheDir, *cacheGC)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "cache-gc: evicted %d of %d entries, freed %d bytes\n",
-			st.Evicted, st.Entries, st.Freed)
-	}
-	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			fatal(err)
-		}
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fatal(err)
-		}
-		f.Close()
-	}
-}
-
-// prosimProgress renders job-engine events on w, one line each.
-func prosimProgress(w *os.File) func(prosim.JobEvent) {
-	return func(ev prosim.JobEvent) {
-		fmt.Fprintf(w, "[%7.1fs] %3d/%d %s/%s\n",
-			ev.Elapsed.Seconds(), ev.Done, ev.Total, ev.Kernel, ev.Scheduler)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "prosim:", err)
-	os.Exit(1)
+	h.Finish()
 }

@@ -30,153 +30,73 @@ package main
 
 import (
 	"context"
-	"errors"
-	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
-	"strings"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/cluster"
-	"repro/internal/daemon"
 	"repro/internal/experiments"
 	"repro/internal/jobs"
 	"repro/internal/obs"
-	"repro/internal/resultcache"
 	"repro/internal/viz"
 	"repro/internal/workloads"
-	"repro/prosim"
 )
 
 func main() {
-	maxTBs := flag.Int("maxtbs", 0, "shrink grids to at most this many TBs (0 = full)")
-	outDir := flag.String("out", "", "directory to write artifact files into (optional)")
-	quiet := flag.Bool("quiet", false, "suppress per-run progress")
-	njobs := flag.Int("jobs", runtime.NumCPU(), "parallel simulation workers")
-	cacheDir := flag.String("cache", "", "result-cache directory (optional; makes warm re-runs instant)")
-	cacheGC := flag.String("cache-gc", "", "after the run, evict least-recently-used cache entries down to this size (e.g. 256M; needs -cache)")
-	daemonAddr := flag.String("daemon", "", "run simulations on a prosimd daemon at this address (host:port or unix:/path) instead of locally")
-	workersFlag := flag.String("workers", "", "fan simulations out across these comma-separated prosimd addresses (work-stealing coordinator; -cache is the shared merge cache)")
-	shardSpec := flag.String("shard", "", "run only slice i/n of the full job list (e.g. 2/3) against a shared cache and emit no artifacts")
-	priority := flag.String("priority", "interactive", "scheduling class on the daemon/workers (interactive report runs preempt bulk sweeps)")
-	token := flag.String("token", "", "tenant token sent as X-Prosim-Token to tokened daemons")
-	traceOut := flag.String("trace-out", "", "write NDJSON job-lifecycle spans to this file (\"-\" = stderr; local runs only)")
-	logCfg := obs.LogFlags(nil)
-	flag.Parse()
-
-	log, err := logCfg.Setup()
-	if err != nil {
-		fatal(err)
-	}
-	if *daemonAddr != "" && *workersFlag != "" {
-		fatal(fmt.Errorf("-daemon and -workers are mutually exclusive"))
-	}
-	if *cacheGC != "" {
-		if _, err := resultcache.ParseSize(*cacheGC); err != nil {
-			fatal(err)
-		}
-		if *cacheDir == "" && *daemonAddr == "" {
-			fatal(errors.New("-cache-gc needs -cache"))
-		}
-	}
-
-	emit := func(name, content string) {
-		fmt.Println(content)
-		if *outDir != "" {
-			if err := os.MkdirAll(*outDir, 0o755); err != nil {
-				fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(*outDir, name), []byte(content), 0o644); err != nil {
-				fatal(err)
-			}
-		}
-	}
-
-	start := time.Now()
-	var progress func(jobs.Event)
-	if !*quiet {
-		progress = jobs.PrintProgress(os.Stderr)
-	}
-	var run jobs.Runner
-	var eng *jobs.Engine
-	var client *daemon.Client
-	if *daemonAddr != "" {
-		var err error
-		client, err = daemon.Dial(*daemonAddr)
-		if err != nil {
-			fatal(err)
-		}
-		client.Progress = progress
-		client.Priority = *priority
-		client.Token = *token
-		run = client
-	} else if *workersFlag != "" {
-		var addrs []string
-		for _, a := range strings.Split(*workersFlag, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				addrs = append(addrs, a)
-			}
-		}
-		coord, err := cluster.New(cluster.Config{
-			Workers:  addrs,
-			CacheDir: *cacheDir,
-			Priority: *priority,
-			Token:    *token,
-			Log:      log,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		defer coord.Close()
-		coord.OnProgress = progress
-		run = coord
-	} else {
-		var err error
-		eng, err = jobs.New(*njobs, *cacheDir, progress)
-		if err != nil {
-			fatal(err)
-		}
-		if *traceOut != "" {
-			tr, err := obs.OpenTrace(*traceOut)
-			if err != nil {
-				fatal(err)
-			}
-			defer tr.Close()
-			eng.Trace = tr
-		}
-		run = eng
-	}
-
-	scheds := []string{"TL", "LRR", "GTO", "PRO"}
-	if *shardSpec != "" {
-		// Shard mode: run this machine's deterministic slice of every job
-		// the full report would execute (suite grid, timelines, order
-		// trace), warming the shared cache, and emit no artifacts. The
-		// final artifact pass is a run without -shard: with every shard
-		// done it assembles purely from the cache.
-		if err := runShard(*shardSpec, scheds, *maxTBs, run, start); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	suite, err := experiments.RunSuite(workloads.All(), scheds, *maxTBs, run)
-	if err != nil {
-		fatal(err)
-	}
+	h := cli.New("report", cli.Spec{CacheGC: true, Priority: "interactive"})
+	outDir := h.Flags.String("out", "", "directory to write artifact files into (optional)")
+	shardSpec := h.Flags.String("shard", "", "run only slice i/n of the full job list (e.g. 2/3) against a shared cache and emit no artifacts")
+	traceOut := h.Flags.String("trace-out", "", "write NDJSON job-lifecycle spans to this file (\"-\" = stderr; local runs only)")
+	h.Parse(os.Args[1:])
 
 	writeFile := func(name, content string) {
 		if *outDir == "" {
 			return
 		}
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			fatal(err)
+			h.Fatal(err)
 		}
 		if err := os.WriteFile(filepath.Join(*outDir, name), []byte(content), 0o644); err != nil {
-			fatal(err)
+			h.Fatal(err)
 		}
+	}
+
+	emit := func(name, content string) {
+		fmt.Println(content)
+		writeFile(name, content)
+	}
+
+	start := time.Now()
+	run := h.Runner()
+	if eng := h.Engine; eng != nil && *traceOut != "" {
+		tr, err := obs.OpenTrace(*traceOut)
+		if err != nil {
+			h.Fatal(err)
+		}
+		defer tr.Close()
+		eng.Trace = tr
+	}
+
+	scheds := []string{"TL", "LRR", "GTO", "PRO"}
+	aes := h.Workload("aesEncrypt128") // Fig. 2 and Table IV
+	if *shardSpec != "" {
+		// Shard mode: run this machine's deterministic slice of every job
+		// the full report would execute (suite grid, timelines, order
+		// trace), warming the shared cache, and emit no artifacts. The
+		// final artifact pass is a run without -shard: with every shard
+		// done it assembles purely from the cache.
+		if err := runShard(*shardSpec, scheds, h.MaxTBs, aes, run, start); err != nil {
+			h.Fatal(err)
+		}
+		h.Finish()
+		return
+	}
+
+	suite, err := experiments.RunSuite(workloads.All(), scheds, h.MaxTBs, run)
+	if err != nil {
+		h.Fatal(err)
 	}
 
 	for _, sched := range experiments.BaselineOrder {
@@ -221,19 +141,12 @@ func main() {
 	}
 
 	// Fig. 2: AES timelines under LRR and PRO on SM 0.
-	aes, err := workloads.ByKernel("aesEncrypt128")
-	if err != nil {
-		fatal(err)
-	}
-	if *maxTBs > 0 {
-		aes = aes.Shrunk(*maxTBs)
-	}
 	for _, sched := range []string{"LRR", "PRO"} {
 		spans, r, err := experiments.Timeline(aes, sched, 0, run)
 		if err != nil {
-			fatal(err)
+			h.Fatal(err)
 		}
-		emit("fig2_"+sched+".txt", experiments.FormatTimeline(sched, spans, r.Cycles))
+		emit("fig2_"+sched+".txt", experiments.FormatTimeline(sched, 0, spans, r.Cycles))
 		writeFile("fig2_"+sched+".svg", viz.Timeline(
 			fmt.Sprintf("Fig. 2 — AES thread blocks on SM 0 (%s)", sched), spans, r.Cycles))
 	}
@@ -242,56 +155,34 @@ func main() {
 	// SM 0 (the paper shows 16 samples for its first batch of 6 TBs).
 	samples, err := experiments.OrderTrace(aes, 0, run)
 	if err != nil {
-		fatal(err)
+		h.Fatal(err)
 	}
 	emit("table4.txt", experiments.FormatOrderTrace(samples, 16))
 
 	done := fmt.Sprintf("report completed in %.1fs", time.Since(start).Seconds())
 	switch {
-	case eng != nil:
+	case h.Engine != nil:
 		done += fmt.Sprintf(" (%d jobs: %d simulated, %d cache hits)",
-			eng.Completed(), eng.Simulated(), eng.Replayed())
-	case client != nil:
-		if st, err := client.Stats(context.Background()); err == nil {
+			h.Engine.Completed(), h.Engine.Simulated(), h.Engine.Replayed())
+	case h.Client != nil:
+		if st, err := h.Client.Stats(context.Background()); err == nil {
 			done += fmt.Sprintf(" (daemon lifetime: %d jobs, %d simulated, %d replayed)",
 				st.Completed, st.Simulated, st.Replayed)
 		}
 	}
 	fmt.Fprintln(os.Stderr, done)
-
-	if *cacheGC != "" {
-		var st prosim.CacheGCStats
-		var err error
-		if client != nil {
-			st, err = client.GC(context.Background(), *cacheGC)
-		} else {
-			st, err = prosim.GCResultCache(*cacheDir, *cacheGC)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "cache-gc: evicted %d of %d entries, freed %d bytes\n",
-			st.Evicted, st.Entries, st.Freed)
-	}
+	h.Finish()
 }
 
 // runShard executes slice i/n of every job the full report would run —
 // the suite grid, both Fig. 2 timelines and the Table IV order trace —
 // warming the shared result cache without emitting artifacts.
-func runShard(spec string, scheds []string, maxTBs int, run jobs.Runner, start time.Time) error {
+func runShard(spec string, scheds []string, maxTBs int, aes *workloads.Workload, run jobs.Runner, start time.Time) error {
 	i, n, err := cluster.ParseShard(spec)
 	if err != nil {
 		return err
 	}
-	batch := experiments.SuiteJobs(workloads.All(), scheds, maxTBs)
-	aes, err := workloads.ByKernel("aesEncrypt128")
-	if err != nil {
-		return err
-	}
-	if maxTBs > 0 {
-		aes = aes.Shrunk(maxTBs)
-	}
-	batch = append(batch,
+	batch := append(experiments.SuiteJobs(workloads.All(), scheds, maxTBs),
 		experiments.TimelineJob(aes, "LRR"),
 		experiments.TimelineJob(aes, "PRO"),
 		experiments.OrderTraceJob(aes, 0))
@@ -305,9 +196,4 @@ func runShard(spec string, scheds []string, maxTBs int, run jobs.Runner, start t
 	fmt.Fprintf(os.Stderr, "shard %d/%d: ran %d of %d jobs in %.1fs\n",
 		i+1, n, len(slice), len(batch), time.Since(start).Seconds())
 	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "report:", err)
-	os.Exit(1)
 }

@@ -32,135 +32,45 @@ package main
 
 import (
 	"context"
-	"errors"
-	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/daemon"
 	"repro/internal/jobs"
-	"repro/internal/obs"
-	"repro/internal/resultcache"
 	"repro/internal/stats"
-	"repro/internal/workloads"
 	"repro/prosim"
 )
 
-// runner executes every sweep batch: a local jobs.Engine, a
-// daemon.Client when -daemon is set, or a cluster.Coordinator when
-// -workers is set.
-var runner jobs.Runner
+// h holds the shared harness flags; runner, built from them, executes
+// every sweep batch: a local jobs.Engine, a daemon.Client when -daemon
+// is set, or a cluster.Coordinator when -workers is set.
+var (
+	h      = cli.New("sweep", cli.Spec{CacheGC: true, Priority: "bulk", Profile: true})
+	runner jobs.Runner
+)
 
 func main() {
-	ablate := flag.Bool("ablate", false, "compare PRO vs PRO-nobar (barrier-handling ablation)")
-	variants := flag.Bool("variants", false, "compare PRO against the paper's future-work variants (PRO-adaptive, PRO-norm)")
-	threshold := flag.Bool("threshold", false, "sweep the PRO re-sort threshold")
-	l1Sweep := flag.Bool("l1", false, "sweep the L1 size (paper future work: cache behaviour of prioritized warps)")
-	kernels := flag.String("kernel", "scalarProdGPU,MonteCarloOneBlockPerOption,calculate_temp,aesEncrypt128",
+	ablate := h.Flags.Bool("ablate", false, "compare PRO vs PRO-nobar (barrier-handling ablation)")
+	variants := h.Flags.Bool("variants", false, "compare PRO against the paper's future-work variants (PRO-adaptive, PRO-norm)")
+	threshold := h.Flags.Bool("threshold", false, "sweep the PRO re-sort threshold")
+	l1Sweep := h.Flags.Bool("l1", false, "sweep the L1 size (paper future work: cache behaviour of prioritized warps)")
+	kernels := h.Flags.String("kernel", "scalarProdGPU,MonteCarloOneBlockPerOption,calculate_temp,aesEncrypt128",
 		"comma-separated kernels to sweep")
-	maxTBs := flag.Int("maxtbs", 0, "shrink grids (0 = full)")
-	quiet := flag.Bool("quiet", false, "suppress progress")
-	njobs := flag.Int("jobs", runtime.NumCPU(), "parallel simulation workers")
-	cacheDir := flag.String("cache", "", "result-cache directory (optional)")
-	cacheGC := flag.String("cache-gc", "", "after the run, evict least-recently-used cache entries down to this size (e.g. 256M; needs -cache)")
-	daemonAddr := flag.String("daemon", "", "run simulations on a prosimd daemon at this address (host:port or unix:/path) instead of locally")
-	workersFlag := flag.String("workers", "", "fan simulations out across these comma-separated prosimd addresses (work-stealing coordinator; -cache is the shared merge cache)")
-	shardSpec := flag.String("shard", "", "run only slice i/n of the selected sweeps' points (e.g. 2/3) against a shared cache and print no tables")
-	priority := flag.String("priority", "bulk", "scheduling class on the daemon/workers: bulk yields slots to interactive clients")
-	token := flag.String("token", "", "tenant token sent as X-Prosim-Token to tokened daemons")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
-	logCfg := obs.LogFlags(nil)
-	flag.Parse()
+	shardSpec := h.Flags.String("shard", "", "run only slice i/n of the selected sweeps' points (e.g. 2/3) against a shared cache and print no tables")
+	h.Parse(os.Args[1:])
 
-	log, err := logCfg.Setup()
-	if err != nil {
-		fatal(err)
-	}
-	if *daemonAddr != "" && *workersFlag != "" {
-		fatal(fmt.Errorf("-daemon and -workers are mutually exclusive"))
-	}
-	if *cacheGC != "" {
-		if _, err := resultcache.ParseSize(*cacheGC); err != nil {
-			fatal(err)
-		}
-		if *cacheDir == "" && *daemonAddr == "" {
-			fatal(errors.New("-cache-gc needs -cache"))
-		}
-	}
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer pprof.StopCPUProfile()
-	}
 	if !*ablate && !*threshold && !*variants && !*l1Sweep {
 		*ablate, *threshold, *variants, *l1Sweep = true, true, true, true
 	}
-	var progress func(jobs.Event)
-	if !*quiet {
-		progress = jobs.PrintProgress(os.Stderr)
-	}
-	var client *daemon.Client
-	if *daemonAddr != "" {
-		var err error
-		client, err = daemon.Dial(*daemonAddr)
-		if err != nil {
-			fatal(err)
-		}
-		client.Progress = progress
-		client.Priority = *priority
-		client.Token = *token
-		runner = client
-	} else if *workersFlag != "" {
-		var addrs []string
-		for _, a := range strings.Split(*workersFlag, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				addrs = append(addrs, a)
-			}
-		}
-		coord, err := cluster.New(cluster.Config{
-			Workers:  addrs,
-			CacheDir: *cacheDir,
-			Priority: *priority,
-			Token:    *token,
-			Log:      log,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		defer coord.Close()
-		coord.OnProgress = progress
-		runner = coord
-	} else {
-		eng, err := jobs.New(*njobs, *cacheDir, progress)
-		if err != nil {
-			fatal(err)
-		}
-		runner = eng
-	}
+	runner = h.Runner()
 
 	var targets []*prosim.Workload
 	for _, name := range strings.Split(*kernels, ",") {
-		w, err := workloads.ByKernel(strings.TrimSpace(name))
-		if err != nil {
-			fatal(err)
-		}
-		if *maxTBs > 0 {
-			w = w.Shrunk(*maxTBs)
-		}
-		targets = append(targets, w)
+		targets = append(targets, h.Workload(strings.TrimSpace(name)))
 	}
 
 	if *shardSpec != "" {
@@ -169,7 +79,7 @@ func main() {
 		// cache; the tables print on a later run without -shard.
 		i, n, err := cluster.ParseShard(*shardSpec)
 		if err != nil {
-			fatal(err)
+			h.Fatal(err)
 		}
 		var batch []jobs.Job
 		if *ablate {
@@ -186,12 +96,13 @@ func main() {
 		}
 		slice, err := cluster.Shard(i, n, batch)
 		if err != nil {
-			fatal(err)
+			h.Fatal(err)
 		}
 		start := time.Now()
 		run(slice)
 		fmt.Fprintf(os.Stderr, "shard %d/%d: ran %d of %d jobs in %.1fs\n",
 			i+1, n, len(slice), len(batch), time.Since(start).Seconds())
+		h.Finish()
 		return
 	}
 
@@ -208,38 +119,14 @@ func main() {
 		printThresholdSweep(targets, run(thresholdJobs(targets)))
 	}
 
-	if *cacheGC != "" {
-		var st prosim.CacheGCStats
-		var err error
-		if client != nil {
-			st, err = client.GC(context.Background(), *cacheGC)
-		} else {
-			st, err = prosim.GCResultCache(*cacheDir, *cacheGC)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "cache-gc: evicted %d of %d entries, freed %d bytes\n",
-			st.Evicted, st.Entries, st.Freed)
-	}
-	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			fatal(err)
-		}
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fatal(err)
-		}
-		f.Close()
-	}
+	h.Finish()
 }
 
 // run executes a batch through the shared runner.
 func run(batch []jobs.Job) []*stats.KernelResult {
 	rs, err := runner.Run(context.Background(), batch)
 	if err != nil {
-		fatal(err)
+		h.Fatal(err)
 	}
 	return rs
 }
@@ -382,9 +269,4 @@ func printL1Sweep(targets []*prosim.Workload, rs []*stats.KernelResult) {
 		}
 	}
 	fmt.Println()
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "sweep:", err)
-	os.Exit(1)
 }

@@ -32,7 +32,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Print(experiments.FormatTimeline(
-			fmt.Sprintf("%s, %d cycles", sched, r.Cycles), spans, r.Cycles))
+			fmt.Sprintf("%s, %d cycles", sched, r.Cycles), 0, spans, r.Cycles))
 
 		// Quantify the batching the paper describes in Sec. II-C: a
 		// narrow spread of first-batch finish times means the batch ended

@@ -1,0 +1,246 @@
+// Package cli is the flag layer the simulation tools (prosim and its
+// subcommands, report, sweep, papercheck) share: it declares the
+// harness flags once, each tool passing its own defaults, and builds
+// what they imply — the logger, the job runner (a local engine, a
+// prosimd client or a cluster coordinator), the CPU and heap profiles
+// and the post-run result-cache GC.
+//
+// A tool calls New, declares its own flags on Harness.Flags, then
+// Parse, Runner, its work, and Finish. Every error goes through Fatal,
+// which prefixes the tool's name and exits 1.
+package cli
+
+import (
+	"context"
+	"errors"
+	"flag"
+	"fmt"
+	"log/slog"
+	"os"
+	"runtime"
+	"runtime/pprof"
+	"strings"
+
+	"repro/internal/cluster"
+	"repro/internal/daemon"
+	"repro/internal/jobs"
+	"repro/internal/obs"
+	"repro/internal/resultcache"
+	"repro/internal/workloads"
+	"repro/prosim"
+)
+
+// Spec selects which shared flags a tool declares and their defaults.
+// Every tool gets -maxtbs, -cache, -log-level and -log-json.
+type Spec struct {
+	// OneJob is for tools that run exactly one simulation: they get no
+	// -jobs (an engine never runs more workers than a batch has jobs)
+	// and no -quiet (they report no progress).
+	OneJob bool
+	// Quiet is the default of -quiet.
+	Quiet bool
+	// CacheGC declares -cache-gc.
+	CacheGC bool
+	// Priority, when non-empty, declares -daemon, -workers, -token and
+	// -priority with this default.
+	Priority string
+	// Profile declares -cpuprofile and -memprofile.
+	Profile bool
+}
+
+// Harness holds the shared flags and, once Runner has run, the runner
+// they describe.
+type Harness struct {
+	// Flags is the tool's flag set; declare tool-specific flags on it
+	// before Parse.
+	Flags *flag.FlagSet
+	// MaxTBs (-maxtbs) and Cache (-cache) are set by Parse.
+	MaxTBs int
+	Cache  string
+
+	// Engine is the local engine Runner built, nil on the -daemon and
+	// -workers paths; Client is the daemon client with -daemon.
+	Engine *jobs.Engine
+	Client *daemon.Client
+
+	name                   string
+	jobs                   int
+	quiet                  bool
+	cacheGC                string
+	daemon, workers        string
+	priority, token        string
+	cpuprofile, memprofile string
+	logCfg                 *obs.LogConfig
+	log                    *slog.Logger
+	cpuFile                *os.File
+	coord                  *cluster.Coordinator
+}
+
+// New declares the flags spec selects on a fresh flag set called name
+// (which also prefixes every Fatal message).
+func New(name string, spec Spec) *Harness {
+	fs := flag.NewFlagSet(name, flag.ExitOnError)
+	// A tool without -quiet reports no progress.
+	h := &Harness{Flags: fs, name: name, quiet: true}
+	fs.IntVar(&h.MaxTBs, "maxtbs", 0, "shrink grids to at most this many TBs (0 = full)")
+	fs.StringVar(&h.Cache, "cache", "", "result-cache directory (optional; makes warm re-runs instant)")
+	h.logCfg = obs.LogFlags(fs)
+	if !spec.OneJob {
+		fs.IntVar(&h.jobs, "jobs", runtime.NumCPU(), "parallel simulation workers")
+		fs.BoolVar(&h.quiet, "quiet", spec.Quiet, "suppress per-run progress (stderr)")
+	}
+	if spec.CacheGC {
+		fs.StringVar(&h.cacheGC, "cache-gc", "", "after the run, evict least-recently-used cache entries down to this size (e.g. 256M; needs -cache)")
+	}
+	if spec.Priority != "" {
+		fs.StringVar(&h.daemon, "daemon", "", "run simulations on a prosimd daemon at this address (host:port or unix:/path) instead of locally")
+		fs.StringVar(&h.workers, "workers", "", "fan simulations out across these comma-separated prosimd addresses (work-stealing coordinator; -cache is the shared merge cache)")
+		fs.StringVar(&h.priority, "priority", spec.Priority, "scheduling class on the daemon/workers: interactive runs preempt bulk ones")
+		fs.StringVar(&h.token, "token", "", "tenant token sent as X-Prosim-Token to tokened daemons")
+	}
+	if spec.Profile {
+		fs.StringVar(&h.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
+		fs.StringVar(&h.memprofile, "memprofile", "", "write a heap profile to this file at exit")
+	}
+	return h
+}
+
+// Parse parses args and checks everything that can be checked before a
+// simulation runs: the log flags, -daemon against -workers, and the
+// -cache-gc size and target. It then starts the CPU profile, if asked.
+func (h *Harness) Parse(args []string) {
+	h.Flags.Parse(args)
+	log, err := h.logCfg.Setup()
+	if err != nil {
+		h.Fatal(err)
+	}
+	h.log = log
+	if h.daemon != "" && h.workers != "" {
+		h.Fatal(errors.New("-daemon and -workers are mutually exclusive"))
+	}
+	if h.cacheGC != "" {
+		if _, err := resultcache.ParseSize(h.cacheGC); err != nil {
+			h.Fatal(err)
+		}
+		if h.Cache == "" && h.daemon == "" {
+			h.Fatal(errors.New("-cache-gc needs -cache"))
+		}
+	}
+	if h.cpuprofile != "" {
+		f, err := os.Create(h.cpuprofile)
+		if err != nil {
+			h.Fatal(err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			h.Fatal(err)
+		}
+		h.cpuFile = f
+	}
+}
+
+// Runner builds the job runner the flags describe: a prosimd client
+// with -daemon, a cluster coordinator over -workers, and otherwise a
+// local engine of -jobs workers on -cache. Progress goes to stderr
+// unless -quiet.
+func (h *Harness) Runner() jobs.Runner {
+	var progress func(jobs.Event)
+	if !h.quiet {
+		progress = jobs.PrintProgress(os.Stderr)
+	}
+	switch {
+	case h.daemon != "":
+		c, err := daemon.Dial(h.daemon)
+		if err != nil {
+			h.Fatal(err)
+		}
+		c.Progress, c.Priority, c.Token = progress, h.priority, h.token
+		h.Client = c
+		return c
+	case h.workers != "":
+		var addrs []string
+		for _, a := range strings.Split(h.workers, ",") {
+			if a = strings.TrimSpace(a); a != "" {
+				addrs = append(addrs, a)
+			}
+		}
+		coord, err := cluster.New(cluster.Config{
+			Workers:  addrs,
+			CacheDir: h.Cache,
+			Priority: h.priority,
+			Token:    h.token,
+			Log:      h.log,
+		})
+		if err != nil {
+			h.Fatal(err)
+		}
+		coord.OnProgress = progress
+		h.coord = coord
+		return coord
+	}
+	eng, err := jobs.New(h.jobs, h.Cache, progress)
+	if err != nil {
+		h.Fatal(err)
+	}
+	h.Engine = eng
+	return eng
+}
+
+// Finish runs after the tool's work: it collects -cache-gc (on the
+// daemon's cache with -daemon), writes the heap profile, stops the CPU
+// profile and closes the coordinator.
+func (h *Harness) Finish() {
+	if h.cacheGC != "" {
+		var st prosim.CacheGCStats
+		var err error
+		if h.Client != nil {
+			st, err = h.Client.GC(context.Background(), h.cacheGC)
+		} else {
+			st, err = prosim.GCResultCache(h.Cache, h.cacheGC)
+		}
+		if err != nil {
+			h.Fatal(err)
+		}
+		fmt.Fprintf(os.Stderr, "cache-gc: evicted %d of %d entries, freed %d bytes\n",
+			st.Evicted, st.Entries, st.Freed)
+	}
+	if h.memprofile != "" {
+		f, err := os.Create(h.memprofile)
+		if err != nil {
+			h.Fatal(err)
+		}
+		runtime.GC()
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			h.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			h.Fatal(err)
+		}
+	}
+	if h.cpuFile != nil {
+		pprof.StopCPUProfile()
+		if err := h.cpuFile.Close(); err != nil {
+			h.Fatal(err)
+		}
+	}
+	if h.coord != nil {
+		h.coord.Close()
+	}
+}
+
+// Workload looks up a Table II kernel and shrinks its grid to -maxtbs.
+func (h *Harness) Workload(kernel string) *workloads.Workload {
+	w, err := workloads.ByKernel(kernel)
+	if err != nil {
+		h.Fatal(err)
+	}
+	if h.MaxTBs > 0 {
+		w = w.Shrunk(h.MaxTBs)
+	}
+	return w
+}
+
+// Fatal prints err after the tool's name on stderr and exits 1.
+func (h *Harness) Fatal(err error) {
+	fmt.Fprintf(os.Stderr, "%s: %v\n", h.name, err)
+	os.Exit(1)
+}

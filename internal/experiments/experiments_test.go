@@ -115,7 +115,7 @@ func TestTimelineAndTrace(t *testing.T) {
 			t.Fatal("foreign SM in filtered spans")
 		}
 	}
-	txt := FormatTimeline("x", spans, r.Cycles)
+	txt := FormatTimeline("x", 0, spans, r.Cycles)
 	if !strings.Contains(txt, "TB") {
 		t.Error("timeline text empty")
 	}

@@ -78,11 +78,12 @@ func FormatFig5(t *Table3) string {
 	return b.String()
 }
 
-// FormatTimeline renders Fig. 2 raw data: one line per TB on the SM, in
-// launch order, with start/end cycles and a coarse bar chart.
-func FormatTimeline(title string, spans []stats.TBSpan, totalCycles int64) string {
+// FormatTimeline renders Fig. 2 raw data: one line per TB on SM sm (the
+// SM spans were recorded on), in launch order, with start/end cycles and
+// a coarse bar chart.
+func FormatTimeline(title string, sm int, spans []stats.TBSpan, totalCycles int64) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Fig. 2 (%s) — thread blocks on SM 0 (cycles, | = busy window)\n", title)
+	fmt.Fprintf(&b, "Fig. 2 (%s) — thread blocks on SM %d (cycles, | = busy window)\n", title, sm)
 	const width = 60
 	for _, s := range spans {
 		from := int(s.Start * width / totalCycles)
