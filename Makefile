@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race fastpath fastforwardtest sleeptest issuetest retrytest identity fuzz benchbuild daemontest servetest obstest clustertest tenanttest flighttest check bench profile profile-grid profile-serve report papercheck
+.PHONY: build test vet race fastpath fastforwardtest sleeptest issuetest retrytest identity fuzz benchbuild daemontest servetest obstest clustertest admissiontest flighttest check bench profile profile-grid profile-serve report papercheck
 
 build:
 	$(GO) build ./...
@@ -82,14 +82,14 @@ identity:
 	diff -r "$$tmp/cache-base" "$$tmp/cache-tree"; cmp "$$tmp/out-base" "$$tmp/out-tree"; \
 	echo "identity: $$(find "$$tmp/cache-tree" -type f | wc -l) result-cache entries and the printed table identical to $(BASE)"
 
-# Fuzz every target of the daemon's untrusted-input boundary (the
-# /v1/batch splitter, the wire-job decoder) for 10 s each, one after the
-# other (-fuzz takes one target per run); the seeds also run under plain
-# `go test`.
-FUZZ_TARGETS := FuzzSplitBatch FuzzWireJobToJob
+# Fuzz every untrusted-input boundary (the daemon's /v1/batch splitter
+# and wire-job decoder, the result cache's entry decoder) for 10 s each,
+# one after the other (-fuzz takes one target per run); each entry is
+# package:target. The seeds also run under plain `go test`.
+FUZZ_TARGETS := daemon:FuzzSplitBatch daemon:FuzzWireJobToJob resultcache:FuzzCacheEntry
 fuzz:
-	@set -e; for f in $(FUZZ_TARGETS); do \
-		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s ./internal/daemon; \
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		$(GO) test -run '^$$' -fuzz "^$${t#*:}$$" -fuzztime 10s ./internal/$${t%%:*}; \
 	done
 
 # The benchmark harness must always compile: bench/ is a nested module
@@ -115,24 +115,26 @@ daemontest:
 # same result, /v1/batch's bytes are pinned against the commit before
 # the memo, the one-pass body read must answer a corpus of bodies as the
 # streaming decoder did (mutation-checked) and the splitter may only
-# accept what that decoder accepts, and the result cache's decoded front
-# must count, evict, bypass, drop on GC and touch as a disk hit would.
+# accept what that decoder accepts, the result cache's decoded front
+# must count, evict, bypass, drop on GC and touch as a disk hit would,
+# and its entry decoder must hit exactly on a valid envelope (fuzz seeds).
 servetest:
-	$(GO) test -race -count=1 -run 'TestMemo|TestReencodedJob|TestBatchWireFormatPinned|TestBatchReadMatchesReference|FuzzSplitBatch|FuzzWireJobToJob|TestFront|TestCorruptEntryFallsBackToMiss|TestKeyMatchesCachedEntries' ./internal/daemon ./internal/resultcache ./internal/jobs
+	$(GO) test -race -count=1 -run 'TestMemo|TestReencodedJob|TestBatchWireFormatPinned|TestBatchReadMatchesReference|FuzzSplitBatch|FuzzWireJobToJob|FuzzCacheEntry|TestFront|TestCorruptEntryFallsBackToMiss|TestKeyMatchesCachedEntries' ./internal/daemon ./internal/resultcache ./internal/jobs
 
 # Telemetry smoke under the race detector: the /metrics acceptance test
-# (valid Prometheus exposition after real work), the pprof/expvar debug
-# mux, the heartbeat bit-identity gate and the tracer's line atomicity.
+# (valid Prometheus exposition after real work), the /metrics + pprof
+# debug mux, the heartbeat bit-identity gate and the tracer's line
+# atomicity.
 obstest:
-	$(GO) test -race -count=1 -run 'TestMetricsEndpointServesPrometheus|TestTraceSpansCoverBatchLifecycle|TestDebugHandlerServesMetricsVarsAndPprof|TestHeartbeat' ./internal/daemon ./internal/obs ./internal/gpu
+	$(GO) test -race -count=1 -run 'TestMetricsEndpointServesPrometheus|TestTraceSpansCoverBatchLifecycle|TestDebugHandlerServesMetricsAndPprof|TestHeartbeat' ./internal/daemon ./internal/obs ./internal/gpu
 
-# The multi-tenant surface under the race detector, re-run every time:
-# admission control (429/413 + Retry-After), tenant auth/rate/quota,
-# weighted priority dispatch, the tiered L1/L2 result cache (including
-# the two-daemons-share-an-L2 acceptance test) and the singleflight /
-# fan-out / socket-takeover regression tests.
-tenanttest:
-	$(GO) test -race -count=1 -run 'TestLeaderDisconnect|TestFullQueue|TestOversizeBatch|TestOversizeBody|TestBulkFlood|TestTenant|TestLargeBatchBounded|TestTwoDaemonsSharedL2|TestStatsAndHealthReject|TestListenRefuses|TestClientSurfacesOverload|TestDispatcherWeighted|TestStatsWireCompat|TestTiered|TestStoreHandler' ./internal/daemon ./internal/resultcache
+# The admission surface under the race detector, re-run every time:
+# admission control (429/413 + Retry-After), weighted priority dispatch,
+# the documented-routes-only table, wire compatibility with daemons that
+# still send the removed tenancy and cache-tier stats fields, and the
+# singleflight / fan-out / socket-takeover regression tests.
+admissiontest:
+	$(GO) test -race -count=1 -run 'TestLeaderDisconnect|TestFullQueue|TestOversizeBatch|TestOversizeBody|TestBulkFlood|TestLargeBatchBounded|TestHandlerServesOnlyDocumentedRoutes|TestStatsAndHealthReject|TestListenRefuses|TestClientSurfacesOverload|TestDispatcherWeighted|TestStatsWireCompat' ./internal/daemon
 
 # The flight-recorder gate under the race detector, re-run every time:
 # the bit-identity differential (recorder on vs off for every
@@ -150,7 +152,7 @@ flighttest:
 clustertest:
 	$(GO) test -race -count=1 ./internal/cluster
 
-check: vet race fastpath fastforwardtest sleeptest issuetest retrytest daemontest servetest obstest clustertest tenanttest flighttest benchbuild
+check: vet race fastpath fastforwardtest sleeptest issuetest retrytest daemontest servetest obstest clustertest admissiontest flighttest benchbuild
 
 # The per-layer measurement rungs, 5 repetitions with allocation counts,
 # to stdout: SMTickPipelineStall and SMTickIssue (internal/engine),

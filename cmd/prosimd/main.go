@@ -6,7 +6,8 @@
 // re-simulating.
 //
 // Endpoints: POST /v1/batch (NDJSON progress stream + results),
-// GET /v1/stats, POST /v1/gc, GET /metrics (Prometheus text format).
+// GET /v1/stats, GET /v1/health, POST /v1/gc, GET /metrics (Prometheus
+// text format).
 // See DESIGN.md §9 for the protocol and §10 for the telemetry.
 //
 // Usage:
@@ -14,16 +15,14 @@
 //	prosimd -cache .simcache                     # TCP on 127.0.0.1:9753
 //	prosimd -listen unix:/tmp/prosimd.sock       # unix socket
 //	prosimd -job-timeout 10m -drain 1m
-//	prosimd -debug-addr 127.0.0.1:9754           # pprof + /metrics + expvar
+//	prosimd -debug-addr 127.0.0.1:9754           # pprof + /metrics
 //	prosimd -trace-out jobs.ndjson               # job-lifecycle spans
 //	prosimd -log-level debug -log-json           # structured logs (stderr)
 //
-// Multi-tenant hardening (see DESIGN.md §13):
+// Admission and priority (see DESIGN.md §13):
 //
 //	prosimd -queue-depth 512 -max-batch 256      # admission bounds (429 beyond)
-//	prosimd -tokens-file tenants.json            # named tenants with rate/quota limits
-//	prosimd -cache .simcache -serve-cache        # share the cache as an HTTP store
-//	prosimd -cache .l1 -cache-remote http://peer:9753/cache   # tier onto a peer's store
+//	prosimd -interactive-weight 4                # interactive grants per bulk grant
 //
 // Point the clients at it:
 //
@@ -56,7 +55,7 @@ func main() {
 	drain := flag.Duration("drain", daemon.DefaultDrainTimeout,
 		"how long a SIGINT/SIGTERM shutdown waits for running jobs before aborting them")
 	debugAddr := flag.String("debug-addr", "",
-		"serve /debug/pprof, /metrics and /debug/vars on this extra address (keep it loopback-only)")
+		"serve /debug/pprof and /metrics on this extra address (keep it loopback-only)")
 	traceOut := flag.String("trace-out", "",
 		"write one NDJSON job-lifecycle span per line to this file (\"-\" = stderr)")
 	queueDepth := flag.Int("queue-depth", 0,
@@ -64,14 +63,6 @@ func main() {
 	maxBatch := flag.Int("max-batch", 0, "max jobs in one batch request, 413 beyond it (0 = the queue depth)")
 	interactiveWeight := flag.Int("interactive-weight", 0,
 		fmt.Sprintf("consecutive interactive slot grants per bulk grant (0 = %d)", daemon.DefaultInteractiveWeight))
-	tokensFile := flag.String("tokens-file", "",
-		"JSON array of tenant configs ({token, name, ratePerSec, burst, maxInFlight}); absent = one open default tenant")
-	cacheRemote := flag.String("cache-remote", "",
-		"HTTP object store to tier the local cache onto (e.g. http://peer:9753/cache); requires -cache")
-	cacheRemoteTimeout := flag.Duration("cache-remote-timeout", 0,
-		"per-operation budget for the remote cache tier (0 = 250ms)")
-	serveCache := flag.Bool("serve-cache", false,
-		"serve the local result cache as an HTTP object store under /cache/ (peers point -cache-remote here)")
 	flightOut := flag.String("flight-out", "",
 		"flight-recorder directory: every simulated job writes a Perfetto capture <cache-key>.trace.json there (cache hits record nothing)")
 	quiet := flag.Bool("quiet", false, "suppress lifecycle logging (same as -log-level error)")
@@ -87,26 +78,15 @@ func main() {
 	}
 
 	cfg := daemon.Config{
-		Workers:            *njobs,
-		CacheDir:           *cacheDir,
-		JobTimeout:         *jobTimeout,
-		DrainTimeout:       *drain,
-		QueueDepth:         *queueDepth,
-		MaxBatchJobs:       *maxBatch,
-		InteractiveWeight:  *interactiveWeight,
-		CacheRemote:        *cacheRemote,
-		CacheRemoteTimeout: *cacheRemoteTimeout,
-		ServeCache:         *serveCache,
-		FlightDir:          *flightOut,
-		Log:                log,
-	}
-	if *tokensFile != "" {
-		tenants, err := daemon.LoadTenants(*tokensFile)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Tenants = tenants
-		log.Info("tenants loaded", "file", *tokensFile, "tenants", len(tenants))
+		Workers:           *njobs,
+		CacheDir:          *cacheDir,
+		JobTimeout:        *jobTimeout,
+		DrainTimeout:      *drain,
+		QueueDepth:        *queueDepth,
+		MaxBatchJobs:      *maxBatch,
+		InteractiveWeight: *interactiveWeight,
+		FlightDir:         *flightOut,
+		Log:               log,
 	}
 	if *traceOut != "" {
 		tr, err := obs.OpenTrace(*traceOut)

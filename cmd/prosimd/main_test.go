@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net"
 	"net/http"
 	"os"
@@ -239,5 +240,35 @@ func TestNDJSONStreamReadableLineByLine(t *testing.T) {
 	}
 	if strings.TrimSpace(resp.Header.Get("Content-Type")) != "application/x-ndjson" {
 		t.Fatalf("content type %q", resp.Header.Get("Content-Type"))
+	}
+}
+
+// TestRemovedFlagsAreFlagErrors: the tenancy and shared-cache-tier flags
+// are gone, so each is a flag error (exit 2) before the daemon listens.
+func TestRemovedFlagsAreFlagErrors(t *testing.T) {
+	if testing.Short() {
+		t.Skip("re-exec integration test")
+	}
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-tokens-file", "tenants.json"},
+		{"-cache-remote", "http://127.0.0.1:1/cache"},
+		{"-cache-remote-timeout", "1s"},
+		{"-serve-cache"},
+	} {
+		cmd := exec.Command(exe, append(args, "-listen", "unix:"+filepath.Join(t.TempDir(), "d.sock"))...)
+		cmd.Env = append(os.Environ(), "PROSIMD_TEST_DAEMON=1")
+		out, err := cmd.CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+			t.Errorf("prosimd %s: err %v, want exit 2\n%s", args[0], err, out)
+			continue
+		}
+		if !strings.Contains(string(out), "flag provided but not defined: "+args[0]) {
+			t.Errorf("prosimd %s: output does not name the flag:\n%s", args[0], out)
+		}
 	}
 }

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/daemon"
 	"repro/internal/experiments"
 	"repro/internal/jobs"
 	"repro/internal/obs"
@@ -46,13 +47,15 @@ func main() {
 	maxBackoff := flag.Duration("max-backoff", 5*time.Second, "retry-delay cap")
 	healthEvery := flag.Duration("health-interval", 2*time.Second, "worker health-check cadence")
 	priority := flag.String("priority", "bulk", "scheduling class on the workers: bulk yields slots to interactive clients")
-	token := flag.String("token", "", "tenant token sent as X-Prosim-Token to tokened workers")
 	quiet := flag.Bool("quiet", false, "suppress per-job progress")
 	logCfg := obs.LogFlags(nil)
 	flag.Parse()
 
 	log, err := logCfg.Setup()
 	if err != nil {
+		fatal(err)
+	}
+	if err := daemon.CheckPriority(*priority); err != nil {
 		fatal(err)
 	}
 
@@ -70,7 +73,6 @@ func main() {
 		MaxBackoff:     *maxBackoff,
 		HealthInterval: *healthEvery,
 		Priority:       *priority,
-		Token:          *token,
 		Log:            log,
 	})
 	if err != nil {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"net/http/httptest"
 	"os"
 	"os/exec"
@@ -141,6 +142,37 @@ func TestBadCacheGCFailsFast(t *testing.T) {
 			}
 			if stdout != "" {
 				t.Errorf("report simulated before rejecting -cache-gc; stdout:\n%s", stdout)
+			}
+			if !strings.Contains(stderr, tc.want) {
+				t.Errorf("stderr %q does not say %q", stderr, tc.want)
+			}
+		})
+	}
+}
+
+// TestBadPriorityFailsFast pins that -priority is validated before any
+// simulation, on the local path too, and that the removed -token is a
+// flag error: each exits non-zero (1, or 2 for a flag error) with
+// nothing on stdout instead of running the grid.
+func TestBadPriorityFailsFast(t *testing.T) {
+	if testing.Short() {
+		t.Skip("re-exec integration test")
+	}
+	for _, tc := range []struct {
+		flag, value, want string
+		code              int
+	}{
+		{"-priority", "bogus", `unknown priority "bogus"`, 1},
+		{"-token", "x", "flag provided but not defined: -token", 2},
+	} {
+		t.Run(tc.flag, func(t *testing.T) {
+			stdout, stderr, err := runReport(t, "-maxtbs", "1", tc.flag, tc.value)
+			var ee *exec.ExitError
+			if !errors.As(err, &ee) || ee.ExitCode() != tc.code {
+				t.Fatalf("report %s %s: err %v, want exit %d", tc.flag, tc.value, err, tc.code)
+			}
+			if stdout != "" {
+				t.Errorf("report simulated before rejecting %s; stdout:\n%s", tc.flag, stdout)
 			}
 			if !strings.Contains(stderr, tc.want) {
 				t.Errorf("stderr %q does not say %q", stderr, tc.want)

@@ -41,8 +41,8 @@ type Spec struct {
 	Quiet bool
 	// CacheGC declares -cache-gc.
 	CacheGC bool
-	// Priority, when non-empty, declares -daemon, -workers, -token and
-	// -priority with this default.
+	// Priority, when non-empty, declares -daemon, -workers and -priority
+	// with this default.
 	Priority string
 	// Profile declares -cpuprofile and -memprofile.
 	Profile bool
@@ -68,7 +68,7 @@ type Harness struct {
 	quiet                  bool
 	cacheGC                string
 	daemon, workers        string
-	priority, token        string
+	priority               string
 	cpuprofile, memprofile string
 	logCfg                 *obs.LogConfig
 	log                    *slog.Logger
@@ -96,7 +96,6 @@ func New(name string, spec Spec) *Harness {
 		fs.StringVar(&h.daemon, "daemon", "", "run simulations on a prosimd daemon at this address (host:port or unix:/path) instead of locally")
 		fs.StringVar(&h.workers, "workers", "", "fan simulations out across these comma-separated prosimd addresses (work-stealing coordinator; -cache is the shared merge cache)")
 		fs.StringVar(&h.priority, "priority", spec.Priority, "scheduling class on the daemon/workers: interactive runs preempt bulk ones")
-		fs.StringVar(&h.token, "token", "", "tenant token sent as X-Prosim-Token to tokened daemons")
 	}
 	if spec.Profile {
 		fs.StringVar(&h.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
@@ -106,8 +105,9 @@ func New(name string, spec Spec) *Harness {
 }
 
 // Parse parses args and checks everything that can be checked before a
-// simulation runs: the log flags, -daemon against -workers, and the
-// -cache-gc size and target. It then starts the CPU profile, if asked.
+// simulation runs: the log flags, -daemon against -workers, -priority,
+// and the -cache-gc size and target. It then starts the CPU profile, if
+// asked.
 func (h *Harness) Parse(args []string) {
 	h.Flags.Parse(args)
 	log, err := h.logCfg.Setup()
@@ -117,6 +117,9 @@ func (h *Harness) Parse(args []string) {
 	h.log = log
 	if h.daemon != "" && h.workers != "" {
 		h.Fatal(errors.New("-daemon and -workers are mutually exclusive"))
+	}
+	if err := daemon.CheckPriority(h.priority); err != nil {
+		h.Fatal(err)
 	}
 	if h.cacheGC != "" {
 		if _, err := resultcache.ParseSize(h.cacheGC); err != nil {
@@ -153,7 +156,7 @@ func (h *Harness) Runner() jobs.Runner {
 		if err != nil {
 			h.Fatal(err)
 		}
-		c.Progress, c.Priority, c.Token = progress, h.priority, h.token
+		c.Progress, c.Priority = progress, h.priority
 		h.Client = c
 		return c
 	case h.workers != "":
@@ -167,7 +170,6 @@ func (h *Harness) Runner() jobs.Runner {
 			Workers:  addrs,
 			CacheDir: h.Cache,
 			Priority: h.priority,
-			Token:    h.token,
 			Log:      h.log,
 		})
 		if err != nil {

@@ -60,9 +60,6 @@ type Config struct {
 	// the daemon default (interactive). Sweeps should run bulk so they
 	// yield worker slots to interactive lookups.
 	Priority string
-	// Token authenticates the coordinator to tokened workers
-	// (X-Prosim-Token on every request); empty means the default tenant.
-	Token string
 	// Log, when non-nil, receives worker-loss and retry events.
 	Log *slog.Logger
 }
@@ -165,7 +162,6 @@ func New(cfg Config) (*Coordinator, error) {
 	for id, addr := range cfg.Workers {
 		client := daemon.NewClient(addr)
 		client.Priority = cfg.Priority
-		client.Token = cfg.Token
 		w := &worker{
 			id:     id,
 			addr:   addr,
@@ -529,9 +525,9 @@ func (c *Coordinator) lane(ctx context.Context, st *runState, w *worker, js []jo
 		}
 		var oe *daemon.OverloadedError
 		if errors.As(err, &oe) {
-			// The worker refused the batch at admission (429 rate/quota/
-			// queue or 503 draining): it is alive and shedding load, not
-			// lost. Retry after at least its Retry-After hint, on another
+			// The worker refused the batch at admission (429 full queue
+			// or 503 draining): it is alive and shedding load, not lost.
+			// Retry after at least its Retry-After hint, on another
 			// replica when one exists, and keep this lane running.
 			c.requeue(ctx, st, i, keys[i], attempt, w, oe.RetryAfter, err)
 			continue

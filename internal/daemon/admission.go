@@ -60,6 +60,13 @@ func parseClass(s string) (class, error) {
 	}
 }
 
+// CheckPriority reports whether the daemon would accept s as a batch or
+// job priority, so a client can refuse a bad -priority before it runs.
+func CheckPriority(s string) error {
+	_, err := parseClass(s)
+	return err
+}
+
 // ticket is one waiter in a dispatcher queue. The dispatcher signals a
 // grant by setting granted and closing ready while holding the lock;
 // a waiter that gives up first sets abandoned so release skips it.

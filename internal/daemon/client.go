@@ -30,20 +30,15 @@ type Client struct {
 	// unchanged. Calls arrive on Run's goroutine.
 	Progress func(jobs.Event)
 
-	// Token authenticates the client to a tokened daemon: it is sent as
-	// X-Prosim-Token on every request. Empty means the default tenant.
-	Token string
-
 	// Priority is the batch-level scheduling class sent with every Run
 	// (PriorityInteractive or PriorityBulk). Empty means interactive.
 	Priority string
 }
 
 // OverloadedError reports a batch the daemon refused at admission —
-// 429 (rate limit, quota, full queue) or 503 (draining). Unlike a
-// TransportError the daemon is alive and answering: a coordinator
-// should back off and retry the same worker after RetryAfter rather
-// than mark it lost.
+// 429 (full queue) or 503 (draining). Unlike a TransportError the
+// daemon is alive and answering: a coordinator should back off and
+// retry the same worker after RetryAfter rather than mark it lost.
 type OverloadedError struct {
 	Addr       string
 	Status     int
@@ -103,13 +98,6 @@ func shortKey(key string) string {
 		return key[:12]
 	}
 	return key
-}
-
-// auth stamps the tenant token onto a request when the client has one.
-func (c *Client) auth(hreq *http.Request) {
-	if c.Token != "" {
-		hreq.Header.Set(TokenHeader, c.Token)
-	}
 }
 
 // parseRetryAfter reads a Retry-After header's delay-seconds form; a
@@ -186,7 +174,6 @@ func (c *Client) Run(ctx context.Context, js []jobs.Job) ([]*stats.KernelResult,
 		return nil, err
 	}
 	hreq.Header.Set("Content-Type", "application/json")
-	c.auth(hreq)
 	resp, err := c.hc.Do(hreq)
 	if err != nil {
 		return nil, c.transportErr(fmt.Errorf("submit: %w", err), js, nil)
@@ -265,7 +252,6 @@ func (c *Client) Stats(ctx context.Context) (*Stats, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.auth(hreq)
 	resp, err := c.hc.Do(hreq)
 	if err != nil {
 		return nil, err
@@ -291,7 +277,6 @@ func (c *Client) Health(ctx context.Context) (*Health, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.auth(hreq)
 	resp, err := c.hc.Do(hreq)
 	if err != nil {
 		return nil, &TransportError{Addr: c.addr, Err: fmt.Errorf("health: %w", err)}
@@ -332,7 +317,6 @@ func (c *Client) GC(ctx context.Context, size string) (GCStats, error) {
 		return GCStats{}, err
 	}
 	hreq.Header.Set("Content-Type", "application/json")
-	c.auth(hreq)
 	resp, err := c.hc.Do(hreq)
 	if err != nil {
 		return GCStats{}, err

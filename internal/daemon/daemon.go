@@ -121,22 +121,6 @@ type Config struct {
 	// consecutive interactive grants per bulk grant when both classes
 	// have waiters. <= 0 means DefaultInteractiveWeight.
 	InteractiveWeight int
-	// Tenants defines the named tenants (see LoadTenants); empty means
-	// an open daemon with one unlimited default tenant.
-	Tenants []TenantConfig
-	// CacheRemote, when non-empty, layers an HTTP L2 result store over
-	// the disk cache (which becomes the L1 and is then required): reads
-	// fall through to the remote store and writes replicate to it, with
-	// graceful degradation to L1-only when the remote misbehaves. The
-	// value is the exact URL prefix keys are appended to, e.g.
-	// "http://peer:9753/cache" for a peer prosimd with -serve-cache.
-	CacheRemote string
-	// CacheRemoteTimeout bounds one L2 operation; <= 0 means
-	// resultcache.DefaultRemoteTimeout.
-	CacheRemoteTimeout time.Duration
-	// ServeCache mounts the disk cache as an HTTP object store under
-	// /cache/, so peer daemons can use this one as their L2.
-	ServeCache bool
 	// FlightDir, when non-empty, attaches a flight recorder to every
 	// simulated job and writes its Perfetto capture artifact there,
 	// named by the job's result-cache key (see jobs.Engine.FlightDir).
@@ -176,12 +160,10 @@ type flight struct {
 // Daemon is the simulation service. Create with New, serve with Serve
 // (or ServeUntilSignal), stop with Shutdown.
 type Daemon struct {
-	cfg     Config
-	log     *slog.Logger
-	eng     *jobs.Engine
-	disp    *dispatcher
-	tenants *tenantTable
-	tiered  *resultcache.Tiered
+	cfg  Config
+	log  *slog.Logger
+	eng  *jobs.Engine
+	disp *dispatcher
 
 	// baseCtx parents every job execution; baseCancel aborts them all
 	// (the drain-timeout hammer).
@@ -224,12 +206,6 @@ func New(cfg Config) (*Daemon, error) {
 	if cfg.InteractiveWeight <= 0 {
 		cfg.InteractiveWeight = DefaultInteractiveWeight
 	}
-	if cfg.CacheRemote != "" && cfg.CacheDir == "" {
-		return nil, fmt.Errorf("daemon: -cache-remote requires a local cache directory (the L1)")
-	}
-	if cfg.ServeCache && cfg.CacheDir == "" {
-		return nil, fmt.Errorf("daemon: -serve-cache requires a local cache directory")
-	}
 	eng, err := jobs.New(cfg.Workers, cfg.CacheDir, nil)
 	if err != nil {
 		return nil, err
@@ -240,24 +216,13 @@ func New(cfg Config) (*Daemon, error) {
 	if log == nil {
 		log = obs.Discard()
 	}
-	tenants, err := newTenantTable(cfg.Tenants)
-	if err != nil {
-		return nil, err
-	}
 	d := &Daemon{
 		cfg:      cfg,
 		log:      log,
 		eng:      eng,
 		disp:     newDispatcher(cfg.Workers, cfg.QueueDepth, cfg.InteractiveWeight),
-		tenants:  tenants,
 		inflight: make(map[string]*flight),
 		start:    time.Now(),
-	}
-	if cfg.CacheRemote != "" {
-		remote := resultcache.NewRemote(cfg.CacheRemote, cfg.CacheRemoteTimeout)
-		d.tiered = resultcache.NewTiered(eng.Cache, remote)
-		eng.Backend = d.tiered
-		log.Info("tiered result cache", "l1", cfg.CacheDir, "l2", remote.Base())
 	}
 	d.baseCtx, d.baseCancel = context.WithCancel(context.Background())
 	d.server = &http.Server{Handler: d.Handler()}
@@ -289,11 +254,6 @@ func (d *Daemon) Handler() http.Handler {
 	mux.Handle("/v1/health", httpMetrics("/v1/health", d.handleHealth))
 	mux.Handle("/v1/gc", httpMetrics("/v1/gc", d.handleGC))
 	mux.Handle("/metrics", obs.Default.Handler())
-	if d.cfg.ServeCache && d.eng.Cache != nil {
-		// The disk cache doubles as the cluster's shared object store:
-		// peer daemons point -cache-remote at this URL prefix.
-		mux.Handle("/cache/", http.StripPrefix("/cache/", resultcache.StoreHandler(d.eng.Cache)))
-	}
 	return mux
 }
 
@@ -464,16 +424,13 @@ func (d *Daemon) execute(waitCtx context.Context, j *jobs.Job, key string, cl cl
 }
 
 // reject refuses a batch before any job ran: it counts the rejection
-// (globally, by reason, and against the tenant when known), sets
-// Retry-After for retryable statuses, and writes the error body.
-func (d *Daemon) reject(w http.ResponseWriter, tn *tenant, code int, reason, msg string, retryAfter time.Duration) {
+// (globally and by reason), sets Retry-After for retryable statuses,
+// and writes the error body.
+func (d *Daemon) reject(w http.ResponseWriter, code int, reason, msg string, retryAfter time.Duration) {
 	d.rejected.Add(1)
 	obs.NewCounter(
 		obs.Labeled("prosimd_rejected_total", "reason", reason),
 		"batch requests refused at admission, by reason").Inc()
-	if tn != nil {
-		tn.mRejected.Inc()
-	}
 	if retryAfter > 0 {
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", int(retryAfter.Seconds()+0.999)))
 	}
@@ -523,33 +480,27 @@ func (d *Daemon) submitPoolSize(n int) int {
 // results in job order. Individual job failures are reported per job
 // and do not abort the rest of the batch.
 //
-// Admission happens before the stream starts, in order: tenant
-// authentication (401), drain check (503), body cap (413) and parsing
-// (400), job-count cap (413), tenant rate limit and in-flight quota
-// (429), per-class queue capacity (429). Every 429 carries Retry-After.
+// Admission happens before the stream starts, in order: drain check
+// (503), body cap (413) and parsing (400), job-count cap (413),
+// per-class queue capacity (429). Every 429 carries Retry-After.
 func (d *Daemon) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return
 	}
-	tn, err := d.tenants.resolve(r.Header.Get(TokenHeader))
-	if err != nil {
-		d.reject(w, nil, http.StatusUnauthorized, "auth", err.Error(), 0)
-		return
-	}
 	if d.draining.Load() {
-		d.reject(w, tn, http.StatusServiceUnavailable, "draining", "daemon is draining", 2*time.Second)
+		d.reject(w, http.StatusServiceUnavailable, "draining", "daemon is draining", 2*time.Second)
 		return
 	}
-	if js, cls, ok := d.readBatch(w, r, tn); ok {
-		d.serveBatch(w, r, tn, js, cls)
+	if js, cls, ok := d.readBatch(w, r); ok {
+		d.serveBatch(w, r, js, cls)
 	}
 }
 
 // readBatch reads the body once and splits it in one pass; any refusal is
 // left to the reference, the decoder over the same bytes and read error
 // (DESIGN.md §9.5). ok false means it answered (400 or a counted 413).
-func (d *Daemon) readBatch(w http.ResponseWriter, r *http.Request, tn *tenant) ([]*memoJob, []class, bool) {
+func (d *Daemon) readBatch(w http.ResponseWriter, r *http.Request) ([]*memoJob, []class, bool) {
 	bodyCap := maxJobBytes * int64(d.cfg.MaxBatchJobs)
 	var buf bytes.Buffer
 	if n := r.ContentLength; n > 0 && n <= bodyCap {
@@ -567,7 +518,7 @@ func (d *Daemon) readBatch(w http.ResponseWriter, r *http.Request, tn *tenant) (
 	}
 	src := io.MultiReader(bytes.NewReader(buf.Bytes()), errReader{rerr})
 	if err := json.NewDecoder(src).Decode(&req); errors.As(err, new(*http.MaxBytesError)) {
-		d.reject(w, tn, http.StatusRequestEntityTooLarge, "body_size",
+		d.reject(w, http.StatusRequestEntityTooLarge, "body_size",
 			fmt.Sprintf("batch body exceeds the %d-byte cap; split it", bodyCap), 0)
 		return nil, nil, false
 	} else if err != nil {
@@ -575,7 +526,7 @@ func (d *Daemon) readBatch(w http.ResponseWriter, r *http.Request, tn *tenant) (
 		return nil, nil, false
 	}
 	if len(req.Jobs) > d.cfg.MaxBatchJobs {
-		d.reject(w, tn, http.StatusRequestEntityTooLarge, "batch_size",
+		d.reject(w, http.StatusRequestEntityTooLarge, "batch_size",
 			fmt.Sprintf("batch of %d jobs exceeds the %d-job cap; split it", len(req.Jobs), d.cfg.MaxBatchJobs), 0)
 		return nil, nil, false
 	}
@@ -613,21 +564,11 @@ func (d *Daemon) decodeBatch(raws []json.RawMessage, priority string) ([]*memoJo
 	return js, cls, nil
 }
 
-// serveBatch admits a decoded batch (rate, quota, queues) and streams it.
-func (d *Daemon) serveBatch(w http.ResponseWriter, r *http.Request, tn *tenant, js []*memoJob, cls []class) {
+// serveBatch admits a decoded batch to its class queues and streams it.
+func (d *Daemon) serveBatch(w http.ResponseWriter, r *http.Request, js []*memoJob, cls []class) {
 	var nByClass [numClasses]int
 	for _, cl := range cls {
 		nByClass[cl]++
-	}
-	if ok, wait := tn.rl.take(len(js), time.Now()); !ok {
-		d.reject(w, tn, http.StatusTooManyRequests, "rate",
-			fmt.Sprintf("tenant %s over its rate limit", tn.name), wait)
-		return
-	}
-	if !tn.tryReserve(len(js)) {
-		d.reject(w, tn, http.StatusTooManyRequests, "quota",
-			fmt.Sprintf("tenant %s at its in-flight quota (%d)", tn.name, tn.maxInFlight), time.Second)
-		return
 	}
 	admitted := [numClasses]bool{}
 	for cl := class(0); cl < numClasses; cl++ {
@@ -642,17 +583,14 @@ func (d *Daemon) serveBatch(w http.ResponseWriter, r *http.Request, tn *tenant, 
 					d.disp.forfeit(rb)
 				}
 			}
-			tn.done(len(js))
-			d.reject(w, tn, http.StatusTooManyRequests, "queue",
+			d.reject(w, http.StatusTooManyRequests, "queue",
 				fmt.Sprintf("%s queue is full (%d pending)", cl, d.cfg.QueueDepth), d.retryAfterHint(cl))
 			return
 		}
 	}
-	tn.mJobs.Add(int64(len(js)))
-
 	d.batches.Add(1)
 	mBatches.Inc()
-	d.log.Info("batch accepted", "jobs", len(js), "tenant", tn.name, "remote", r.RemoteAddr)
+	d.log.Info("batch accepted", "jobs", len(js), "remote", r.RemoteAddr)
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
@@ -725,12 +663,10 @@ func (d *Daemon) serveBatch(w http.ResponseWriter, r *http.Request, tn *tenant, 
 					// Client gone before this job was submitted: drop its
 					// reservation instead of launching work nobody reads.
 					d.disp.forfeit(cls[i])
-					tn.done(1)
 					results[i] = JobResult{Err: "submission canceled: " + err.Error()}
 					continue
 				}
 				res, fromCache, deduped, err := d.runJob(r.Context(), js[i], cls[i])
-				tn.done(1)
 				ev := Event{
 					Type:      "job",
 					Index:     i,
@@ -764,7 +700,7 @@ func (d *Daemon) serveBatch(w http.ResponseWriter, r *http.Request, tn *tenant, 
 		}
 	}
 	d.log.Info("batch done",
-		"jobs", len(js), "cached", hits, "tenant", tn.name,
+		"jobs", len(js), "cached", hits,
 		"elapsed_sec", fmt.Sprintf("%.1f", time.Since(start).Seconds()))
 }
 
@@ -831,13 +767,6 @@ func (d *Daemon) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	st.QueueInteractive, st.QueueBulk = d.disp.depths()
 	st.Rejected = d.rejected.Load()
-	st.Tenants = d.tenants.size()
-	if d.tiered != nil {
-		st.CacheRemote = d.cfg.CacheRemote
-		st.L2Hits = d.tiered.L2Hits()
-		st.L2Misses = d.tiered.L2Misses()
-		st.L2Degraded = d.tiered.Degraded()
-	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(st)
 }

@@ -20,7 +20,7 @@ import (
 // refReadBatch is the reference for readBatch: /v1/batch's decode as it
 // was before the one-pass splitter, the streaming decoder reading straight
 // off the capped body and the per-job loop written out in full.
-func refReadBatch(d *Daemon, w http.ResponseWriter, r *http.Request, tn *tenant) ([]*memoJob, []class, bool) {
+func refReadBatch(d *Daemon, w http.ResponseWriter, r *http.Request) ([]*memoJob, []class, bool) {
 	var req struct {
 		Jobs     []json.RawMessage `json:"jobs"`
 		Priority string            `json:"priority"`
@@ -28,7 +28,7 @@ func refReadBatch(d *Daemon, w http.ResponseWriter, r *http.Request, tn *tenant)
 	bodyCap := maxJobBytes * int64(d.cfg.MaxBatchJobs)
 	r.Body = http.MaxBytesReader(w, r.Body, bodyCap)
 	if err := json.NewDecoder(r.Body).Decode(&req); errors.As(err, new(*http.MaxBytesError)) {
-		d.reject(w, tn, http.StatusRequestEntityTooLarge, "body_size",
+		d.reject(w, http.StatusRequestEntityTooLarge, "body_size",
 			fmt.Sprintf("batch body exceeds the %d-byte cap; split it", bodyCap), 0)
 		return nil, nil, false
 	} else if err != nil {
@@ -36,7 +36,7 @@ func refReadBatch(d *Daemon, w http.ResponseWriter, r *http.Request, tn *tenant)
 		return nil, nil, false
 	}
 	if len(req.Jobs) > d.cfg.MaxBatchJobs {
-		d.reject(w, tn, http.StatusRequestEntityTooLarge, "batch_size",
+		d.reject(w, http.StatusRequestEntityTooLarge, "batch_size",
 			fmt.Sprintf("batch of %d jobs exceeds the %d-job cap; split it", len(req.Jobs), d.cfg.MaxBatchJobs), 0)
 		return nil, nil, false
 	}
@@ -188,12 +188,8 @@ func TestBatchReadMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	refHandle := func(w http.ResponseWriter, r *http.Request) {
-		tn, err := ref.tenants.resolve("")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if js, cls, ok := refReadBatch(ref, w, r, tn); ok {
-			ref.serveBatch(w, r, tn, js, cls)
+		if js, cls, ok := refReadBatch(ref, w, r); ok {
+			ref.serveBatch(w, r, js, cls)
 		}
 	}
 	// serve runs one request through h, returning the status, the body,

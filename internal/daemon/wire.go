@@ -258,23 +258,15 @@ type Stats struct {
 	// Draining is true once a shutdown began (additive; older daemons
 	// omit it and older clients ignore it — absent decodes as false).
 	Draining bool `json:"draining,omitempty"`
-	// Multi-tenant admission telemetry (additive). QueueInteractive and
-	// QueueBulk are the per-class admitted-but-not-running job counts;
-	// Rejected counts batch requests refused at admission (rate, quota,
-	// full queue, auth, size) since start; Tenants is the number of
-	// configured tenants, the unnamed default included.
+	// Admission telemetry (additive). QueueInteractive and QueueBulk are
+	// the per-class admitted-but-not-running job counts; Rejected counts
+	// batch requests refused at admission (draining, size, full queue)
+	// since start. Older daemons may still send "tenants", "cacheRemote"
+	// and "l2Hits"/"l2Misses"/"l2Degraded"; the decoder ignores them
+	// (pinned by TestStatsWireCompatMultiTenantFields).
 	QueueInteractive int   `json:"queueInteractive,omitempty"`
 	QueueBulk        int   `json:"queueBulk,omitempty"`
 	Rejected         int64 `json:"rejected,omitempty"`
-	Tenants          int   `json:"tenants,omitempty"`
-	// Tiered-cache telemetry (additive; all zero unless the daemon runs
-	// with -cache-remote). CacheRemote is the L2 store URL; L2Hits and
-	// L2Misses count read-throughs; L2Degraded counts operations that
-	// fell back to L1-only service because the remote misbehaved.
-	CacheRemote string `json:"cacheRemote,omitempty"`
-	L2Hits      int64  `json:"l2Hits,omitempty"`
-	L2Misses    int64  `json:"l2Misses,omitempty"`
-	L2Degraded  int64  `json:"l2Degraded,omitempty"`
 }
 
 // Health is the body of GET /v1/health — the lightweight liveness probe

@@ -157,13 +157,6 @@ type Engine struct {
 	SMWorkers int
 	// Cache, when non-nil, memoizes results on disk.
 	Cache *resultcache.Cache
-	// Backend, when non-nil, overrides Cache as the store job execution
-	// reads and writes — typically a resultcache.Tiered built with Cache
-	// as its L1, so a fleet of engines shares one remote warm tier.
-	// Cache stays the handle for keys, stats and GC (the local tier owns
-	// those); Backend only changes where results are looked up and
-	// stored. Nil means Cache alone.
-	Backend resultcache.Backend
 	// OnProgress, when non-nil, is called after every job completion.
 	// Calls are serialized; keep the callback fast.
 	OnProgress func(Event)
@@ -447,8 +440,7 @@ func (e *Engine) runOne(ctx context.Context, j *Job, key string) (r *stats.Kerne
 		return nil, false, err
 	}
 
-	store := e.store()
-	cacheable := store != nil && schedID != ""
+	cacheable := e.Cache != nil && schedID != ""
 	if key == "" && (cacheable || (e.Trace != nil && schedID != "")) {
 		if key, err = e.key(j, schedID); err != nil {
 			return nil, false, err
@@ -456,7 +448,7 @@ func (e *Engine) runOne(ctx context.Context, j *Job, key string) (r *stats.Kerne
 	}
 	e.Trace.Emit(obs.Span{Event: "submit", Key: key, Kernel: j.label(), Sched: j.schedLabel()})
 	if cacheable {
-		if cached, ok := store.Get(key); ok {
+		if cached, ok := e.Cache.Get(key); ok {
 			return cached, true, nil
 		}
 	}
@@ -490,7 +482,7 @@ func (e *Engine) runOne(ctx context.Context, j *Job, key string) (r *stats.Kerne
 		}
 	}
 	if cacheable {
-		if err := store.Put(key, r); err != nil {
+		if err := e.Cache.Put(key, r); err != nil {
 			return nil, false, err
 		}
 	}
@@ -521,18 +513,6 @@ func (e *Engine) writeFlightArtifact(j *Job, key string, rec *flight.Recorder) e
 	}
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("flight artifact %s: %w", path, err)
-	}
-	return nil
-}
-
-// store resolves the result store job execution uses: the explicit
-// Backend when set, otherwise the plain disk cache, otherwise nothing.
-func (e *Engine) store() resultcache.Backend {
-	if e.Backend != nil {
-		return e.Backend
-	}
-	if e.Cache != nil {
-		return e.Cache
 	}
 	return nil
 }

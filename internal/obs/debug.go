@@ -1,24 +1,19 @@
-// Debug endpoint bundle: /metrics, /debug/vars (expvar JSON) and
-// /debug/pprof on one mux — what cmd/prosimd serves behind
-// -debug-addr. Profiling stays off the service mux so an exposed
-// daemon port never leaks heap dumps; operators opt in with a
-// separate, typically loopback-only, listener.
+// Debug endpoint bundle: /metrics and /debug/pprof on one mux — what
+// cmd/prosimd serves behind -debug-addr. Profiling stays off the
+// service mux so an exposed daemon port never leaks heap dumps;
+// operators opt in with a separate, typically loopback-only, listener.
 package obs
 
 import (
-	"expvar"
 	"net/http"
 	"net/http/pprof"
 )
 
 // DebugHandler returns a mux serving the registry in Prometheus text
-// at /metrics, the expvar JSON view at /debug/vars, and the standard
-// pprof endpoints under /debug/pprof/.
+// at /metrics and the standard pprof endpoints under /debug/pprof/.
 func DebugHandler(r *Registry) http.Handler {
-	PublishExpvar()
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", r.Handler())
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

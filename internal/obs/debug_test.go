@@ -1,17 +1,16 @@
 package obs
 
 import (
-	"encoding/json"
 	"io"
 	"net/http/httptest"
 	"strings"
 	"testing"
 )
 
-// TestDebugHandlerServesMetricsVarsAndPprof is the pprof/expvar smoke
-// test behind `make obstest`: the debug mux must answer all three
-// endpoint groups.
-func TestDebugHandlerServesMetricsVarsAndPprof(t *testing.T) {
+// TestDebugHandlerServesMetricsAndPprof is the debug-mux smoke test
+// behind `make obstest`: /metrics and the pprof endpoints answer, and
+// nothing is served at the removed expvar path.
+func TestDebugHandlerServesMetricsAndPprof(t *testing.T) {
 	Default.Counter("debug_smoke_total", "smoke").Inc()
 	srv := httptest.NewServer(DebugHandler(Default))
 	defer srv.Close()
@@ -30,18 +29,8 @@ func TestDebugHandlerServesMetricsVarsAndPprof(t *testing.T) {
 	if code, body := get("/metrics"); code != 200 || !strings.Contains(body, "debug_smoke_total") {
 		t.Fatalf("/metrics: code %d, body %q", code, body)
 	}
-	code, body := get("/debug/vars")
-	if code != 200 {
-		t.Fatalf("/debug/vars: code %d", code)
-	}
-	var vars struct {
-		Prosim map[string]float64 `json:"prosim"`
-	}
-	if err := json.Unmarshal([]byte(body), &vars); err != nil {
-		t.Fatalf("/debug/vars not JSON: %v", err)
-	}
-	if vars.Prosim["debug_smoke_total"] < 1 {
-		t.Fatalf("expvar view missing registry counter: %v", vars.Prosim)
+	if code, _ := get("/debug/vars"); code != 404 {
+		t.Fatalf("/debug/vars: code %d, want 404", code)
 	}
 	if code, body := get("/debug/pprof/cmdline"); code != 200 || body == "" {
 		t.Fatalf("/debug/pprof/cmdline: code %d", code)

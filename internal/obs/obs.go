@@ -1,8 +1,8 @@
 // Package obs is the runtime telemetry subsystem: a dependency-free
 // metrics registry (counters, gauges, fixed-bucket histograms) with
-// Prometheus text and expvar JSON exposition, a structured-logging
-// setup helper on log/slog shared by every cmd/ tool, and a
-// job-lifecycle tracer emitting NDJSON spans.
+// Prometheus text exposition, a structured-logging setup helper on
+// log/slog shared by every cmd/ tool, and a job-lifecycle tracer
+// emitting NDJSON spans.
 //
 // The registry is deliberately tiny — no external client library, no
 // background goroutines, no metric expiry. Every metric is a fixed

@@ -139,19 +139,6 @@ func TestHandlerServesMetrics(t *testing.T) {
 	}
 }
 
-func TestSnapshotFlattens(t *testing.T) {
-	r := &Registry{}
-	r.Counter("c_total", "").Add(2)
-	r.Histogram("h_seconds", "", []float64{1}).Observe(0.5)
-	snap := r.Snapshot()
-	if snap["c_total"] != 2 {
-		t.Fatalf("snapshot c_total = %v", snap["c_total"])
-	}
-	if snap["h_seconds_count"] != 1 || snap["h_seconds_sum"] != 0.5 {
-		t.Fatalf("snapshot histogram = %v / %v", snap["h_seconds_count"], snap["h_seconds_sum"])
-	}
-}
-
 func TestConcurrentUse(t *testing.T) {
 	r := &Registry{}
 	var wg sync.WaitGroup

@@ -1,15 +1,13 @@
-// Prometheus text exposition and expvar JSON export of a Registry.
+// Prometheus text exposition of a Registry.
 package obs
 
 import (
 	"bufio"
-	"expvar"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // promKind maps a series kind to the Prometheus TYPE keyword.
@@ -107,40 +105,5 @@ func (r *Registry) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		r.WritePrometheus(w)
-	})
-}
-
-// Snapshot returns every series as a flat name -> value map (histogram
-// series expand to _sum and _count). This is the expvar JSON view.
-func (r *Registry) Snapshot() map[string]float64 {
-	out := make(map[string]float64)
-	for _, s := range r.snapshot() {
-		name := seriesName(s.family, s.labels)
-		switch s.kind {
-		case kindCounter:
-			out[name] = float64(s.c.Value())
-		case kindGauge:
-			out[name] = float64(s.g.Value())
-		case kindGaugeFunc:
-			out[name] = s.fn()
-		case kindHistogram:
-			out[seriesName(s.family+"_sum", s.labels)] = s.h.Sum()
-			out[seriesName(s.family+"_count", s.labels)] = float64(s.h.Count())
-		}
-	}
-	return out
-}
-
-var expvarOnce sync.Once
-
-// PublishExpvar exposes the Default registry under the "prosim" expvar
-// variable, so GET /debug/vars serves the same counters as /metrics in
-// JSON. Safe to call more than once; only the first call publishes
-// (expvar panics on duplicate names).
-func PublishExpvar() {
-	expvarOnce.Do(func() {
-		expvar.Publish("prosim", expvar.Func(func() any {
-			return Default.Snapshot()
-		}))
 	})
 }

@@ -162,8 +162,17 @@ func (c *Cache) Get(key string) (*stats.KernelResult, bool) {
 		c.hit(key, fe.size, stale)
 		return fe.res, true
 	}
-	data, env, ok := c.readEntry(key)
-	if size := int64(len(data)); ok && size <= c.frontBudget/32 {
+	data, err := os.ReadFile(c.path(key))
+	var env envelope
+	if err != nil || json.Unmarshal(data, &env) != nil ||
+		env.Schema != c.version || env.Key != key || env.Result == nil {
+		c.misses.Add(1)
+		mMisses.Inc()
+		return nil, false
+	}
+	size := int64(len(data))
+	c.hit(key, size, true)
+	if size <= c.frontBudget/32 {
 		c.mu.Lock()
 		c.forget(key) // a racing Get of the same key may have filled it
 		for k := range c.front {
@@ -176,7 +185,7 @@ func (c *Cache) Get(key string) (*stats.KernelResult, bool) {
 		c.frontBytes += size
 		c.mu.Unlock()
 	}
-	return env.Result, ok
+	return env.Result, true
 }
 
 // forget drops key from the front; c.mu must be held.
@@ -185,21 +194,6 @@ func (c *Cache) forget(key string) {
 		delete(c.front, key)
 		c.frontBytes -= fe.size
 	}
-}
-
-// readEntry reads key's entry from disk and validates its envelope,
-// counting a hit or a miss. Shared by Get and the HTTP store, whose
-// reads on behalf of a peer daemon are hits of this cache like any other.
-func (c *Cache) readEntry(key string) (data []byte, env envelope, ok bool) {
-	data, err := os.ReadFile(c.path(key))
-	if err != nil || json.Unmarshal(data, &env) != nil ||
-		env.Schema != c.version || env.Key != key || env.Result == nil {
-		c.misses.Add(1)
-		mMisses.Inc()
-		return nil, envelope{}, false
-	}
-	c.hit(key, int64(len(data)), true)
-	return data, env, true
 }
 
 // hit counts one successful read of an entry of size encoded bytes and,
@@ -216,10 +210,6 @@ func (c *Cache) hit(key string, size int64, touch bool) {
 	}
 }
 
-// errBadEnvelope rejects store PUTs whose body is not a valid envelope
-// for the requested key at this cache's schema version.
-var errBadEnvelope = fmt.Errorf("resultcache: body is not a valid result envelope for this key and schema")
-
 // Put stores a result under key, atomically replacing any previous
 // entry.
 func (c *Cache) Put(key string, r *stats.KernelResult) error {
@@ -227,13 +217,6 @@ func (c *Cache) Put(key string, r *stats.KernelResult) error {
 	if err != nil {
 		return fmt.Errorf("resultcache: encoding result: %w", err)
 	}
-	return c.writeEntry(key, data)
-}
-
-// writeEntry lands pre-encoded envelope bytes under key through a temp
-// file plus rename, so concurrent writers never expose a half-written
-// entry. Shared by Put and the HTTP store's putRaw.
-func (c *Cache) writeEntry(key string, data []byte) error {
 	tmp, err := os.CreateTemp(c.dir, "put-*.tmp")
 	if err != nil {
 		return fmt.Errorf("resultcache: %w", err)
