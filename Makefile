@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race fastpath fastforwardtest sleeptest issuetest retrytest identity fuzz benchbuild daemontest servetest obstest clustertest admissiontest flighttest check bench profile profile-grid profile-serve report papercheck
+.PHONY: build test vet race fastpath fastforwardtest sleeptest issuetest retrytest identity pairs fuzz benchbuild daemontest servetest obstest clustertest admissiontest flighttest check bench profile profile-grid profile-serve report papercheck
 
 build:
 	$(GO) build ./...
@@ -82,11 +82,94 @@ identity:
 	diff -r "$$tmp/cache-base" "$$tmp/cache-tree"; cmp "$$tmp/out-base" "$$tmp/out-tree"; \
 	echo "identity: $$(find "$$tmp/cache-tree" -type f | wc -l) result-cache entries and the printed table identical to $(BASE)"
 
+# ROADMAP's pairs protocol in one command: `make pairs BASE=<ref>
+# WORKLOAD=<name> N=10 SEED=1` builds bench/ from a `git archive` export
+# of BASE and from this working tree, runs N pairs of the one workload
+# (which side goes first alternates), each binary from its own tree's
+# bench/ directory, and prints for every end-to-end metric of
+# BENCHMARK.json that the workload reports (and the failed-operation
+# count): each side's median and q1-q3, the change/base ratio of the
+# medians, the pairs the change won in the metric's better direction, and
+# whether the medians lie further apart than the base's IQR. Runs and
+# binaries stay in a temp dir; about N x 2 x 15 s.
+N ?= 10
+SEED ?= 1
+pairs:
+	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || { echo "usage: make pairs BASE=<git ref> WORKLOAD=<name> [N=10] [SEED=1]" >&2; exit 2; }
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/base"; git archive "$(BASE)" | tar -x -C "$$tmp/base"; \
+	(cd "$$tmp/base/bench" && $(GO) build -o "$$tmp/bench-base" .); \
+	(cd bench && $(GO) build -o "$$tmp/bench-change" .); \
+	run() { \
+		(cd "$$2" && "$$tmp/bench-$$1" -workload "$(WORKLOAD)" -seed "$(SEED)" >"$$tmp/out" 2>"$$tmp/err") || \
+			echo "$$1 run $$i exited non-zero; see its failed count" >&2; \
+		tail -n 1 "$$tmp/out" >"$$tmp/last"; \
+		{ sed -n 's/.*"failed":\([0-9]*\).*/failed \1/p' "$$tmp/last"; \
+		  sed 's/.*"metrics":{//; s/}}$$//' "$$tmp/last" | tr '}' '\n' | \
+		  sed -n 's/^,\{0,1\}"\([a-z0-9_]*\)":{"value":\([^,]*\),.*/\1 \2/p'; } | \
+			sed "s/^/$$1 $$i /" >>"$$tmp/runs"; \
+	}; \
+	i=1; while [ $$i -le $(N) ]; do \
+		if [ $$((i % 2)) -eq 1 ]; then run base "$$tmp/base/bench"; run change bench; \
+		else run change bench; run base "$$tmp/base/bench"; fi; \
+		echo "pairs: $$i of $(N) done" >&2; i=$$((i + 1)); \
+	done; \
+	echo "$(WORKLOAD), seed $(SEED): $(N) pairs, base $(BASE) vs this tree"; \
+	awk "$$PAIRS_AWK" BENCHMARK.json "$$tmp/runs"
+
+# The table `make pairs` prints, from BENCHMARK.json (the end-to-end
+# metrics and their better direction) and the runs (side, pair, metric,
+# value): quartiles interpolate linearly between the sorted runs.
+define PAIRS_AWK
+function load(side, m, a,   i, j, n, t) {
+	n = 0
+	for (i = 1; i <= np; i++) if ((side, m, i) in v) a[++n] = v[side, m, i] + 0
+	for (i = 2; i <= n; i++) {
+		t = a[i]
+		for (j = i - 1; j >= 1 && a[j] > t; j--) a[j + 1] = a[j]
+		a[j + 1] = t
+	}
+	return n
+}
+function q(a, n, p,   h, l) {
+	h = (n - 1) * p + 1; l = int(h)
+	return l >= n ? a[n] : a[l] + (h - l) * (a[l + 1] - a[l])
+}
+FNR == 1 { file++ }
+file == 1 && /"end_to_end"/ { e2e = 1; next }
+file == 1 && e2e && /^ *\]/ { e2e = 0 }
+file == 1 && e2e && /"name"/ { split($$0, f, "\""); name = f[4]; order[++nm] = name }
+file == 1 && e2e && /"better"/ { split($$0, f, "\""); better[name] = f[4] }
+file == 1 { next }
+{ v[$$1, $$3, $$2] = $$4; seen[$$3] = 1; if ($$2 + 0 > np) np = $$2 + 0 }
+END {
+	order[++nm] = "failed"; better["failed"] = "lower"
+	printf "%-18s %-34s %-34s %7s %6s  %s\n", "metric", "base median [q1, q3]", "change median [q1, q3]", "ratio", "won", "apart > base IQR"
+	for (k = 1; k <= nm; k++) {
+		m = order[k]
+		if (!(m in seen)) continue
+		nb = load("base", m, b); nc = load("change", m, c); won = 0
+		for (i = 1; i <= np; i++) if ((("base", m, i) in v) && (("change", m, i) in v)) {
+			x = v["base", m, i] + 0; y = v["change", m, i] + 0
+			if (better[m] == "lower" ? y < x : y > x) won++
+		}
+		bm = q(b, nb, .5); cm = q(c, nc, .5); iqr = q(b, nb, .75) - q(b, nb, .25)
+		d = cm - bm; if (d < 0) d = -d
+		printf "%-18s %-34s %-34s %7s %6s  %s\n", m, \
+			sprintf("%.4g [%.4g, %.4g]", bm, q(b, nb, .25), q(b, nb, .75)), \
+			sprintf("%.4g [%.4g, %.4g]", cm, q(c, nc, .25), q(c, nc, .75)), \
+			(bm != 0 ? sprintf("%.3f", cm / bm) : "-"), won "/" np, (d > iqr ? "yes" : "no")
+	}
+}
+endef
+export PAIRS_AWK
+
 # Fuzz every untrusted-input boundary (the daemon's /v1/batch splitter
-# and wire-job decoder, the result cache's entry decoder) for 10 s each,
-# one after the other (-fuzz takes one target per run); each entry is
-# package:target. The seeds also run under plain `go test`.
-FUZZ_TARGETS := daemon:FuzzSplitBatch daemon:FuzzWireJobToJob resultcache:FuzzCacheEntry
+# and wire-job decoder, the client's response-line decoder and request
+# appender, the result cache's entry decoder, the kernel text parser)
+# for 10 s each, one after the other (-fuzz takes one target per run);
+# each entry is package:target. The seeds also run under plain `go test`.
+FUZZ_TARGETS := daemon:FuzzSplitBatch daemon:FuzzWireJobToJob daemon:FuzzDecodeEvent daemon:FuzzAppendBatch resultcache:FuzzCacheEntry isa:FuzzParse
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \
 		$(GO) test -run '^$$' -fuzz "^$${t#*:}$$" -fuzztime 10s ./internal/$${t%%:*}; \
@@ -117,9 +200,14 @@ daemontest:
 # streaming decoder did (mutation-checked) and the splitter may only
 # accept what that decoder accepts, the result cache's decoded front
 # must count, evict, bypass, drop on GC and touch as a disk hit would,
-# and its entry decoder must hit exactly on a valid envelope (fuzz seeds).
+# and its entry decoder must hit exactly on a valid envelope (fuzz seeds);
+# on the client, the request appender must write json.Marshal's bytes for
+# every grid request and every field (a field-drift guard), and reading a
+# table of response streams must end as the json.Decoder loop it replaced
+# did (mutation-checked), the line decoder only accepting what
+# json.Unmarshal decodes alike (fuzz seeds).
 servetest:
-	$(GO) test -race -count=1 -run 'TestMemo|TestReencodedJob|TestBatchWireFormatPinned|TestBatchReadMatchesReference|FuzzSplitBatch|FuzzWireJobToJob|FuzzCacheEntry|TestFront|TestCorruptEntryFallsBackToMiss|TestKeyMatchesCachedEntries' ./internal/daemon ./internal/resultcache ./internal/jobs
+	$(GO) test -race -count=1 -run 'TestMemo|TestReencodedJob|TestBatchWireFormatPinned|TestBatchReadMatchesReference|FuzzSplitBatch|FuzzWireJobToJob|FuzzCacheEntry|TestFront|TestCorruptEntryFallsBackToMiss|TestKeyMatchesCachedEntries|TestAppendBatchMatchesMarshal|TestCodecCoversEveryField|TestFastDecoderTakesDaemonLines|TestRunMatchesReferenceOnStreams|TestRunRejectsEmptyJobResult|FuzzDecodeEvent|FuzzAppendBatch' ./internal/daemon ./internal/resultcache ./internal/jobs
 
 # Telemetry smoke under the race detector: the /metrics acceptance test
 # (valid Prometheus exposition after real work), the /metrics + pprof
@@ -194,11 +282,12 @@ profile-grid:
 # and 25-job requests over a pre-filled cache — and prints its ns/job and
 # allocs/job, then who the request handler, its per-job workers and the
 # client spend their samples in (`pprof -peek`: request decode, memo,
-# engine, emit; request marshal, response decode), then the process-wide
+# engine, emit; the client's request append `encodeBatch`, response read
+# `readEvents` and its line decoder `decodeEvent`), then the process-wide
 # lines a peek cannot show (syscalls, GC, malloc). Shares are of all
 # samples, the benchmark's own cache pre-fill included (~10 %). The
 # profile stays in a temp dir.
-SERVE_PEEK := daemon\.\(\*Daemon\)\.(readBatch|serveBatch(\.func[12])?|runJob|decodeJob)$$|daemon\.splitBatch$$|daemon\.\(\*Client\)\.Run$$|jobs\.\(\*Engine\)\.runOne$$
+SERVE_PEEK := daemon\.\(\*Daemon\)\.(readBatch|serveBatch(\.func[12])?|runJob|decodeJob)$$|daemon\.splitBatch$$|daemon\.\(\*Client\)\.Run$$|daemon\.(encodeBatch|readEvents|decodeEvent)$$|jobs\.\(\*Engine\)\.runOne$$
 profile-serve:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) test -run '^$$' -bench ServeWarm -benchtime 5000x -o "$$tmp/daemon.test" \

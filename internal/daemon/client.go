@@ -165,7 +165,7 @@ func (c *Client) Run(ctx context.Context, js []jobs.Job) ([]*stats.KernelResult,
 		}
 		req.Jobs[i] = wj
 	}
-	body, err := json.Marshal(req)
+	body, err := encodeBatch(&req)
 	if err != nil {
 		return nil, fmt.Errorf("daemon: encoding batch: %w", err)
 	}
@@ -196,16 +196,8 @@ func (c *Client) Run(ctx context.Context, js []jobs.Job) ([]*stats.KernelResult,
 	// still false when the stream breaks are named in the error so a
 	// coordinator's retry log says exactly what work was lost where.
 	resolved := make([]bool, len(js))
-	dec := json.NewDecoder(resp.Body)
 	var batch *Event
-	for {
-		var ev Event
-		if err := dec.Decode(&ev); err != nil {
-			if err == io.EOF {
-				break
-			}
-			return nil, c.transportErr(fmt.Errorf("stream broke mid-batch: %w", err), js, resolved)
-		}
+	err = readEvents(resp.Body, func(ev *Event) {
 		switch ev.Type {
 		case "job":
 			if ev.Index >= 0 && ev.Index < len(js) {
@@ -225,9 +217,11 @@ func (c *Client) Run(ctx context.Context, js []jobs.Job) ([]*stats.KernelResult,
 				c.Progress(jev)
 			}
 		case "batch":
-			b := ev
-			batch = &b
+			batch = ev
 		}
+	})
+	if err != nil {
+		return nil, c.transportErr(fmt.Errorf("stream broke mid-batch: %w", err), js, resolved)
 	}
 	if batch == nil {
 		return nil, c.transportErr(fmt.Errorf("stream ended without results (daemon shut down?)"), js, resolved)
@@ -240,6 +234,14 @@ func (c *Client) Run(ctx context.Context, js []jobs.Job) ([]*stats.KernelResult,
 		if jr.Err != "" {
 			return nil, fmt.Errorf("daemon: job %d (%s/%s): %s",
 				i, req.Jobs[i].Kernel, req.Jobs[i].Scheduler, jr.Err)
+		}
+		if jr.Result == nil {
+			// Neither an outcome nor a failure: the job's result never
+			// arrived, so it is pending work, not a finished job.
+			for k, jr := range batch.Results {
+				resolved[k] = jr.Result != nil || jr.Err != ""
+			}
+			return nil, c.transportErr(fmt.Errorf("job %d: batch line carries neither a result nor an error", i), js, resolved)
 		}
 		out[i] = jr.Result
 	}

@@ -127,7 +127,7 @@ func (p *Program) Validate() error {
 					return fmt.Errorf("isa: %s: pc %d: reconv before target", p.Name, pc)
 				}
 				if br.Kind == BrRandom || br.Kind == BrWarpRandom {
-					if br.P < 0 || br.P > 1 {
+					if !(br.P >= 0 && br.P <= 1) { // NaN included
 						return fmt.Errorf("isa: %s: pc %d: probability %v out of [0,1]", p.Name, pc, br.P)
 					}
 				}

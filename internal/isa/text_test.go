@@ -240,3 +240,39 @@ func mustSample(t *testing.T) *Program {
 	}
 	return p
 }
+
+// FuzzParse: Parse never panics on any text, and every program it
+// accepts survives Format: Parse(Format(p)) succeeds and equals p.
+// `make fuzz` runs it for 10 s; the seeds run under plain `go test`.
+func FuzzParse(f *testing.F) {
+	f.Add(sampleText)
+	for _, s := range []string{
+		"kernel k\nexit",
+		"kernel k\nif rand=NaN {\nnop\n}\nexit",
+		"kernel k\nif wrand=1e-7 {\nnop\n} else {\nnop\n}\nexit",
+		"kernel k\nloop min=1 max=3 imb=thread {\nbar\n}\nexit",
+		"kernel k\nif lane<-1 {\nnop\n}\nexit",
+		"kernel k\n}\nexit",
+		"kernel k\nif lane<4 {\nexit",
+		"kernel k\nld.global r300 pattern=random region=0\nexit",
+		"kernel k\nst.shared r1 pattern=strided stride=-4 space=256\nexit\nexit",
+		"kernel",
+		"",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		p, err := Parse(text)
+		if err != nil {
+			return
+		}
+		out := Format(p)
+		q, err := Parse(out)
+		if err != nil {
+			t.Fatalf("Parse accepted\n%s\nbut not its Format\n%s\n: %v", text, out, err)
+		}
+		if !equalPrograms(p, q) {
+			t.Fatalf("Parse(Format(p)) != p for\n%s\nformatted as\n%s", text, out)
+		}
+	})
+}
