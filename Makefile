@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race fastpath fastforwardtest sleeptest issuetest retrytest identity pairs fuzz benchbuild daemontest servetest obstest clustertest admissiontest flighttest check bench profile profile-grid profile-serve report papercheck
+.PHONY: build test vet race fastpath fastforwardtest sleeptest issuetest retrytest identity pairs fuzz benchbuild daemontest servetest obstest clustertest admissiontest flighttest results-check check bench profile profile-grid profile-serve report papercheck
 
 build:
 	$(GO) build ./...
@@ -211,10 +211,9 @@ servetest:
 
 # Telemetry smoke under the race detector: the /metrics acceptance test
 # (valid Prometheus exposition after real work), the /metrics + pprof
-# debug mux, the heartbeat bit-identity gate and the tracer's line
-# atomicity.
+# debug mux and the heartbeat bit-identity gate.
 obstest:
-	$(GO) test -race -count=1 -run 'TestMetricsEndpointServesPrometheus|TestTraceSpansCoverBatchLifecycle|TestDebugHandlerServesMetricsAndPprof|TestHeartbeat' ./internal/daemon ./internal/obs ./internal/gpu
+	$(GO) test -race -count=1 -run 'TestMetricsEndpointServesPrometheus|TestDebugHandlerServesMetricsAndPprof|TestHeartbeat' ./internal/daemon ./internal/obs ./internal/gpu
 
 # The admission surface under the race detector, re-run every time:
 # admission control (429/413 + Retry-After), weighted priority dispatch,
@@ -229,9 +228,10 @@ admissiontest:
 # scheduler), the disabled-path
 # zero-allocation pin, the cache-key kill switch, the ring/sampling
 # unit tests and the structural validation of the Perfetto and NDJSON
-# exports.
+# exports, and `prosim flight` keeping an existing -out file when it
+# rejects its arguments.
 flighttest:
-	$(GO) test -race -count=1 -run 'TestFlight|TestPerfetto' ./internal/flight ./internal/gpu ./internal/engine ./internal/jobs ./cmd/flight
+	$(GO) test -race -count=1 -run 'TestFlight|TestPerfetto' ./internal/flight ./internal/gpu ./internal/engine ./internal/jobs ./cmd/prosim
 
 # The sweep cluster under the race detector, re-run every time: the
 # acceptance test spins up three in-process daemons sharing a cache,
@@ -240,7 +240,22 @@ flighttest:
 clustertest:
 	$(GO) test -race -count=1 ./internal/cluster
 
-check: vet race fastpath fastforwardtest sleeptest issuetest retrytest daemontest servetest obstest clustertest admissiontest flighttest benchbuild
+# The committed results/ against the code: regenerate every paper
+# artifact (`prosim report -out`) and the claim check (`prosim
+# papercheck`) at full grids into a temp dir on a fresh result cache, and
+# cmp each against its committed copy in results/. Nothing else checks
+# that results/ still says what the code computes. A cold run takes
+# about 25 s on 2 vCPUs; the binary, cache and outputs stay in the temp
+# dir.
+results-check:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/prosim" ./cmd/prosim; \
+	"$$tmp/prosim" report -quiet -out "$$tmp/out" -cache "$$tmp/cache" >/dev/null; \
+	"$$tmp/prosim" papercheck -cache "$$tmp/cache" >"$$tmp/out/papercheck.txt"; \
+	for f in "$$tmp"/out/*; do cmp "results/$${f##*/}" "$$f"; done; \
+	echo "results-check: $$(ls "$$tmp/out" | wc -l) files in results/ match the code"
+
+check: vet race fastpath fastforwardtest sleeptest issuetest retrytest daemontest servetest obstest clustertest admissiontest flighttest results-check benchbuild
 
 # The per-layer measurement rungs, 5 repetitions with allocation counts,
 # to stdout: SMTickPipelineStall and SMTickIssue (internal/engine),
@@ -299,7 +314,7 @@ profile-serve:
 # Regenerate every paper artifact into results/ using all cores and a
 # local result cache (warm re-runs are nearly instant).
 report:
-	$(GO) run ./cmd/report -out results -cache .simcache
+	$(GO) run ./cmd/prosim report -out results -cache .simcache
 
 papercheck:
-	$(GO) run ./cmd/papercheck -cache .simcache
+	$(GO) run ./cmd/prosim papercheck -cache .simcache

@@ -1,97 +1,87 @@
-// Command flight runs kernels under the flight recorder and renders
-// the capture: an aggregated stall-attribution report (kernel ×
-// scheduler table of mean memory latency split by lifecycle component,
-// plus the top-N least-progressed warps), a Perfetto/Chrome trace-event
-// JSON file loadable at ui.perfetto.dev, or raw NDJSON for downstream
-// tooling.
-//
-// Unlike the other harnesses it never uses a result cache: a cached
-// result was not executed, so it has no flight to record.
-//
-// Usage:
-//
-//	flight -kernel scalarProdGPU -scheds LRR,PRO                # report to stdout
-//	flight -kernel scalarProdGPU -scheds PRO -format perfetto -out pro.trace.json
-//	flight -kernel BlackScholes -scheds GTO -format ndjson -out gto.ndjson
 package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"io"
 	"os"
 	"strings"
 	"text/tabwriter"
 
+	"repro/internal/cli"
 	"repro/internal/flight"
 	"repro/internal/jobs"
-	"repro/internal/obs"
-	"repro/internal/workloads"
+	"repro/internal/schedreg"
 	"repro/prosim"
 )
 
-func main() {
-	kernel := flag.String("kernel", "scalarProdGPU", "Table II kernel to record")
-	scheds := flag.String("scheds", "LRR,PRO",
+// recordFlight runs one kernel under the flight recorder per scheduler
+// and renders the capture: an aggregated stall-attribution report
+// (kernel × scheduler table of mean memory latency split by lifecycle
+// component, plus the top-N least-progressed warps), a Perfetto/Chrome
+// trace-event JSON file loadable at ui.perfetto.dev, or raw NDJSON for
+// downstream tooling.
+//
+// Unlike the other subcommands it never uses a result cache (it has no
+// -cache): a cached result was not executed, so it has no flight to
+// record.
+//
+//	prosim flight -kernel scalarProdGPU -scheds LRR,PRO                # report to stdout
+//	prosim flight -kernel scalarProdGPU -scheds PRO -format perfetto -out pro.trace.json
+//	prosim flight -kernel BlackScholes -scheds GTO -format ndjson -out gto.ndjson
+func recordFlight(args []string) {
+	h := cli.New("prosim flight", cli.Spec{OneJob: true, NoCache: true})
+	kernel := h.Flags.String("kernel", "scalarProdGPU", "Table II kernel to record")
+	scheds := h.Flags.String("scheds", "LRR,PRO",
 		"comma-separated schedulers (report compares them; perfetto/ndjson need exactly one)")
-	maxTBs := flag.Int("maxtbs", 0, "shrink grid (0 = full)")
-	format := flag.String("format", "report", "output format: report | perfetto | ndjson")
-	out := flag.String("out", "", "output file (default stdout)")
-	warpSample := flag.Int("warp-sample", 1, "record warp-level events for every Nth warp slot (1 = all)")
-	memSample := flag.Int("mem-sample", 1, "record every Nth memory transaction as a span (1 = all)")
-	ringEvents := flag.Int("ring-events", 0, fmt.Sprintf("per-SM event ring capacity (0 = %d)", flight.DefaultRingEvents))
-	ringSpans := flag.Int("ring-spans", 0, fmt.Sprintf("memory-span ring capacity (0 = %d)", flight.DefaultRingSpans))
-	topN := flag.Int("topn", flight.DefaultTopN, "least-progressed warps listed per scheduler in the report")
-	logCfg := obs.LogFlags(nil)
-	flag.Parse()
-
-	if _, err := logCfg.Setup(); err != nil {
-		fatal(err)
-	}
+	format := h.Flags.String("format", "report", "output format: report | perfetto | ndjson")
+	out := h.Flags.String("out", "", "output file (default stdout)")
+	warpSample := h.Flags.Int("warp-sample", 1, "record warp-level events for every Nth warp slot (1 = all)")
+	memSample := h.Flags.Int("mem-sample", 1, "record every Nth memory transaction as a span (1 = all)")
+	ringEvents := h.Flags.Int("ring-events", 0, fmt.Sprintf("per-SM event ring capacity (0 = %d)", flight.DefaultRingEvents))
+	ringSpans := h.Flags.Int("ring-spans", 0, fmt.Sprintf("memory-span ring capacity (0 = %d)", flight.DefaultRingSpans))
+	topN := h.Flags.Int("topn", flight.DefaultTopN, "least-progressed warps listed per scheduler in the report")
+	h.Parse(args)
 
 	// Every argument check comes before -out is created or anything
 	// runs: a rejected invocation must not truncate an existing file.
 	switch *format {
 	case "report", "perfetto", "ndjson":
 	default:
-		fatal(fmt.Errorf("unknown format %q", *format))
+		h.Fatal(fmt.Errorf("unknown format %q", *format))
 	}
 	names := splitScheds(*scheds)
 	if len(names) == 0 {
-		fatal(fmt.Errorf("no schedulers given"))
+		h.Fatal(fmt.Errorf("no schedulers given"))
 	}
 	if *format != "report" && len(names) != 1 {
-		fatal(fmt.Errorf("format %q writes one capture: give exactly one scheduler (got %d)", *format, len(names)))
+		h.Fatal(fmt.Errorf("format %q writes one capture: give exactly one scheduler (got %d)", *format, len(names)))
 	}
-	w, err := workloads.ByKernel(*kernel)
-	if err != nil {
-		fatal(err)
+	for _, name := range names {
+		if _, err := schedreg.Resolve(name); err != nil {
+			h.Fatal(err)
+		}
 	}
-	if *maxTBs > 0 {
-		w = w.Shrunk(*maxTBs)
-	}
+	w := h.Workload(*kernel)
 
 	fopts := flight.Options{
 		WarpSample: *warpSample, MemSample: *memSample,
 		RingEvents: *ringEvents, RingSpans: *ringSpans, TopN: *topN,
 	}
 
-	// No cache directory on purpose: every run must actually execute.
-	eng, err := jobs.New(1, "", nil)
-	if err != nil {
-		fatal(err)
-	}
+	// No cache (the spec declares no -cache): every run must execute.
+	h.Runner()
+	eng := h.Engine
 
 	dst := io.Writer(os.Stdout)
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fatal(err)
+			h.Fatal(err)
 		}
 		defer func() {
 			if err := f.Close(); err != nil {
-				fatal(err)
+				h.Fatal(err)
 			}
 		}()
 		dst = f
@@ -107,16 +97,16 @@ func main() {
 			Options:   prosim.Options{Flight: rec},
 		})
 		if err != nil {
-			fatal(err)
+			h.Fatal(err)
 		}
 		switch *format {
 		case "perfetto":
 			if err := rec.Capture().WritePerfetto(dst); err != nil {
-				fatal(err)
+				h.Fatal(err)
 			}
 		case "ndjson":
 			if err := rec.Capture().WriteNDJSON(dst); err != nil {
-				fatal(err)
+				h.Fatal(err)
 			}
 		case "report":
 			reports = append(reports, rec.Report())
@@ -125,6 +115,7 @@ func main() {
 	if *format == "report" {
 		writeReportTable(dst, reports)
 	}
+	h.Finish()
 }
 
 // writeReportTable renders the kernel × scheduler stall-attribution
@@ -163,9 +154,4 @@ func splitScheds(s string) []string {
 		}
 	}
 	return out
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "flight:", err)
-	os.Exit(1)
 }

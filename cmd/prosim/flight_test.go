@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -16,14 +15,30 @@ import (
 	"repro/prosim"
 )
 
-// TestMain lets the test binary double as the flight tool: with the
-// helper env var set it runs main() on os.Args.
-func TestMain(m *testing.M) {
-	if os.Getenv("FLIGHT_TEST_MAIN") == "1" {
-		main()
-		os.Exit(0)
+// runFlightKeepsOut runs `prosim flight` with args and -out naming an
+// existing file, and checks that the invocation is rejected with want
+// on stderr before -out is created: the file keeps its bytes.
+func runFlightKeepsOut(t *testing.T, want string, args ...string) {
+	t.Helper()
+	out := filepath.Join(t.TempDir(), "keep.out")
+	keep := []byte("an earlier capture\n")
+	if err := os.WriteFile(out, keep, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	os.Exit(m.Run())
+	_, stderr, err := runProsim(t, append(append([]string{"flight"}, args...), "-out", out)...)
+	if err == nil {
+		t.Fatalf("flight accepted %q", args)
+	}
+	if !strings.Contains(stderr, want) {
+		t.Errorf("stderr %q does not say %q", stderr, want)
+	}
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, keep) {
+		t.Errorf("-out changed to %q, want %q", got, keep)
+	}
 }
 
 // TestFlightBadFormatKeepsOut pins that a rejected -format fails before
@@ -33,36 +48,30 @@ func TestFlightBadFormatKeepsOut(t *testing.T) {
 	if testing.Short() {
 		t.Skip("re-exec integration test")
 	}
-	out := filepath.Join(t.TempDir(), "keep.out")
-	want := []byte("an earlier capture\n")
-	if err := os.WriteFile(out, want, 0o644); err != nil {
-		t.Fatal(err)
+	runFlightKeepsOut(t, `unknown format "pdf"`,
+		"-kernel", "scalarProdGPU", "-scheds", "PRO", "-maxtbs", "2", "-format", "pdf")
+}
+
+// TestFlightUnknownSchedulerKeepsOut pins the same for an unknown
+// scheduler, alone or after a valid one: every spec is resolved before
+// -out is created, so the file is not truncated to zero bytes.
+func TestFlightUnknownSchedulerKeepsOut(t *testing.T) {
+	if testing.Short() {
+		t.Skip("re-exec integration test")
 	}
-	exe, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd := exec.Command(exe, "-kernel", "scalarProdGPU", "-scheds", "PRO", "-maxtbs", "2",
-		"-format", "pdf", "-out", out)
-	cmd.Env = append(os.Environ(), "FLIGHT_TEST_MAIN=1")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	if err := cmd.Run(); err == nil {
-		t.Fatal("flight accepted -format pdf")
-	}
-	if !strings.Contains(stderr.String(), `unknown format "pdf"`) {
-		t.Errorf("stderr %q does not name the bad format", stderr.String())
-	}
-	got, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("-out changed to %q, want %q", got, want)
+	for _, tc := range []struct{ scheds, format string }{
+		{"BOGUS", "perfetto"},
+		{"LRR,BOGUS", "report"},
+	} {
+		t.Run(tc.scheds, func(t *testing.T) {
+			runFlightKeepsOut(t, `unknown scheduler "BOGUS"`,
+				"-maxtbs", "4", "-scheds", tc.scheds, "-format", tc.format)
+		})
 	}
 }
 
-// record runs one small recorded simulation, exactly as main does.
+// record runs one small recorded simulation, exactly as recordFlight
+// does.
 func record(t *testing.T, sched string) *flight.Recorder {
 	t.Helper()
 	w, err := workloads.ByKernel("scalarProdGPU")

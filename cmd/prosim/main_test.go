@@ -93,7 +93,7 @@ func TestSubcommandRejections(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"fig4"}, "want speedup, stalls, timeline, tborder or trace"},
+		{[]string{"fig4"}, "want speedup, stalls, timeline, tborder, trace, report, papercheck, sweep or flight"},
 		{[]string{"timeline", "-sm", "14"}, "-sm 14"},
 		{[]string{"timeline", "-sm", "-1"}, "-sm -1"},
 		{[]string{"trace", "-every", "0"}, "-every"},

@@ -1,31 +1,3 @@
-// Command papercheck is the reproduction acceptance harness: it runs the
-// evaluation and asserts the paper's directional claims one by one,
-// printing PASS/FAIL for each. Absolute numbers are not compared (the
-// substrate is a different simulator); the claims are the *shape* of the
-// results:
-//
-//	C1  PRO beats TL on geomean runtime
-//	C2  PRO beats LRR on geomean runtime
-//	C3  PRO at least matches GTO on geomean runtime (paper: +2%)
-//	C4  TL is the weakest baseline (paper: PRO gains most over TL)
-//	C5  PRO reduces total stalls vs TL on geomean (paper: 1.32x)
-//	C6  PRO reduces total stalls vs LRR on geomean (paper: 1.19x)
-//	C7  PRO's biggest stall reduction vs LRR is in Idle cycles
-//	C8  LRR has the highest Idle-stall share among baselines on more
-//	    applications than either TL or GTO (paper Sec. II-B)
-//	C9  LRR runs TBs in batches; PRO staggers them (Fig. 2): the
-//	    first-batch finish spread on SM 0 is wider under PRO
-//	C10 PRO's TB priority order changes over time (Table IV churn)
-//	C11 scalarProd prefers barrier handling OFF (Sec. IV ablation)
-//	C12 PRO's hardware cost is 240 bytes/SM for Table I (Sec. III-E)
-//
-// Usage:
-//
-//	papercheck                  # full grids, all cores
-//	papercheck -maxtbs 60       # quick pass
-//	papercheck -cache .simcache # memoize runs; warm re-checks are instant
-//
-// Progress goes to stderr; stdout carries only the PASS/FAIL report.
 package main
 
 import (
@@ -44,20 +16,46 @@ import (
 	"repro/prosim"
 )
 
-var failures int
+// papercheck is the reproduction acceptance harness: it runs the
+// evaluation and asserts the paper's directional claims one by one,
+// printing PASS/FAIL for each, and exits 1 if any fails. Absolute
+// numbers are not compared (the substrate is a different simulator);
+// the claims are the *shape* of the results:
+//
+//	C1  PRO beats TL on geomean runtime
+//	C2  PRO beats LRR on geomean runtime
+//	C3  PRO at least matches GTO on geomean runtime (paper: +2%)
+//	C4  TL is the weakest baseline (paper: PRO gains most over TL)
+//	C5  PRO reduces total stalls vs TL on geomean (paper: 1.32x)
+//	C6  PRO reduces total stalls vs LRR on geomean (paper: 1.19x)
+//	C7  PRO's biggest stall reduction vs LRR is in Idle cycles
+//	C8  LRR has the highest Idle-stall share among baselines on more
+//	    applications than either TL or GTO (paper Sec. II-B)
+//	C9  LRR runs TBs in batches; PRO staggers them (Fig. 2): the
+//	    first-batch finish spread on SM 0 is wider under PRO
+//	C10 PRO's TB priority order changes over time (Table IV churn)
+//	C11 scalarProd prefers barrier handling OFF (Sec. IV ablation)
+//	C12 PRO's hardware cost is 240 bytes/SM for Table I (Sec. III-E)
+//
+//	prosim papercheck                  # full grids, all cores
+//	prosim papercheck -maxtbs 60       # quick pass
+//	prosim papercheck -cache .simcache # memoize runs; warm re-checks are instant
+//
+// Progress goes to stderr; stdout carries only the PASS/FAIL report.
 
-func check(id, claim string, ok bool, detail string) {
-	status := "PASS"
-	if !ok {
-		status = "FAIL"
-		failures++
+func papercheck(args []string) {
+	h := cli.New("prosim papercheck", cli.Spec{Quiet: true, CacheGC: true})
+	h.Parse(args)
+
+	failures := 0
+	check := func(id, claim string, ok bool, detail string) {
+		status := "PASS"
+		if !ok {
+			status = "FAIL"
+			failures++
+		}
+		fmt.Printf("%-4s %s  %s (%s)\n", id, status, claim, detail)
 	}
-	fmt.Printf("%-4s %s  %s (%s)\n", id, status, claim, detail)
-}
-
-func main() {
-	h := cli.New("papercheck", cli.Spec{Quiet: true, CacheGC: true})
-	h.Parse(os.Args[1:])
 
 	if h.MaxTBs > 0 {
 		fmt.Printf("note: grids shrunk to %d TBs — the SM-residency claims (C2, C6, C8)\n", h.MaxTBs)

@@ -1,31 +1,3 @@
-// Command report runs the paper's entire evaluation — all 25 Table II
-// kernels under TL, LRR, GTO and PRO — and emits every table and figure:
-// Fig. 1 (stall composition), Fig. 2 (TB timelines), Fig. 4 (speedups),
-// Fig. 5 / Table III (stall improvements) and Table IV (TB order trace).
-//
-// Usage:
-//
-//	report                 # full scaled grids, all cores
-//	report -maxtbs 100     # quick pass
-//	report -out results    # also write each artifact to results/
-//	report -jobs 1         # serial (bit-identical to the parallel run)
-//	report -cache .simcache  # memoize results; warm re-runs are instant
-//	report -daemon 127.0.0.1:9753  # run on a prosimd daemon instead
-//	report -workers a:9753,b:9753  # fan out across a prosimd cluster
-//	report -shard 2/3 -cache /shared/simcache  # run slice 2 of 3 only
-//
-// With -daemon the simulations execute on a running prosimd instance
-// (sharing its warm cache and deduping against other clients); -jobs and
-// -cache then configure the daemon, not this process, and are ignored.
-// With -workers they fan out across several prosimd instances through a
-// work-stealing coordinator (retrying on worker loss); -cache is then
-// the coordinator's shared merge cache. With -shard i/n the tool runs
-// only its deterministic slice of the full job list (by result-cache
-// key) and emits no artifacts — point n machines at a shared cache, one
-// per shard, then run once without -shard to assemble everything from
-// the cache without simulating.
-//
-// Progress and timing go to stderr; stdout carries only the artifacts.
 package main
 
 import (
@@ -36,20 +8,41 @@ import (
 	"time"
 
 	"repro/internal/cli"
-	"repro/internal/cluster"
 	"repro/internal/experiments"
-	"repro/internal/jobs"
-	"repro/internal/obs"
 	"repro/internal/viz"
 	"repro/internal/workloads"
 )
 
-func main() {
-	h := cli.New("report", cli.Spec{CacheGC: true, Priority: "interactive"})
+// report runs the paper's entire evaluation — all 25 Table II kernels
+// under TL, LRR, GTO and PRO — and emits every table and figure: Fig. 1
+// (stall composition), Fig. 2 (TB timelines), Fig. 4 (speedups), Fig. 5
+// / Table III (stall improvements) and Table IV (TB order trace).
+//
+//	prosim report                 # full scaled grids, all cores
+//	prosim report -maxtbs 100     # quick pass
+//	prosim report -out results    # also write each artifact to results/
+//	prosim report -jobs 1         # serial (bit-identical to the parallel run)
+//	prosim report -cache .simcache  # memoize results; warm re-runs are instant
+//	prosim report -daemon 127.0.0.1:9753  # run on a prosimd daemon instead
+//	prosim report -workers a:9753,b:9753  # fan out across a prosimd cluster
+//	prosim report -shard 2/3 -cache /shared/simcache  # run slice 2 of 3 only
+//
+// With -daemon the simulations execute on a running prosimd instance
+// (sharing its warm cache and deduping against other clients); -jobs and
+// -cache then configure the daemon, not this process, and are ignored.
+// With -workers they fan out across several prosimd instances through a
+// work-stealing coordinator (retrying on worker loss); -cache is then
+// the coordinator's shared merge cache. With -shard i/n it runs only its
+// deterministic slice of the full job list (by result-cache key) and
+// emits no artifacts — point n machines at a shared cache, one per
+// shard, then run once without -shard to assemble everything from the
+// cache without simulating.
+//
+// Progress and timing go to stderr; stdout carries only the artifacts.
+func report(args []string) {
+	h := cli.New("prosim report", cli.Spec{CacheGC: true, Priority: "interactive", Shard: true})
 	outDir := h.Flags.String("out", "", "directory to write artifact files into (optional)")
-	shardSpec := h.Flags.String("shard", "", "run only slice i/n of the full job list (e.g. 2/3) against a shared cache and emit no artifacts")
-	traceOut := h.Flags.String("trace-out", "", "write NDJSON job-lifecycle spans to this file (\"-\" = stderr; local runs only)")
-	h.Parse(os.Args[1:])
+	h.Parse(args)
 
 	writeFile := func(name, content string) {
 		if *outDir == "" {
@@ -70,26 +63,16 @@ func main() {
 
 	start := time.Now()
 	run := h.Runner()
-	if eng := h.Engine; eng != nil && *traceOut != "" {
-		tr, err := obs.OpenTrace(*traceOut)
-		if err != nil {
-			h.Fatal(err)
-		}
-		defer tr.Close()
-		eng.Trace = tr
-	}
 
 	scheds := []string{"TL", "LRR", "GTO", "PRO"}
 	aes := h.Workload("aesEncrypt128") // Fig. 2 and Table IV
-	if *shardSpec != "" {
-		// Shard mode: run this machine's deterministic slice of every job
-		// the full report would execute (suite grid, timelines, order
-		// trace), warming the shared cache, and emit no artifacts. The
-		// final artifact pass is a run without -shard: with every shard
-		// done it assembles purely from the cache.
-		if err := runShard(*shardSpec, scheds, h.MaxTBs, aes, run, start); err != nil {
-			h.Fatal(err)
-		}
+	if h.Sharded() {
+		// Every job the full report runs: the suite grid, both Fig. 2
+		// timelines and the Table IV order trace.
+		h.RunShard(run, append(experiments.SuiteJobs(workloads.All(), scheds, h.MaxTBs),
+			experiments.TimelineJob(aes, "LRR"),
+			experiments.TimelineJob(aes, "PRO"),
+			experiments.OrderTraceJob(aes, 0)))
 		h.Finish()
 		return
 	}
@@ -172,28 +155,4 @@ func main() {
 	}
 	fmt.Fprintln(os.Stderr, done)
 	h.Finish()
-}
-
-// runShard executes slice i/n of every job the full report would run —
-// the suite grid, both Fig. 2 timelines and the Table IV order trace —
-// warming the shared result cache without emitting artifacts.
-func runShard(spec string, scheds []string, maxTBs int, aes *workloads.Workload, run jobs.Runner, start time.Time) error {
-	i, n, err := cluster.ParseShard(spec)
-	if err != nil {
-		return err
-	}
-	batch := append(experiments.SuiteJobs(workloads.All(), scheds, maxTBs),
-		experiments.TimelineJob(aes, "LRR"),
-		experiments.TimelineJob(aes, "PRO"),
-		experiments.OrderTraceJob(aes, 0))
-	slice, err := cluster.Shard(i, n, batch)
-	if err != nil {
-		return err
-	}
-	if _, err := run.Run(context.Background(), slice); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "shard %d/%d: ran %d of %d jobs in %.1fs\n",
-		i+1, n, len(slice), len(batch), time.Since(start).Seconds())
-	return nil
 }

@@ -1,50 +1,22 @@
 package main
 
 import (
-	"bytes"
 	"errors"
 	"net/http/httptest"
-	"os"
 	"os/exec"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"testing"
 
 	"repro/internal/daemon"
 )
 
-// TestMain lets the test binary double as the report tool: with the
-// helper env var set it runs main() on os.Args, so the stream-hygiene
-// test below can observe real process stdout/stderr separation.
-func TestMain(m *testing.M) {
-	if os.Getenv("REPORT_TEST_MAIN") == "1" {
-		main()
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
-
-// runReport re-executes the test binary as the report tool with args and
+// runReport re-executes the test binary as `prosim report` with args and
 // returns what it wrote to stdout and stderr.
 func runReport(t *testing.T, args ...string) (stdout, stderr string, err error) {
 	t.Helper()
-	exe, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd := exec.Command(exe, args...)
-	cmd.Env = append(os.Environ(), "REPORT_TEST_MAIN=1")
-	var out, errOut bytes.Buffer
-	cmd.Stdout = &out
-	cmd.Stderr = &errOut
-	err = cmd.Run()
-	return out.String(), errOut.String(), err
+	return runProsim(t, append([]string{"report"}, args...)...)
 }
-
-// progressLine matches jobs.PrintProgress output, e.g.
-// "[    0.2s]   3/100 aesEncrypt128/PRO [cached] (eta 1.2s)".
-var progressLine = regexp.MustCompile(`^\[ *[0-9.]+s\] +[0-9]+/[0-9]+ `)
 
 // TestStdoutCarriesOnlyArtifacts pins the tool's stream contract:
 // stdout is exclusively the paper artifacts (safe to redirect into a
@@ -151,9 +123,9 @@ func TestBadCacheGCFailsFast(t *testing.T) {
 }
 
 // TestBadPriorityFailsFast pins that -priority is validated before any
-// simulation, on the local path too, and that the removed -token is a
-// flag error: each exits non-zero (1, or 2 for a flag error) with
-// nothing on stdout instead of running the grid.
+// simulation, on the local path too, and that the removed -token and
+// -trace-out are flag errors: each exits non-zero (1, or 2 for a flag
+// error) with nothing on stdout instead of running the grid.
 func TestBadPriorityFailsFast(t *testing.T) {
 	if testing.Short() {
 		t.Skip("re-exec integration test")
@@ -164,6 +136,7 @@ func TestBadPriorityFailsFast(t *testing.T) {
 	}{
 		{"-priority", "bogus", `unknown priority "bogus"`, 1},
 		{"-token", "x", "flag provided but not defined: -token", 2},
+		{"-trace-out", "jobs.ndjson", "flag provided but not defined: -trace-out", 2},
 	} {
 		t.Run(tc.flag, func(t *testing.T) {
 			stdout, stderr, err := runReport(t, "-maxtbs", "1", tc.flag, tc.value)

@@ -16,15 +16,19 @@ import (
 	"repro/prosim"
 )
 
-// runSubcommand runs one subcommand on args. Each regenerates one paper
-// artifact, or one view of a single run, on stdout; progress and
-// summaries go to stderr.
+// runSubcommand runs one subcommand on args. Each writes its artifacts,
+// or one view of a single run, on stdout; progress and summaries go to
+// stderr.
 //
 //	prosim speedup [-app ScalarProd]        # Fig. 4: PRO's speedup over TL, LRR, GTO
 //	prosim stalls [-fig1] [-table3] [-fig5] # Fig. 1, Table III, Fig. 5 (all by default)
 //	prosim timeline [-kernel K] [-sm N]     # Fig. 2: TB lifetimes on one SM, LRR vs PRO
 //	prosim tborder [-threshold 500 -rows 0] # Table IV: PRO's sorted TB order over time
 //	prosim trace -sched LRR -every 500      # sampled IPC / stall / occupancy CSV of one run
+//	prosim report [-out results]            # every artifact above (report.go)
+//	prosim papercheck                       # PASS/FAIL per paper claim (papercheck.go)
+//	prosim sweep [-ablate] [-threshold] ... # design-choice ablations (sweep.go)
+//	prosim flight -scheds LRR,PRO           # flight-recorder capture of one kernel (flight.go)
 func runSubcommand(name string, args []string) {
 	switch name {
 	case "speedup":
@@ -37,8 +41,16 @@ func runSubcommand(name string, args []string) {
 		tborder(args)
 	case "trace":
 		trace(args)
+	case "report":
+		report(args)
+	case "papercheck":
+		papercheck(args)
+	case "sweep":
+		sweep(args)
+	case "flight":
+		recordFlight(args)
 	default:
-		fmt.Fprintf(os.Stderr, "prosim: unknown subcommand %q (want speedup, stalls, timeline, tborder or trace, or flags only)\n", name)
+		fmt.Fprintf(os.Stderr, "prosim: unknown subcommand %q (want speedup, stalls, timeline, tborder, trace, report, papercheck, sweep or flight, or flags only)\n", name)
 		os.Exit(2)
 	}
 }

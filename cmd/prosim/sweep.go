@@ -1,4 +1,18 @@
-// Command sweep runs the design-choice ablations:
+package main
+
+import (
+	"context"
+	"fmt"
+	"strings"
+
+	"repro/internal/cli"
+	"repro/internal/core"
+	"repro/internal/jobs"
+	"repro/internal/stats"
+	"repro/prosim"
+)
+
+// sweep runs the design-choice ablations:
 //
 //   - -ablate: PRO with and without special barrier handling, per kernel.
 //     Sec. IV reports scalarProd speeding up 11% with the handling
@@ -20,67 +34,40 @@
 // once without -shard afterwards to print everything from the cache.
 // Progress goes to stderr; stdout carries only the tables.
 //
-// Usage:
-//
-//	sweep -ablate
-//	sweep -threshold -kernel aesEncrypt128
-//	sweep -cache .simcache
-//	sweep -daemon unix:/tmp/prosimd.sock -threshold
-//	sweep -workers 127.0.0.1:9753,127.0.0.1:9754 -cache /shared/simcache
-//	sweep -shard 1/2 -cache /shared/simcache
-package main
-
-import (
-	"context"
-	"fmt"
-	"os"
-	"strings"
-	"time"
-
-	"repro/internal/cli"
-	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/jobs"
-	"repro/internal/stats"
-	"repro/prosim"
-)
-
-// h holds the shared harness flags; runner, built from them, executes
-// every sweep batch: a local jobs.Engine, a daemon.Client when -daemon
-// is set, or a cluster.Coordinator when -workers is set.
-var (
-	h      = cli.New("sweep", cli.Spec{CacheGC: true, Priority: "bulk", Profile: true})
-	runner jobs.Runner
-)
-
-func main() {
+//	prosim sweep -ablate
+//	prosim sweep -threshold -kernel aesEncrypt128
+//	prosim sweep -cache .simcache
+//	prosim sweep -daemon unix:/tmp/prosimd.sock -threshold
+//	prosim sweep -workers 127.0.0.1:9753,127.0.0.1:9754 -cache /shared/simcache
+//	prosim sweep -shard 1/2 -cache /shared/simcache
+func sweep(args []string) {
+	h := cli.New("prosim sweep", cli.Spec{CacheGC: true, Priority: "bulk", Profile: true, Shard: true})
 	ablate := h.Flags.Bool("ablate", false, "compare PRO vs PRO-nobar (barrier-handling ablation)")
 	variants := h.Flags.Bool("variants", false, "compare PRO against the paper's future-work variants (PRO-adaptive, PRO-norm)")
 	threshold := h.Flags.Bool("threshold", false, "sweep the PRO re-sort threshold")
 	l1Sweep := h.Flags.Bool("l1", false, "sweep the L1 size (paper future work: cache behaviour of prioritized warps)")
 	kernels := h.Flags.String("kernel", "scalarProdGPU,MonteCarloOneBlockPerOption,calculate_temp,aesEncrypt128",
 		"comma-separated kernels to sweep")
-	shardSpec := h.Flags.String("shard", "", "run only slice i/n of the selected sweeps' points (e.g. 2/3) against a shared cache and print no tables")
-	h.Parse(os.Args[1:])
+	h.Parse(args)
 
 	if !*ablate && !*threshold && !*variants && !*l1Sweep {
 		*ablate, *threshold, *variants, *l1Sweep = true, true, true, true
 	}
-	runner = h.Runner()
+	runner := h.Runner()
+	run := func(batch []jobs.Job) []*stats.KernelResult {
+		rs, err := runner.Run(context.Background(), batch)
+		if err != nil {
+			h.Fatal(err)
+		}
+		return rs
+	}
 
 	var targets []*prosim.Workload
 	for _, name := range strings.Split(*kernels, ",") {
 		targets = append(targets, h.Workload(strings.TrimSpace(name)))
 	}
 
-	if *shardSpec != "" {
-		// Shard mode: run this machine's deterministic slice of every
-		// point the selected sweeps would simulate, warming the shared
-		// cache; the tables print on a later run without -shard.
-		i, n, err := cluster.ParseShard(*shardSpec)
-		if err != nil {
-			h.Fatal(err)
-		}
+	if h.Sharded() {
 		var batch []jobs.Job
 		if *ablate {
 			batch = append(batch, ablationJobs(targets)...)
@@ -94,14 +81,7 @@ func main() {
 		if *threshold {
 			batch = append(batch, thresholdJobs(targets)...)
 		}
-		slice, err := cluster.Shard(i, n, batch)
-		if err != nil {
-			h.Fatal(err)
-		}
-		start := time.Now()
-		run(slice)
-		fmt.Fprintf(os.Stderr, "shard %d/%d: ran %d of %d jobs in %.1fs\n",
-			i+1, n, len(slice), len(batch), time.Since(start).Seconds())
+		h.RunShard(runner, batch)
 		h.Finish()
 		return
 	}
@@ -120,15 +100,6 @@ func main() {
 	}
 
 	h.Finish()
-}
-
-// run executes a batch through the shared runner.
-func run(batch []jobs.Job) []*stats.KernelResult {
-	rs, err := runner.Run(context.Background(), batch)
-	if err != nil {
-		h.Fatal(err)
-	}
-	return rs
 }
 
 // ---- Batch builders ----

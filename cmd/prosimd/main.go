@@ -16,7 +16,6 @@
 //	prosimd -listen unix:/tmp/prosimd.sock       # unix socket
 //	prosimd -job-timeout 10m -drain 1m
 //	prosimd -debug-addr 127.0.0.1:9754           # pprof + /metrics
-//	prosimd -trace-out jobs.ndjson               # job-lifecycle spans
 //	prosimd -log-level debug -log-json           # structured logs (stderr)
 //
 // Admission and priority (see DESIGN.md §13):
@@ -26,8 +25,8 @@
 //
 // Point the clients at it:
 //
-//	report -daemon 127.0.0.1:9753
-//	sweep  -daemon unix:/tmp/prosimd.sock -threshold
+//	prosim report -daemon 127.0.0.1:9753
+//	prosim sweep -daemon unix:/tmp/prosimd.sock -threshold
 //
 // SIGINT/SIGTERM drain gracefully: the daemon stops accepting work,
 // waits up to -drain for running batches, aborts whatever is left via
@@ -56,8 +55,6 @@ func main() {
 		"how long a SIGINT/SIGTERM shutdown waits for running jobs before aborting them")
 	debugAddr := flag.String("debug-addr", "",
 		"serve /debug/pprof and /metrics on this extra address (keep it loopback-only)")
-	traceOut := flag.String("trace-out", "",
-		"write one NDJSON job-lifecycle span per line to this file (\"-\" = stderr)")
 	queueDepth := flag.Int("queue-depth", 0,
 		fmt.Sprintf("pending jobs admitted per priority class before batches get 429 (0 = %d)", daemon.DefaultQueueDepth))
 	maxBatch := flag.Int("max-batch", 0, "max jobs in one batch request, 413 beyond it (0 = the queue depth)")
@@ -87,14 +84,6 @@ func main() {
 		InteractiveWeight: *interactiveWeight,
 		FlightDir:         *flightOut,
 		Log:               log,
-	}
-	if *traceOut != "" {
-		tr, err := obs.OpenTrace(*traceOut)
-		if err != nil {
-			fatal(err)
-		}
-		defer tr.Close()
-		cfg.Trace = tr
 	}
 	d, err := daemon.New(cfg)
 	if err != nil {

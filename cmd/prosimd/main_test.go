@@ -243,8 +243,9 @@ func TestNDJSONStreamReadableLineByLine(t *testing.T) {
 	}
 }
 
-// TestRemovedFlagsAreFlagErrors: the tenancy and shared-cache-tier flags
-// are gone, so each is a flag error (exit 2) before the daemon listens.
+// TestRemovedFlagsAreFlagErrors: the tenancy, shared-cache-tier and
+// job-tracer flags are gone, so each is a flag error (exit 2) before the
+// daemon listens.
 func TestRemovedFlagsAreFlagErrors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("re-exec integration test")
@@ -258,6 +259,7 @@ func TestRemovedFlagsAreFlagErrors(t *testing.T) {
 		{"-cache-remote", "http://127.0.0.1:1/cache"},
 		{"-cache-remote-timeout", "1s"},
 		{"-serve-cache"},
+		{"-trace-out", "jobs.ndjson"},
 	} {
 		cmd := exec.Command(exe, append(args, "-listen", "unix:"+filepath.Join(t.TempDir(), "d.sock"))...)
 		cmd.Env = append(os.Environ(), "PROSIMD_TEST_DAEMON=1")

@@ -82,7 +82,7 @@ type worker struct {
 
 // Coordinator fans batches out to a fixed set of prosimd workers. It
 // implements jobs.Runner, so every harness that takes a local engine or
-// a daemon client — experiments.RunSuite, cmd/report, cmd/sweep — can
+// a daemon client — experiments.RunSuite, prosim report and sweep — can
 // transparently run on a cluster. Create with New, release the health
 // loops with Close.
 type Coordinator struct {

@@ -128,9 +128,6 @@ type Config struct {
 	// Log, when non-nil, receives structured lifecycle events (batch
 	// accepted/finished, shutdown progress); nil logs nothing.
 	Log *slog.Logger
-	// Trace, when non-nil, receives one NDJSON span per job lifecycle
-	// step — submissions that attach to an in-flight run included.
-	Trace *obs.Tracer
 }
 
 // DefaultDrainTimeout is the Shutdown drain bound when Config leaves it
@@ -210,7 +207,6 @@ func New(cfg Config) (*Daemon, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng.Trace = cfg.Trace
 	eng.FlightDir = cfg.FlightDir
 	log := cfg.Log
 	if log == nil {
@@ -368,15 +364,9 @@ func (d *Daemon) runJob(waitCtx context.Context, mj *memoJob, cl class) (r *stat
 			d.attached.Add(-1)
 			mAttached.Add(-1)
 		}()
-		start := time.Now()
 		select {
 		case <-f.done:
 			mDeduped.Inc()
-			d.cfg.Trace.Emit(obs.Span{
-				Event: "done", Key: key, Kernel: j.Label(), Sched: j.SchedLabel(),
-				Outcome: obs.OutcomeDeduped, DurationMS: obs.Millis(time.Since(start)),
-				SimCycles: simCycles(f.res),
-			})
 			return f.res, f.fromCache, true, f.err
 		case <-waitCtx.Done():
 			return nil, false, false, waitCtx.Err()
@@ -702,14 +692,6 @@ func (d *Daemon) serveBatch(w http.ResponseWriter, r *http.Request, js []*memoJo
 	d.log.Info("batch done",
 		"jobs", len(js), "cached", hits,
 		"elapsed_sec", fmt.Sprintf("%.1f", time.Since(start).Seconds()))
-}
-
-// simCycles extracts a result's cycle count nil-safely for trace spans.
-func simCycles(r *stats.KernelResult) int64 {
-	if r == nil {
-		return 0
-	}
-	return r.Cycles
 }
 
 // handleHealth is the coordinator's liveness probe: always 200 with a

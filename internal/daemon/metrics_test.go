@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/obs/obstest"
 )
 
@@ -228,66 +227,5 @@ func TestStreamClientDisconnectMidBatch(t *testing.T) {
 	}
 	if rs[0].Cycles <= 0 {
 		t.Fatalf("bad result after disconnect: %+v", rs[0])
-	}
-}
-
-// TestTraceSpansCoverBatchLifecycle runs a cold and a warm batch with a
-// tracer attached and checks the span stream tells the story: submits
-// precede dones, cold jobs are "simulated", warm jobs "cache-hit", and
-// every span carries the result-cache key.
-func TestTraceSpansCoverBatchLifecycle(t *testing.T) {
-	var buf bytes.Buffer
-	tr := obs.NewTracer(&buf)
-	_, c := newTestDaemon(t, Config{Workers: 2, CacheDir: t.TempDir(), Trace: tr})
-	js := quickBatch(t)[:2]
-	for i := 0; i < 2; i++ {
-		if _, err := c.Run(context.Background(), js); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	var submits, simulated, cacheHits int
-	sc := bufio.NewScanner(&buf)
-	for sc.Scan() {
-		var span struct {
-			Event      string `json:"event"`
-			Key        string `json:"key"`
-			Outcome    string `json:"outcome"`
-			DurationMS *int64 `json:"duration_ms"`
-			SimCycles  int64  `json:"sim_cycles"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &span); err != nil {
-			t.Fatalf("trace line %q: %v", sc.Text(), err)
-		}
-		if span.Key == "" {
-			t.Fatalf("span without cache key: %s", sc.Text())
-		}
-		switch span.Event {
-		case "submit":
-			submits++
-		case "done":
-			// Every done span reports its duration, even sub-millisecond
-			// ones (cache hits).
-			if span.DurationMS == nil {
-				t.Fatalf("done span without duration_ms: %s", sc.Text())
-			}
-			switch span.Outcome {
-			case "simulated":
-				simulated++
-				if span.SimCycles <= 0 {
-					t.Fatalf("simulated span without cycles: %s", sc.Text())
-				}
-			case "cache-hit":
-				cacheHits++
-			default:
-				t.Fatalf("unexpected outcome %q", span.Outcome)
-			}
-		default:
-			t.Fatalf("unexpected event %q", span.Event)
-		}
-	}
-	if submits != 4 || simulated != 2 || cacheHits != 2 {
-		t.Fatalf("spans: %d submits, %d simulated, %d cache hits (want 4/2/2)",
-			submits, simulated, cacheHits)
 	}
 }

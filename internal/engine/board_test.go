@@ -42,7 +42,7 @@ type boardPolicy struct {
 	head   []*Warp   // per slot: leads the order when live and not hidden
 	hidden map[*Warp]bool
 	gens   []uint64
-	issued *Warp // set by OnIssue
+	issued *Warp // set by OnIssue, and by OnWarpFinish for an Exit
 }
 
 func newBoardPolicy(sm *SM, mode int, seed uint64) *boardPolicy {
@@ -158,6 +158,7 @@ func (p *boardPolicy) OnTBRetire(tb *ThreadBlock, _ int64) {
 }
 
 func (p *boardPolicy) OnWarpFinish(w *Warp, _ int64) {
+	p.issued = w // an Exit issues but is reported here, not to OnIssue
 	if p.head[w.SchedSlot] == w {
 		p.gens[w.SchedSlot]++ // the head leaves Order
 	}

@@ -20,7 +20,11 @@ import "repro/internal/isa"
 //
 // Event hooks fire exactly once per event, after the engine has updated
 // the warp/TB state the hook describes. Policies that ignore an event
-// simply provide an empty method (see BasePolicy).
+// simply provide an empty method (see BasePolicy). An Exit is not an
+// OnIssue: it is reported by OnWarpFinish, then, for the TB's last warp,
+// by OnTBRetire. After OnTBRetire no hook names the TB's warps, so a
+// policy must not act on a pointer to one it still holds: with pooling
+// the engine reuses the TB and its warps for a later launch.
 type Scheduler interface {
 	// Name identifies the policy in results.
 	Name() string
@@ -35,7 +39,8 @@ type Scheduler interface {
 	// OnTBRetire fires when a TB's last warp finished and its resources
 	// were released.
 	OnTBRetire(tb *ThreadBlock, cycle int64)
-	// OnIssue fires after a warp issues in (active lanes active).
+	// OnIssue fires after a warp issues in (active lanes active), for
+	// every instruction but Exit; w is never finished.
 	OnIssue(w *Warp, in *isa.Instr, lanes int, cycle int64)
 	// OnBarrierArrive fires when a warp blocks at a barrier (the TB's
 	// WarpsAtBarrier already includes it).
@@ -43,8 +48,9 @@ type Scheduler interface {
 	// OnBarrierRelease fires when the TB's last warp arrived and all its
 	// warps were unblocked (WarpsAtBarrier already reset to 0).
 	OnBarrierRelease(tb *ThreadBlock, cycle int64)
-	// OnWarpFinish fires when a warp exits (the TB's WarpsFinished
-	// already includes it). It does not fire again at TB retirement.
+	// OnWarpFinish fires when a warp issues its Exit (the TB's
+	// WarpsFinished already includes it), before OnTBRetire when it is
+	// the TB's last warp. It does not fire again at TB retirement.
 	OnWarpFinish(w *Warp, cycle int64)
 }
 
@@ -56,10 +62,10 @@ type Factory func(sm *SM) Scheduler
 // order cacheable. Implementing it is a promise that Order is a pure
 // function of policy state: the sequence of warps Order returns for a
 // slot changes only when that slot's generation counter changes — or in
-// the way the policy told the SM from OnIssue (SM.RotateOrderAfter,
-// SM.ReplaceOrderHead: O(1) alternatives to a bump when an issue only
-// moves where the scan starts) — and all state mutation happens in the
-// event hooks or inside OrderGen itself.
+// the way the policy told the SM from OnIssue or OnWarpFinish
+// (SM.RotateOrderAfter, SM.ReplaceOrderHead: O(1) alternatives to a bump
+// when an issue only moves where the scan starts) — and all state
+// mutation happens in the event hooks or inside OrderGen itself.
 //
 // The engine calls OrderGen once per slot per cycle (whenever the SM has
 // resident TBs), *before* consulting its cached order, and rebuilds the

@@ -834,10 +834,10 @@ func (sm *SM) buildOrder(b *issueBoard, slot int, cycle int64) {
 	}
 }
 
-// RotateOrderAfter is a hint a policy may push from OnIssue(w) instead
-// of bumping its generation: slot's Order is now the cached one restarted
-// just after w. Void — the cache is dropped and Order consulted — unless
-// w is the entry being issued.
+// RotateOrderAfter is a hint a policy may push from OnIssue(w) or
+// OnWarpFinish(w) instead of bumping its generation: slot's Order is now
+// the cached one restarted just after w. Void — the cache is dropped and
+// Order consulted — unless w is the entry being issued.
 func (sm *SM) RotateOrderAfter(w *Warp) {
 	b := w.board
 	if !b.valid || b.pos >= len(b.order) || int(b.order[b.pos]) != w.local {
@@ -981,6 +981,9 @@ func (sm *SM) tryIssue(w *Warp, in *isa.Instr, cycle int64) bool {
 			sm.Sched.OnBarrierRelease(tb, cycle)
 		}
 	case isa.OpExit:
+		// An Exit is reported by OnWarpFinish (and OnTBRetire for the
+		// TB's last warp), not by OnIssue: once the TB retires, no hook
+		// names its warps, which a pooled TB reuses for the next one.
 		w.finished = true
 		w.board.live[w.word] &^= w.bit
 		w.FinishCycle = cycle
@@ -998,7 +1001,9 @@ func (sm *SM) tryIssue(w *Warp, in *isa.Instr, cycle int64) bool {
 	}
 	w.refreshNextInstr()
 
-	sm.Sched.OnIssue(w, in, lanes, cycle)
+	if in.Op != isa.OpExit {
+		sm.Sched.OnIssue(w, in, lanes, cycle)
+	}
 	return true
 }
 

@@ -1,5 +1,5 @@
 // Package jobs is the parallel simulation job engine. Every evaluation
-// harness in the repository — cmd/report, cmd/papercheck, cmd/sweep,
+// harness in the repository — prosim report, papercheck and sweep,
 // the bench suite — boils down to a batch of independent, deterministic
 // (config, launch, policy, options) simulations; this package fans such
 // a batch across a worker pool sized to the machine and memoizes each
@@ -160,10 +160,6 @@ type Engine struct {
 	// OnProgress, when non-nil, is called after every job completion.
 	// Calls are serialized; keep the callback fast.
 	OnProgress func(Event)
-	// Trace, when non-nil, receives one NDJSON span per lifecycle step
-	// of every job this engine processes (submit, then done with the
-	// outcome). A nil tracer costs one pointer check per job.
-	Trace *obs.Tracer
 	// FlightDir, when non-empty, attaches a flight recorder to every
 	// simulated (non-cached) job and writes its Perfetto trace as
 	// <key>.trace.json in that directory — the per-job capture artifact
@@ -420,15 +416,14 @@ func Key(j *Job) (key string, ok bool, err error) {
 // panic into an error. ctx aborts an in-flight simulation within a
 // bounded delay (see gpu.RunContext). key is j's Engine.Key when the
 // caller already holds it; given "", runOne computes it if anything
-// needs it. Every call feeds the process metrics and, when the engine
-// has a tracer, emits a submit/done span pair.
+// needs it. Every call feeds the process metrics.
 func (e *Engine) runOne(ctx context.Context, j *Job, key string) (r *stats.KernelResult, fromCache bool, err error) {
 	start := time.Now()
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("panic: %v\n%s", p, debug.Stack())
 		}
-		e.observeDone(j, key, r, fromCache, time.Since(start), err)
+		observeDone(r, fromCache, time.Since(start), err)
 	}()
 
 	cfg := j.Config
@@ -441,12 +436,11 @@ func (e *Engine) runOne(ctx context.Context, j *Job, key string) (r *stats.Kerne
 	}
 
 	cacheable := e.Cache != nil && schedID != ""
-	if key == "" && (cacheable || (e.Trace != nil && schedID != "")) {
+	if key == "" && cacheable {
 		if key, err = e.key(j, schedID); err != nil {
 			return nil, false, err
 		}
 	}
-	e.Trace.Emit(obs.Span{Event: "submit", Key: key, Kernel: j.label(), Sched: j.schedLabel()})
 	if cacheable {
 		if cached, ok := e.Cache.Get(key); ok {
 			return cached, true, nil
@@ -517,17 +511,14 @@ func (e *Engine) writeFlightArtifact(j *Job, key string, rec *flight.Recorder) e
 	return nil
 }
 
-// observeDone records one finished runOne in the process metrics and
-// the engine's tracer. err covers failures and captured panics.
-func (e *Engine) observeDone(j *Job, key string, r *stats.KernelResult, fromCache bool, dur time.Duration, err error) {
+// observeDone records one finished runOne in the process metrics. err
+// covers failures and captured panics.
+func observeDone(r *stats.KernelResult, fromCache bool, dur time.Duration, err error) {
 	mCompleted.Inc()
-	outcome := obs.OutcomeSimulated
 	switch {
 	case err != nil:
-		outcome = obs.OutcomeError
 		mFailed.Inc()
 	case fromCache:
-		outcome = obs.OutcomeCacheHit
 		mReplayed.Inc()
 	default:
 		mSimulated.Inc()
@@ -537,20 +528,6 @@ func (e *Engine) observeDone(j *Job, key string, r *stats.KernelResult, fromCach
 			mCycleRate.Set(int64(float64(r.Cycles) / s))
 		}
 	}
-	if e.Trace == nil {
-		return
-	}
-	span := obs.Span{
-		Event: "done", Key: key, Kernel: j.label(), Sched: j.schedLabel(),
-		Outcome: outcome, DurationMS: obs.Millis(dur),
-	}
-	if r != nil {
-		span.SimCycles = r.Cycles
-	}
-	if err != nil {
-		span.Err = err.Error()
-	}
-	e.Trace.Emit(span)
 }
 
 // RunJob executes one job synchronously on the caller's goroutine,

@@ -330,12 +330,13 @@ func TestKeyMatchesCachedEntries(t *testing.T) {
 	if _, hit := cache.Get(key); !hit {
 		t.Fatal("Engine.Key does not address the entry RunOne wrote")
 	}
-	// The key of this default-GTX480 job as computed at PR 12, before
-	// config.Config lost its parallel-tick fields: removing execution
-	// knobs must leave existing .simcache directories warm.
-	const pr12Key = "19446b5661f74c38841767202dab78486284638289e72432df1433a6a7917093"
-	if key != pr12Key {
-		t.Fatalf("cache key of a default-GTX480 job moved:\n got %s\nwant %s", key, pr12Key)
+	// The key of this default-GTX480 job at schema v3. It hashes the
+	// config description written before config.Config lost its
+	// parallel-tick fields: removing execution knobs must leave existing
+	// .simcache directories warm.
+	const v3Key = "1034ea638f5a3c5e9a1e9327dc8fab0535e05c815d428254668aa59beb477d37"
+	if key != v3Key {
+		t.Fatalf("cache key of a default-GTX480 job moved:\n got %s\nwant %s", key, v3Key)
 	}
 
 	// An anonymous factory has no stable identity.

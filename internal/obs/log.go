@@ -1,6 +1,6 @@
 // Structured leveled logging shared by the daemon and every cmd/
 // tool: one flag-registration helper, one setup call. All logs go to
-// stderr (stdout carries artifacts; see the cmd/report regression
+// stderr (stdout carries artifacts; see the prosim report regression
 // test), text by default, JSON with -log-json.
 package obs
 

@@ -48,7 +48,11 @@ var (
 // v2: PRO re-sort cadence fix — the THRESHOLD refresh now fires every
 // THRESHOLD cycles instead of every THRESHOLD+1, shifting PRO-family
 // cycle counts.
-const SchemaVersion = 2
+//
+// v3: an Exit no longer reaches Scheduler.OnIssue, so GTO stops leaving
+// a finished warp as greedy for a pooled TB to inherit; GTO cycle counts
+// on kernels with TB churn move to their unpooled values.
+const SchemaVersion = 3
 
 // Cache is a content-addressed store of KernelResults in one directory.
 // All methods are safe for concurrent use.

@@ -48,7 +48,7 @@ func (s *GTO) bumpAll() {
 // oldest-first. The greedy warp recurs at its age position; the engine
 // considers a warp at its first occurrence only.
 func (s *GTO) Order(slot int, dst []*engine.Warp, _ int64) []*engine.Warp {
-	if g := s.greedy[slot]; g != nil && !g.Finished() {
+	if g := s.greedy[slot]; g != nil {
 		dst = append(dst, g)
 	}
 	return append(dst, s.aged[slot]...)
@@ -61,17 +61,20 @@ func (s *GTO) OnIssue(w *engine.Warp, _ *isa.Instr, _ int, _ int64) {
 		return
 	}
 	s.greedy[w.SchedSlot] = w
-	if old == nil || old.Finished() {
+	if old == nil {
 		s.gens[w.SchedSlot]++ // Order had no head to replace
 	} else {
 		s.sm.ReplaceOrderHead(old, w)
 	}
 }
 
-// OnWarpFinish implements engine.Scheduler: a finished greedy warp drops
-// out of the order's head.
+// OnWarpFinish implements engine.Scheduler: an Exit ends the slot's
+// greedy run, whichever warp held it, and the order loses its head. A
+// finished warp is therefore never greedy, and the TB's retirement finds
+// none of its warps here.
 func (s *GTO) OnWarpFinish(w *engine.Warp, _ int64) {
-	if s.greedy[w.SchedSlot] == w {
+	if s.greedy[w.SchedSlot] != nil {
+		s.greedy[w.SchedSlot] = nil
 		s.gens[w.SchedSlot]++
 	}
 }
@@ -118,8 +121,5 @@ func (s *GTO) OnTBRetire(tb *engine.ThreadBlock, _ int64) {
 			}
 		}
 		s.aged[slot] = kept
-		if g := s.greedy[slot]; g != nil && g.TB == tb {
-			s.greedy[slot] = nil
-		}
 	}
 }

@@ -54,6 +54,13 @@ func (s *LRR) OnIssue(w *engine.Warp, _ *isa.Instr, _ int, _ int64) {
 	s.sm.RotateOrderAfter(w)
 }
 
+// OnWarpFinish implements engine.Scheduler: an Exit moves the cursor as
+// any other issue does.
+func (s *LRR) OnWarpFinish(w *engine.Warp, _ int64) {
+	s.last[w.SchedSlot] = w.Slot
+	s.sm.RotateOrderAfter(w)
+}
+
 // OnTBAssign implements engine.Scheduler: Order reads sm.WarpSlots live,
 // so a residency change invalidates every slot's cached order.
 func (s *LRR) OnTBAssign(*engine.ThreadBlock, int64) {

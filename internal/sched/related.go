@@ -118,3 +118,9 @@ func (s *OWLLite) Order(slot int, dst []*engine.Warp, _ int64) []*engine.Warp {
 func (s *OWLLite) OnIssue(w *engine.Warp, _ *isa.Instr, _ int, _ int64) {
 	s.last[w.SchedSlot] = w.Slot
 }
+
+// OnWarpFinish implements engine.Scheduler: an Exit moves the cursor as
+// any other issue does.
+func (s *OWLLite) OnWarpFinish(w *engine.Warp, _ int64) {
+	s.last[w.SchedSlot] = w.Slot
+}

@@ -157,6 +157,10 @@ func TestGTORetireDropsWarpsAndGreedy(t *testing.T) {
 		}
 	}
 	s.OnIssue(w, aluInstr(), 32, 2)
+	// The engine reports every warp's Exit before the TB retires.
+	for _, x := range tb.Warps {
+		s.OnWarpFinish(x, 3)
+	}
 	s.OnTBRetire(tb, 3)
 	if got := s.Order(0, nil, 4); len(got) != 0 {
 		t.Fatalf("order after retire has %d warps", len(got))

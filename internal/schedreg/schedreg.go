@@ -65,7 +65,7 @@ func New(name string) (engine.Factory, error) {
 // registered policy name ("PRO", "GTO", ...) or a parameterized
 // PRO-family form: the base name followed by "+"-separated options,
 // matching the FactoryKey strings the harnesses already use as cache
-// identities — e.g. "PRO+threshold=500" (cmd/sweep's threshold sweep)
+// identities — e.g. "PRO+threshold=500" (prosim sweep's threshold sweep)
 // or "PRO+ordertrace+threshold=default" (the Table IV trace).
 //
 // Recognized options: "threshold=<cycles|default>" sets the re-sort

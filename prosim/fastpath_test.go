@@ -11,8 +11,10 @@ package prosim_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"testing"
 
+	"repro/internal/schedreg"
 	"repro/prosim"
 )
 
@@ -35,12 +37,14 @@ var naivePaths = fastPaths{
 
 // diffRow is one kernel of a differential grid: its grid size, the
 // observation options it runs under and, when set, a change to the
-// GTX480 hardware it runs on.
+// GTX480 hardware it runs on and the policies TestFastPathEquivalence
+// runs it under (nil: every registered one).
 type diffRow struct {
 	kernel string
 	maxTBs int
 	opts   []prosim.Options
 	hw     func(*prosim.Config)
+	scheds []string
 }
 
 // wideSlot is one SM with a single scheduler owning 128 warp slots, the
@@ -80,31 +84,57 @@ var memoryBoundRows = func() []diffRow {
 	return rows
 }()
 
+// twoSMs runs a grid on two SMs, so a 16-TB grid churns: each SM
+// retires thread blocks and is assigned new ones, and with warp pooling
+// on the new ones reuse the retired warps (DESIGN.md §8.7).
+func twoSMs(cfg *prosim.Config) { cfg.NumSMs = 2 }
+
+// churnRows are the TB-churn rows: a policy that acts on a warp pointer
+// it holds past the TB's retirement (DESIGN.md §8.1, "Hook order")
+// makes the pooled run differ from the reference on both kernels.
+var churnRows = []diffRow{
+	{kernel: "kernel", maxTBs: 16, opts: []prosim.Options{{}}, hw: twoSMs},
+	{kernel: "bpnn_adjust_weights_cuda", maxTBs: 16, opts: []prosim.Options{{}}, hw: twoSMs},
+}
+
 // fastPathGrid simulates the differential grid with the given fast-path
 // switches and returns one canonical JSON encoding per run.
-func fastPathGrid(t *testing.T, fp fastPaths) []string {
-	t.Helper()
+func fastPathGrid(fp fastPaths) ([]string, error) {
 	// The sampled run checks that mid-run observations (per-interval
 	// counters, TB timelines) see the same state at the same cycles.
 	opts := []prosim.Options{{}, {Timeline: true, SampleEvery: 500}}
 	rows := append([]diffRow{
 		{kernel: "aesEncrypt128", maxTBs: 8, opts: opts}, {kernel: "scalarProdGPU", maxTBs: 8, opts: opts},
 		{kernel: "calculate_temp", maxTBs: 8, opts: opts},
+	}, churnRows...)
+	heavy := append([]diffRow{
 		{kernel: "aesEncrypt128", maxTBs: 24, opts: opts[:1], hw: wideSlot},
 		{kernel: "scalarProdGPU", maxTBs: 24, opts: opts[:1], hw: wideSlot},
 	}, memoryBoundRows...)
-	// PRO-adaptive exercises the timed-refresh path (the adaptive
-	// profiler switches phases on a schedule, not on issue events).
-	scheds := []string{"TL", "LRR", "GTO", "PRO", "PRO-adaptive"}
+	// Every registered policy runs the rows above; PRO-adaptive exercises
+	// the timed-refresh path (the adaptive profiler switches phases on a
+	// schedule, not on issue events). The heavy rows keep the paper's four
+	// and PRO-adaptive: all nine there would take this package past go
+	// test's 10-minute default under -race, and
+	// TestFastForwardDifferential already runs every policy on the
+	// memory-bound rows.
+	for _, row := range heavy {
+		row.scheds = []string{"TL", "LRR", "GTO", "PRO", "PRO-adaptive"}
+		rows = append(rows, row)
+	}
 
 	var out []string
 	for _, row := range rows {
 		k := row.kernel
 		w, err := prosim.WorkloadByKernel(k)
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 		w = w.Shrunk(row.maxTBs)
+		scheds := row.scheds
+		if scheds == nil {
+			scheds = schedreg.All()
+		}
 		for _, s := range scheds {
 			for _, o := range row.opts {
 				cfg := prosim.GTX480()
@@ -117,21 +147,31 @@ func fastPathGrid(t *testing.T, fp fastPaths) []string {
 				cfg.DisableWarpPooling = fp.disableWarpPooling
 				r, err := prosim.Run(cfg, w.Launch, s, o)
 				if err != nil {
-					t.Fatalf("%s/%s: %v", k, s, err)
+					return nil, fmt.Errorf("%s/%s: %w", k, s, err)
 				}
 				data, err := json.Marshal(r)
 				if err != nil {
-					t.Fatal(err)
+					return nil, err
 				}
 				out = append(out, string(data))
 			}
 		}
 	}
-	return out
+	return out, nil
 }
 
 func TestFastPathEquivalence(t *testing.T) {
-	naive := fastPathGrid(t, naivePaths)
+	// The six grids are independent, so the naive reference runs beside
+	// the five fast-path grids, which are parallel subtests: the test is
+	// about 30 s of CPU, and some 18 times that under -race.
+	var naive []string
+	var naiveErr error
+	naiveDone := make(chan struct{})
+	go func() {
+		defer close(naiveDone)
+		naive, naiveErr = fastPathGrid(naivePaths)
+	}()
+	t.Cleanup(func() { <-naiveDone })
 	each := func(mod func(*fastPaths)) fastPaths {
 		fp := naivePaths
 		mod(&fp)
@@ -149,7 +189,15 @@ func TestFastPathEquivalence(t *testing.T) {
 		{"default-all-on", fastPaths{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			got := fastPathGrid(t, tc.fp)
+			t.Parallel()
+			got, err := fastPathGrid(tc.fp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-naiveDone
+			if naiveErr != nil {
+				t.Fatalf("naive path: %v", naiveErr)
+			}
 			for i := range naive {
 				if got[i] != naive[i] {
 					t.Errorf("run %d: result differs from the naive path", i)

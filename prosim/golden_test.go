@@ -12,7 +12,7 @@ import (
 // scheduler. The simulator is deterministic, so these are stable across
 // runs and platforms; they exist to catch *unintentional* changes to the
 // timing model. An intentional model change should update the table (and
-// re-run cmd/report so EXPERIMENTS.md matches).
+// re-run prosim report so EXPERIMENTS.md matches).
 //
 // The scalarProdGPU rows also pin the L2 counters: memsys accounts the
 // re-polls of reads a full L2 MSHR file refused without probing (DESIGN.md
