@@ -1,11 +1,12 @@
 # Developer / CI entry points. `make check` is the gate every change
 # must pass: go vet, the full test suite under the race detector, the
-# fast-path differential test (order cache + cycle skipping must be
-# bit-invisible) and a compile check of the bench harness.
+# fast-path differential test (order cache, cycle skipping and warp
+# pooling must be bit-invisible), the per-surface -race gates, the
+# results/ regeneration check and a compile check of the bench harness.
 
 GO ?= go
 
-.PHONY: build test vet race fastpath fastforwardtest sleeptest issuetest retrytest identity pairs fuzz benchbuild daemontest servetest obstest clustertest admissiontest flighttest results-check check bench profile profile-grid profile-serve report papercheck
+.PHONY: build test vet race fastpath sleeptest issuetest retrytest identity pairs fuzz benchbuild daemontest servetest obstest clustertest admissiontest flighttest results-check check bench profile profile-grid profile-serve report papercheck
 
 build:
 	$(GO) build ./...
@@ -24,12 +25,6 @@ race:
 fastpath:
 	$(GO) test -run TestFastPathEquivalence -count=1 ./prosim
 
-# The global fast-forward gate: the event-horizon jump must be invisible
-# for every registered scheduler, checked under the race detector with
-# the fast-forward both on and off (the differential runs both sides).
-fastforwardtest:
-	$(GO) test -race -run 'TestFastForwardDifferential|TestFastPathEquivalence' -count=1 ./prosim
-
 # The wake-source gate for event-driven structural stalls (DESIGN.md
 # §8.3): an SM asleep on a refused load, a refused store, SFU saturation
 # or the LD/ST busy window must tick on exactly the cycle its un-slept
@@ -47,7 +42,7 @@ sleeptest:
 # policy's own Order() picks, with a wake horizon no later than that
 # walk's; GTO's order, with its greedy warp listed twice, must still read
 # greedy-then-oldest at first occurrences. (The >64-warps-per-slot rows
-# that make the masks multi-word run in fastpath / fastforwardtest.)
+# that make the masks multi-word run in fastpath, and under -race in race.)
 issuetest:
 	$(GO) test -race -count=1 -run 'TestIssueBoard|TestGTOGreedyFirstThenOldest|TestLRROrderRotates|TestTLDoesNotDemoteOnALUIssue' ./internal/engine ./internal/sched
 
@@ -255,7 +250,7 @@ results-check:
 	for f in "$$tmp"/out/*; do cmp "results/$${f##*/}" "$$f"; done; \
 	echo "results-check: $$(ls "$$tmp/out" | wc -l) files in results/ match the code"
 
-check: vet race fastpath fastforwardtest sleeptest issuetest retrytest daemontest servetest obstest clustertest admissiontest flighttest results-check benchbuild
+check: vet race fastpath sleeptest issuetest retrytest daemontest servetest obstest clustertest admissiontest flighttest results-check benchbuild
 
 # The per-layer measurement rungs, 5 repetitions with allocation counts,
 # to stdout: SMTickPipelineStall and SMTickIssue (internal/engine),

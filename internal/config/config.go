@@ -138,13 +138,9 @@ type Config struct {
 	// cycle instead of reusing the generation-tagged cached order.
 	DisableOrderCache bool `json:"-"`
 	// DisableCycleSkip ticks fully-stalled SMs cycle by cycle instead of
-	// fast-forwarding their stall accounting to the next wake-up event.
+	// letting them sleep until their next wake-up event and accounting
+	// the slept cycles' stalls in bulk on wake.
 	DisableCycleSkip bool `json:"-"`
-	// DisableFastForward makes the top-level clock loop increment cycle
-	// by cycle even when every component (SMs, timing wheel, DRAM queues)
-	// reports no work before a known future horizon, instead of jumping
-	// straight to the minimum NextEvent cycle.
-	DisableFastForward bool `json:"-"`
 	// DisableWarpPooling allocates fresh warp/thread-block objects on
 	// every TB assignment instead of recycling retired ones.
 	DisableWarpPooling bool `json:"-"`

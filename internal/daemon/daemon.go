@@ -72,8 +72,6 @@ var (
 
 	// Simulation heartbeat mirror (gpu.SetHeartbeat; registered by New).
 	mSimBeats    = obs.NewCounter("sim_heartbeats_total", "simulation heartbeats observed")
-	mSimFFJumps  = obs.NewCounter("sim_fastforward_jumps_total", "event-horizon clock jumps summed over heartbeats")
-	mSimIters    = obs.NewCounter("sim_loop_iters_total", "top-level simulation loop iterations summed over heartbeats")
 	mSimCycle    = obs.NewGauge("sim_last_heartbeat_cycle", "simulated cycle of the most recent heartbeat")
 	mSimResident = obs.NewGauge("sim_resident_tbs", "resident thread blocks at the most recent heartbeat")
 )
@@ -228,8 +226,6 @@ func New(cfg Config) (*Daemon, error) {
 	// only reads; see gpu.SetHeartbeat).
 	gpu.SetHeartbeat(func(h gpu.Heartbeat) {
 		mSimBeats.Inc()
-		mSimFFJumps.Add(h.FFJumps)
-		mSimIters.Add(h.Iters)
 		mSimCycle.Set(h.Cycle)
 		mSimResident.Set(int64(h.ResidentTBs))
 	}, 0)

@@ -110,46 +110,6 @@ func (c *Channel) Busy(cycle int64) bool {
 	return false
 }
 
-// NextEvent returns the earliest cycle strictly after now at which Tick
-// could grant a request, or ok=false when the queue is empty. A queued
-// request is grantable once its bank frees up, so the channel's horizon is
-// the minimum over the queue of max(now+1, bankBusy[bank]); skipping Tick
-// for every cycle before that horizon cannot change arbitration.
-func (c *Channel) NextEvent(now int64) (cycle int64, ok bool) {
-	if len(c.queue) == 0 {
-		return 0, false
-	}
-	for _, r := range c.queue {
-		at := c.bankBusy[r.bank]
-		if at <= now+1 {
-			return now + 1, true
-		}
-		if !ok || at < cycle {
-			cycle, ok = at, true
-		}
-	}
-	return cycle, ok
-}
-
-// Horizon returns the earliest cycle at which any queued request's bank
-// is (or already was) free — the channel's contribution to a global
-// next-event horizon — with ok=false when the queue is empty. Unlike
-// NextEvent it is not clamped to a caller's "now": the memory system
-// recomputes it only when the channel mutates (enqueue or grant) and
-// caches it in a heap, clamping at query time.
-func (c *Channel) Horizon() (cycle int64, ok bool) {
-	if len(c.queue) == 0 {
-		return 0, false
-	}
-	cycle = int64(1<<63 - 1)
-	for _, r := range c.queue {
-		if at := c.bankBusy[r.bank]; at < cycle {
-			cycle = at
-		}
-	}
-	return cycle, true
-}
-
 // Tick performs one arbitration step at cycle: grants at most one request
 // per call (the command/data bus serializes grants). Completion callbacks
 // are scheduled by the caller via the returned (req, doneAt) pair;

@@ -1,7 +1,6 @@
 package dram
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -162,62 +161,4 @@ func TestInvalidGeometryPanics(t *testing.T) {
 		}
 	}()
 	NewChannel(0, 2048, 40, 100, 32)
-}
-
-// cloneChannel deep-copies a channel so a hypothetical future can be
-// simulated without disturbing the original's state.
-func cloneChannel(c *Channel) *Channel {
-	d := *c
-	d.openRow = append([]uint64(nil), c.openRow...)
-	d.rowValid = append([]bool(nil), c.rowValid...)
-	d.bankBusy = append([]int64(nil), c.bankBusy...)
-	d.queue = make([]*Request, len(c.queue))
-	for i, r := range c.queue {
-		rc := *r
-		d.queue[i] = &rc
-	}
-	return &d
-}
-
-// TestNextEventNeverUnderReports checks the fast-forward soundness
-// contract on randomized channel states: if NextEvent(now) reports
-// horizon `at`, then Tick must grant nothing on any cycle in (now, at)
-// — so skipping those cycles is invisible — and must grant at `at`
-// — so the horizon is tight, not merely safe.
-func TestNextEventNeverUnderReports(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 100; trial++ {
-		c := newTestChannel()
-		now := int64(0)
-		for step := 0; step < 50; step++ {
-			switch rng.Intn(4) {
-			case 0, 1: // offer a request somewhere in a handful of rows
-				c.Enqueue(&Request{Line: uint64(rng.Intn(64)) * 128})
-			case 2: // arbitrate at the current cycle
-				c.Tick(now)
-				now++
-			default: // let time pass without arbitration
-				now += 1 + rng.Int63n(30)
-			}
-			at, ok := c.NextEvent(now)
-			if !ok {
-				if len(c.queue) != 0 {
-					t.Fatalf("trial %d: NextEvent ok=false with %d queued", trial, len(c.queue))
-				}
-				continue
-			}
-			if at <= now {
-				t.Fatalf("trial %d: horizon %d not strictly after now %d", trial, at, now)
-			}
-			probe := cloneChannel(c)
-			for x := now + 1; x < at; x++ {
-				if r, _ := probe.Tick(x); r != nil {
-					t.Fatalf("trial %d: grant at %d before reported horizon %d", trial, x, at)
-				}
-			}
-			if r, _ := cloneChannel(c).Tick(at); r == nil {
-				t.Fatalf("trial %d: no grant at reported horizon %d", trial, at)
-			}
-		}
-	}
 }

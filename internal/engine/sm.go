@@ -458,20 +458,18 @@ func (sm *SM) Tick(cycle int64) {
 	}
 }
 
-// neverWake marks a wake-up that only an explicit event can trigger.
+// neverWake is the wakeAt of a sleeping SM that no clock can wake: only
+// an explicit event (a wheel callback or a TB assignment) calling
+// wakeEvent ends its sleep.
 const neverWake = int64(math.MaxInt64)
-
-// NeverWake is neverWake for the clock loop's horizon tracking: a
-// sleeping SM reporting this wake cycle can only be woken by an
-// explicit event (wheel callback or TB assignment).
-const NeverWake = neverWake
 
 // trySleep puts the SM to sleep after a cycle on which no slot issued
 // and the LD/ST unit made no progress (empty, or head transaction
-// refused). wake is the minimum of the slots' self-timed horizons, as the
-// full scans that just ran computed them (tickSlot). The frozen per-slot
-// classification — Idle, Scoreboard or Pipeline — cannot change while
-// asleep, because every state transition that could change it either
+// refused). wake is the earliest cycle at which any slot's outcome can
+// change on the SM's own clock, as the full scans that just ran computed
+// it (tickSlot). The frozen per-slot classification — Idle, Scoreboard or
+// Pipeline — cannot change while asleep, because every state transition
+// that could change it either
 //
 //   - happens at a statically-known cycle — a register becoming ready
 //     (readyAt, kept in the board's gate), the LD/ST unit's busy window
@@ -581,44 +579,6 @@ func (sm *SM) storeReleased() {
 	}
 }
 
-// NextEvent reports the SM's contribution to the GPU-wide fast-forward
-// horizon, queried after the SM has been ticked at now: the earliest
-// future cycle at which the SM could change state on its own clock.
-//
-//   - Asleep: wakeAt, computed by trySleep from the slots' horizons and
-//     the policy's NextTimedEvent. neverWake means only an explicit
-//     event (a wheel callback or an assignment) can wake it — both are
-//     covered by the other components' horizons — and the skipped
-//     cycles' stall accounting is flushed lazily by StallTotal. This
-//     includes drained SMs (no resident TBs), which sleep at neverWake
-//     after their first empty Tick.
-//   - Awake: the SM ticks — and accounts a stall class — on the very
-//     next cycle, so nothing may be skipped. This also covers a
-//     just-drained SM that has not had its first empty Tick yet: that
-//     Tick must still run to classify the slots Idle and start the
-//     sleep, or the stall-accounting invariant would lose cycles.
-func (sm *SM) NextEvent(now int64) (cycle int64, ok bool) {
-	if sm.asleep {
-		if sm.wakeAt <= now+1 {
-			return now + 1, true
-		}
-		if sm.wakeAt == neverWake {
-			return 0, false
-		}
-		return sm.wakeAt, true
-	}
-	return now + 1, true
-}
-
-// SleepState exposes the raw sleep fields for the clock loop's
-// incremental horizon tracking (the wake-heap mirror): asleep=false
-// means the SM must tick on the very next cycle; asleep=true with
-// wake==NeverWake means only an explicit event can wake it. Query it
-// after the SM's Tick for the current cycle, like NextEvent.
-func (sm *SM) SleepState() (asleep bool, wake int64) {
-	return sm.asleep, sm.wakeAt
-}
-
 // drainMemOp issues at most one transaction of the in-flight memory
 // instruction and reports whether the memory system refused it (leaving
 // the unit exactly as it was). The unit frees as soon as all transactions
@@ -684,7 +644,8 @@ func (sm *SM) memOpLineDone(op *memOp, cy int64) {
 // tickSlot runs one scheduler slot's cycle. Besides the outcome it
 // returns, for a slot that did not issue under cycle skipping, a lower
 // bound on the cycle at which the outcome can change on the SM's own
-// clock (neverWake: only through an event) — trySleep's per-slot horizon.
+// clock (neverWake: only through an event) — trySleep's per-slot wake
+// bound.
 func (sm *SM) tickSlot(slot int, cycle int64) (slotOutcome, int64) {
 	if sm.residentTBs == 0 {
 		sm.Stalls[slot].Idle++

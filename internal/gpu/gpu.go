@@ -48,13 +48,11 @@ type OrderTracer interface {
 	OrderSamples() []stats.OrderSample
 }
 
-// ctxCheckInterval is how many loop iterations pass between context
-// checks in RunContext's cycle loop. The interval counts iterations, not
-// cycles: with fast-forwarding a single iteration can cover far more
-// than 4096 cycles, so a cycle-count poll would not bound cancellation
-// latency. A non-blocking poll every 4096 iterations is invisible in
-// profiles (each iteration simulates 14 SMs plus the memory system) yet
-// bounds the abort delay to well under a millisecond of wall time.
+// ctxCheckInterval is how many cycles pass between context checks in
+// RunContext's cycle loop. A non-blocking poll every 4096 cycles is
+// invisible in profiles (each cycle simulates 14 SMs plus the memory
+// system) yet bounds the abort delay to well under a millisecond of wall
+// time.
 const ctxCheckInterval = 4096
 
 // Run simulates launch on a GPU described by cfg under the scheduling
@@ -199,104 +197,6 @@ func RunContext(ctx context.Context, cfg *config.Config, launch *engine.Launch, 
 		lastSample.stalls = cur
 	}
 
-	// Incremental SM horizon tracking. Instead of rescanning every SM's
-	// NextEvent when computing the fast-forward jump (O(n) per
-	// iteration), the loop mirrors each SM's sleep state after its tick
-	// and folds changes into a lazy-deletion min-heap: an awake count
-	// answers "may anything tick next cycle?" in O(1), and the heap
-	// yields the earliest finite wake cycle in O(log n) per update. The
-	// mirror is refreshed after every tick, so an SM woken early
-	// by an event (wakeAt zeroed, full tick this cycle) is re-mirrored
-	// before the next horizon query and the heap never serves a stale
-	// earlier entry.
-	smAsleep := make([]bool, len(sms)) // all start awake
-	awake := len(sms)
-	wakeHeap := timing.NewWakeHeap(len(sms))
-	trackSM := func(i int, sm *engine.SM) {
-		asleep, wakeAt := sm.SleepState()
-		if asleep != smAsleep[i] {
-			smAsleep[i] = asleep
-			if asleep {
-				awake--
-			} else {
-				awake++
-			}
-		}
-		if !asleep || wakeAt == engine.NeverWake {
-			wakeHeap.Clear(i)
-		} else {
-			wakeHeap.Set(i, wakeAt)
-		}
-	}
-
-	// nextCycle computes where the clock goes after an iteration at now —
-	// the global fast-forward. Every cycle in (now, target) is provably a
-	// no-op: each component reports the earliest future cycle at which it
-	// could do anything (ok=false meaning "only another component's event
-	// can activate me"), and the clock jumps to the minimum. Skipped
-	// cycles would have run an empty loop body — no wheel events fire, no
-	// DRAM arbitration can grant, every SM stays asleep, and assignment is
-	// inert (it already drained at now, and residency only changes on an
-	// SM's own issue path, impossible while asleep) — so results are
-	// bit-identical to single-stepping. The jump is clamped to every
-	// cycle the loop itself observes: the next sampling boundary (so the
-	// sample fires on its exact cycle with stalls flushed identically),
-	// the runaway limit, and the deadlock-watchdog deadline (so both
-	// errors report the same cycle they would under single-stepping).
-	ffOn := !cfg.DisableFastForward
-	nextCycle := func(now, lastIssuedCycle int64) int64 {
-		if !ffOn {
-			return now + 1
-		}
-		target := int64(1<<63 - 1)
-		// The SM horizon, from the mirror: any awake SM ticks next
-		// cycle; otherwise the earliest finite wake cycle bounds the
-		// jump (sleepers at NeverWake are woken by other components'
-		// events, covered by their horizons below).
-		if awake > 0 {
-			return now + 1
-		}
-		if at, ok := wakeHeap.Min(); ok {
-			if at <= now+1 {
-				return now + 1
-			}
-			target = at
-		}
-		if at, ok := mem.NextEvent(now); ok {
-			if at <= now+1 {
-				return now + 1
-			}
-			if at < target {
-				target = at
-			}
-		}
-		if at, ok := wheel.NextEvent(); ok {
-			if at <= now+1 {
-				return now + 1
-			}
-			if at < target {
-				target = at
-			}
-		}
-		if target == 1<<63-1 {
-			// Fully quiescent yet not done: a genuine wedge. Single-step
-			// so the deadlock watchdog sees the identical cycle sequence.
-			return now + 1
-		}
-		if opts.SampleEvery > 0 {
-			if b := now - now%opts.SampleEvery + opts.SampleEvery; b < target {
-				target = b
-			}
-		}
-		if maxCycles < target {
-			target = maxCycles
-		}
-		if d := lastIssuedCycle + stallWindow + 1; d < target {
-			target = d
-		}
-		return target
-	}
-
 	// Telemetry heartbeat (internal/obs consumers): loaded once per run,
 	// so registration mid-run is not observed. With no listener the loop
 	// below pays a single always-false branch per iteration; the
@@ -304,10 +204,7 @@ func RunContext(ctx context.Context, cfg *config.Config, launch *engine.Launch, 
 	// way (asserted by TestHeartbeatDoesNotAlterResults).
 	hb := hbState.Load()
 	hbOn := hb != nil
-	var hbPrevCycle, hbIters, hbJumps, hbNext int64
-	if hbOn {
-		hbNext = hb.every
-	}
+	var hbIters int64
 	emitHeartbeat := func(cycle int64, final bool) {
 		resident := 0
 		for _, sm := range sms {
@@ -316,20 +213,18 @@ func RunContext(ctx context.Context, cfg *config.Config, launch *engine.Launch, 
 		hb.fn(Heartbeat{
 			Kernel: launch.Program.Name, Scheduler: res.Scheduler,
 			Cycle: cycle, ResidentTBs: resident, PendingTBs: pending,
-			Iters: hbIters, FFJumps: hbJumps, Final: final,
+			Iters: hbIters, Final: final,
 			SMWorkers: 1, // deprecated compat group, see Heartbeat
 		})
-		hbIters, hbJumps = 0, 0
+		hbIters = 0
 	}
 
 	lastIssued := int64(-1)
 	lastIssuedCycle := int64(0)
 	checkCtx := ctx.Done() != nil
-	var iters int64
 	var cycle int64
-	for cycle = 1; ; cycle = nextCycle(cycle, lastIssuedCycle) {
-		iters++
-		if checkCtx && iters%ctxCheckInterval == 0 {
+	for cycle = 1; ; cycle++ {
+		if checkCtx && cycle%ctxCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, fmt.Errorf("gpu: %s/%s aborted at cycle %d: %w",
 					launch.Program.Name, res.Scheduler, cycle, err)
@@ -339,30 +234,23 @@ func RunContext(ctx context.Context, cfg *config.Config, launch *engine.Launch, 
 		mem.Tick(cycle)
 		assign(cycle)
 		done := true
-		// The watchdog's issued sum and the sleep mirror used by
-		// nextCycle are folded into the tick pass: an SM's WarpInstrs is
-		// final for the cycle when its own Tick returns.
+		// The watchdog's issued sum is folded into the tick pass: an SM's
+		// WarpInstrs is final for the cycle when its own Tick returns.
 		var issued int64
-		for i, sm := range sms {
+		for _, sm := range sms {
 			sm.Tick(cycle)
 			if !sm.Done() {
 				done = false
 			}
 			issued += sm.WarpInstrs
-			trackSM(i, sm)
 		}
 		if opts.SampleEvery > 0 && cycle%opts.SampleEvery == 0 {
 			sample(cycle)
 		}
 		if hbOn {
 			hbIters++
-			if cycle > hbPrevCycle+1 {
-				hbJumps++
-			}
-			hbPrevCycle = cycle
-			if cycle >= hbNext {
+			if cycle%hb.every == 0 {
 				emitHeartbeat(cycle, false)
-				hbNext = cycle - cycle%hb.every + hb.every
 			}
 		}
 		if done && pending == 0 {

@@ -18,18 +18,18 @@ type Heartbeat struct {
 	ResidentTBs int
 	PendingTBs  int
 	// Iters counts top-level loop iterations since the previous
-	// heartbeat of this run; FFJumps counts how many of them advanced
-	// the clock by more than one cycle (global fast-forward, DESIGN.md
-	// §8.6). Deltas, so a listener can feed counters directly.
-	Iters   int64
-	FFJumps int64
+	// heartbeat of this run, a delta. The loop single-steps, so the
+	// deltas of one run sum to its cycle count.
+	Iters int64
 	// Final marks the run-completion heartbeat.
 	Final bool
 
 	// Deprecated: telemetry of the removed intra-simulation parallel
-	// tick (DESIGN.md §12). Read only by bench/'s decorator, which this
-	// tree may not edit; SMWorkers always reports 1 and the deltas are
-	// always zero. A later benchmark PR drops the group.
+	// tick (DESIGN.md §12) and global fast-forward (DESIGN.md §8.6).
+	// Read only by bench/'s decorator, which this tree may not edit;
+	// SMWorkers always reports 1 and the other fields are always zero.
+	// A later benchmark PR drops the group.
+	FFJumps     int64
 	SMWorkers   int
 	ParTicks    int64
 	SerialTicks int64

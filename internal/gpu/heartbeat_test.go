@@ -94,29 +94,40 @@ func TestHeartbeatDoesNotAlterResults(t *testing.T) {
 	}
 }
 
-// TestHeartbeatObservesFastForwardJumps pins that the FFJumps delta
-// actually counts event-horizon jumps on a memory-bound kernel, where
-// fast-forward is known to engage.
-func TestHeartbeatObservesFastForwardJumps(t *testing.T) {
+// TestHeartbeatCountsOneIterationPerCycle pins the clock loop to one
+// iteration per simulated cycle on a memory-bound kernel, where long
+// all-SMs-asleep stretches would tempt a clock jump: the Iters deltas
+// must sum to exactly the run's cycle count and the deprecated FFJumps
+// field must stay 0. A skip path added later would have to change this
+// test, and so be measured, to land.
+func TestHeartbeatCountsOneIterationPerCycle(t *testing.T) {
 	launch := hbProg(t)
 	factory, err := schedreg.New("LRR")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var (
-		mu    sync.Mutex
-		jumps int64
+		mu           sync.Mutex
+		iters, jumps int64
 	)
 	SetHeartbeat(func(h Heartbeat) {
 		mu.Lock()
+		iters += h.Iters
 		jumps += h.FFJumps
 		mu.Unlock()
 	}, 256)
 	defer SetHeartbeat(nil, 0)
-	if _, err := Run(config.GTX480(), launch, factory, Options{}); err != nil {
+	res, err := Run(config.GTX480(), launch, factory, Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if jumps == 0 {
-		t.Fatal("no fast-forward jumps observed on a memory-bound kernel")
+	if iters != res.Cycles {
+		t.Fatalf("summed heartbeat iters %d, want exactly %d cycles", iters, res.Cycles)
+	}
+	if jumps != 0 {
+		t.Fatalf("FFJumps summed to %d, want 0", jumps)
+	}
+	if res.Mem.DRAMReqs == 0 {
+		t.Fatal("kernel never reached DRAM; not the memory-bound case this test pins")
 	}
 }

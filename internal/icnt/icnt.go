@@ -55,14 +55,6 @@ func (n *Network) Occupancy(port int) int64 {
 	return d
 }
 
-// NextEvent reports the network's contribution to the global next-event
-// horizon. The crossbar holds no per-cycle state of its own: every
-// in-flight packet is a delivery event already scheduled on the timing
-// wheel at injection time, and port occupancy only matters at the next
-// Send, which can only come from such an event. The network is therefore
-// always "idle" from the clock loop's point of view.
-func (n *Network) NextEvent(now int64) (cycle int64, ok bool) { return 0, false }
-
 // Send injects a packet of bytes at port, delivering deliver(cycle) after
 // serialization plus traversal latency. Injection begins at the port's
 // next free cycle (at least the next cycle). The returned cycle is when

@@ -53,8 +53,7 @@ type System struct {
 	// dramQueued counts requests sitting in channel queues (enqueued but
 	// not yet granted). Everything else in the hierarchy is event-driven
 	// on the wheel; the DRAM queues are the only state that needs a
-	// per-cycle Tick, so when this is zero Tick has nothing to do and the
-	// clock loop may skip it entirely.
+	// per-cycle Tick, so when this is zero Tick returns at once.
 	dramQueued int
 	// TickScans counts Tick calls that actually scanned the channels
 	// (i.e. were not skipped as idle) — observable for tests.
@@ -63,12 +62,6 @@ type System struct {
 	// the l2Read calls (tag probe + MSHR lookup) — observable for tests.
 	L2Repolls, L2Probes int64
 	l2retry             *timing.Train // carries the re-offers
-
-	// horizons caches each channel's earliest-grantable cycle in a
-	// lazy-deletion min-heap, refreshed only when a channel mutates
-	// (enqueue or grant). NextEvent then answers from the heap top
-	// instead of rescanning every channel queue per clock iteration.
-	horizons *timing.WakeHeap
 
 	// Free lists of pooled request carriers. Each carrier binds its event
 	// callbacks once at first allocation, so the steady-state memory path
@@ -268,7 +261,6 @@ func New(cfg *config.Config, wheel *timing.Wheel) *System {
 		chans:     make([]*dram.Channel, cfg.L2Partitions),
 		storesOut: make([]int, cfg.NumSMs),
 		storeWake: make([]func(), cfg.NumSMs),
-		horizons:  timing.NewWakeHeap(cfg.L2Partitions),
 		l2retry:   timing.NewTrain(wheel),
 	}
 	for i := range s.l1 {
@@ -302,54 +294,14 @@ func (s *System) Tick(cycle int64) {
 		return
 	}
 	s.TickScans++
-	for p, ch := range s.chans {
+	for _, ch := range s.chans {
 		if r, doneAt := ch.Tick(cycle); r != nil {
 			s.dramQueued--
 			if r.Done != nil {
 				s.wheel.Schedule(doneAt, r.Done)
 			}
-			s.refreshHorizon(p)
 		}
 	}
-}
-
-// refreshHorizon re-mirrors channel p's earliest-grantable cycle into
-// the horizon heap. Called only when the channel mutates (enqueue or
-// grant), so the per-mutation queue walk replaces a per-clock-iteration
-// walk of every channel in NextEvent.
-func (s *System) refreshHorizon(p int) {
-	at, ok := s.chans[p].Horizon()
-	if !ok {
-		s.horizons.Clear(p)
-		return
-	}
-	if at < 1 {
-		// Bank already free (possibly since cycle 0); WakeHeap treats 0
-		// as "disarmed", so clamp — NextEvent clamps to now+1 anyway.
-		at = 1
-	}
-	s.horizons.Set(p, at)
-}
-
-// NextEvent returns the earliest cycle strictly after now at which Tick
-// could grant a DRAM request, or ok=false when no channel has queued
-// work. All other memory-system activity (cache fills, interconnect
-// traversal, MSHR responses, retries) is scheduled on the timing wheel
-// and is therefore covered by the wheel's own NextEvent. The answer
-// comes from the horizon heap maintained by refreshHorizon, so the call
-// is O(1) amortized instead of a scan over every channel queue.
-func (s *System) NextEvent(now int64) (cycle int64, ok bool) {
-	if s.dramQueued == 0 {
-		return 0, false
-	}
-	at, ok := s.horizons.Min()
-	if !ok {
-		return 0, false
-	}
-	if at <= now {
-		at = now + 1
-	}
-	return at, true
 }
 
 // LoadLine issues one load transaction from SM sm for the line-aligned
@@ -512,7 +464,6 @@ func (s *System) enqueueDRAM(p int, r *dram.Request, retry timing.Event) {
 		r.Span.DRAMq = s.wheel.Now()
 	}
 	s.dramQueued++
-	s.refreshHorizon(p)
 }
 
 // OnStoreRelease registers fn to run, on the goroutine that advances the

@@ -1,11 +1,8 @@
 package timing
 
 // WakeHeap tracks the earliest wake-up cycle across a fixed set of
-// sources (the clock loop's per-SM sleep horizons). The serial
-// alternative — rescanning every SM's NextEvent when computing the
-// fast-forward jump — is O(n) per iteration; the heap makes a horizon
-// update O(log n) and the min query O(1) amortized, which matters as
-// SM counts grow past the GTX480's 14 (wide-GPU configs run 28–56).
+// sources: a horizon update is O(log n) and the min query O(1)
+// amortized.
 //
 // Deletion is lazy: Set pushes a fresh entry and leaves the stale one
 // in place; an entry is live only while it still matches cur[id], and
@@ -13,6 +10,12 @@ package timing
 // the number of premature wake-ups between pops, and a compaction
 // rebuild kicks in if they ever pile up, so steady state allocates
 // nothing.
+//
+// Deprecated: the simulator no longer uses it. Its only consumer was the
+// global fast-forward (DESIGN.md §8.6), now removed; it stays only
+// because bench/'s timing.wakeheap_set_min_ns row compiles against it.
+// The next benchmark change drops that row and this type (ROADMAP item
+// 2).
 type WakeHeap struct {
 	entries []wakeEntry // binary min-heap ordered by at
 	cur     []int64     // live wake cycle per source; 0 = no timed wake

@@ -111,28 +111,6 @@ func (w *Wheel) ScheduleBatch(at int64, fns []Event) {
 	}
 }
 
-// NextEvent returns the cycle of the earliest pending event, or ok=false
-// when nothing is scheduled. The ring is walked outward from Now, so the
-// scan cost is proportional to the distance to the next event, and the
-// bucket index uniquely determines the event's cycle (events beyond the
-// horizon live in the overflow slice, checked separately).
-func (w *Wheel) NextEvent() (cycle int64, ok bool) {
-	if w.pending == 0 {
-		return 0, false
-	}
-	for d := int64(1); d < Horizon; d++ {
-		if len(w.buckets[(w.now+d)%Horizon]) > 0 {
-			return w.now + d, true
-		}
-	}
-	for _, o := range w.overflow {
-		if !ok || o.at < cycle {
-			cycle, ok = o.at, true
-		}
-	}
-	return cycle, ok
-}
-
 // Advance moves the wheel to cycle c, firing every event scheduled in
 // (Now, c] in cycle order. Callbacks may schedule further events, including
 // events within the same cycle range still being advanced.

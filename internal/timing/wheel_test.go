@@ -2,7 +2,6 @@ package timing
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -205,51 +204,6 @@ func TestScheduleBatchMatchesSequential(t *testing.T) {
 			if gotA[i] != gotB[i] {
 				t.Fatalf("trial %d: fire order diverged at %d: %v vs %v", trial, i, gotA, gotB)
 			}
-		}
-	}
-}
-
-// TestNextEventReportsEarliestPending checks the fast-forward contract:
-// NextEvent must return exactly the earliest pending cycle — never later
-// (the jump would skip a due event) and never earlier (the loop would
-// spin on empty cycles) — across ring wrap-around and overflow refills.
-func TestNextEventReportsEarliestPending(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 200; trial++ {
-		w := NewWheel()
-		// Random anchor so bucket indices wrap mid-ring.
-		anchor := rng.Int63n(3 * Horizon)
-		w.Advance(anchor)
-		n := rng.Intn(10)
-		pend := make([]int64, 0, n)
-		for i := 0; i < n; i++ {
-			var d int64
-			switch rng.Intn(3) {
-			case 0:
-				d = 1 + rng.Int63n(16) // imminent
-			case 1:
-				d = 1 + rng.Int63n(Horizon-1) // anywhere in the ring
-			default:
-				d = Horizon + rng.Int63n(4*Horizon) // overflow path
-			}
-			w.Schedule(anchor+d, func(int64) {})
-			pend = append(pend, anchor+d)
-		}
-		sort.Slice(pend, func(i, j int) bool { return pend[i] < pend[j] })
-		// Drain: at every step NextEvent must equal the true minimum.
-		for len(pend) > 0 {
-			got, ok := w.NextEvent()
-			if !ok || got != pend[0] {
-				t.Fatalf("trial %d: NextEvent = (%d,%v), want (%d,true); pending %v",
-					trial, got, ok, pend[0], pend)
-			}
-			w.Advance(got)
-			for len(pend) > 0 && pend[0] == got {
-				pend = pend[1:]
-			}
-		}
-		if got, ok := w.NextEvent(); ok {
-			t.Fatalf("trial %d: NextEvent = (%d,true) on drained wheel", trial, got)
 		}
 	}
 }

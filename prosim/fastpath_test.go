@@ -1,7 +1,7 @@
 package prosim_test
 
 // Differential tests for the simulation fast paths. The order cache,
-// stall-aware cycle skipping, global fast-forward and warp pooling exist
+// stall-aware cycle skipping and warp pooling exist
 // purely to make simulations faster; by design they must be invisible in
 // every observable output — cycles, stall breakdowns, memory counters,
 // timelines and samples. These tests run a workload × scheduler grid
@@ -23,7 +23,6 @@ import (
 type fastPaths struct {
 	disableOrderCache  bool
 	disableCycleSkip   bool
-	disableFastForward bool
 	disableWarpPooling bool
 }
 
@@ -31,7 +30,6 @@ type fastPaths struct {
 var naivePaths = fastPaths{
 	disableOrderCache:  true,
 	disableCycleSkip:   true,
-	disableFastForward: true,
 	disableWarpPooling: true,
 }
 
@@ -107,18 +105,16 @@ func fastPathGrid(fp fastPaths) ([]string, error) {
 		{kernel: "aesEncrypt128", maxTBs: 8, opts: opts}, {kernel: "scalarProdGPU", maxTBs: 8, opts: opts},
 		{kernel: "calculate_temp", maxTBs: 8, opts: opts},
 	}, churnRows...)
-	heavy := append([]diffRow{
-		{kernel: "aesEncrypt128", maxTBs: 24, opts: opts[:1], hw: wideSlot},
-		{kernel: "scalarProdGPU", maxTBs: 24, opts: opts[:1], hw: wideSlot},
-	}, memoryBoundRows...)
+	rows = append(rows, memoryBoundRows...)
 	// Every registered policy runs the rows above; PRO-adaptive exercises
 	// the timed-refresh path (the adaptive profiler switches phases on a
-	// schedule, not on issue events). The heavy rows keep the paper's four
-	// and PRO-adaptive: all nine there would take this package past go
-	// test's 10-minute default under -race, and
-	// TestFastForwardDifferential already runs every policy on the
-	// memory-bound rows.
-	for _, row := range heavy {
+	// schedule, not on issue events). The wide-slot rows keep the paper's
+	// four and PRO-adaptive: all nine there too would take this package
+	// past go test's 10-minute default under -race.
+	for _, row := range []diffRow{
+		{kernel: "aesEncrypt128", maxTBs: 24, opts: opts[:1], hw: wideSlot},
+		{kernel: "scalarProdGPU", maxTBs: 24, opts: opts[:1], hw: wideSlot},
+	} {
 		row.scheds = []string{"TL", "LRR", "GTO", "PRO", "PRO-adaptive"}
 		rows = append(rows, row)
 	}
@@ -143,7 +139,6 @@ func fastPathGrid(fp fastPaths) ([]string, error) {
 				}
 				cfg.DisableOrderCache = fp.disableOrderCache
 				cfg.DisableCycleSkip = fp.disableCycleSkip
-				cfg.DisableFastForward = fp.disableFastForward
 				cfg.DisableWarpPooling = fp.disableWarpPooling
 				r, err := prosim.Run(cfg, w.Launch, s, o)
 				if err != nil {
@@ -161,8 +156,8 @@ func fastPathGrid(fp fastPaths) ([]string, error) {
 }
 
 func TestFastPathEquivalence(t *testing.T) {
-	// The six grids are independent, so the naive reference runs beside
-	// the five fast-path grids, which are parallel subtests: the test is
+	// The five grids are independent, so the naive reference runs beside
+	// the four fast-path grids, which are parallel subtests: the test is
 	// about 30 s of CPU, and some 18 times that under -race.
 	var naive []string
 	var naiveErr error
@@ -183,7 +178,6 @@ func TestFastPathEquivalence(t *testing.T) {
 	}{
 		{"order-cache-only", each(func(fp *fastPaths) { fp.disableOrderCache = false })},
 		{"cycle-skip-only", each(func(fp *fastPaths) { fp.disableCycleSkip = false })},
-		{"fast-forward-only", each(func(fp *fastPaths) { fp.disableFastForward = false })},
 		{"warp-pooling-only", each(func(fp *fastPaths) { fp.disableWarpPooling = false })},
 		// Everything on together: the production configuration.
 		{"default-all-on", fastPaths{}},
