@@ -37,14 +37,17 @@ sleeptest:
 	$(GO) test -race -count=1 -run 'TestSleepsThrough|TestFillWithEmptyLDSTUnit|TestStallAccountingInvariant' ./internal/engine ./internal/gpu
 
 # The issue-board gate (DESIGN.md §8.4, §8.1): on seeded random programs,
-# under policies that push honoured hints, void hints and none, every
-# slot-cycle must pick the warp and the stall class a plain walk over the
-# policy's own Order() picks, with a wake horizon no later than that
-# walk's; GTO's order, with its greedy warp listed twice, must still read
-# greedy-then-oldest at first occurrences. (The >64-warps-per-slot rows
-# that make the masks multi-word run in fastpath, and under -race in race.)
+# under policies whose hooks return every order hint — rotate, a new head
+# the engine honours and one it must refuse, rebuild, and rebuilds on
+# barrier release — every slot-cycle must pick the warp and the stall
+# class a plain walk over the policy's own Order() picks, with a wake
+# horizon no later than that walk's; GTO's order, with its greedy warp
+# listed twice, must still read greedy-then-oldest at first occurrences;
+# and every registered policy must be served from the order cache, not
+# rebuilt every cycle. (The >64-warps-per-slot rows that make the masks
+# multi-word run in fastpath, and under -race in race.)
 issuetest:
-	$(GO) test -race -count=1 -run 'TestIssueBoard|TestGTOGreedyFirstThenOldest|TestLRROrderRotates|TestTLDoesNotDemoteOnALUIssue' ./internal/engine ./internal/sched
+	$(GO) test -race -count=1 -run 'TestIssueBoard|TestGTOGreedyFirstThenOldest|TestLRROrderRotates|TestTLDoesNotDemoteOnALUIssue|TestEveryPolicyIsServedFromTheOrderCache' ./internal/engine ./internal/sched ./internal/schedreg
 
 # The exactness gate for the memory side of §8.3: a refused L2 re-poll
 # settled by an MSHR stamp must be a re-poll the probe would have refused
@@ -64,7 +67,8 @@ retrytest:
 # the whole KernelResult (cycles, stalls, memory counters) under its
 # jobs.Key, so a changed key shows as a missing file and a changed result
 # as a differing one; any difference fails the target.
-# Keep in step with schedreg.All().
+# schedreg's TestIdentitySchedulersMatchRegistry keeps the list equal to
+# schedreg.All().
 IDENTITY_SCHEDS := TL,LRR,GTO,PRO,PRO-nobar,PRO-adaptive,PRO-norm,CAWS-lite,OWL-lite
 identity:
 	@test -n "$(BASE)" || { echo "usage: make identity BASE=<git ref>" >&2; exit 2; }

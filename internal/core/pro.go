@@ -195,7 +195,7 @@ func (p *Policy) Order(slot int, dst []*engine.Warp, cycle int64) []*engine.Warp
 	return dst
 }
 
-// OrderGen implements engine.OrderCacher. The refresh lives here so
+// OrderGen implements engine.Scheduler. The refresh lives here so
 // threshold re-sorts and adaptive epochs keep firing on cycles where the
 // engine's order cache hits and Order is never called.
 func (p *Policy) OrderGen(slot int, cycle int64) uint64 {
@@ -203,7 +203,7 @@ func (p *Policy) OrderGen(slot int, cycle int64) uint64 {
 	return p.gen
 }
 
-// NextTimedEvent implements engine.TimedScheduler: the next cycle at
+// NextTimedEvent implements engine.Scheduler: the next cycle at
 // which refresh does something time-driven — the cycle the re-sort
 // threshold elapses, or the adaptive controller's next epoch switch.
 // A sleeping SM wakes no later than this, so lastSort and the epoch
@@ -239,7 +239,7 @@ func (p *Policy) transitionToSlowPhase() {
 	p.finish = p.finish[:0]
 	for _, e := range p.rem {
 		e.state = stFinishNoWait
-		sortWarpsAsc(e.warps)
+		sortWarps(e.warps, true)
 	}
 	p.sortRem()
 }
@@ -287,100 +287,63 @@ func insertionSortTBs(list []*tbEntry, less func(a, b *tbEntry) bool) bool {
 // global TB index ascending, per Sec. III-C.1) with warps descending;
 // slow phase by progress ascending with warps ascending.
 func (p *Policy) sortRem() {
-	var moved bool
-	if p.slowPhase {
-		moved = insertionSortTBs(p.rem, func(x, y *tbEntry) bool {
-			ka, kb := p.progressKey(x.tb), p.progressKey(y.tb)
-			if ka != kb {
-				return ka < kb
-			}
+	asc := p.slowPhase
+	moved := insertionSortTBs(p.rem, func(x, y *tbEntry) bool {
+		ka, kb := p.progressKey(x.tb), p.progressKey(y.tb)
+		switch {
+		case ka == kb:
 			return x.tb.Global < y.tb.Global
-		})
-		for _, e := range p.rem {
-			if sortWarpsAsc(e.warps) {
-				moved = true
-			}
+		case asc:
+			return ka < kb
 		}
-	} else {
-		moved = insertionSortTBs(p.rem, func(x, y *tbEntry) bool {
-			ka, kb := p.progressKey(x.tb), p.progressKey(y.tb)
-			if ka != kb {
-				return ka > kb
-			}
-			return x.tb.Global < y.tb.Global
-		})
-		for _, e := range p.rem {
-			if sortWarpsDesc(e.warps) {
-				moved = true
-			}
-		}
-	}
-	if moved {
-		p.gen++
-	}
-}
-
-// sortFinish orders finishWait TBs by warps-finished descending, tie by
-// progress descending (Sec. III-C.2), then global index.
-func (p *Policy) sortFinish() {
-	moved := insertionSortTBs(p.finish, func(x, y *tbEntry) bool {
-		a, b := x.tb, y.tb
-		if a.WarpsFinished != b.WarpsFinished {
-			return a.WarpsFinished > b.WarpsFinished
-		}
-		if a.Progress != b.Progress {
-			return a.Progress > b.Progress
-		}
-		return a.Global < b.Global
+		return ka > kb
 	})
-	if moved {
-		p.gen++
-	}
-}
-
-// sortBarrier orders barrierWait TBs by warps-at-barrier descending, tie
-// by progress descending (Sec. III-C.3), then global index.
-func (p *Policy) sortBarrier() {
-	moved := insertionSortTBs(p.barrier, func(x, y *tbEntry) bool {
-		a, b := x.tb, y.tb
-		if a.WarpsAtBarrier != b.WarpsAtBarrier {
-			return a.WarpsAtBarrier > b.WarpsAtBarrier
-		}
-		if a.Progress != b.Progress {
-			return a.Progress > b.Progress
-		}
-		return a.Global < b.Global
-	})
-	if moved {
-		p.gen++
-	}
-}
-
-func sortWarpsAsc(ws []*engine.Warp) bool {
-	moved := false
-	for i := 1; i < len(ws); i++ {
-		w := ws[i]
-		j := i - 1
-		for j >= 0 && (w.Progress < ws[j].Progress ||
-			(w.Progress == ws[j].Progress && w.IDInTB < ws[j].IDInTB)) {
-			ws[j+1] = ws[j]
-			j--
-		}
-		ws[j+1] = w
-		if j+1 != i {
+	for _, e := range p.rem {
+		if sortWarps(e.warps, asc) {
 			moved = true
 		}
 	}
-	return moved
+	if moved {
+		p.gen++
+	}
 }
 
-func sortWarpsDesc(ws []*engine.Warp) bool {
+// sortWaitGroup orders the finishWait group by warps finished
+// (Sec. III-C.2) or the barrierWait group by warps at the barrier
+// (Sec. III-C.3), descending, tie by progress descending, then global
+// index.
+func (p *Policy) sortWaitGroup(list []*tbEntry, count func(*engine.ThreadBlock) int) {
+	if insertionSortTBs(list, func(x, y *tbEntry) bool {
+		a, b := x.tb, y.tb
+		if ca, cb := count(a), count(b); ca != cb {
+			return ca > cb
+		}
+		if a.Progress != b.Progress {
+			return a.Progress > b.Progress
+		}
+		return a.Global < b.Global
+	}) {
+		p.gen++
+	}
+}
+
+func warpsFinished(tb *engine.ThreadBlock) int  { return tb.WarpsFinished }
+func warpsAtBarrier(tb *engine.ThreadBlock) int { return tb.WarpsAtBarrier }
+
+// sortWarps stably sorts a TB's warps by progress, ascending or
+// descending, tie by warp index, reporting whether any warp moved.
+func sortWarps(ws []*engine.Warp, asc bool) bool {
+	before := func(a, b *engine.Warp) bool {
+		if a.Progress != b.Progress {
+			return (a.Progress < b.Progress) == asc
+		}
+		return a.IDInTB < b.IDInTB
+	}
 	moved := false
 	for i := 1; i < len(ws); i++ {
 		w := ws[i]
 		j := i - 1
-		for j >= 0 && (w.Progress > ws[j].Progress ||
-			(w.Progress == ws[j].Progress && w.IDInTB < ws[j].IDInTB)) {
+		for j >= 0 && before(w, ws[j]) {
 			ws[j+1] = ws[j]
 			j--
 		}
@@ -453,10 +416,10 @@ func (p *Policy) OnTBRetire(tb *engine.ThreadBlock, _ int64) {
 // finished warp, move the TB to finishWait (fast phase only) and sort its
 // warps by increasing progress so the stragglers get the compute time;
 // then re-sort the finishWait group.
-func (p *Policy) OnWarpFinish(w *engine.Warp, _ int64) {
+func (p *Policy) OnWarpFinish(w *engine.Warp, _ int64) engine.Hint {
 	e := p.entries[w.TB]
 	if e == nil {
-		return
+		return engine.Keep
 	}
 	if w.TB.WarpsFinished == 1 {
 		if p.fastPhase() && e.state == stNoWait {
@@ -464,23 +427,24 @@ func (p *Policy) OnWarpFinish(w *engine.Warp, _ int64) {
 			e.state = stFinishWait
 			p.finish = append(p.finish, e)
 		}
-		sortWarpsAsc(e.warps)
+		sortWarps(e.warps, true)
 		p.gen++ // list migration / warp re-sort changed the order
 	}
-	p.sortFinish()
+	p.sortWaitGroup(p.finish, warpsFinished)
+	return engine.Keep
 }
 
 // OnBarrierArrive implements Algorithm 1's insertBarrierWarp: on the
 // first warp at the barrier, move the TB to barrierWait and sort its
 // warps by increasing progress; then re-sort the barrierWait group. With
 // barrier handling ablated, arrivals change nothing.
-func (p *Policy) OnBarrierArrive(w *engine.Warp, _ int64) {
+func (p *Policy) OnBarrierArrive(w *engine.Warp, _ int64) engine.Hint {
 	if !p.barrierHandling {
-		return
+		return engine.Keep
 	}
 	e := p.entries[w.TB]
 	if e == nil {
-		return
+		return engine.Keep
 	}
 	if w.TB.WarpsAtBarrier == 1 {
 		if e.state == stNoWait || e.state == stFinishNoWait {
@@ -488,21 +452,22 @@ func (p *Policy) OnBarrierArrive(w *engine.Warp, _ int64) {
 			e.state = stBarrierWait
 			p.barrier = append(p.barrier, e)
 		}
-		sortWarpsAsc(e.warps)
+		sortWarps(e.warps, true)
 		p.gen++ // list migration / warp re-sort changed the order
 	}
-	p.sortBarrier()
+	p.sortWaitGroup(p.barrier, warpsAtBarrier)
+	return engine.Keep
 }
 
 // OnBarrierRelease completes insertBarrierWarp's all-arrived case: back
 // to noWait during fastTBPhase, to finishNoWait afterwards.
-func (p *Policy) OnBarrierRelease(tb *engine.ThreadBlock, _ int64) {
+func (p *Policy) OnBarrierRelease(tb *engine.ThreadBlock, _ int64) engine.Hint {
 	if !p.barrierHandling {
-		return
+		return engine.Keep
 	}
 	e := p.entries[tb]
 	if e == nil || e.state != stBarrierWait {
-		return
+		return engine.Keep
 	}
 	p.barrier = remove(p.barrier, e)
 	if p.fastPhase() {
@@ -512,6 +477,7 @@ func (p *Policy) OnBarrierRelease(tb *engine.ThreadBlock, _ int64) {
 	}
 	p.rem = append(p.rem, e)
 	p.gen++
+	return engine.Keep
 }
 
 // sample records the current SM-0 TB priority order (highest first).

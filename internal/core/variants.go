@@ -127,7 +127,7 @@ func (p *Policy) setBarrierHandling(on bool) {
 		p.rem = remove(p.rem, e)
 		e.state = stBarrierWait
 		p.barrier = append(p.barrier, e)
-		sortWarpsAsc(e.warps)
+		sortWarps(e.warps, true)
 	}
-	p.sortBarrier()
+	p.sortWaitGroup(p.barrier, warpsAtBarrier)
 }

@@ -353,6 +353,52 @@ func TestBadBatchRejected(t *testing.T) {
 	}
 }
 
+// TestSchedulerSpecRunsLocallyAsThroughDaemon sends a parameterized
+// scheduler spec as Job.Scheduler to a local engine and to an in-process
+// daemon: both must accept it, key it alike and return the same bytes.
+func TestSchedulerSpecRunsLocallyAsThroughDaemon(t *testing.T) {
+	w, err := workloads.ByKernel("scalarProdGPU")
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := jobs.Job{Launch: w.Shrunk(8).Launch, Kernel: w.Kernel, Scheduler: "PRO+threshold=500"}
+
+	local, err := (&jobs.Engine{}).RunOne(context.Background(), j)
+	if err != nil {
+		t.Fatalf("local run: %v", err)
+	}
+	d, c := newTestDaemon(t, Config{Workers: 1})
+	remote, err := c.Run(context.Background(), []jobs.Job{j})
+	if err != nil {
+		t.Fatalf("daemon run: %v", err)
+	}
+	a, _ := json.Marshal(local)
+	b, _ := json.Marshal(remote[0])
+	if !bytes.Equal(a, b) {
+		t.Fatal("the daemon's result differs from the local run's")
+	}
+
+	localKey, ok, err := jobs.Key(&j)
+	if err != nil || !ok {
+		t.Fatalf("local key: %v ok=%v", err, ok)
+	}
+	wj, err := FromJob(&j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(wj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mj, err := d.decodeJob(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mj.keyErr != nil || mj.key != localKey {
+		t.Fatalf("daemon key %q (%v), local key %q", mj.key, mj.keyErr, localKey)
+	}
+}
+
 func TestWireJobRoundTripKeysMatch(t *testing.T) {
 	eng := &jobs.Engine{}
 	js := quickBatch(t)

@@ -7,17 +7,17 @@
 // A wire job names its scheduling policy by *spec* rather than by
 // factory: either a registered name ("PRO", "GTO") or a parameterized
 // PRO-family form ("PRO+threshold=500", "PRO+ordertrace+threshold=
-// default") — exactly the strings local jobs already use as FactoryKey
-// cache identities. The daemon resolves specs through schedreg.Resolve,
-// so a job serialized by a client keys to the same result-cache entry a
-// local run of the same job would.
+// default") — exactly what a local job may put in Job.Scheduler, or use
+// as the FactoryKey of an explicit factory. The daemon hands the spec to
+// its engine as Job.Scheduler, which resolves it through
+// schedreg.Resolve, so a job serialized by a client keys to the same
+// result-cache entry a local run of the same job would.
 package daemon
 
 import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
-	"strings"
 
 	"repro/internal/config"
 	"repro/internal/engine"
@@ -59,34 +59,25 @@ const (
 	PriorityBulk        = "bulk"
 )
 
-// Job converts the wire form into an executable job. Plain names pass
-// through as Job.Scheduler; parameterized specs resolve to a factory
-// with the spec as FactoryKey — either way the cache key matches the
-// local execution path for the same job. Payloads from older clients may
-// still carry the removed "smWorkers" field; the decoder ignores unknown
-// fields, so such a job decodes, keys and runs exactly as without it
-// (pinned by TestWireJobLegacySMWorkersIgnored).
+// Job converts the wire form into an executable job. The spec passes
+// through as Job.Scheduler, which the engine resolves as it does for a
+// local job, so the cache key matches the local execution path; an
+// unknown spec fails that job when it is keyed. Payloads from older
+// clients may still carry the removed "smWorkers" field; the decoder
+// ignores unknown fields, so such a job decodes, keys and runs exactly
+// as without it (pinned by TestWireJobLegacySMWorkersIgnored).
 func (wj *WireJob) Job() (jobs.Job, error) {
-	j := jobs.Job{
-		Config:  wj.Config,
-		Launch:  wj.Launch,
-		Kernel:  wj.Kernel,
-		Options: wj.Options,
-		Cost:    wj.Cost,
-	}
-	if j.Launch == nil {
+	if wj.Launch == nil {
 		return jobs.Job{}, fmt.Errorf("daemon: wire job has no launch")
 	}
-	if strings.Contains(wj.Scheduler, "+") {
-		f, err := schedreg.Resolve(wj.Scheduler)
-		if err != nil {
-			return jobs.Job{}, err
-		}
-		j.Factory, j.FactoryKey = f, wj.Scheduler
-	} else {
-		j.Scheduler = wj.Scheduler
-	}
-	return j, nil
+	return jobs.Job{
+		Config:    wj.Config,
+		Launch:    wj.Launch,
+		Kernel:    wj.Kernel,
+		Scheduler: wj.Scheduler,
+		Options:   wj.Options,
+		Cost:      wj.Cost,
+	}, nil
 }
 
 // memoJob is a decoded wire job as the memo holds it: the job (shared

@@ -1,7 +1,7 @@
 package engine
 
 // Tests for the issue board (DESIGN.md §8.4): the masks, the gate
-// expiry, the unit classes and the two order hints must pick, cycle by
+// expiry, the unit classes and the order hints must pick, cycle by
 // cycle, the warp a plain walk over the policy's own Order() picks.
 // `make issuetest` runs them under -race.
 
@@ -16,52 +16,40 @@ import (
 	"repro/internal/xrand"
 )
 
-// Modes of boardPolicy: how an issue changes its order and how it tells
-// the engine.
+// Modes of boardPolicy: how an issue changes its order and what the
+// hooks tell the engine.
 const (
-	modeRotate     = iota // restart after the issuing warp, RotateOrderAfter(w): always honoured
-	modeHead              // issuing warp to the head, ReplaceOrderHead(old, w): GTO's protocol
-	modeShuffle           // occasional reshuffle with a generation bump, no hints
-	modeRotateVoid        // restart after an arbitrary warp x, RotateOrderAfter(x): void unless x == w
-	modeHeadVoid          // head protocol naming an old that is not at position 0; barrier releases un-hide warps behind a hint only
-	modeHeadOnce          // head protocol over an order that lists the head once: the hint cannot describe it
+	modeRotate   = iota // restart after the issuing warp: RotateAfter
+	modeHead            // issuing warp to the head, GTO's protocol: NewHead
+	modeShuffle         // occasional reshuffle: Rebuild
+	modeHeadOnce        // head protocol over an order that lists the head once: NewHead, which the engine must refuse
+	modeRelease         // rotate, and a warp at a barrier leaves the order until the release: Rebuild from both barrier hooks
 	numModes
 )
 
-// boardPolicy is a cacheable policy whose Order is a pure function of
-// its state and whose generation moves only when no hint describes the
-// change. In the two "void" modes most hints fail their precondition,
-// so the engine must fall back on Order.
+// boardPolicy is a policy whose Order is a pure function of its state
+// and which describes every change to it through a hook's hint.
 type boardPolicy struct {
 	BasePolicy
-	sm     *SM
 	mode   int
 	rng    *xrand.RNG
 	list   [][]*Warp // per slot, priority order; finished warps stay until their TB retires
 	cursor []int     // per slot: list index the order starts from
 	head   []*Warp   // per slot: leads the order when live and not hidden
 	hidden map[*Warp]bool
-	gens   []uint64
 	issued *Warp // set by OnIssue, and by OnWarpFinish for an Exit
 }
 
 func newBoardPolicy(sm *SM, mode int, seed uint64) *boardPolicy {
 	n := sm.Cfg.SchedulersPerSM
 	return &boardPolicy{
-		sm: sm, mode: mode, rng: xrand.NewRNG(seed),
+		mode: mode, rng: xrand.NewRNG(seed),
 		list: make([][]*Warp, n), cursor: make([]int, n), head: make([]*Warp, n),
-		hidden: make(map[*Warp]bool), gens: make([]uint64, n),
+		hidden: make(map[*Warp]bool),
 	}
 }
 
-func (p *boardPolicy) Name() string                      { return "board-test" }
-func (p *boardPolicy) OrderGen(slot int, _ int64) uint64 { return p.gens[slot] }
-
-func (p *boardPolicy) bumpAll() {
-	for i := range p.gens {
-		p.gens[i]++
-	}
-}
+func (p *boardPolicy) Name() string { return "board-test" }
 
 // Order leads with entries the engine must drop (nil, another slot's
 // warp), then the head, then the list from the cursor; a head recurs at
@@ -93,56 +81,43 @@ func indexOf(l []*Warp, w *Warp) int {
 	return -1
 }
 
-func (p *boardPolicy) OnIssue(w *Warp, _ *isa.Instr, _ int, _ int64) {
+func (p *boardPolicy) OnIssue(w *Warp, _ *isa.Instr, _ int, _ int64) Hint {
 	p.issued = w
 	slot := w.SchedSlot
 	l := p.list[slot]
 	switch p.mode {
-	case modeRotate:
+	case modeRotate, modeRelease:
 		p.cursor[slot] = (indexOf(l, w) + 1) % len(l)
-		p.sm.RotateOrderAfter(w)
-	case modeRotateVoid:
-		x := l[p.rng.Intn(len(l))] // may be finished, or w itself
-		p.cursor[slot] = (indexOf(l, x) + 1) % len(l)
-		p.sm.RotateOrderAfter(x)
-	case modeHead, modeHeadVoid, modeHeadOnce:
+		return RotateAfter
+	case modeHead, modeHeadOnce:
 		old := p.head[slot]
 		if old == w {
-			return
+			return Keep
 		}
 		p.head[slot] = w
-		headless := old == nil || old.Finished() || p.hidden[old] // Order had no head to replace
-		switch {
-		case old == nil, headless && p.mode != modeHeadVoid:
-			p.gens[slot]++
-		case p.mode == modeHeadVoid && !headless:
-			if x := l[p.rng.Intn(len(l))]; x != old {
-				old = x // not at position 0: the hint is void
-			}
-			fallthrough
-		default: // modeHeadVoid with a headless order: position 0 is not old either
-			p.sm.ReplaceOrderHead(old, w)
+		if old == nil || old.Finished() {
+			return Rebuild // Order had no head to replace
 		}
+		return NewHead
 	case modeShuffle:
 		if p.rng.Intn(4) == 0 {
 			for i := len(l) - 1; i > 0; i-- {
 				j := p.rng.Intn(i + 1)
 				l[i], l[j] = l[j], l[i]
 			}
-			p.gens[slot]++
+			return Rebuild
 		}
 	}
+	return Keep
 }
 
 func (p *boardPolicy) OnTBAssign(tb *ThreadBlock, _ int64) {
-	p.bumpAll()
 	for _, w := range tb.Warps {
 		p.list[w.SchedSlot] = append(p.list[w.SchedSlot], w)
 	}
 }
 
 func (p *boardPolicy) OnTBRetire(tb *ThreadBlock, _ int64) {
-	p.bumpAll()
 	for slot, l := range p.list {
 		kept := l[:0]
 		for _, w := range l {
@@ -157,47 +132,33 @@ func (p *boardPolicy) OnTBRetire(tb *ThreadBlock, _ int64) {
 	}
 }
 
-func (p *boardPolicy) OnWarpFinish(w *Warp, _ int64) {
+func (p *boardPolicy) OnWarpFinish(w *Warp, _ int64) Hint {
 	p.issued = w // an Exit issues but is reported here, not to OnIssue
 	if p.head[w.SchedSlot] == w {
-		p.gens[w.SchedSlot]++ // the head leaves Order
+		return Rebuild // the head leaves Order
 	}
+	return Keep
 }
 
-// In modeHeadVoid a warp waiting at a barrier leaves its slot's order
-// (with a bump), and a release brings the TB's warps back *without* one:
-// the policy makes a released warp the slot's head and says so through
-// ReplaceOrderHead — which is void, the released warp not being in the
-// cached order, so the engine has to rebuild and finds the siblings
-// too. (The last arrival's bump covers its own slot; the other slot has
-// the void hint alone.)
-func (p *boardPolicy) OnBarrierArrive(w *Warp, _ int64) {
-	if p.mode == modeHeadVoid {
-		p.hidden[w] = true
-		p.gens[w.SchedSlot]++
+// In modeRelease a warp waiting at a barrier leaves its slot's order, and
+// the release brings the TB's warps back on every slot: only the release's
+// Rebuild tells the engine about the siblings on the other slot.
+func (p *boardPolicy) OnBarrierArrive(w *Warp, _ int64) Hint {
+	if p.mode != modeRelease {
+		return Keep
 	}
+	p.hidden[w] = true
+	return Rebuild
 }
 
-func (p *boardPolicy) OnBarrierRelease(tb *ThreadBlock, _ int64) {
-	if p.mode != modeHeadVoid {
-		return
+func (p *boardPolicy) OnBarrierRelease(tb *ThreadBlock, _ int64) Hint {
+	if p.mode != modeRelease {
+		return Keep
 	}
 	for _, w := range tb.Warps {
 		delete(p.hidden, w)
 	}
-	for slot := range p.list {
-		for _, w := range tb.Warps {
-			if w.SchedSlot == slot && !w.Finished() {
-				old := p.head[slot]
-				if old == nil || old.Finished() {
-					old = w
-				}
-				p.head[slot] = w
-				p.sm.ReplaceOrderHead(old, w)
-				break
-			}
-		}
-	}
+	return Rebuild
 }
 
 // boardProgram draws a short program that reaches every block reason:
@@ -314,10 +275,8 @@ func wideSlotConfig() *config.Config {
 //
 // Mutation-checked: dropping the unit classes' anyReady, skipping the
 // gate expiry, letting block() leave minGate alone, examining a
-// duplicate twice, honouring RotateOrderAfter without the position
-// check, and ReplaceOrderHead without its head-recurs or its w-in-order
-// check each fail it. (A wrong old over a recurring head is void, but
-// honouring it would give the same order, so that check cannot fail.)
+// duplicate twice, honouring NewHead without its head-recurs check,
+// and ignoring OnBarrierRelease's hint each fail it.
 func TestIssueBoardMatchesReferenceWalk(t *testing.T) {
 	var outcomes [4]int64
 	for seed := uint64(1); seed <= 36; seed++ {

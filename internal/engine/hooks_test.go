@@ -48,24 +48,30 @@ func (p *hookRecorder) OnTBRetire(tb *ThreadBlock, _ int64) {
 	}
 }
 
-func (p *hookRecorder) OnIssue(w *Warp, in *isa.Instr, _ int, _ int64) {
+func (p *hookRecorder) OnIssue(w *Warp, in *isa.Instr, _ int, _ int64) Hint {
 	p.check("OnIssue", w)
 	if w.Finished() || in.Op == isa.OpExit {
 		p.t.Fatalf("OnIssue received finished warp %d of TB %d (op %v)", w.IDInTB, w.TB.Global, in.Op)
 	}
+	return Keep
 }
 
-func (p *hookRecorder) OnBarrierArrive(w *Warp, _ int64) { p.check("OnBarrierArrive", w) }
+func (p *hookRecorder) OnBarrierArrive(w *Warp, _ int64) Hint {
+	p.check("OnBarrierArrive", w)
+	return Keep
+}
 
-func (p *hookRecorder) OnBarrierRelease(tb *ThreadBlock, _ int64) {
+func (p *hookRecorder) OnBarrierRelease(tb *ThreadBlock, _ int64) Hint {
 	for _, w := range tb.Warps {
 		p.check("OnBarrierRelease", w)
 	}
+	return Keep
 }
 
-func (p *hookRecorder) OnWarpFinish(w *Warp, _ int64) {
+func (p *hookRecorder) OnWarpFinish(w *Warp, _ int64) Hint {
 	p.check("OnWarpFinish", w)
 	p.exits++
+	return Keep
 }
 
 // TestHooksNeverNameARetiredWarp streams TBs of uneven length through

@@ -17,21 +17,17 @@ import (
 	"repro/internal/timing"
 )
 
-// cachedAll is passAll made cacheable, which is what arms cycle
-// skipping: its order only changes when a TB is assigned or retired.
-// lastTick is the last cycle the engine consulted it, i.e. the last
-// cycle the SM really ticked instead of sleeping.
+// cachedAll is passAll recording lastTick, the last cycle the engine
+// consulted its OrderGen, i.e. the last cycle the SM really ticked
+// instead of sleeping.
 type cachedAll struct {
 	passAll
-	gen      uint64
 	lastTick int64
 }
 
-func (p *cachedAll) OrderGen(_ int, cycle int64) uint64 { p.lastTick = cycle; return p.gen }
-func (p *cachedAll) OnTBAssign(*ThreadBlock, int64)     { p.gen++ }
-func (p *cachedAll) OnTBRetire(*ThreadBlock, int64)     { p.gen++ }
+func (p *cachedAll) OrderGen(_ int, cycle int64) uint64 { p.lastTick = cycle; return 0 }
 
-// sleepRig is a one-SM rig under the cacheable policy.
+// sleepRig is a one-SM rig under cachedAll.
 type sleepRig struct {
 	rig
 	pol *cachedAll

@@ -82,11 +82,7 @@ type SM struct {
 	orderBuf []*Warp
 	lineBuf  []uint64
 
-	// cacher/timed are the policy's optional fast-path extensions (nil
-	// when the policy does not implement them). orderCacheOn and
-	// cycleSkipOn fold in the Config switches.
-	cacher       OrderCacher
-	timed        TimedScheduler
+	// orderCacheOn and cycleSkipOn fold in the Config switches.
 	orderCacheOn bool
 	cycleSkipOn  bool
 
@@ -154,7 +150,7 @@ type issueBoard struct {
 
 	// order is the cached priority order as local indices, walked from
 	// start. pos is the entry the scan last offered to tryIssue (the
-	// anchor of RotateOrderAfter); headDup records that order[0] recurs.
+	// anchor of RotateAfter); headDup records that order[0] recurs.
 	order      []int32
 	start, pos int
 	headDup    bool
@@ -247,15 +243,9 @@ func NewSM(id int, cfg *config.Config, wheel *timing.Wheel, mem *memsys.System, 
 	}
 	mem.OnStoreRelease(id, sm.storeReleased)
 	sm.poolOn = !cfg.DisableWarpPooling
+	sm.orderCacheOn = !cfg.DisableOrderCache
+	sm.cycleSkipOn = !cfg.DisableCycleSkip
 	sm.Sched = factory(sm)
-	if oc, ok := sm.Sched.(OrderCacher); ok {
-		sm.cacher = oc
-		sm.orderCacheOn = !cfg.DisableOrderCache
-		sm.cycleSkipOn = !cfg.DisableCycleSkip
-	}
-	if ts, ok := sm.Sched.(TimedScheduler); ok {
-		sm.timed = ts
-	}
 	return sm
 }
 
@@ -330,6 +320,7 @@ func (sm *SM) AssignTB(global int, cycle int64) *ThreadBlock {
 	sm.TBSlots[slot] = tb
 	sm.residentTBs++
 	sm.Sched.OnTBAssign(tb, cycle)
+	sm.dropOrders()
 	if sm.fl != nil {
 		sm.fl.OnTBStart(cycle, tb.Global, slot)
 	}
@@ -424,11 +415,11 @@ func (sm *SM) putMemOp(op *memOp) {
 // issues at most one instruction per slot, classifying the slot's outcome
 // as issued / Idle / Scoreboard / Pipeline.
 //
-// When the policy implements OrderCacher and cycle skipping is enabled,
-// a Tick on which nothing moved — no slot issued, and the LD/ST unit is
-// empty or had its head transaction refused — puts the SM to sleep:
-// subsequent Ticks return immediately and the skipped cycles' stalls are
-// accounted in bulk on wake (see trySleep for the invariants).
+// When cycle skipping is enabled, a Tick on which nothing moved — no
+// slot issued, and the LD/ST unit is empty or had its head transaction
+// refused — puts the SM to sleep: subsequent Ticks return immediately
+// and the skipped cycles' stalls are accounted in bulk on wake (see
+// trySleep for the invariants).
 func (sm *SM) Tick(cycle int64) {
 	if sm.asleep {
 		if cycle < sm.wakeAt {
@@ -474,7 +465,7 @@ const neverWake = int64(math.MaxInt64)
 //   - happens at a statically-known cycle — a register becoming ready
 //     (readyAt, kept in the board's gate), the LD/ST unit's busy window
 //     closing (memBusyUntil), both folded into wake by tickSlot, or a
-//     policy's timed refresh, bounded by TimedScheduler.NextTimedEvent — or
+//     policy's timed refresh, bounded by Scheduler.NextTimedEvent — or
 //   - is driven by a wheel/assignment event that calls wakeEvent, which
 //     forces a full re-evaluation on the next Tick: load completion,
 //     i-buffer refill and TB assignment for blocked warps, and for a
@@ -490,8 +481,8 @@ const neverWake = int64(math.MaxInt64)
 // on the SM's own issue path, which cannot run while asleep.
 // DESIGN.md §8.3 tabulates every block reason against its wake source.
 func (sm *SM) trySleep(cycle, wake int64) {
-	if sm.timed != nil && sm.residentTBs > 0 {
-		if nt := sm.timed.NextTimedEvent(cycle); nt > cycle && nt < wake {
+	if sm.residentTBs > 0 {
+		if nt := sm.Sched.NextTimedEvent(cycle); nt > cycle && nt < wake {
 			wake = nt
 		}
 	}
@@ -652,22 +643,17 @@ func (sm *SM) tickSlot(slot int, cycle int64) (slotOutcome, int64) {
 		return outIdle, neverWake
 	}
 	b := &sm.boards[slot]
-	if sm.cacher != nil {
-		// OrderGen runs unconditionally — time-driven refreshes (PRO's
-		// THRESHOLD re-sort) live inside it — and its generation decides
-		// whether the cached order is still current.
-		gen := sm.cacher.OrderGen(slot, cycle)
-		if !sm.orderCacheOn || !b.valid || b.gen != gen {
-			sm.buildOrder(b, slot, cycle)
-			b.gen, b.valid = gen, true
-			if sm.fl != nil {
-				// A rebuild on a cacher policy is a real membership or
-				// priority change; non-cachers rebuild every cycle.
-				sm.fl.OnResort(cycle, slot, gen)
-			}
-		}
-	} else {
+	// OrderGen runs unconditionally — time-driven refreshes (PRO's
+	// THRESHOLD re-sort) live inside it — and its generation, with the
+	// hints and residency changes that cleared valid, decides whether the
+	// cached order is still current.
+	gen := sm.Sched.OrderGen(slot, cycle)
+	if !sm.orderCacheOn || !b.valid || b.gen != gen {
 		sm.buildOrder(b, slot, cycle)
+		b.gen, b.valid = gen, true
+		if sm.fl != nil {
+			sm.fl.OnResort(cycle, slot, gen)
+		}
 	}
 	if cycle >= b.minGate {
 		b.expire(cycle)
@@ -795,33 +781,35 @@ func (sm *SM) buildOrder(b *issueBoard, slot int, cycle int64) {
 	}
 }
 
-// RotateOrderAfter is a hint a policy may push from OnIssue(w) or
-// OnWarpFinish(w) instead of bumping its generation: slot's Order is now
-// the cached one restarted just after w. Void — the cache is dropped and
-// Order consulted — unless w is the entry being issued.
-func (sm *SM) RotateOrderAfter(w *Warp) {
+// applyHint applies what a hook said about the order of the issuing
+// warp w's slot. w is the entry at b.pos, where the scan offered it to
+// tryIssue, so it is in the cached order.
+func applyHint(w *Warp, h Hint) {
 	b := w.board
-	if !b.valid || b.pos >= len(b.order) || int(b.order[b.pos]) != w.local {
+	switch h {
+	case Keep:
+	case RotateAfter:
+		if b.start = b.pos + 1; b.start == len(b.order) {
+			b.start = 0
+		}
+	case NewHead:
+		// The old head keeps its later place only if it recurs, and
+		// position 0 is the head only while the order is unrotated.
+		if b.start == 0 && b.headDup {
+			b.order[0] = int32(w.local)
+		} else {
+			b.valid = false
+		}
+	default:
 		b.valid = false
-		return
-	}
-	if b.start = b.pos + 1; b.start == len(b.order) {
-		b.start = 0
 	}
 }
 
-// ReplaceOrderHead is the hint for a policy whose issue only moves the
-// head of an order that lists the head again at its usual place: slot's
-// Order is now the cached one with w in place of old at position 0. Void
-// unless old is at the unrotated head and recurs, and w is in the order.
-func (sm *SM) ReplaceOrderHead(old, w *Warp) {
-	b := w.board
-	if !b.valid || b.start != 0 || !b.headDup || old.board != b ||
-		int(b.order[0]) != old.local || b.inOrder[w.word]&w.bit == 0 {
-		b.valid = false
-		return
+// dropOrders makes every slot rebuild its order on its next scan.
+func (sm *SM) dropOrders() {
+	for k := range sm.boards {
+		sm.boards[k].valid = false
 	}
-	b.order[0] = int32(w.local)
 }
 
 // tryIssue attempts to issue in from w at cycle; it returns false — with
@@ -925,7 +913,7 @@ func (sm *SM) tryIssue(w *Warp, in *isa.Instr, cycle int64) bool {
 		if tb.WarpsAtBarrier == 1 {
 			tb.barrierStart = cycle
 		}
-		sm.Sched.OnBarrierArrive(w, cycle)
+		applyHint(w, sm.Sched.OnBarrierArrive(w, cycle))
 		if sm.fl != nil {
 			sm.fl.OnBarrier(cycle, w.Slot, tb.Global)
 		}
@@ -939,7 +927,9 @@ func (sm *SM) tryIssue(w *Warp, in *isa.Instr, cycle int64) bool {
 			sm.BarrierWaitSum += cycle - tb.barrierStart
 			sm.BarrierEpisodes++
 			tb.barrierStart = 0
-			sm.Sched.OnBarrierRelease(tb, cycle)
+			if sm.Sched.OnBarrierRelease(tb, cycle) != Keep {
+				sm.dropOrders()
+			}
 		}
 	case isa.OpExit:
 		// An Exit is reported by OnWarpFinish (and OnTBRetire for the
@@ -950,7 +940,7 @@ func (sm *SM) tryIssue(w *Warp, in *isa.Instr, cycle int64) bool {
 		w.FinishCycle = cycle
 		w.stack = w.stack[:0]
 		tb.WarpsFinished++
-		sm.Sched.OnWarpFinish(w, cycle)
+		applyHint(w, sm.Sched.OnWarpFinish(w, cycle))
 		if sm.fl != nil {
 			sm.fl.OnWarpFinish(cycle, w.Slot, tb.Global, w.Progress, w.SpawnCycle)
 		}
@@ -963,7 +953,7 @@ func (sm *SM) tryIssue(w *Warp, in *isa.Instr, cycle int64) bool {
 	w.refreshNextInstr()
 
 	if in.Op != isa.OpExit {
-		sm.Sched.OnIssue(w, in, lanes, cycle)
+		applyHint(w, sm.Sched.OnIssue(w, in, lanes, cycle))
 	}
 	return true
 }
@@ -979,6 +969,7 @@ func (sm *SM) retireTB(tb *ThreadBlock, cycle int64) {
 	sm.TBSlots[tb.Slot] = nil
 	sm.residentTBs--
 	sm.Sched.OnTBRetire(tb, cycle)
+	sm.dropOrders()
 	if sm.fl != nil {
 		sm.fl.OnTBFinish(cycle, tb.Global, tb.Progress)
 	}

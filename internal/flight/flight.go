@@ -170,9 +170,8 @@ func SlotOutcomeName(v int64) string {
 }
 
 // Recorder captures one simulation run. Build with New, attach via
-// gpu.Options.Flight (or the process-wide sink, gpu.SetFlightSink),
-// then read the results with Report or Capture. A Recorder records
-// exactly one run; attach a fresh one per run.
+// gpu.Options.Flight, then read the results with Report or Capture. A
+// Recorder records exactly one run; attach a fresh one per run.
 type Recorder struct {
 	opts Options
 

@@ -31,6 +31,12 @@ func newChaos(seed uint64) engine.Factory {
 
 func (c *chaos) Name() string { return "chaos" }
 
+// OrderGen and NextTimedEvent declare an order that changes every cycle:
+// the engine rebuilds it on every scan and never lets the SM sleep past
+// a cycle, so each re-roll is seen.
+func (c *chaos) OrderGen(_ int, cycle int64) uint64 { return uint64(cycle) }
+func (c *chaos) NextTimedEvent(cycle int64) int64   { return cycle + 1 }
+
 func (c *chaos) Order(slot int, dst []*engine.Warp, _ int64) []*engine.Warp {
 	start := len(dst)
 	for _, w := range c.sm.WarpSlots {

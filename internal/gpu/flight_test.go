@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/config"
@@ -114,51 +113,6 @@ func TestFlightRecorderDoesNotAlterResults(t *testing.T) {
 	}
 }
 
-// TestFlightSinkRecordsRun pins the process-wide sink: with no
-// per-run recorder in Options, a registered sink receives one capture
-// per run; an explicit Options.Flight recorder takes precedence and
-// the sink stays silent for that run.
-func TestFlightSinkRecordsRun(t *testing.T) {
-	launch := flProg(t)
-	factory, err := schedreg.New("LRR")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var (
-		mu       sync.Mutex
-		captures []*flight.Capture
-	)
-	SetFlightSink(func(c *flight.Capture) {
-		mu.Lock()
-		captures = append(captures, c)
-		mu.Unlock()
-	}, flight.Options{})
-	defer SetFlightSink(nil, flight.Options{})
-
-	if _, err := Run(config.GTX480(), launch, factory, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if len(captures) != 1 {
-		t.Fatalf("sink received %d captures, want 1", len(captures))
-	}
-	if c := captures[0]; c.Kernel != "fl-kernel" || len(c.Events) == 0 {
-		t.Fatalf("sink capture malformed: kernel=%q events=%d", c.Kernel, len(c.Events))
-	}
-
-	// An explicit recorder wins; the sink must not fire again.
-	rec := flight.New(flight.Options{})
-	if _, err := Run(config.GTX480(), launch, factory, Options{Flight: rec}); err != nil {
-		t.Fatal(err)
-	}
-	if len(captures) != 1 {
-		t.Fatalf("sink fired for a run with an explicit recorder (%d captures)", len(captures))
-	}
-	if !rec.Recorded() {
-		t.Fatal("explicit recorder not finalized")
-	}
-}
-
 // flightPins are SHA-256 digests of flProg captures (every warp, every
 // issue, rings large enough to drop nothing) taken on the commit before
 // the issue board (PR 15): for the PRO family the whole NDJSON export,
@@ -177,11 +131,11 @@ var flightPins = map[string]string{
 // TestFlightCaptureKeepsAllButResorts pins what the issue board may and
 // may not change in a capture. PRO's generation protocol is untouched,
 // so its captures are the parent's byte for byte. LRR, GTO and TL no
-// longer bump a generation to move a cursor (engine.SM.RotateOrderAfter /
-// ReplaceOrderHead), so their captures lose exactly the sched_resort
-// events that described no re-sort — every other event is where it was —
-// and what LRR and GTO still record is bounded by the events that change
-// an order's membership.
+// longer rebuild to move a cursor (their hooks return RotateAfter or
+// NewHead), so their captures lose exactly the sched_resort events that
+// described no re-sort — every other event is where it was — and what
+// LRR and GTO still record is bounded by the events that change an
+// order's membership.
 func TestFlightCaptureKeepsAllButResorts(t *testing.T) {
 	launch := flProg(t)
 	for name, pin := range flightPins {

@@ -119,16 +119,9 @@ func RunContext(ctx context.Context, cfg *config.Config, launch *engine.Launch, 
 	}
 	res.Scheduler = sms[0].Sched.Name()
 
-	// Flight recorder: an explicit Options.Flight recorder wins;
-	// otherwise the process-wide sink (if armed at run start — loaded
-	// once, like the heartbeat) builds a per-run recorder and receives
-	// the capture at completion. With neither, every instrumented site
-	// pays a single nil check and the run is observably identical.
+	// Flight recorder: without one, every instrumented site pays a
+	// single nil check and the run is observably identical.
 	rec := opts.Flight
-	sink := flState.Load()
-	if rec == nil && sink != nil {
-		rec = flight.New(sink.opts)
-	}
 	if rec != nil {
 		rec.Start(cfg.NumSMs)
 		for i, sm := range sms {
@@ -289,9 +282,6 @@ func RunContext(ctx context.Context, cfg *config.Config, launch *engine.Launch, 
 	stats.SortSpansByStart(res.Timeline)
 	if rec != nil {
 		rec.FinishRun(res.Kernel, res.Scheduler, res.Cycles, res.Stalls)
-		if opts.Flight == nil && sink != nil {
-			sink.fn(rec.Capture())
-		}
 	}
 	return res, nil
 }

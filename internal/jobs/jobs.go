@@ -56,8 +56,8 @@ var (
 	mCycleRate = obs.NewGauge("jobs_sim_cycles_per_sec", "simulated cycles per wall second of the most recently finished simulated job")
 )
 
-// Job describes one simulation. Scheduler names a registered policy
-// (schedreg); alternatively Factory supplies an explicit policy, in
+// Job describes one simulation. Scheduler is a policy spec
+// (schedreg.Resolve); alternatively Factory supplies an explicit policy, in
 // which case FactoryKey must be a stable string identifying its exact
 // parameters for the result cache — with Factory set and FactoryKey
 // empty the job still runs but is never cached (an anonymous policy has
@@ -70,8 +70,8 @@ type Job struct {
 	// Kernel labels the job in progress events; defaults to the
 	// program name.
 	Kernel string
-	// Scheduler is a registered policy name (ignored when Factory is
-	// set).
+	// Scheduler is a policy spec: a registered name or a parameterized
+	// form such as "PRO+threshold=500" (ignored when Factory is set).
 	Scheduler string
 	// Factory overrides Scheduler with an explicit policy.
 	Factory engine.Factory
@@ -357,14 +357,15 @@ func eta(elapsed time.Duration, done, hits, total int) time.Duration {
 }
 
 // resolve returns the policy factory for j and the stable scheduler
-// identity the result cache keys it under. The identity is "" for an
-// anonymous factory (Factory set, FactoryKey empty): such a job runs
-// but can be neither cached nor deduped.
+// identity the result cache keys it under: the spec itself, which for a
+// parameterized spec equals the FactoryKey of the same explicit factory.
+// The identity is "" for an anonymous factory (Factory set, FactoryKey
+// empty): such a job runs but can be neither cached nor deduped.
 func (j *Job) resolve() (engine.Factory, string, error) {
 	if j.Factory != nil {
 		return j.Factory, j.FactoryKey, nil
 	}
-	f, err := schedreg.New(j.Scheduler)
+	f, err := schedreg.Resolve(j.Scheduler)
 	if err != nil {
 		return nil, "", err
 	}

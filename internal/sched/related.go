@@ -53,6 +53,13 @@ func (s *CAWSLite) Order(slot int, dst []*engine.Warp, _ int64) []*engine.Warp {
 	return dst
 }
 
+// OnIssue implements engine.Scheduler: the issue raised w's progress,
+// which may move it back in its slot's order. (An Exit needs nothing: the
+// finished warp leaves the scan, and no other warp's progress moved.)
+func (s *CAWSLite) OnIssue(*engine.Warp, *isa.Instr, int, int64) engine.Hint {
+	return engine.Rebuild
+}
+
 // OWLLite is the CTA-prioritizing policy.
 type OWLLite struct {
 	engine.BasePolicy
@@ -114,13 +121,22 @@ func (s *OWLLite) Order(slot int, dst []*engine.Warp, _ int64) []*engine.Warp {
 	return dst
 }
 
-// OnIssue implements engine.Scheduler.
-func (s *OWLLite) OnIssue(w *engine.Warp, _ *isa.Instr, _ int, _ int64) {
-	s.last[w.SchedSlot] = w.Slot
+// OnIssue implements engine.Scheduler: a moved cursor re-rotates every
+// priority-group TB of the slot.
+func (s *OWLLite) OnIssue(w *engine.Warp, _ *isa.Instr, _ int, _ int64) engine.Hint {
+	return s.moveCursor(w)
 }
 
 // OnWarpFinish implements engine.Scheduler: an Exit moves the cursor as
 // any other issue does.
-func (s *OWLLite) OnWarpFinish(w *engine.Warp, _ int64) {
+func (s *OWLLite) OnWarpFinish(w *engine.Warp, _ int64) engine.Hint {
+	return s.moveCursor(w)
+}
+
+func (s *OWLLite) moveCursor(w *engine.Warp) engine.Hint {
+	if s.last[w.SchedSlot] == w.Slot {
+		return engine.Keep
+	}
 	s.last[w.SchedSlot] = w.Slot
+	return engine.Rebuild
 }

@@ -20,7 +20,6 @@ const DefaultActiveSet = 6
 // argues, in a coarser and less targeted way than PRO.
 type TL struct {
 	engine.BasePolicy
-	sm        *engine.SM
 	setSize   int
 	active    [][]*engine.Warp // per slot, round-robin order
 	pending   [][]*engine.Warp // per slot, FIFO
@@ -28,10 +27,6 @@ type TL struct {
 	// blocked tracks warps known (from events) to be barrier-blocked;
 	// refill must not promote them or they would wedge an active slot.
 	blocked map[*engine.Warp]bool
-	// gens are the per-slot order generations: the TB and barrier hooks
-	// touch every slot's sets and bump them all; an issue bumps its own
-	// slot, and only when it demotes.
-	gens []uint64
 }
 
 // NewTL is an engine.Factory with the default active-set size.
@@ -46,29 +41,17 @@ func NewTLWithSize(size int) engine.Factory {
 	return func(sm *engine.SM) engine.Scheduler {
 		n := sm.Cfg.SchedulersPerSM
 		return &TL{
-			sm:        sm,
 			setSize:   size,
 			active:    make([][]*engine.Warp, n),
 			pending:   make([][]*engine.Warp, n),
 			lastIssue: make([]int, n),
 			blocked:   make(map[*engine.Warp]bool),
-			gens:      make([]uint64, n),
 		}
 	}
 }
 
 // Name implements engine.Scheduler.
 func (s *TL) Name() string { return "TL" }
-
-// OrderGen implements engine.OrderCacher.
-func (s *TL) OrderGen(slot int, _ int64) uint64 { return s.gens[slot] }
-
-// bumpAll invalidates every slot's cached order.
-func (s *TL) bumpAll() {
-	for i := range s.gens {
-		s.gens[i]++
-	}
-}
 
 // Order implements engine.Scheduler: only the active set is exposed,
 // round-robin from just after the last issued position. Liveness: every
@@ -88,7 +71,7 @@ func (s *TL) Order(slot int, dst []*engine.Warp, _ int64) []*engine.Warp {
 // OnIssue implements engine.Scheduler: update the round-robin cursor and
 // demote the warp on long-latency instructions. Only a demotion changes
 // the slot's membership; a moved cursor restarts the cached order.
-func (s *TL) OnIssue(w *engine.Warp, in *isa.Instr, _ int, _ int64) {
+func (s *TL) OnIssue(w *engine.Warp, in *isa.Instr, _ int, _ int64) engine.Hint {
 	slot := w.SchedSlot
 	for i, a := range s.active[slot] {
 		if a == w {
@@ -97,17 +80,15 @@ func (s *TL) OnIssue(w *engine.Warp, in *isa.Instr, _ int, _ int64) {
 		}
 	}
 	if in.Op.IsGlobalMem() {
-		s.gens[slot]++
 		s.demote(w)
-	} else {
-		s.sm.RotateOrderAfter(w)
+		return engine.Rebuild
 	}
+	return engine.RotateAfter
 }
 
 // OnTBAssign implements engine.Scheduler: new warps queue as pending and
 // fill free active slots.
 func (s *TL) OnTBAssign(tb *engine.ThreadBlock, _ int64) {
-	s.bumpAll()
 	for _, w := range tb.Warps {
 		s.pending[w.SchedSlot] = append(s.pending[w.SchedSlot], w)
 	}
@@ -118,7 +99,6 @@ func (s *TL) OnTBAssign(tb *engine.ThreadBlock, _ int64) {
 
 // OnTBRetire implements engine.Scheduler.
 func (s *TL) OnTBRetire(tb *engine.ThreadBlock, _ int64) {
-	s.bumpAll()
 	for _, w := range tb.Warps {
 		delete(s.blocked, w)
 	}
@@ -131,34 +111,34 @@ func (s *TL) OnTBRetire(tb *engine.ThreadBlock, _ int64) {
 
 // OnBarrierArrive implements engine.Scheduler: a warp waiting for its
 // siblings leaves the active set so others can run.
-func (s *TL) OnBarrierArrive(w *engine.Warp, _ int64) {
-	s.bumpAll()
+func (s *TL) OnBarrierArrive(w *engine.Warp, _ int64) engine.Hint {
 	s.blocked[w] = true
 	s.demote(w)
+	return engine.Rebuild
 }
 
 // OnBarrierRelease implements engine.Scheduler: released warps are
 // eligible again, so refill the active sets (they may have been left
 // underfull while every pending warp was blocked).
-func (s *TL) OnBarrierRelease(tb *engine.ThreadBlock, _ int64) {
-	s.bumpAll()
+func (s *TL) OnBarrierRelease(tb *engine.ThreadBlock, _ int64) engine.Hint {
 	for _, w := range tb.Warps {
 		delete(s.blocked, w)
 	}
 	for slot := range s.active {
 		s.refill(slot)
 	}
+	return engine.Rebuild
 }
 
 // OnWarpFinish implements engine.Scheduler: finished warps leave both
 // structures.
-func (s *TL) OnWarpFinish(w *engine.Warp, _ int64) {
-	s.bumpAll()
+func (s *TL) OnWarpFinish(w *engine.Warp, _ int64) engine.Hint {
 	delete(s.blocked, w)
 	slot := w.SchedSlot
 	s.active[slot] = removeWarp(s.active[slot], w)
 	s.pending[slot] = removeWarp(s.pending[slot], w)
 	s.refill(slot)
+	return engine.Rebuild
 }
 
 // demote moves w from active to the pending tail and promotes a
