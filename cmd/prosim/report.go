@@ -31,8 +31,9 @@ import (
 // (sharing its warm cache and deduping against other clients); -jobs and
 // -cache then configure the daemon, not this process, and are ignored.
 // With -workers they fan out across several prosimd instances through a
-// work-stealing coordinator (retrying on worker loss); -cache is then
-// the coordinator's shared merge cache. With -shard i/n it runs only its
+// coordinator that feeds every worker slot from one queue (retrying on
+// worker loss); -cache is then the shared merge cache, which the workers
+// should use too. With -shard i/n it runs only its
 // deterministic slice of the full job list (by result-cache key) and
 // emits no artifacts — point n machines at a shared cache, one per
 // shard, then run once without -shard to assemble everything from the

@@ -67,20 +67,27 @@ func TestStdoutCarriesOnlyArtifacts(t *testing.T) {
 }
 
 // TestWorkersRunExitsZero runs the report through the cluster
-// coordinator (-workers) against an in-process daemon: every artifact
-// and the completion line must come out and the process must exit 0 —
-// the coordinator path has no local engine to take job counts from.
+// coordinator (-workers) against two in-process daemons that share the
+// -cache directory: the process must exit 0 with the completion line,
+// and stdout must be byte-identical to a local run's — the coordinator
+// path has no local engine to take job counts from, and the cluster CLI
+// is this path.
 func TestWorkersRunExitsZero(t *testing.T) {
 	if testing.Short() {
 		t.Skip("re-exec integration test")
 	}
-	d, err := daemon.New(daemon.Config{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
+	cache := filepath.Join(t.TempDir(), "cache")
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		d, err := daemon.New(daemon.Config{Workers: 2, CacheDir: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(d.Handler())
+		t.Cleanup(srv.Close)
+		addrs = append(addrs, srv.URL)
 	}
-	srv := httptest.NewServer(d.Handler())
-	t.Cleanup(srv.Close)
-	stdout, stderr, err := runReport(t, "-workers", srv.URL, "-maxtbs", "2", "-quiet")
+	stdout, stderr, err := runReport(t, "-workers", strings.Join(addrs, ","), "-cache", cache, "-maxtbs", "2", "-quiet")
 	if err != nil {
 		t.Fatalf("report -workers failed: %v\nstderr:\n%s", err, stderr)
 	}
@@ -89,6 +96,13 @@ func TestWorkersRunExitsZero(t *testing.T) {
 	}
 	if !strings.Contains(stderr, "report completed in") {
 		t.Errorf("no completion line on stderr:\n%s", stderr)
+	}
+	local, stderr, err := runReport(t, "-maxtbs", "2", "-quiet")
+	if err != nil {
+		t.Fatalf("local report failed: %v\nstderr:\n%s", err, stderr)
+	}
+	if stdout != local {
+		t.Errorf("report -workers stdout differs from the local run's:\n%s\n--- local:\n%s", stdout, local)
 	}
 }
 

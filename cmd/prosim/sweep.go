@@ -28,7 +28,7 @@ import (
 // running prosimd instance instead (sharing its warm cache and deduping
 // against concurrent clients); -jobs and -cache then belong to the
 // daemon and are ignored here. With -workers the points fan out across
-// several prosimd instances through a work-stealing coordinator. With
+// several prosimd instances through the cluster coordinator. With
 // -shard i/n only slice i of n of the selected sweeps' points run (by
 // result-cache key, against a shared -cache) and no tables print — run
 // once without -shard afterwards to print everything from the cache.

@@ -105,7 +105,7 @@ func New(name string, spec Spec) *Harness {
 	}
 	if spec.Priority != "" {
 		fs.StringVar(&h.daemon, "daemon", "", "run simulations on a prosimd daemon at this address (host:port or unix:/path) instead of locally")
-		fs.StringVar(&h.workers, "workers", "", "fan simulations out across these comma-separated prosimd addresses (work-stealing coordinator; -cache is the shared merge cache)")
+		fs.StringVar(&h.workers, "workers", "", "fan simulations out across these comma-separated prosimd addresses (-cache is the merge cache they share)")
 		fs.StringVar(&h.priority, "priority", spec.Priority, "scheduling class on the daemon/workers: interactive runs preempt bulk ones")
 	}
 	if spec.Profile {

@@ -10,11 +10,12 @@
 //     non-overlapping work against a shared cache with no coordination
 //     at all.
 //   - Coordinator actively fans a batch out to a set of prosimd
-//     workers: per-worker queues seeded by the same shard math, idle
-//     workers stealing from the longest queue, health checks marking
-//     lost workers down, and transport failures retried on surviving
-//     replicas with capped exponential backoff.
-//   - Merge assembles results purely from the result cache, so an
+//     workers from one shared queue: every free worker slot takes the
+//     next pending job, an overloaded worker's lane pauses for its
+//     Retry-After hint, health checks mark lost workers down, and a job
+//     lost to a transport failure goes back to the queue for the
+//     survivors.
+//   - Run assembles results purely from the result cache, so an
 //     interrupted sweep resumes for free (already-cached jobs are never
 //     dispatched) and the final suite is bit-identical to a local
 //     serial run.
@@ -38,9 +39,7 @@ import (
 // built.
 var (
 	mRetries = obs.NewCounter("cluster_retries_total",
-		"job attempts retried on a surviving replica after a worker loss or timeout")
-	mSteals = obs.NewCounter("cluster_steals_total",
-		"jobs stolen from another worker's queue by an idle worker")
+		"jobs put back on the queue after a worker loss or an overload refusal")
 	mLost = obs.NewCounter("cluster_workers_lost_total",
 		"workers marked down after transport or health-check failures")
 	mMergeHits = obs.NewCounter("cluster_merge_hits_total",
@@ -107,16 +106,12 @@ func ShardIndices(i, n int, js []jobs.Job) ([]int, error) {
 	if n < 1 || i < 0 || i >= n {
 		return nil, fmt.Errorf("cluster: shard %d/%d out of range", i, n)
 	}
+	keys, err := batchKeys(js)
+	if err != nil {
+		return nil, err
+	}
 	var out []int
-	for k := range js {
-		key, ok, err := jobs.Key(&js[k])
-		if err != nil {
-			return nil, fmt.Errorf("cluster: job %d (%s/%s): %w", k, js[k].Label(), js[k].SchedLabel(), err)
-		}
-		if !ok {
-			return nil, fmt.Errorf("cluster: job %d (%s/%s) has no stable identity and cannot be sharded",
-				k, js[k].Label(), js[k].SchedLabel())
-		}
+	for k, key := range keys {
 		if shardOf(key, n) == i {
 			out = append(out, k)
 		}
@@ -136,6 +131,25 @@ func Shard(i, n int, js []jobs.Job) ([]jobs.Job, error) {
 		out[k] = js[j]
 	}
 	return out, nil
+}
+
+// batchKeys computes the result-cache key of every job, failing on jobs
+// without a stable identity: they can be neither placed reproducibly
+// nor merged from a cache.
+func batchKeys(js []jobs.Job) ([]string, error) {
+	keys := make([]string, len(js))
+	for k := range js {
+		key, ok, err := jobs.Key(&js[k])
+		if err != nil {
+			return nil, fmt.Errorf("cluster: job %d (%s/%s): %w", k, js[k].Label(), js[k].SchedLabel(), err)
+		}
+		if !ok {
+			return nil, fmt.Errorf("cluster: job %d (%s/%s) has no stable identity",
+				k, js[k].Label(), js[k].SchedLabel())
+		}
+		keys[k] = key
+	}
+	return keys, nil
 }
 
 // shortKey abbreviates a 64-hex-char cache key for log lines.

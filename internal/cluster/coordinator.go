@@ -1,12 +1,13 @@
 // The coordinator: active fan-out of one batch across N prosimd
-// replicas. One lane goroutine per worker slot pulls job indices off
-// per-worker queues (seeded by the shard math for placement stability,
-// drained by work-stealing for balance), submits them as single-job
-// daemon batches, and on a transport failure marks the worker down and
-// reschedules the lost job on a surviving replica after a capped
-// exponential backoff. Job-level errors (the simulation itself failed)
-// are never retried — replaying a deterministic failure elsewhere
-// produces the same failure.
+// replicas. Pending jobs wait on one shared FIFO queue in batch order,
+// and one lane goroutine per worker slot pops the next job and submits
+// it as a single-job daemon batch — the way the simulator's own thread
+// block scheduler hands the next TB to whichever SM frees a slot. A
+// refused batch (overload) goes back to the queue front while only the
+// refusing lane pauses; a transport failure marks the worker down and
+// puts the job back at once. Job-level errors (the simulation itself
+// failed) are never retried — replaying a deterministic failure
+// elsewhere produces the same failure.
 package cluster
 
 import (
@@ -25,36 +26,31 @@ import (
 	"repro/internal/stats"
 )
 
-// Config tunes a Coordinator.
+const (
+	// maxAttempts bounds the dispatches of one job that end in a
+	// transport failure; the last one fails the batch. Overload refusals
+	// do not count: the worker is alive and the job never ran.
+	maxAttempts = 3
+	// healthFailLimit consecutive failed health probes mark a worker
+	// down.
+	healthFailLimit = 2
+)
+
+// healthInterval is the per-worker health-check cadence New gives its
+// health loops; a value <= 0 starts none, so losses are then detected
+// only through failed dispatches. Tests set it; nothing else does.
+var healthInterval = 2 * time.Second
+
+// Config describes a Coordinator.
 type Config struct {
 	// Workers are the prosimd addresses (daemon.NewClient syntax:
 	// host:port, unix:/path, or an http:// base). Required.
 	Workers []string
-	// SlotsPerWorker is the number of concurrent jobs sent to each
-	// worker; <= 0 asks each worker for its own slot count via
-	// /v1/health (falling back to 1 for unreachable workers).
-	SlotsPerWorker int
 	// CacheDir, when non-empty, is the result cache shared with the
 	// workers: Run merges already-cached jobs from it without any
 	// dispatch (free resume) and re-reads dispatched results from it at
 	// assembly, so the final batch is built purely from the cache.
 	CacheDir string
-	// JobTimeout caps one dispatch attempt; an over-budget attempt is
-	// retried on another worker. 0 means no cap.
-	JobTimeout time.Duration
-	// MaxAttempts bounds dispatch attempts per job (first try included);
-	// <= 0 means 3.
-	MaxAttempts int
-	// BaseBackoff is the delay before the first retry, doubling per
-	// attempt up to MaxBackoff; defaults 100ms and 5s.
-	BaseBackoff, MaxBackoff time.Duration
-	// HealthInterval is the per-worker health-check cadence; 0 means 2s,
-	// < 0 disables the background checks (losses are then detected only
-	// through failed dispatches).
-	HealthInterval time.Duration
-	// HealthFailLimit is how many consecutive failed health probes mark
-	// a worker down; <= 0 means 2.
-	HealthFailLimit int
 	// Priority is the scheduling class every dispatched batch carries
 	// (daemon.PriorityInteractive or daemon.PriorityBulk); empty means
 	// the daemon default (interactive). Sweeps should run bulk so they
@@ -66,18 +62,15 @@ type Config struct {
 
 // worker is one prosimd replica.
 type worker struct {
-	id     int
 	addr   string
 	client *daemon.Client
 	slots  int
-	// down is sticky within a Run (a lost worker gets no further jobs)
-	// but the health loop revives a worker that answers again, so later
-	// Runs use it.
+	// down is sticky within a Run (a lost worker's lanes end) but the
+	// health loop revives a worker that answers again, so later Runs
+	// use it.
 	down       atomic.Bool
 	dispatched atomic.Int64
-	stolen     atomic.Int64
 	mJobs      *obs.Counter
-	mQueue     *obs.Gauge
 }
 
 // Coordinator fans batches out to a fixed set of prosimd workers. It
@@ -86,7 +79,6 @@ type worker struct {
 // transparently run on a cluster. Create with New, release the health
 // loops with Close.
 type Coordinator struct {
-	cfg     Config
 	log     *slog.Logger
 	cache   *resultcache.Cache
 	workers []*worker
@@ -97,7 +89,6 @@ type Coordinator struct {
 	OnProgress func(jobs.Event)
 
 	retries   atomic.Int64
-	steals    atomic.Int64
 	lost      atomic.Int64
 	mergeHits atomic.Int64
 
@@ -108,7 +99,9 @@ type Coordinator struct {
 
 // Stats is a snapshot of a coordinator's lifetime counters.
 type Stats struct {
-	Retries     int64
+	Retries int64
+	// Deprecated: the coordinator has one shared queue and never
+	// steals; Steals is always 0.
 	Steals      int64
 	WorkersLost int64
 	MergeHits   int64
@@ -121,37 +114,21 @@ type WorkerStats struct {
 	Down       bool
 	Slots      int
 	Dispatched int64
-	Stolen     int64
 }
 
-// New builds a coordinator and probes every worker once: unreachable
-// workers are marked down (with a warning) rather than failing the
-// whole cluster — the health loop revives them if they come back. An
-// empty worker list is an error.
+// New builds a coordinator and probes every worker once for its slot
+// count: unreachable workers are marked down (with a warning) rather
+// than failing the whole cluster — the health loop revives them if they
+// come back. An empty worker list is an error.
 func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Workers) == 0 {
 		return nil, fmt.Errorf("cluster: no workers configured")
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 3
-	}
-	if cfg.BaseBackoff <= 0 {
-		cfg.BaseBackoff = 100 * time.Millisecond
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = 5 * time.Second
-	}
-	if cfg.HealthInterval == 0 {
-		cfg.HealthInterval = 2 * time.Second
-	}
-	if cfg.HealthFailLimit <= 0 {
-		cfg.HealthFailLimit = 2
 	}
 	log := cfg.Log
 	if log == nil {
 		log = obs.Discard()
 	}
-	c := &Coordinator{cfg: cfg, log: log, stop: make(chan struct{})}
+	c := &Coordinator{log: log, stop: make(chan struct{})}
 	if cfg.CacheDir != "" {
 		cache, err := resultcache.Open(cfg.CacheDir)
 		if err != nil {
@@ -159,16 +136,14 @@ func New(cfg Config) (*Coordinator, error) {
 		}
 		c.cache = cache
 	}
-	for id, addr := range cfg.Workers {
+	for _, addr := range cfg.Workers {
 		client := daemon.NewClient(addr)
 		client.Priority = cfg.Priority
 		w := &worker{
-			id:     id,
 			addr:   addr,
 			client: client,
-			slots:  cfg.SlotsPerWorker,
+			slots:  1,
 			mJobs:  obs.NewCounter(obs.Labeled("cluster_worker_jobs_total", "worker", addr), "job attempts dispatched to this worker"),
-			mQueue: obs.NewGauge(obs.Labeled("cluster_worker_queue_depth", "worker", addr), "jobs queued for this worker"),
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 		h, err := w.client.Health(ctx)
@@ -178,20 +153,15 @@ func New(cfg Config) (*Coordinator, error) {
 			c.markLost(w, fmt.Errorf("initial probe: %w", err))
 		case h.Draining:
 			c.markLost(w, fmt.Errorf("initial probe: worker is draining"))
-		default:
-			if w.slots <= 0 {
-				w.slots = h.Workers
-			}
-		}
-		if w.slots <= 0 {
-			w.slots = 1
+		case h.Workers > 0:
+			w.slots = h.Workers
 		}
 		c.workers = append(c.workers, w)
 	}
-	if cfg.HealthInterval > 0 {
+	if every := healthInterval; every > 0 {
 		for _, w := range c.workers {
 			c.healthWG.Add(1)
-			go c.healthLoop(w)
+			go c.healthLoop(w, every)
 		}
 	}
 	return c, nil
@@ -208,7 +178,6 @@ func (c *Coordinator) Close() {
 func (c *Coordinator) Snapshot() Stats {
 	st := Stats{
 		Retries:     c.retries.Load(),
-		Steals:      c.steals.Load(),
 		WorkersLost: c.lost.Load(),
 		MergeHits:   c.mergeHits.Load(),
 	}
@@ -218,7 +187,6 @@ func (c *Coordinator) Snapshot() Stats {
 			Down:       w.down.Load(),
 			Slots:      w.slots,
 			Dispatched: w.dispatched.Load(),
-			Stolen:     w.stolen.Load(),
 		})
 	}
 	return st
@@ -235,12 +203,13 @@ func (c *Coordinator) markLost(w *worker, cause error) {
 	c.log.Warn("worker lost", "worker", w.addr, "err", cause)
 }
 
-// healthLoop probes one worker until Close. A run of HealthFailLimit
-// consecutive failures (or a draining report) marks the worker down; a
-// healthy answer from a down worker revives it for subsequent Runs.
-func (c *Coordinator) healthLoop(w *worker) {
+// healthLoop probes one worker every interval until Close. A run of
+// healthFailLimit consecutive failures (or a draining report) marks the
+// worker down; a healthy answer from a down worker revives it for
+// subsequent Runs.
+func (c *Coordinator) healthLoop(w *worker, every time.Duration) {
 	defer c.healthWG.Done()
-	t := time.NewTicker(c.cfg.HealthInterval)
+	t := time.NewTicker(every)
 	defer t.Stop()
 	fails := 0
 	for {
@@ -249,13 +218,13 @@ func (c *Coordinator) healthLoop(w *worker) {
 			return
 		case <-t.C:
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), c.cfg.HealthInterval)
+		ctx, cancel := context.WithTimeout(context.Background(), every)
 		h, err := w.client.Health(ctx)
 		cancel()
 		switch {
 		case err != nil:
 			fails++
-			if fails >= c.cfg.HealthFailLimit {
+			if fails >= healthFailLimit {
 				c.markLost(w, fmt.Errorf("%d consecutive failed health checks: %w", fails, err))
 			}
 		case h.Draining:
@@ -270,24 +239,38 @@ func (c *Coordinator) healthLoop(w *worker) {
 	}
 }
 
-// runState is the shared mutable state of one Run: per-worker queues,
-// completion bookkeeping, and the failure latch. All fields are guarded
-// by mu; cond wakes lanes when a queue refills (retry landing) or the
-// batch resolves.
+// runState is the shared mutable state of one Run: the pending-job
+// queue, completion bookkeeping and the failure latch, all guarded by
+// mu. cond wakes lanes when the queue refills or the batch resolves;
+// resolved is closed at the same moment, so a lane paused on an
+// overload hint stops waiting too.
 type runState struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	queues    [][]int // per worker id, queued job indices
-	active    []bool  // per worker id: lanes running this Run
-	attempts  []int   // per job, dispatch attempts so far
-	remaining int     // jobs without a final outcome
+	queue     []int // pending job indices, front first
+	lostTries []int // per job, dispatches that ended in a transport failure
+	remaining int   // jobs without a final outcome
 	failed    error
+	resolved  chan struct{}
 
 	// Progress bookkeeping (jobs.Event shape).
 	done  int
 	hits  int
 	start time.Time
+}
+
+// resolveLocked closes resolved and wakes every lane once the batch has
+// an outcome. Callers hold mu.
+func (st *runState) resolveLocked() {
+	if st.remaining == 0 || st.failed != nil {
+		select {
+		case <-st.resolved:
+		default:
+			close(st.resolved)
+		}
+	}
+	st.cond.Broadcast()
 }
 
 // fail latches the first batch failure and wakes every lane.
@@ -296,14 +279,42 @@ func (st *runState) fail(err error) {
 	if st.failed == nil {
 		st.failed = err
 	}
+	st.resolveLocked()
+	st.mu.Unlock()
+}
+
+// pushFront puts job i back at the head of the queue: it was already
+// next in line when its dispatch failed.
+func (st *runState) pushFront(i int) {
+	st.mu.Lock()
+	st.queue = append([]int{i}, st.queue...)
 	st.cond.Broadcast()
 	st.mu.Unlock()
 }
 
+// next hands a lane of worker w the job at the queue front, waiting
+// while the queue is empty (a job in flight on another lane may yet come
+// back). It returns false once the batch is resolved or w is down.
+func (st *runState) next(w *worker) (int, bool) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for {
+		if st.failed != nil || st.remaining == 0 || w.down.Load() {
+			return 0, false
+		}
+		if len(st.queue) > 0 {
+			i := st.queue[0]
+			st.queue = st.queue[1:]
+			return i, true
+		}
+		st.cond.Wait()
+	}
+}
+
 // Run implements jobs.Runner: merge what the shared cache already has,
-// fan the rest out across the live workers with work-stealing and
-// retries, and return one result per job in job order. Like the local
-// engine, the first definitive job failure fails the batch.
+// fan the rest out across the live workers' slots from one queue, and
+// return one result per job in job order. Like the local engine, the
+// first definitive job failure fails the batch.
 func (c *Coordinator) Run(ctx context.Context, js []jobs.Job) ([]*stats.KernelResult, error) {
 	if len(js) == 0 {
 		return nil, nil
@@ -314,17 +325,15 @@ func (c *Coordinator) Run(ctx context.Context, js []jobs.Job) ([]*stats.KernelRe
 	}
 
 	st := &runState{
-		queues:   make([][]int, len(c.workers)),
-		active:   make([]bool, len(c.workers)),
-		attempts: make([]int, len(js)),
-		start:    time.Now(),
+		lostTries: make([]int, len(js)),
+		resolved:  make(chan struct{}),
+		start:     time.Now(),
 	}
 	st.cond = sync.NewCond(&st.mu)
 	results := make([]*stats.KernelResult, len(js))
 
 	// Merge pass: anything the shared cache already holds is final —
 	// an interrupted sweep resumes here with zero dispatches.
-	pending := make([]int, 0, len(js))
 	for i := range js {
 		if c.cache != nil {
 			if r, ok := c.cache.Get(keys[i]); ok {
@@ -335,39 +344,21 @@ func (c *Coordinator) Run(ctx context.Context, js []jobs.Job) ([]*stats.KernelRe
 				continue
 			}
 		}
-		pending = append(pending, i)
+		st.queue = append(st.queue, i)
 	}
+	pending := append([]int(nil), st.queue...)
 	if len(pending) == 0 {
 		return results, nil
 	}
-
-	// Seed per-worker queues with the same shard math standalone
-	// `-shard i/n` runs use, over the live workers only: placement is
-	// deterministic for a fixed live set, and stealing rebalances
-	// whatever the static split gets wrong.
-	live := make([]*worker, 0, len(c.workers))
-	for _, w := range c.workers {
-		if !w.down.Load() {
-			live = append(live, w)
-			st.active[w.id] = true
-		}
-	}
-	if len(live) == 0 {
-		return nil, fmt.Errorf("cluster: no live workers (of %d configured)", len(c.workers))
-	}
-	for _, i := range pending {
-		w := live[shardOf(keys[i], len(live))]
-		st.queues[w.id] = append(st.queues[w.id], i)
-	}
 	st.remaining = len(pending)
-	for _, w := range live {
-		w.mQueue.Set(int64(len(st.queues[w.id])))
-	}
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var wg sync.WaitGroup
-	for _, w := range live {
+	for _, w := range c.workers {
+		if w.down.Load() {
+			continue
+		}
 		for s := 0; s < w.slots; s++ {
 			wg.Add(1)
 			go func(w *worker) {
@@ -396,7 +387,8 @@ func (c *Coordinator) Run(ctx context.Context, js []jobs.Job) ([]*stats.KernelRe
 		err = fmt.Errorf("cluster: %w", ctx.Err())
 	}
 	if err == nil && remaining > 0 {
-		err = fmt.Errorf("cluster: all workers lost with %d jobs unfinished", remaining)
+		err = fmt.Errorf("cluster: no live workers left with %d jobs unfinished (of %d configured workers)",
+			remaining, len(c.workers))
 	}
 	if err != nil {
 		return nil, err
@@ -439,81 +431,23 @@ func (c *Coordinator) progress(st *runState, j *jobs.Job, fromCache bool, total 
 	st.mu.Unlock()
 }
 
-// next hands the lane of worker w its next job index. It prefers w's
-// own queue (front — shard order), then steals from the back of the
-// longest other queue (down workers' stranded queues included), and
-// otherwise waits: jobs in backoff or in flight on other lanes may yet
-// be requeued here. Returns false when the batch is resolved, the lane's
-// worker is lost, or the run failed.
-func (c *Coordinator) next(st *runState, w *worker) (int, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for {
-		if st.failed != nil || st.remaining == 0 || !st.active[w.id] {
-			return 0, false
-		}
-		if q := st.queues[w.id]; len(q) > 0 {
-			i := q[0]
-			st.queues[w.id] = q[1:]
-			w.mQueue.Set(int64(len(st.queues[w.id])))
-			return i, true
-		}
-		// Steal from the longest queue anywhere else. Queues of down
-		// workers have no lanes left, so stealing is also how their
-		// stranded work drains.
-		victim := -1
-		for id := range st.queues {
-			if id != w.id && len(st.queues[id]) > 0 &&
-				(victim < 0 || len(st.queues[id]) > len(st.queues[victim])) {
-				victim = id
-			}
-		}
-		if victim >= 0 {
-			q := st.queues[victim]
-			i := q[len(q)-1]
-			st.queues[victim] = q[:len(q)-1]
-			c.workers[victim].mQueue.Set(int64(len(st.queues[victim])))
-			w.stolen.Add(1)
-			c.steals.Add(1)
-			mSteals.Inc()
-			return i, true
-		}
-		st.cond.Wait()
-	}
-}
-
 // lane is one worker slot's dispatch loop.
 func (c *Coordinator) lane(ctx context.Context, st *runState, w *worker, js []jobs.Job, keys []string, results []*stats.KernelResult) {
 	for {
-		i, ok := c.next(st, w)
+		i, ok := st.next(w)
 		if !ok {
 			return
 		}
 		w.dispatched.Add(1)
 		w.mJobs.Inc()
 		mDispatched.Inc()
-		st.mu.Lock()
-		st.attempts[i]++
-		attempt := st.attempts[i]
-		st.mu.Unlock()
-
-		attemptCtx := ctx
-		var cancel context.CancelFunc
-		if c.cfg.JobTimeout > 0 {
-			attemptCtx, cancel = context.WithTimeout(ctx, c.cfg.JobTimeout)
-		}
-		rs, err := w.client.Run(attemptCtx, js[i:i+1])
-		if cancel != nil {
-			cancel()
-		}
+		rs, err := w.client.Run(ctx, js[i:i+1])
 
 		if err == nil {
 			st.mu.Lock()
 			results[i] = rs[0]
 			st.remaining--
-			if st.remaining == 0 {
-				st.cond.Broadcast()
-			}
+			st.resolveLocked()
 			st.mu.Unlock()
 			c.progress(st, &js[i], false, len(js))
 			continue
@@ -527,9 +461,17 @@ func (c *Coordinator) lane(ctx context.Context, st *runState, w *worker, js []jo
 		if errors.As(err, &oe) {
 			// The worker refused the batch at admission (429 full queue
 			// or 503 draining): it is alive and shedding load, not lost.
-			// Retry after at least its Retry-After hint, on another
-			// replica when one exists, and keep this lane running.
-			c.requeue(ctx, st, i, keys[i], attempt, w, oe.RetryAfter, err)
+			// The job goes back to the queue front for any lane, and only
+			// this lane waits out the Retry-After hint.
+			c.retry(i, keys[i], w, err)
+			st.pushFront(i)
+			t := time.NewTimer(oe.RetryAfter)
+			select {
+			case <-t.C:
+			case <-st.resolved:
+			case <-ctx.Done():
+			}
+			t.Stop()
 			continue
 		}
 		var te *daemon.TransportError
@@ -540,77 +482,29 @@ func (c *Coordinator) lane(ctx context.Context, st *runState, w *worker, js []jo
 			st.fail(fmt.Errorf("cluster: job %d (%s/%s): %w", i, js[i].Label(), js[i].SchedLabel(), err))
 			return
 		}
-		// Transport-level loss. A per-attempt deadline means the worker
-		// is slow, not gone; anything else (connect refused, mid-stream
-		// disconnect) marks it down and ends this lane.
-		timeout := errors.Is(err, context.DeadlineExceeded)
-		if !timeout {
-			c.markLost(w, err)
-			st.mu.Lock()
-			st.active[w.id] = false
-			st.cond.Broadcast()
-			st.mu.Unlock()
-		}
-		c.requeue(ctx, st, i, keys[i], attempt, w, 0, err)
-		if !timeout {
+		// Transport-level loss (connect refused, mid-stream disconnect):
+		// the worker is down, its lanes end, and the job goes back to the
+		// queue front for the survivors — unless this was its last
+		// attempt.
+		c.markLost(w, err)
+		st.mu.Lock()
+		st.lostTries[i]++
+		tries := st.lostTries[i]
+		st.mu.Unlock()
+		if tries >= maxAttempts {
+			st.fail(fmt.Errorf("cluster: job %d gave out after %d attempts: %w", i, tries, err))
 			return
 		}
+		c.retry(i, keys[i], w, err)
+		st.pushFront(i)
+		return
 	}
 }
 
-// requeue schedules a failed attempt's retry: after a capped
-// exponential backoff (but at least minDelay — an overloaded worker's
-// Retry-After hint) the job lands on the live worker with the shortest
-// queue (never the one that just failed it, when another exists).
-// Exhausted attempts fail the batch.
-func (c *Coordinator) requeue(ctx context.Context, st *runState, i int, key string, attempt int, failed *worker, minDelay time.Duration, cause error) {
-	if attempt >= c.cfg.MaxAttempts {
-		st.fail(fmt.Errorf("cluster: job %d gave out after %d attempts: %w", i, attempt, cause))
-		return
-	}
-	delay := c.cfg.BaseBackoff << (attempt - 1)
-	if delay > c.cfg.MaxBackoff || delay <= 0 {
-		delay = c.cfg.MaxBackoff
-	}
-	if delay < minDelay {
-		delay = minDelay
-	}
+// retry counts and logs one job's return to the queue after its
+// dispatch to w failed.
+func (c *Coordinator) retry(i int, key string, w *worker, cause error) {
 	c.retries.Add(1)
 	mRetries.Inc()
-	c.log.Warn("retrying job on a surviving replica",
-		"job", i, "key", shortKey(key), "failed_worker", failed.addr,
-		"attempt", attempt, "backoff", delay.String(), "err", cause)
-	go func() {
-		select {
-		case <-time.After(delay):
-		case <-ctx.Done():
-			// The watchdog latches the context failure; just stop.
-			return
-		}
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		if st.failed != nil {
-			return
-		}
-		target := -1
-		for id, ok := range st.active {
-			if !ok || c.workers[id] == failed {
-				continue
-			}
-			if target < 0 || len(st.queues[id]) < len(st.queues[target]) {
-				target = id
-			}
-		}
-		if target < 0 && st.active[failed.id] {
-			target = failed.id // timeout case: the slow worker is all we have
-		}
-		if target < 0 {
-			st.failed = fmt.Errorf("cluster: no live workers left to retry job %d: %w", i, cause)
-			st.cond.Broadcast()
-			return
-		}
-		st.queues[target] = append(st.queues[target], i)
-		c.workers[target].mQueue.Set(int64(len(st.queues[target])))
-		st.cond.Broadcast()
-	}()
+	c.log.Warn("requeueing job", "job", i, "key", shortKey(key), "failed_worker", w.addr, "err", cause)
 }

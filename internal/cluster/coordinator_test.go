@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -31,6 +33,31 @@ func testCluster(t *testing.T, n int, cacheDir string) (addrs []string, srvs []*
 	return addrs, srvs
 }
 
+// noHealthChecks starts no health loops in the coordinators the calling
+// test builds, so worker losses are detected only through failed
+// dispatches.
+func noHealthChecks(t *testing.T) {
+	t.Helper()
+	old := healthInterval
+	healthInterval = -1
+	t.Cleanup(func() { healthInterval = old })
+}
+
+// serialRun is the reference every cluster result is compared with: the
+// batch on a cache-less single-worker local engine.
+func serialRun(t *testing.T, batch []jobs.Job) []*stats.KernelResult {
+	t.Helper()
+	eng, err := jobs.New(1, "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := eng.Run(context.Background(), batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
 func mustJSON(t *testing.T, v any) []byte {
 	t.Helper()
 	b, err := json.Marshal(v)
@@ -42,46 +69,28 @@ func mustJSON(t *testing.T, v any) []byte {
 
 // TestClusterSurvivesWorkerLossAndMatchesSerial is the subsystem's
 // acceptance test: a batch fanned across three workers completes after
-// one of them dies with jobs queued (its work retried on the
-// survivors), the assembled results are byte-identical to a serial
+// one of them dies (the jobs its lanes took go back to the queue for
+// the survivors), the assembled results are byte-identical to a serial
 // single-process run, and a fresh coordinator re-running the same batch
 // dispatches nothing — full merge from the shared cache.
 func TestClusterSurvivesWorkerLossAndMatchesSerial(t *testing.T) {
+	noHealthChecks(t)
 	cacheDir := t.TempDir()
 	addrs, srvs := testCluster(t, 3, cacheDir)
 	batch := gridBatch(t)
+	want := serialRun(t, batch)
 
-	// The serial reference run (its own cache-less engine).
-	eng, err := jobs.New(1, "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := eng.Run(context.Background(), batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	coord, err := New(Config{
-		Workers:        addrs,
-		CacheDir:       cacheDir,
-		BaseBackoff:    time.Millisecond,
-		MaxBackoff:     5 * time.Millisecond,
-		HealthInterval: -1, // losses detected through failed dispatches
-	})
+	coord, err := New(Config{Workers: addrs, CacheDir: cacheDir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Close()
 
-	// Kill the worker that owns the first job's shard (it necessarily
-	// has work queued) after the healthy New probe — its lanes fail
-	// their dispatches while the batch is in flight, and the survivors
-	// absorb the stranded queue.
-	keys, err := batchKeys(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	victim := shardOf(keys[0], len(addrs))
+	// Kill the first worker after the healthy New probe. Its lanes start
+	// first and the queue holds the whole batch, so they take jobs, fail
+	// the dispatches while the batch is in flight, and the survivors run
+	// those jobs.
+	const victim = 0
 	srvs[victim].CloseClientConnections()
 	srvs[victim].Close()
 
@@ -110,7 +119,7 @@ func TestClusterSurvivesWorkerLossAndMatchesSerial(t *testing.T) {
 	// single dispatch: every job merges from the shared cache.
 	survivors := append([]string{}, addrs[:victim]...)
 	survivors = append(survivors, addrs[victim+1:]...)
-	coord2, err := New(Config{Workers: survivors, CacheDir: cacheDir, HealthInterval: -1})
+	coord2, err := New(Config{Workers: survivors, CacheDir: cacheDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,14 +140,68 @@ func TestClusterSurvivesWorkerLossAndMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestCoordinatorSurvivesOverloadedWorker: a worker that refuses every
+// batch with 429 (Retry-After: 30) but answers its health probes is
+// alive, not lost. The jobs it refuses go back to the shared queue for
+// the healthy worker, without costing them an attempt, and the batch
+// completes byte-identical to a serial run well before the refusing
+// lanes' 30 s pause would end.
+func TestCoordinatorSurvivesOverloadedWorker(t *testing.T) {
+	cacheDir := t.TempDir()
+	addrs, _ := testCluster(t, 1, cacheDir)
+	d, err := daemon.New(daemon.Config{Workers: 2, CacheDir: cacheDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner := d.Handler()
+	busy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Path, "/v1/batch") {
+			w.Header().Set("Retry-After", "30")
+			http.Error(w, "queue full", http.StatusTooManyRequests)
+			return
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	t.Cleanup(busy.Close)
+	addrs = append([]string{busy.URL}, addrs...)
+	batch := gridBatch(t)
+	want := serialRun(t, batch)
+
+	coord, err := New(Config{Workers: addrs, CacheDir: cacheDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	start := time.Now()
+	got, err := coord.Run(ctx, batch)
+	if err != nil {
+		t.Fatalf("cluster run beside an overloaded worker: %v", err)
+	}
+	if el := time.Since(start); el > 10*time.Second {
+		t.Fatalf("run took %v: it waited on the overloaded worker's Retry-After", el)
+	}
+	compareResults(t, want, got, "cluster vs serial")
+
+	st := coord.Snapshot()
+	if st.Retries < 1 {
+		t.Fatalf("overload refusals triggered %d retries, want >= 1", st.Retries)
+	}
+	if st.Workers[0].Down {
+		t.Fatalf("overloaded worker %s marked down", busy.URL)
+	}
+}
+
 // TestCoordinatorProgressEvents: every job of a batch produces exactly
 // one progress event, and merge hits are flagged FromCache.
 func TestCoordinatorProgressEvents(t *testing.T) {
+	noHealthChecks(t)
 	cacheDir := t.TempDir()
 	addrs, _ := testCluster(t, 2, cacheDir)
 	batch := gridBatch(t)
 
-	coord, err := New(Config{Workers: addrs, CacheDir: cacheDir, HealthInterval: -1})
+	coord, err := New(Config{Workers: addrs, CacheDir: cacheDir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,8 +37,10 @@ type Client struct {
 
 // OverloadedError reports a batch the daemon refused at admission —
 // 429 (full queue) or 503 (draining). Unlike a TransportError the
-// daemon is alive and answering: a coordinator should back off and
-// retry the same worker after RetryAfter rather than mark it lost.
+// daemon is alive and answering: the cluster coordinator puts the job
+// back at the front of its queue for any worker, without counting an
+// attempt, and pauses only the refused lane for RetryAfter rather than
+// marking the worker lost.
 type OverloadedError struct {
 	Addr       string
 	Status     int
@@ -269,11 +271,9 @@ func (c *Client) Stats(ctx context.Context) (*Stats, error) {
 	return &st, nil
 }
 
-// Health probes the daemon's /v1/health endpoint. Older daemons predate
-// the endpoint and answer 404; the client then falls back to /v1/stats
-// and synthesizes the probe from its fields (such a daemon cannot
-// report draining — absent fields decode to their zero values, which is
-// the wire-compat contract for every additive daemon field).
+// Health probes the daemon's /v1/health endpoint. Any answer but 200
+// is an error: a daemon without the endpoint predates result-cache
+// schema 3, so a coordinator must not count it as a live worker.
 func (c *Client) Health(ctx context.Context) (*Health, error) {
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/health", nil)
 	if err != nil {
@@ -284,30 +284,14 @@ func (c *Client) Health(ctx context.Context) (*Health, error) {
 		return nil, &TransportError{Addr: c.addr, Err: fmt.Errorf("health: %w", err)}
 	}
 	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		var h Health
-		if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-			return nil, fmt.Errorf("daemon: health: %w", err)
-		}
-		return &h, nil
-	case http.StatusNotFound:
-		// Pre-health daemon: /v1/stats proves liveness and carries the
-		// same in-flight/uptime/worker numbers.
-		st, err := c.Stats(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return &Health{
-			Status:    "ok",
-			Draining:  st.Draining,
-			InFlight:  st.InFlight,
-			UptimeSec: st.UptimeSec,
-			Workers:   st.Workers,
-		}, nil
-	default:
+	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("daemon: health: %s", resp.Status)
 	}
+	var h Health
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+		return nil, fmt.Errorf("daemon: health: %w", err)
+	}
+	return &h, nil
 }
 
 // GC asks the daemon to evict result-cache entries down to size

@@ -42,33 +42,6 @@ func TestHealthEndpoint(t *testing.T) {
 	}
 }
 
-// TestHealthFallsBackToStats: a pre-health daemon answers 404 on
-// /v1/health; the client must synthesize the probe from /v1/stats.
-func TestHealthFallsBackToStats(t *testing.T) {
-	d, _ := newTestDaemon(t, Config{Workers: 2})
-	inner := d.Handler()
-	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasPrefix(r.URL.Path, "/v1/health") {
-			http.NotFound(w, r)
-			return
-		}
-		inner.ServeHTTP(w, r)
-	}))
-	t.Cleanup(old.Close)
-
-	c := NewClient(old.URL)
-	h, err := c.Health(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Status != "ok" || h.Draining {
-		t.Fatalf("stats fallback reports status=%q draining=%v", h.Status, h.Draining)
-	}
-	if h.Workers != 2 {
-		t.Fatalf("stats fallback reports %d workers, want 2", h.Workers)
-	}
-}
-
 // TestStatsWireCompat: payloads from daemons that predate the draining
 // field must decode with it zero — additive fields never break old
 // pairings in either direction.

@@ -223,7 +223,7 @@ func (s *Suite) ComputeTable3() *Table3 {
 // ---- Batch builders ----
 //
 // The exact jobs each experiment runs, exposed so layers that slice or
-// route batches (the cluster shard selector, cmd/prosweep) can
+// route batches (the cluster shard selector, the coordinator) can
 // enumerate a harness's full workload without running it.
 
 // SuiteJobs is the batch RunSuite executes: every workload under every
