@@ -1,12 +1,13 @@
 # Developer / CI entry points. `make check` is the gate every change
-# must pass: go vet, the full test suite under the race detector, the
+# must pass: gofmt, go vet, the full test suite under the race detector, the
 # fast-path differential test (order cache, cycle skipping and warp
 # pooling must be bit-invisible), the per-surface -race gates, the
 # results/ regeneration check and a compile check of the bench harness.
 
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: build test vet race fastpath sleeptest issuetest retrytest identity pairs fuzz benchbuild daemontest servetest obstest clustertest admissiontest flighttest results-check check bench profile profile-grid profile-serve report papercheck
+.PHONY: build test vet fmt race fastpath sleeptest issuetest retrytest identity pairs fuzz benchbuild daemontest servetest obstest clustertest admissiontest flighttest results-check check bench profile profile-grid profile-serve report papercheck
 
 build:
 	$(GO) build ./...
@@ -16,6 +17,11 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# The formatting gate: fails listing every Go file (bench/ included)
+# that gofmt would rewrite.
+fmt:
+	@out=$$($(GOFMT) -l .); test -z "$$out" || { echo "gofmt would reformat:"; echo "$$out"; exit 1; } >&2
 
 race:
 	$(GO) test -race ./...
@@ -254,7 +260,7 @@ results-check:
 	for f in "$$tmp"/out/*; do cmp "results/$${f##*/}" "$$f"; done; \
 	echo "results-check: $$(ls "$$tmp/out" | wc -l) files in results/ match the code"
 
-check: vet race fastpath sleeptest issuetest retrytest daemontest servetest obstest clustertest admissiontest flighttest results-check benchbuild
+check: fmt vet race fastpath sleeptest issuetest retrytest daemontest servetest obstest clustertest admissiontest flighttest results-check benchbuild
 
 # The per-layer measurement rungs, 5 repetitions with allocation counts,
 # to stdout: SMTickPipelineStall and SMTickIssue (internal/engine),

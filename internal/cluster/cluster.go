@@ -10,11 +10,12 @@
 //     non-overlapping work against a shared cache with no coordination
 //     at all.
 //   - Coordinator actively fans a batch out to a set of prosimd
-//     workers from one shared queue: every free worker slot takes the
-//     next pending job, an overloaded worker's lane pauses for its
-//     Retry-After hint, health checks mark lost workers down, and a job
-//     lost to a transport failure goes back to the queue for the
-//     survivors.
+//     workers through jobs.Dispatch, the local engine's queue-and-lanes
+//     loop: every worker slot is a lane that takes the next pending job
+//     in batch order, an overloaded worker's lane pauses for its
+//     Retry-After hint, health checks mark lost workers down, a job lost
+//     to a transport failure goes back to the queue for the survivors,
+//     and a job that failed in the simulator fails the batch.
 //   - Run assembles results purely from the result cache, so an
 //     interrupted sweep resumes for free (already-cached jobs are never
 //     dispatched) and the final suite is bit-identical to a local

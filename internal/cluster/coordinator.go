@@ -1,13 +1,3 @@
-// The coordinator: active fan-out of one batch across N prosimd
-// replicas. Pending jobs wait on one shared FIFO queue in batch order,
-// and one lane goroutine per worker slot pops the next job and submits
-// it as a single-job daemon batch — the way the simulator's own thread
-// block scheduler hands the next TB to whichever SM frees a slot. A
-// refused batch (overload) goes back to the queue front while only the
-// refusing lane pauses; a transport failure marks the worker down and
-// puts the job back at once. Job-level errors (the simulation itself
-// failed) are never retried — replaying a deterministic failure
-// elsewhere produces the same failure.
 package cluster
 
 import (
@@ -48,8 +38,8 @@ type Config struct {
 	Workers []string
 	// CacheDir, when non-empty, is the result cache shared with the
 	// workers: Run merges already-cached jobs from it without any
-	// dispatch (free resume) and re-reads dispatched results from it at
-	// assembly, so the final batch is built purely from the cache.
+	// dispatch (free resume) and re-reads each dispatched result from
+	// it, so the final batch is built purely from the cache.
 	CacheDir string
 	// Priority is the scheduling class every dispatched batch carries
 	// (daemon.PriorityInteractive or daemon.PriorityBulk); empty means
@@ -239,82 +229,11 @@ func (c *Coordinator) healthLoop(w *worker, every time.Duration) {
 	}
 }
 
-// runState is the shared mutable state of one Run: the pending-job
-// queue, completion bookkeeping and the failure latch, all guarded by
-// mu. cond wakes lanes when the queue refills or the batch resolves;
-// resolved is closed at the same moment, so a lane paused on an
-// overload hint stops waiting too.
-type runState struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-
-	queue     []int // pending job indices, front first
-	lostTries []int // per job, dispatches that ended in a transport failure
-	remaining int   // jobs without a final outcome
-	failed    error
-	resolved  chan struct{}
-
-	// Progress bookkeeping (jobs.Event shape).
-	done  int
-	hits  int
-	start time.Time
-}
-
-// resolveLocked closes resolved and wakes every lane once the batch has
-// an outcome. Callers hold mu.
-func (st *runState) resolveLocked() {
-	if st.remaining == 0 || st.failed != nil {
-		select {
-		case <-st.resolved:
-		default:
-			close(st.resolved)
-		}
-	}
-	st.cond.Broadcast()
-}
-
-// fail latches the first batch failure and wakes every lane.
-func (st *runState) fail(err error) {
-	st.mu.Lock()
-	if st.failed == nil {
-		st.failed = err
-	}
-	st.resolveLocked()
-	st.mu.Unlock()
-}
-
-// pushFront puts job i back at the head of the queue: it was already
-// next in line when its dispatch failed.
-func (st *runState) pushFront(i int) {
-	st.mu.Lock()
-	st.queue = append([]int{i}, st.queue...)
-	st.cond.Broadcast()
-	st.mu.Unlock()
-}
-
-// next hands a lane of worker w the job at the queue front, waiting
-// while the queue is empty (a job in flight on another lane may yet come
-// back). It returns false once the batch is resolved or w is down.
-func (st *runState) next(w *worker) (int, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for {
-		if st.failed != nil || st.remaining == 0 || w.down.Load() {
-			return 0, false
-		}
-		if len(st.queue) > 0 {
-			i := st.queue[0]
-			st.queue = st.queue[1:]
-			return i, true
-		}
-		st.cond.Wait()
-	}
-}
-
 // Run implements jobs.Runner: merge what the shared cache already has,
-// fan the rest out across the live workers' slots from one queue, and
-// return one result per job in job order. Like the local engine, the
-// first definitive job failure fails the batch.
+// then fan the rest out in batch order across the live workers' slots
+// through jobs.Dispatch, and return one result per job in job order.
+// Like the local engine, the first definitive job failure fails the
+// batch.
 func (c *Coordinator) Run(ctx context.Context, js []jobs.Job) ([]*stats.KernelResult, error) {
 	if len(js) == 0 {
 		return nil, nil
@@ -324,180 +243,94 @@ func (c *Coordinator) Run(ctx context.Context, js []jobs.Job) ([]*stats.KernelRe
 		return nil, err
 	}
 
-	st := &runState{
-		lostTries: make([]int, len(js)),
-		resolved:  make(chan struct{}),
-		start:     time.Now(),
-	}
-	st.cond = sync.NewCond(&st.mu)
-	results := make([]*stats.KernelResult, len(js))
-
 	// Merge pass: anything the shared cache already holds is final —
-	// an interrupted sweep resumes here with zero dispatches.
+	// an interrupted sweep resumes here with zero dispatches. Dispatch
+	// reports these as cache hits and queues the rest in batch order.
+	results := make([]*stats.KernelResult, len(js))
+	order := make([]int, len(js))
 	for i := range js {
-		if c.cache != nil {
-			if r, ok := c.cache.Get(keys[i]); ok {
-				results[i] = r
-				c.mergeHits.Add(1)
-				mMergeHits.Inc()
-				c.progress(st, &js[i], true, len(js))
-				continue
-			}
+		order[i] = i
+		if c.cache == nil {
+			continue
 		}
-		st.queue = append(st.queue, i)
+		if r, ok := c.cache.Get(keys[i]); ok {
+			results[i] = r
+			c.mergeHits.Add(1)
+			mMergeHits.Inc()
+		}
 	}
-	pending := append([]int(nil), st.queue...)
-	if len(pending) == 0 {
-		return results, nil
-	}
-	st.remaining = len(pending)
 
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var wg sync.WaitGroup
+	lostTries := make([]int, len(js)) // per job; Dispatch hands a job to one lane at a time
+	var lanes []func(context.Context, int) (*stats.KernelResult, bool, error)
 	for _, w := range c.workers {
 		if w.down.Load() {
 			continue
 		}
 		for s := 0; s < w.slots; s++ {
-			wg.Add(1)
-			go func(w *worker) {
-				defer wg.Done()
-				c.lane(runCtx, st, w, js, keys, results)
-			}(w)
+			lanes = append(lanes, c.lane(w, js, keys, lostTries))
 		}
 	}
-	// A context cancel must wake lanes blocked on the cond var.
-	ctxDone := make(chan struct{})
-	go func() {
-		select {
-		case <-runCtx.Done():
-			st.fail(fmt.Errorf("cluster: %w", context.Cause(runCtx)))
-		case <-ctxDone:
-		}
-	}()
-	wg.Wait()
-	close(ctxDone)
-
-	st.mu.Lock()
-	err = st.failed
-	remaining := st.remaining
-	st.mu.Unlock()
-	if err == nil && ctx.Err() != nil {
-		err = fmt.Errorf("cluster: %w", ctx.Err())
-	}
-	if err == nil && remaining > 0 {
-		err = fmt.Errorf("cluster: no live workers left with %d jobs unfinished (of %d configured workers)",
-			remaining, len(c.workers))
-	}
-	if err != nil {
+	if err := jobs.Dispatch(ctx, js, order, results, lanes, c.OnProgress); err != nil {
 		return nil, err
-	}
-	// Final assembly: prefer the cache's copy of every dispatched
-	// result, so the returned batch is exactly what a later merge-only
-	// run would read. Wire results fill in only when the workers do not
-	// share this coordinator's cache directory.
-	if c.cache != nil {
-		for _, i := range pending {
-			if r, ok := c.cache.Get(keys[i]); ok {
-				results[i] = r
-			}
-		}
 	}
 	return results, nil
 }
 
-// progress emits one jobs.Event for a finished job under st.mu-free
-// accounting (it takes the lock itself).
-func (c *Coordinator) progress(st *runState, j *jobs.Job, fromCache bool, total int) {
-	st.mu.Lock()
-	st.done++
-	if fromCache {
-		st.hits++
-	}
-	ev := jobs.Event{
-		Kernel:    j.Label(),
-		Scheduler: j.SchedLabel(),
-		Done:      st.done,
-		Total:     total,
-		FromCache: fromCache,
-		CacheHits: st.hits,
-		Elapsed:   time.Since(st.start),
-	}
-	cb := c.OnProgress
-	if cb != nil {
-		cb(ev)
-	}
-	st.mu.Unlock()
-}
-
-// lane is one worker slot's dispatch loop.
-func (c *Coordinator) lane(ctx context.Context, st *runState, w *worker, js []jobs.Job, keys []string, results []*stats.KernelResult) {
-	for {
-		i, ok := st.next(w)
-		if !ok {
-			return
+// lane returns one slot of worker w as a jobs.Dispatch lane: it submits
+// job i as a one-job daemon batch and turns what is remote about a
+// failure into a jobs.Requeue.
+func (c *Coordinator) lane(w *worker, js []jobs.Job, keys []string, lostTries []int) func(context.Context, int) (*stats.KernelResult, bool, error) {
+	return func(ctx context.Context, i int) (*stats.KernelResult, bool, error) {
+		if w.down.Load() {
+			// The health loop marked the worker down: hand the job back
+			// undispatched and end this lane.
+			return nil, false, &jobs.Requeue{Stop: true, Err: fmt.Errorf("worker %s is down", w.addr)}
 		}
 		w.dispatched.Add(1)
 		w.mJobs.Inc()
 		mDispatched.Inc()
 		rs, err := w.client.Run(ctx, js[i:i+1])
-
 		if err == nil {
-			st.mu.Lock()
-			results[i] = rs[0]
-			st.remaining--
-			st.resolveLocked()
-			st.mu.Unlock()
-			c.progress(st, &js[i], false, len(js))
-			continue
+			// Prefer the cache's copy, so the returned batch is exactly
+			// what a later merge-only run reads. The wire result stands
+			// in only when the worker does not share this cache.
+			if c.cache != nil {
+				if r, ok := c.cache.Get(keys[i]); ok {
+					return r, false, nil
+				}
+			}
+			return rs[0], false, nil
 		}
 		if ctx.Err() != nil {
-			// The batch context ended; the watchdog goroutine latches the
-			// failure. Nothing to retry.
-			return
+			// The batch has an outcome already; nothing to retry.
+			return nil, false, err
 		}
 		var oe *daemon.OverloadedError
 		if errors.As(err, &oe) {
 			// The worker refused the batch at admission (429 full queue
 			// or 503 draining): it is alive and shedding load, not lost.
-			// The job goes back to the queue front for any lane, and only
-			// this lane waits out the Retry-After hint.
+			// The job goes back to the queue front for any lane without
+			// costing an attempt, and only this lane waits out the
+			// Retry-After hint.
 			c.retry(i, keys[i], w, err)
-			st.pushFront(i)
-			t := time.NewTimer(oe.RetryAfter)
-			select {
-			case <-t.C:
-			case <-st.resolved:
-			case <-ctx.Done():
-			}
-			t.Stop()
-			continue
+			return nil, false, &jobs.Requeue{Pause: oe.RetryAfter, Err: err}
 		}
 		var te *daemon.TransportError
 		if !errors.As(err, &te) {
 			// The job ran and failed — deterministic, so retrying it on
-			// another replica reproduces the failure. Fail the batch like
-			// the local engine does.
-			st.fail(fmt.Errorf("cluster: job %d (%s/%s): %w", i, js[i].Label(), js[i].SchedLabel(), err))
-			return
+			// another replica reproduces the failure.
+			return nil, false, err
 		}
 		// Transport-level loss (connect refused, mid-stream disconnect):
 		// the worker is down, its lanes end, and the job goes back to the
 		// queue front for the survivors — unless this was its last
 		// attempt.
 		c.markLost(w, err)
-		st.mu.Lock()
-		st.lostTries[i]++
-		tries := st.lostTries[i]
-		st.mu.Unlock()
-		if tries >= maxAttempts {
-			st.fail(fmt.Errorf("cluster: job %d gave out after %d attempts: %w", i, tries, err))
-			return
+		if lostTries[i]++; lostTries[i] >= maxAttempts {
+			return nil, false, fmt.Errorf("gave out after %d attempts: %w", lostTries[i], err)
 		}
 		c.retry(i, keys[i], w, err)
-		st.pushFront(i)
-		return
+		return nil, false, &jobs.Requeue{Stop: true, Err: err}
 	}
 }
 

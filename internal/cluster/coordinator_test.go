@@ -194,7 +194,8 @@ func TestCoordinatorSurvivesOverloadedWorker(t *testing.T) {
 }
 
 // TestCoordinatorProgressEvents: every job of a batch produces exactly
-// one progress event, and merge hits are flagged FromCache.
+// one progress event, counted 1..n in order, the cold run's events carry
+// an ETA until the last one, and merge hits are flagged FromCache.
 func TestCoordinatorProgressEvents(t *testing.T) {
 	noHealthChecks(t)
 	cacheDir := t.TempDir()
@@ -207,20 +208,37 @@ func TestCoordinatorProgressEvents(t *testing.T) {
 	}
 	defer coord.Close()
 	var events, cached int
+	var cold []jobs.Event
+	coord.OnProgress = func(ev jobs.Event) { cold = append(cold, ev) }
+	if _, err := coord.Run(context.Background(), batch); err != nil {
+		t.Fatal(err)
+	}
+	if len(cold) != len(batch) {
+		t.Fatalf("first run emitted %d events for %d jobs", len(cold), len(batch))
+	}
+	withETA := 0
+	for i, ev := range cold {
+		if ev.Done != i+1 || ev.Total != len(batch) {
+			t.Fatalf("event %d: Done %d / Total %d", i, ev.Done, ev.Total)
+		}
+		if ev.ETA > 0 && i < len(cold)-1 {
+			withETA++
+		}
+	}
+	if withETA == 0 {
+		t.Fatal("no cold-run event before the last carries an ETA")
+	}
+	if last := cold[len(cold)-1]; last.ETA != 0 {
+		t.Fatalf("final event has ETA %v, want 0", last.ETA)
+	}
+
 	coord.OnProgress = func(ev jobs.Event) {
 		events++
 		if ev.FromCache {
 			cached++
 		}
 	}
-	if _, err := coord.Run(context.Background(), batch); err != nil {
-		t.Fatal(err)
-	}
-	if events != len(batch) {
-		t.Fatalf("first run emitted %d events for %d jobs", events, len(batch))
-	}
 
-	events, cached = 0, 0
 	if _, err := coord.Run(context.Background(), batch); err != nil {
 		t.Fatal(err)
 	}

@@ -609,17 +609,7 @@ func (d *Daemon) serveBatch(w http.ResponseWriter, r *http.Request, js []*memoJo
 		ev.CacheHits = hits
 		elapsed := time.Since(start)
 		ev.ElapsedMS = elapsed.Milliseconds()
-		// Remaining-time estimate from the pace of simulated jobs: cache
-		// hits and dedup attaches are near-instant and would collapse the
-		// mean (the warm-cache ETA-skew bug of jobs.Run).
-		if ev.Done < ev.Total {
-			pace := seq - free
-			if pace <= 0 {
-				pace = seq
-			}
-			ev.EtaMS = (elapsed / time.Duration(pace) *
-				time.Duration(ev.Total-ev.Done)).Milliseconds()
-		}
+		ev.EtaMS = jobs.ETA(elapsed, seq, free, len(js)).Milliseconds()
 		if streamDead {
 			return
 		}

@@ -11,14 +11,14 @@ import (
 // event and span windows in chronological order, and drop counts. It is
 // safe to use after the run (the rings are copied out).
 type Capture struct {
-	Kernel    string               `json:"kernel"`
-	Scheduler string               `json:"scheduler"`
-	Cycles    int64                `json:"cycles"`
-	Stalls    stallsJSON           `json:"stalls"`
-	Events    []Event              `json:"events"`
-	Spans     []MemSpan            `json:"spans"`
-	EventsDropped int64            `json:"events_dropped"`
-	SpansDropped  int64            `json:"spans_dropped"`
+	Kernel        string     `json:"kernel"`
+	Scheduler     string     `json:"scheduler"`
+	Cycles        int64      `json:"cycles"`
+	Stalls        stallsJSON `json:"stalls"`
+	Events        []Event    `json:"events"`
+	Spans         []MemSpan  `json:"spans"`
+	EventsDropped int64      `json:"events_dropped"`
+	SpansDropped  int64      `json:"spans_dropped"`
 }
 
 // stallsJSON mirrors stats.StallBreakdown with lower-case keys for the
@@ -176,7 +176,7 @@ func (c *Capture) WritePerfetto(w io.Writer) error {
 			Name: fmt.Sprintf("%s sm%d 0x%x", sp.Kind, sp.SM, sp.Line), Ph: "X",
 			Ts: sp.Inject, Dur: dur, Pid: pid, Tid: int64(sp.SM),
 			Args: map[string]any{
-				"total": co.Total,
+				"total":    co.Total,
 				"icnt_req": co.ICNTReq, "l2_service": co.L2Service,
 				"l2_mshr": co.L2MSHR, "dram_queue": co.DRAMQueue,
 				"dram_service": co.DRAMService, "icnt_resp": co.ICNTResp,

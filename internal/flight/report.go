@@ -44,10 +44,10 @@ type WarpStat struct {
 // taxonomy extended with memory-side attribution, plus the top-N
 // least-progressed warps (the paper's progress-divergence lens).
 type Report struct {
-	Kernel    string                `json:"kernel"`
-	Scheduler string                `json:"scheduler"`
-	Cycles    int64                 `json:"cycles"`
-	Stalls    stats.StallBreakdown  `json:"stalls"`
+	Kernel    string               `json:"kernel"`
+	Scheduler string               `json:"scheduler"`
+	Cycles    int64                `json:"cycles"`
+	Stalls    stats.StallBreakdown `json:"stalls"`
 
 	Events        int64 `json:"events"`
 	EventsDropped int64 `json:"events_dropped"`

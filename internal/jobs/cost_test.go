@@ -1,7 +1,6 @@
 package jobs
 
 import (
-	"context"
 	"testing"
 
 	"repro/internal/gpu"
@@ -18,46 +17,6 @@ func TestGridAssignsCost(t *testing.T) {
 		want := int64(j.Launch.GridTBs) * int64(j.Launch.BlockThreads)
 		if j.Cost != want || j.Cost == 0 {
 			t.Fatalf("job %d: Cost = %d, want %d", i, j.Cost, want)
-		}
-	}
-}
-
-func TestExpensiveJobsDispatchFirst(t *testing.T) {
-	// Three jobs submitted in ascending cost order; a single worker makes
-	// completion order equal dispatch order, so the progress events must
-	// arrive in descending cost order while the results stay at their
-	// input positions.
-	w, err := workloads.ByKernel("aesEncrypt128")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func(tbs int, sched string) Job {
-		run := w.Shrunk(tbs)
-		return Job{
-			Launch:    run.Launch,
-			Kernel:    run.Kernel,
-			Scheduler: sched,
-			Cost:      int64(run.Launch.GridTBs) * int64(run.Launch.BlockThreads),
-		}
-	}
-	js := []Job{mk(2, "LRR"), mk(6, "GTO"), mk(4, "PRO")}
-
-	var order []string
-	e := &Engine{Workers: 1, OnProgress: func(ev Event) { order = append(order, ev.Scheduler) }}
-	rs, err := e.Run(context.Background(), js)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"GTO", "PRO", "LRR"} // descending cost
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("dispatch order %v, want %v", order, want)
-		}
-	}
-	for i, j := range js {
-		if rs[i].Scheduler != j.Scheduler {
-			t.Fatalf("result %d is %s, want %s: cost ordering leaked into result order",
-				i, rs[i].Scheduler, j.Scheduler)
 		}
 	}
 }

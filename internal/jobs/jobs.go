@@ -24,7 +24,6 @@ import (
 	"runtime/debug"
 	"runtime/pprof"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -89,16 +88,8 @@ type Job struct {
 }
 
 // Label returns the display name of the job's kernel — what progress
-// events and daemon streams report. Exported for the runner-multiplexing
-// layers (daemon, cluster) that emit events about jobs they did not run
-// themselves.
-func (j *Job) Label() string { return j.label() }
-
-// SchedLabel returns the display name of the job's scheduling policy.
-func (j *Job) SchedLabel() string { return j.schedLabel() }
-
-// label returns the display name of the job's kernel.
-func (j *Job) label() string {
+// events and daemon streams report.
+func (j *Job) Label() string {
 	if j.Kernel != "" {
 		return j.Kernel
 	}
@@ -108,8 +99,8 @@ func (j *Job) label() string {
 	return "?"
 }
 
-// schedLabel returns the display name of the job's policy.
-func (j *Job) schedLabel() string {
+// SchedLabel returns the display name of the job's scheduling policy.
+func (j *Job) SchedLabel() string {
 	if j.Factory != nil {
 		if j.FactoryKey != "" {
 			return j.FactoryKey
@@ -224,80 +215,16 @@ func (e *Engine) Run(ctx context.Context, js []Job) ([]*stats.KernelResult, erro
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	if workers > len(js) {
-		workers = len(js)
-	}
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	results := make([]*stats.KernelResult, len(js))
-	idx := make(chan int)
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		done     int
-		hits     int
-		start    = time.Now()
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-		cancel()
-	}
-	finish := func(j *Job, fromCache bool) {
-		e.completed.Add(1)
-		if fromCache {
-			e.replayed.Add(1)
-		}
-		mu.Lock()
-		done++
-		if fromCache {
-			hits++
-		}
-		ev := Event{
-			Kernel:    j.label(),
-			Scheduler: j.schedLabel(),
-			Done:      done,
-			Total:     len(js),
-			FromCache: fromCache,
-			CacheHits: hits,
-			Elapsed:   time.Since(start),
-		}
-		ev.ETA = eta(ev.Elapsed, done, hits, len(js))
-		cb := e.OnProgress
-		if cb != nil {
-			cb(ev)
-		}
-		mu.Unlock()
-	}
-
-	mQueued.Add(int64(len(js)))
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				mQueued.Add(-1)
-				if ctx.Err() != nil {
-					return
-				}
-				r, fromCache, err := e.runOne(ctx, &js[i], "")
-				if err != nil {
-					fail(fmt.Errorf("jobs: job %d (%s/%s): %w",
-						i, js[i].label(), js[i].schedLabel(), err))
-					return
-				}
-				results[i] = r
-				finish(&js[i], fromCache)
+	lanes := make([]func(context.Context, int) (*stats.KernelResult, bool, error), min(workers, len(js)))
+	for k := range lanes {
+		lanes[k] = func(ctx context.Context, i int) (*stats.KernelResult, bool, error) {
+			r, fromCache, err := e.runOne(ctx, &js[i], "")
+			if err == nil {
+				e.count(fromCache)
 			}
-		}()
+			return r, fromCache, err
+		}
 	}
-
 	// Dispatch longest-expected jobs first (stable, so equal costs keep
 	// batch order) to cut tail latency; results[i] still lands at the
 	// job's input position.
@@ -308,52 +235,11 @@ func (e *Engine) Run(ctx context.Context, js []Job) ([]*stats.KernelResult, erro
 	sort.SliceStable(order, func(a, b int) bool {
 		return js[order[a]].Cost > js[order[b]].Cost
 	})
-
-	sent := 0
-feed:
-	for _, i := range order {
-		select {
-		case idx <- i:
-			sent++
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(idx)
-	wg.Wait()
-	// Jobs never handed to a worker (cancelled batch) leave the queue
-	// here; dispatched ones were decremented at their pickup.
-	mQueued.Add(int64(sent - len(js)))
-
-	mu.Lock()
-	err := firstErr
-	mu.Unlock()
-	if err != nil {
+	results := make([]*stats.KernelResult, len(js))
+	if err := Dispatch(ctx, js, order, results, lanes, e.OnProgress); err != nil {
 		return nil, err
 	}
-	if ctxErr := ctx.Err(); ctxErr != nil {
-		return nil, fmt.Errorf("jobs: %w", ctxErr)
-	}
 	return results, nil
-}
-
-// eta estimates the remaining wall time of a batch after done of total
-// jobs finished in elapsed, hits of them replayed from the cache. The
-// pace comes from *simulated* jobs only: cache hits complete in
-// microseconds, so a warm batch's mean-over-everything pace would
-// report a near-zero ETA while minutes of cold simulations remain.
-// Remaining jobs are assumed cold (an upper bound — some may hit).
-// Before the first simulated job finishes the overall pace is all
-// there is, and for a fully-replayed batch it is also correct.
-func eta(elapsed time.Duration, done, hits, total int) time.Duration {
-	if done == 0 || done >= total {
-		return 0
-	}
-	pace := done
-	if sim := done - hits; sim > 0 {
-		pace = sim
-	}
-	return elapsed / time.Duration(pace) * time.Duration(total-done)
 }
 
 // resolve returns the policy factory for j and the stable scheduler
@@ -464,7 +350,7 @@ func (e *Engine) runOne(ctx context.Context, j *Job, key string) (r *stats.Kerne
 	// Worker goroutines run under pprof labels so `make profile`
 	// artifacts attribute hot paths per workload.
 	pprof.Do(ctx, pprof.Labels(
-		"kernel", j.label(), "scheduler", j.schedLabel(), "job_key", key,
+		"kernel", j.Label(), "scheduler", j.SchedLabel(), "job_key", key,
 	), func(ctx context.Context) {
 		r, err = gpu.RunContext(ctx, cfg, j.Launch, factory, opts)
 	})
@@ -492,7 +378,7 @@ func (e *Engine) runOne(ctx context.Context, j *Job, key string) (r *stats.Kerne
 func (e *Engine) writeFlightArtifact(j *Job, key string, rec *flight.Recorder) error {
 	name := key
 	if name == "" {
-		name = j.label() + "_" + j.schedLabel()
+		name = j.Label() + "_" + j.SchedLabel()
 	}
 	if err := os.MkdirAll(e.FlightDir, 0o755); err != nil {
 		return fmt.Errorf("flight artifact: %w", err)
@@ -549,13 +435,18 @@ func (e *Engine) RunJobKeyed(ctx context.Context, j *Job, key string) (*stats.Ke
 	}
 	r, fromCache, err := e.runOne(ctx, j, key)
 	if err != nil {
-		return nil, false, fmt.Errorf("jobs: job (%s/%s): %w", j.label(), j.schedLabel(), err)
+		return nil, false, fmt.Errorf("jobs: job (%s/%s): %w", j.Label(), j.SchedLabel(), err)
 	}
+	e.count(fromCache)
+	return r, fromCache, nil
+}
+
+// count adds one completed job to the engine-lifetime counters.
+func (e *Engine) count(fromCache bool) {
 	e.completed.Add(1)
 	if fromCache {
 		e.replayed.Add(1)
 	}
-	return r, fromCache, nil
 }
 
 // RunOne is the single-job convenience: it runs j synchronously through

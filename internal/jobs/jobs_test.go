@@ -266,19 +266,19 @@ func TestETAUsesSimulatedPace(t *testing.T) {
 	// 10 jobs, 4 done in 4s — but 3 of those were cache hits: only one
 	// job was actually simulated, so the remaining 6 should be estimated
 	// at ~4s each, not at the collapsed mean of 1s.
-	got := eta(4*time.Second, 4, 3, 10)
+	got := ETA(4*time.Second, 4, 3, 10)
 	if got != 24*time.Second {
 		t.Fatalf("eta = %v, want 24s (pace of simulated jobs)", got)
 	}
 	// All-hits warm run: no simulated pace to extrapolate, fall back to
 	// the overall pace.
-	if got := eta(4*time.Second, 4, 4, 10); got != 6*time.Second {
+	if got := ETA(4*time.Second, 4, 4, 10); got != 6*time.Second {
 		t.Fatalf("all-hit eta = %v, want 6s (overall pace)", got)
 	}
-	if eta(time.Second, 0, 0, 10) != 0 {
+	if ETA(time.Second, 0, 0, 10) != 0 {
 		t.Fatal("eta before the first completion should be 0")
 	}
-	if eta(time.Second, 10, 2, 10) != 0 {
+	if ETA(time.Second, 10, 2, 10) != 0 {
 		t.Fatal("eta after the last completion should be 0")
 	}
 }
