@@ -25,7 +25,6 @@ import (
 //	prosim report -cache .simcache  # memoize results; warm re-runs are instant
 //	prosim report -daemon 127.0.0.1:9753  # run on a prosimd daemon instead
 //	prosim report -workers a:9753,b:9753  # fan out across a prosimd cluster
-//	prosim report -shard 2/3 -cache /shared/simcache  # run slice 2 of 3 only
 //
 // With -daemon the simulations execute on a running prosimd instance
 // (sharing its warm cache and deduping against other clients); -jobs and
@@ -33,15 +32,12 @@ import (
 // With -workers they fan out across several prosimd instances through a
 // coordinator that feeds every worker slot from one queue (retrying on
 // worker loss); -cache is then the shared merge cache, which the workers
-// should use too. With -shard i/n it runs only its
-// deterministic slice of the full job list (by result-cache key) and
-// emits no artifacts — point n machines at a shared cache, one per
-// shard, then run once without -shard to assemble everything from the
-// cache without simulating.
+// should use too; a re-run after an interruption simulates only what
+// the cache still lacks.
 //
 // Progress and timing go to stderr; stdout carries only the artifacts.
 func report(args []string) {
-	h := cli.New("prosim report", cli.Spec{CacheGC: true, Priority: "interactive", Shard: true})
+	h := cli.New("prosim report", cli.Spec{CacheGC: true, Priority: "interactive"})
 	outDir := h.Flags.String("out", "", "directory to write artifact files into (optional)")
 	h.Parse(args)
 
@@ -67,17 +63,6 @@ func report(args []string) {
 
 	scheds := []string{"TL", "LRR", "GTO", "PRO"}
 	aes := h.Workload("aesEncrypt128") // Fig. 2 and Table IV
-	if h.Sharded() {
-		// Every job the full report runs: the suite grid, both Fig. 2
-		// timelines and the Table IV order trace.
-		h.RunShard(run, append(experiments.SuiteJobs(workloads.All(), scheds, h.MaxTBs),
-			experiments.TimelineJob(aes, "LRR"),
-			experiments.TimelineJob(aes, "PRO"),
-			experiments.OrderTraceJob(aes, 0)))
-		h.Finish()
-		return
-	}
-
 	suite, err := experiments.RunSuite(workloads.All(), scheds, h.MaxTBs, run)
 	if err != nil {
 		h.Fatal(err)

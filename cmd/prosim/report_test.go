@@ -137,9 +137,9 @@ func TestBadCacheGCFailsFast(t *testing.T) {
 }
 
 // TestBadPriorityFailsFast pins that -priority is validated before any
-// simulation, on the local path too, and that the removed -token and
-// -trace-out are flag errors: each exits non-zero (1, or 2 for a flag
-// error) with nothing on stdout instead of running the grid.
+// simulation, on the local path too, and that the removed -token,
+// -trace-out and -shard are flag errors: each exits non-zero (1, or 2
+// for a flag error) with nothing on stdout instead of running the grid.
 func TestBadPriorityFailsFast(t *testing.T) {
 	if testing.Short() {
 		t.Skip("re-exec integration test")
@@ -151,6 +151,7 @@ func TestBadPriorityFailsFast(t *testing.T) {
 		{"-priority", "bogus", `unknown priority "bogus"`, 1},
 		{"-token", "x", "flag provided but not defined: -token", 2},
 		{"-trace-out", "jobs.ndjson", "flag provided but not defined: -trace-out", 2},
+		{"-shard", "1/2", "flag provided but not defined: -shard", 2},
 	} {
 		t.Run(tc.flag, func(t *testing.T) {
 			stdout, stderr, err := runReport(t, "-maxtbs", "1", tc.flag, tc.value)

@@ -28,10 +28,7 @@ import (
 // running prosimd instance instead (sharing its warm cache and deduping
 // against concurrent clients); -jobs and -cache then belong to the
 // daemon and are ignored here. With -workers the points fan out across
-// several prosimd instances through the cluster coordinator. With
-// -shard i/n only slice i of n of the selected sweeps' points run (by
-// result-cache key, against a shared -cache) and no tables print — run
-// once without -shard afterwards to print everything from the cache.
+// several prosimd instances through the cluster coordinator.
 // Progress goes to stderr; stdout carries only the tables.
 //
 //	prosim sweep -ablate
@@ -39,9 +36,8 @@ import (
 //	prosim sweep -cache .simcache
 //	prosim sweep -daemon unix:/tmp/prosimd.sock -threshold
 //	prosim sweep -workers 127.0.0.1:9753,127.0.0.1:9754 -cache /shared/simcache
-//	prosim sweep -shard 1/2 -cache /shared/simcache
 func sweep(args []string) {
-	h := cli.New("prosim sweep", cli.Spec{CacheGC: true, Priority: "bulk", Profile: true, Shard: true})
+	h := cli.New("prosim sweep", cli.Spec{CacheGC: true, Priority: "bulk", Profile: true})
 	ablate := h.Flags.Bool("ablate", false, "compare PRO vs PRO-nobar (barrier-handling ablation)")
 	variants := h.Flags.Bool("variants", false, "compare PRO against the paper's future-work variants (PRO-adaptive, PRO-norm)")
 	threshold := h.Flags.Bool("threshold", false, "sweep the PRO re-sort threshold")
@@ -67,25 +63,6 @@ func sweep(args []string) {
 		targets = append(targets, h.Workload(strings.TrimSpace(name)))
 	}
 
-	if h.Sharded() {
-		var batch []jobs.Job
-		if *ablate {
-			batch = append(batch, ablationJobs(targets)...)
-		}
-		if *variants {
-			batch = append(batch, variantJobs(targets)...)
-		}
-		if *l1Sweep {
-			batch = append(batch, l1Jobs(targets)...)
-		}
-		if *threshold {
-			batch = append(batch, thresholdJobs(targets)...)
-		}
-		h.RunShard(runner, batch)
-		h.Finish()
-		return
-	}
-
 	if *ablate {
 		printAblation(targets, run(ablationJobs(targets)))
 	}
@@ -104,8 +81,8 @@ func sweep(args []string) {
 
 // ---- Batch builders ----
 //
-// Each sweep's exact job list, separate from its printer so the shard
-// selector can enumerate (and slice) the points without running them.
+// Each sweep's exact job list, in the order its printer reads the
+// results.
 
 // ablationJobs is the PRO vs PRO-nobar grid (Sec. IV).
 func ablationJobs(targets []*prosim.Workload) []jobs.Job {

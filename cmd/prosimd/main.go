@@ -21,7 +21,6 @@
 // Admission and priority (see DESIGN.md §13):
 //
 //	prosimd -queue-depth 512 -max-batch 256      # admission bounds (429 beyond)
-//	prosimd -interactive-weight 4                # interactive grants per bulk grant
 //
 // Point the clients at it:
 //
@@ -58,8 +57,6 @@ func main() {
 	queueDepth := flag.Int("queue-depth", 0,
 		fmt.Sprintf("pending jobs admitted per priority class before batches get 429 (0 = %d)", daemon.DefaultQueueDepth))
 	maxBatch := flag.Int("max-batch", 0, "max jobs in one batch request, 413 beyond it (0 = the queue depth)")
-	interactiveWeight := flag.Int("interactive-weight", 0,
-		fmt.Sprintf("consecutive interactive slot grants per bulk grant (0 = %d)", daemon.DefaultInteractiveWeight))
 	flightOut := flag.String("flight-out", "",
 		"flight-recorder directory: every simulated job writes a Perfetto capture <cache-key>.trace.json there (cache hits record nothing)")
 	quiet := flag.Bool("quiet", false, "suppress lifecycle logging (same as -log-level error)")
@@ -75,15 +72,14 @@ func main() {
 	}
 
 	cfg := daemon.Config{
-		Workers:           *njobs,
-		CacheDir:          *cacheDir,
-		JobTimeout:        *jobTimeout,
-		DrainTimeout:      *drain,
-		QueueDepth:        *queueDepth,
-		MaxBatchJobs:      *maxBatch,
-		InteractiveWeight: *interactiveWeight,
-		FlightDir:         *flightOut,
-		Log:               log,
+		Workers:      *njobs,
+		CacheDir:     *cacheDir,
+		JobTimeout:   *jobTimeout,
+		DrainTimeout: *drain,
+		QueueDepth:   *queueDepth,
+		MaxBatchJobs: *maxBatch,
+		FlightDir:    *flightOut,
+		Log:          log,
 	}
 	d, err := daemon.New(cfg)
 	if err != nil {

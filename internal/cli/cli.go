@@ -1,8 +1,8 @@
 // Package cli is the flag layer prosim's subcommands share: it declares
 // the harness flags once, each subcommand passing its own defaults, and
 // builds what they imply — the logger, the job runner (a local engine,
-// a prosimd client or a cluster coordinator), a -shard slice run, the
-// CPU and heap profiles and the post-run result-cache GC.
+// a prosimd client or a cluster coordinator), the CPU and heap profiles
+// and the post-run result-cache GC.
 //
 // A tool calls New, declares its own flags on Harness.Flags, then
 // Parse, Runner, its work, and Finish. Every error goes through Fatal,
@@ -19,7 +19,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/daemon"
@@ -47,9 +46,6 @@ type Spec struct {
 	Priority string
 	// Profile declares -cpuprofile and -memprofile.
 	Profile bool
-	// Shard declares -shard: the tool then hands its full job list to
-	// RunShard instead of printing (see Sharded).
-	Shard bool
 	// NoCache is for a tool that must never read or write a result
 	// cache: it gets no -cache, and Runner's engine has none.
 	NoCache bool
@@ -77,12 +73,9 @@ type Harness struct {
 	daemon, workers        string
 	priority               string
 	cpuprofile, memprofile string
-	shard                  string
-	shardI, shardN         int
 	logCfg                 *obs.LogConfig
 	log                    *slog.Logger
 	cpuFile                *os.File
-	coord                  *cluster.Coordinator
 }
 
 // New declares the flags spec selects on a fresh flag set called name
@@ -112,16 +105,13 @@ func New(name string, spec Spec) *Harness {
 		fs.StringVar(&h.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
 		fs.StringVar(&h.memprofile, "memprofile", "", "write a heap profile to this file at exit")
 	}
-	if spec.Shard {
-		fs.StringVar(&h.shard, "shard", "", "run only slice i/n (e.g. 2/3) of the jobs, by result-cache key, against a shared cache and print nothing on stdout")
-	}
 	return h
 }
 
 // Parse parses args and checks everything that can be checked before a
 // simulation runs: the log flags, -daemon against -workers, -priority,
-// the -cache-gc size and target, and -shard. It then starts the CPU
-// profile, if asked.
+// and the -cache-gc size and target. It then starts the CPU profile, if
+// asked.
 func (h *Harness) Parse(args []string) {
 	h.Flags.Parse(args)
 	log, err := h.logCfg.Setup()
@@ -141,12 +131,6 @@ func (h *Harness) Parse(args []string) {
 		}
 		if h.Cache == "" && h.daemon == "" {
 			h.Fatal(errors.New("-cache-gc needs -cache"))
-		}
-	}
-	if h.shard != "" {
-		var err error
-		if h.shardI, h.shardN, err = cluster.ParseShard(h.shard); err != nil {
-			h.Fatal(err)
 		}
 	}
 	if h.cpuprofile != "" {
@@ -196,7 +180,6 @@ func (h *Harness) Runner() jobs.Runner {
 			h.Fatal(err)
 		}
 		coord.OnProgress = progress
-		h.coord = coord
 		return coord
 	}
 	eng, err := jobs.New(h.jobs, h.Cache, progress)
@@ -207,30 +190,9 @@ func (h *Harness) Runner() jobs.Runner {
 	return eng
 }
 
-// Sharded reports whether -shard was given.
-func (h *Harness) Sharded() bool { return h.shard != "" }
-
-// RunShard runs the -shard slice of batch, the full job list the tool
-// would run, on run, warming the shared result cache. It prints nothing
-// on stdout and a one-line summary on stderr; the artifacts come from a
-// later run without -shard, which with every shard done assembles them
-// from the cache without simulating.
-func (h *Harness) RunShard(run jobs.Runner, batch []jobs.Job) {
-	start := time.Now()
-	slice, err := cluster.Shard(h.shardI, h.shardN, batch)
-	if err != nil {
-		h.Fatal(err)
-	}
-	if _, err := run.Run(context.Background(), slice); err != nil {
-		h.Fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "shard %d/%d: ran %d of %d jobs in %.1fs\n",
-		h.shardI+1, h.shardN, len(slice), len(batch), time.Since(start).Seconds())
-}
-
 // Finish runs after the tool's work: it collects -cache-gc (on the
-// daemon's cache with -daemon), writes the heap profile, stops the CPU
-// profile and closes the coordinator.
+// daemon's cache with -daemon), writes the heap profile and stops the
+// CPU profile.
 func (h *Harness) Finish() {
 	if h.cacheGC != "" {
 		var st prosim.CacheGCStats
@@ -264,9 +226,6 @@ func (h *Harness) Finish() {
 		if err := h.cpuFile.Close(); err != nil {
 			h.Fatal(err)
 		}
-	}
-	if h.coord != nil {
-		h.coord.Close()
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -16,20 +15,10 @@ import (
 	"repro/internal/stats"
 )
 
-const (
-	// maxAttempts bounds the dispatches of one job that end in a
-	// transport failure; the last one fails the batch. Overload refusals
-	// do not count: the worker is alive and the job never ran.
-	maxAttempts = 3
-	// healthFailLimit consecutive failed health probes mark a worker
-	// down.
-	healthFailLimit = 2
-)
-
-// healthInterval is the per-worker health-check cadence New gives its
-// health loops; a value <= 0 starts none, so losses are then detected
-// only through failed dispatches. Tests set it; nothing else does.
-var healthInterval = 2 * time.Second
+// maxAttempts bounds the dispatches of one job that end in a transport
+// failure; the last one fails the batch. Overload refusals do not count:
+// the worker is alive and the job never ran.
+const maxAttempts = 3
 
 // Config describes a Coordinator.
 type Config struct {
@@ -55,9 +44,8 @@ type worker struct {
 	addr   string
 	client *daemon.Client
 	slots  int
-	// down is sticky within a Run (a lost worker's lanes end) but the
-	// health loop revives a worker that answers again, so later Runs
-	// use it.
+	// down is set once, by New's probe or a failed dispatch, and stays
+	// set for the coordinator's lifetime.
 	down       atomic.Bool
 	dispatched atomic.Int64
 	mJobs      *obs.Counter
@@ -66,8 +54,14 @@ type worker struct {
 // Coordinator fans batches out to a fixed set of prosimd workers. It
 // implements jobs.Runner, so every harness that takes a local engine or
 // a daemon client — experiments.RunSuite, prosim report and sweep — can
-// transparently run on a cluster. Create with New, release the health
-// loops with Close.
+// transparently run on a cluster. Create with New.
+//
+// Worker health is read once, by New. During a Run a worker is judged
+// by its dispatches alone: a transport failure marks it lost for the
+// coordinator's lifetime and requeues the job, and a 429 or 503 pauses
+// only that worker's lane for its Retry-After hint. A worker that
+// starts draining mid-run therefore keeps pausing its lanes until it
+// exits, when its next dispatch fails in transport.
 type Coordinator struct {
 	log     *slog.Logger
 	cache   *resultcache.Cache
@@ -81,10 +75,6 @@ type Coordinator struct {
 	retries   atomic.Int64
 	lost      atomic.Int64
 	mergeHits atomic.Int64
-
-	stop     chan struct{}
-	stopOnce sync.Once
-	healthWG sync.WaitGroup
 }
 
 // Stats is a snapshot of a coordinator's lifetime counters.
@@ -106,10 +96,10 @@ type WorkerStats struct {
 	Dispatched int64
 }
 
-// New builds a coordinator and probes every worker once for its slot
-// count: unreachable workers are marked down (with a warning) rather
-// than failing the whole cluster — the health loop revives them if they
-// come back. An empty worker list is an error.
+// New builds a coordinator and probes every worker's /v1/health once
+// for its slot count: an unreachable or draining worker is marked down
+// (with a warning) rather than failing the whole cluster, and stays
+// down. An empty worker list is an error.
 func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Workers) == 0 {
 		return nil, fmt.Errorf("cluster: no workers configured")
@@ -118,7 +108,7 @@ func New(cfg Config) (*Coordinator, error) {
 	if log == nil {
 		log = obs.Discard()
 	}
-	c := &Coordinator{log: log, stop: make(chan struct{})}
+	c := &Coordinator{log: log}
 	if cfg.CacheDir != "" {
 		cache, err := resultcache.Open(cfg.CacheDir)
 		if err != nil {
@@ -148,21 +138,14 @@ func New(cfg Config) (*Coordinator, error) {
 		}
 		c.workers = append(c.workers, w)
 	}
-	if every := healthInterval; every > 0 {
-		for _, w := range c.workers {
-			c.healthWG.Add(1)
-			go c.healthLoop(w, every)
-		}
-	}
 	return c, nil
 }
 
-// Close stops the background health checks. In-flight Run calls are
-// unaffected.
-func (c *Coordinator) Close() {
-	c.stopOnce.Do(func() { close(c.stop) })
-	c.healthWG.Wait()
-}
+// Close does nothing: a coordinator starts no goroutine outside Run.
+//
+// Deprecated: there is nothing to release. Close survives only because
+// the benchmark harness in bench/ calls it.
+func (c *Coordinator) Close() {}
 
 // Snapshot returns the coordinator's lifetime counters.
 func (c *Coordinator) Snapshot() Stats {
@@ -191,42 +174,6 @@ func (c *Coordinator) markLost(w *worker, cause error) {
 	c.lost.Add(1)
 	mLost.Inc()
 	c.log.Warn("worker lost", "worker", w.addr, "err", cause)
-}
-
-// healthLoop probes one worker every interval until Close. A run of
-// healthFailLimit consecutive failures (or a draining report) marks the
-// worker down; a healthy answer from a down worker revives it for
-// subsequent Runs.
-func (c *Coordinator) healthLoop(w *worker, every time.Duration) {
-	defer c.healthWG.Done()
-	t := time.NewTicker(every)
-	defer t.Stop()
-	fails := 0
-	for {
-		select {
-		case <-c.stop:
-			return
-		case <-t.C:
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), every)
-		h, err := w.client.Health(ctx)
-		cancel()
-		switch {
-		case err != nil:
-			fails++
-			if fails >= healthFailLimit {
-				c.markLost(w, fmt.Errorf("%d consecutive failed health checks: %w", fails, err))
-			}
-		case h.Draining:
-			fails = 0
-			c.markLost(w, fmt.Errorf("worker is draining"))
-		default:
-			fails = 0
-			if w.down.Swap(false) {
-				c.log.Info("worker recovered", "worker", w.addr)
-			}
-		}
-	}
 }
 
 // Run implements jobs.Runner: merge what the shared cache already has,
@@ -282,8 +229,8 @@ func (c *Coordinator) Run(ctx context.Context, js []jobs.Job) ([]*stats.KernelRe
 func (c *Coordinator) lane(w *worker, js []jobs.Job, keys []string, lostTries []int) func(context.Context, int) (*stats.KernelResult, bool, error) {
 	return func(ctx context.Context, i int) (*stats.KernelResult, bool, error) {
 		if w.down.Load() {
-			// The health loop marked the worker down: hand the job back
-			// undispatched and end this lane.
+			// Another lane of w lost it: hand the job back undispatched
+			// and end this lane.
 			return nil, false, &jobs.Requeue{Stop: true, Err: fmt.Errorf("worker %s is down", w.addr)}
 		}
 		w.dispatched.Add(1)

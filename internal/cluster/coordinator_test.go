@@ -11,8 +11,11 @@ import (
 	"time"
 
 	"repro/internal/daemon"
+	"repro/internal/gpu"
 	"repro/internal/jobs"
 	"repro/internal/stats"
+	"repro/internal/workloads"
+	"repro/prosim"
 )
 
 // testCluster starts n in-process prosimd daemons sharing one result
@@ -33,14 +36,20 @@ func testCluster(t *testing.T, n int, cacheDir string) (addrs []string, srvs []*
 	return addrs, srvs
 }
 
-// noHealthChecks starts no health loops in the coordinators the calling
-// test builds, so worker losses are detected only through failed
-// dispatches.
-func noHealthChecks(t *testing.T) {
+// gridBatch builds a realistic multi-kernel batch with a few duplicate
+// jobs (equal cache keys) appended.
+func gridBatch(t *testing.T) []jobs.Job {
 	t.Helper()
-	old := healthInterval
-	healthInterval = -1
-	t.Cleanup(func() { healthInterval = old })
+	var ws []*workloads.Workload
+	for _, k := range []string{"aesEncrypt128", "scalarProdGPU", "calculate_temp"} {
+		w, err := workloads.ByKernel(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws = append(ws, w)
+	}
+	batch := jobs.Grid(ws, []string{"TL", "LRR", "GTO", "PRO"}, 8, gpu.Options{})
+	return append(batch, batch[0], batch[len(batch)-1])
 }
 
 // serialRun is the reference every cluster result is compared with: the
@@ -74,7 +83,6 @@ func mustJSON(t *testing.T, v any) []byte {
 // single-process run, and a fresh coordinator re-running the same batch
 // dispatches nothing — full merge from the shared cache.
 func TestClusterSurvivesWorkerLossAndMatchesSerial(t *testing.T) {
-	noHealthChecks(t)
 	cacheDir := t.TempDir()
 	addrs, srvs := testCluster(t, 3, cacheDir)
 	batch := gridBatch(t)
@@ -84,7 +92,6 @@ func TestClusterSurvivesWorkerLossAndMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer coord.Close()
 
 	// Kill the first worker after the healthy New probe. Its lanes start
 	// first and the queue holds the whole batch, so they take jobs, fail
@@ -123,7 +130,6 @@ func TestClusterSurvivesWorkerLossAndMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer coord2.Close()
 	got2, err := coord2.Run(context.Background(), batch)
 	if err != nil {
 		t.Fatalf("merge-only re-run: %v", err)
@@ -171,7 +177,6 @@ func TestCoordinatorSurvivesOverloadedWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer coord.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 	start := time.Now()
@@ -197,7 +202,6 @@ func TestCoordinatorSurvivesOverloadedWorker(t *testing.T) {
 // one progress event, counted 1..n in order, the cold run's events carry
 // an ETA until the last one, and merge hits are flagged FromCache.
 func TestCoordinatorProgressEvents(t *testing.T) {
-	noHealthChecks(t)
 	cacheDir := t.TempDir()
 	addrs, _ := testCluster(t, 2, cacheDir)
 	batch := gridBatch(t)
@@ -206,7 +210,6 @@ func TestCoordinatorProgressEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer coord.Close()
 	var events, cached int
 	var cold []jobs.Event
 	coord.OnProgress = func(ev jobs.Event) { cold = append(cold, ev) }
@@ -244,6 +247,32 @@ func TestCoordinatorProgressEvents(t *testing.T) {
 	}
 	if events != len(batch) || cached != len(batch) {
 		t.Fatalf("warm run emitted %d events (%d cached) for %d jobs", events, cached, len(batch))
+	}
+}
+
+// TestCoordinatorRejectsAnonymousJobs: a job without a stable identity
+// (an anonymous factory) can be neither sent to a worker nor merged from
+// the cache, so Run fails the batch before dispatching any of it.
+func TestCoordinatorRejectsAnonymousJobs(t *testing.T) {
+	cacheDir := t.TempDir()
+	addrs, _ := testCluster(t, 1, cacheDir)
+	w, err := workloads.ByKernel("aesEncrypt128")
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := append(gridBatch(t), jobs.Job{Launch: w.Launch, Kernel: w.Kernel, Factory: prosim.PRO()})
+
+	coord, err := New(Config{Workers: addrs, CacheDir: cacheDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := coord.Run(context.Background(), batch); err == nil || !strings.Contains(err.Error(), "has no stable identity") {
+		t.Fatalf("Run with an anonymous-factory job: err %v, want \"has no stable identity\"", err)
+	}
+	for _, ws := range coord.Snapshot().Workers {
+		if ws.Dispatched != 0 {
+			t.Fatalf("%s was dispatched %d jobs, want 0", ws.Addr, ws.Dispatched)
+		}
 	}
 }
 

@@ -115,8 +115,9 @@ func parseRetryAfter(v string) time.Duration {
 // NewClient builds a client for a daemon at addr — "unix:<path>" for a
 // unix socket, otherwise a TCP host:port (an explicit http:// base is
 // also accepted) — without probing it. Callers that tolerate a dead
-// endpoint (the cluster coordinator, which health-checks continuously)
-// use this; interactive tools use Dial for its fail-fast probe.
+// endpoint (the cluster coordinator, which marks an unreachable worker
+// down and runs on the rest) use this; interactive tools use Dial for
+// its fail-fast probe.
 func NewClient(addr string) *Client {
 	c := &Client{addr: addr, hc: &http.Client{}}
 	if path, ok := strings.CutPrefix(addr, "unix:"); ok {

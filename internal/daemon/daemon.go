@@ -115,10 +115,6 @@ type Config struct {
 	// MaxBatchJobs caps one batch request's job count (413 beyond it);
 	// <= 0 means the queue depth.
 	MaxBatchJobs int
-	// InteractiveWeight is the weighted round-robin ratio: that many
-	// consecutive interactive grants per bulk grant when both classes
-	// have waiters. <= 0 means DefaultInteractiveWeight.
-	InteractiveWeight int
 	// FlightDir, when non-empty, attaches a flight recorder to every
 	// simulated job and writes its Perfetto capture artifact there,
 	// named by the job's result-cache key (see jobs.Engine.FlightDir).
@@ -138,10 +134,10 @@ const DefaultDrainTimeout = 30 * time.Second
 // hits 429 long before the daemon's memory does.
 const DefaultQueueDepth = 1024
 
-// DefaultInteractiveWeight is the round-robin ratio when Config leaves
-// it zero: up to this many consecutive interactive grants before one
-// queued bulk job gets a slot.
-const DefaultInteractiveWeight = 8
+// interactiveWeight is the weighted round-robin ratio: up to this many
+// consecutive interactive grants before one queued bulk job gets a slot
+// when both classes have waiters.
+const interactiveWeight = 8
 
 // flight is one in-flight keyed run: the leader fills res/err and
 // closes done; followers wait on done.
@@ -198,9 +194,6 @@ func New(cfg Config) (*Daemon, error) {
 	if cfg.MaxBatchJobs <= 0 {
 		cfg.MaxBatchJobs = cfg.QueueDepth
 	}
-	if cfg.InteractiveWeight <= 0 {
-		cfg.InteractiveWeight = DefaultInteractiveWeight
-	}
 	eng, err := jobs.New(cfg.Workers, cfg.CacheDir, nil)
 	if err != nil {
 		return nil, err
@@ -214,7 +207,7 @@ func New(cfg Config) (*Daemon, error) {
 		cfg:      cfg,
 		log:      log,
 		eng:      eng,
-		disp:     newDispatcher(cfg.Workers, cfg.QueueDepth, cfg.InteractiveWeight),
+		disp:     newDispatcher(cfg.Workers, cfg.QueueDepth, interactiveWeight),
 		inflight: make(map[string]*flight),
 		start:    time.Now(),
 	}
@@ -343,12 +336,6 @@ func (d *Daemon) runJob(waitCtx context.Context, mj *memoJob, cl class) (r *stat
 		d.disp.forfeit(cl)
 		return nil, false, false, mj.keyErr
 	}
-	if key == "" {
-		// No stable identity — run without dedupe. Nobody can attach,
-		// so the submitter's context may bound the whole slot wait.
-		r, fromCache, err = d.execute(waitCtx, j, "", cl)
-		return r, fromCache, false, err
-	}
 
 	d.mu.Lock()
 	if f := d.inflight[key]; f != nil {
@@ -382,11 +369,11 @@ func (d *Daemon) runJob(waitCtx context.Context, mj *memoJob, cl class) (r *stat
 	return f.res, f.fromCache, false, f.err
 }
 
-// execute waits for a worker slot and runs j (cache key key, "" without
-// one) through the engine. The run itself is bound to the daemon's
-// lifetime (plus JobTimeout), not to the submitting request: followers
-// may be attached to it. waitCtx only bounds the slot wait (callers
-// running on behalf of followers pass d.baseCtx).
+// execute waits for a worker slot and runs j (cache key key) through
+// the engine. The run itself is bound to the daemon's lifetime (plus
+// JobTimeout), not to the submitting request: followers may be attached
+// to it. waitCtx only bounds the slot wait (callers running on behalf of
+// followers pass d.baseCtx).
 func (d *Daemon) execute(waitCtx context.Context, j *jobs.Job, key string, cl class) (*stats.KernelResult, bool, error) {
 	if err := d.disp.acquire(waitCtx, d.baseCtx, cl); err != nil {
 		return nil, false, err

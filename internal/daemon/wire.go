@@ -82,8 +82,8 @@ func (wj *WireJob) Job() (jobs.Job, error) {
 
 // memoJob is a decoded wire job as the memo holds it: the job (shared
 // read-only by every request sending the same bytes), its own priority,
-// and Engine.Key's verdict on it — key "" for none, and the error, so an
-// unknown scheduler keeps failing that job and not the batch.
+// and Engine.Key's verdict on it — the key, or the error (keyErr) that
+// keeps failing that job, and not the batch, for an unknown scheduler.
 type memoJob struct {
 	job           jobs.Job
 	priority, key string
@@ -125,7 +125,10 @@ func (d *Daemon) decodeJob(raw []byte) (*memoJob, error) {
 	if err != nil {
 		return nil, err
 	}
-	mj.key, _, mj.keyErr = d.eng.Key(&mj.job)
+	var ok bool
+	if mj.key, ok, mj.keyErr = d.eng.Key(&mj.job); mj.keyErr == nil && !ok {
+		mj.keyErr = fmt.Errorf("daemon: job has no stable identity")
+	}
 	if len(raw) <= maxJobBytes {
 		d.memoMu.Lock()
 		if d.memoBytes += len(raw); d.memo == nil || d.memoBytes > memoBudget {
@@ -261,8 +264,9 @@ type Stats struct {
 }
 
 // Health is the body of GET /v1/health — the lightweight liveness probe
-// cluster coordinators poll between batches. Unlike /v1/stats it carries
-// no cache counters, so it stays cheap under a tight polling interval.
+// a cluster coordinator reads once per worker when it is built, for the
+// worker's slot count and draining state. Unlike /v1/stats it carries no
+// cache counters, so it stays cheap.
 type Health struct {
 	// Status is "ok" while the daemon accepts work and "draining" once a
 	// shutdown began (in-flight jobs are finishing; send new work

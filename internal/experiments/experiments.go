@@ -222,9 +222,7 @@ func (s *Suite) ComputeTable3() *Table3 {
 
 // ---- Batch builders ----
 //
-// The exact jobs each experiment runs, exposed so layers that slice or
-// route batches (the cluster shard selector, the coordinator) can
-// enumerate a harness's full workload without running it.
+// The exact jobs each experiment runs.
 
 // SuiteJobs is the batch RunSuite executes: every workload under every
 // named scheduler, scheduler-major within each workload.
@@ -232,9 +230,9 @@ func SuiteJobs(ws []*workloads.Workload, scheds []string, maxTBs int) []jobs.Job
 	return jobs.Grid(ws, scheds, maxTBs, gpu.Options{})
 }
 
-// TimelineJob is the single job Timeline executes for one workload and
+// timelineJob is the single job Timeline executes for one workload and
 // scheduler.
-func TimelineJob(w *workloads.Workload, sched string) jobs.Job {
+func timelineJob(w *workloads.Workload, sched string) jobs.Job {
 	return jobs.Job{
 		Launch:    w.Launch,
 		Kernel:    w.Kernel,
@@ -243,9 +241,9 @@ func TimelineJob(w *workloads.Workload, sched string) jobs.Job {
 	}
 }
 
-// OrderTraceJob is the single job OrderTrace executes (threshold <= 0
+// orderTraceJob is the single job OrderTrace executes (threshold <= 0
 // means PRO's default re-sort threshold).
-func OrderTraceJob(w *workloads.Workload, threshold int64) jobs.Job {
+func orderTraceJob(w *workloads.Workload, threshold int64) jobs.Job {
 	key := "PRO+ordertrace+threshold=default"
 	if threshold > 0 {
 		key = fmt.Sprintf("PRO+ordertrace+threshold=%d", threshold)
@@ -264,7 +262,7 @@ func OrderTraceJob(w *workloads.Workload, threshold int64) jobs.Job {
 // returns the spans for a single SM (the paper plots SM 0). run may be
 // nil (direct run, no cache).
 func Timeline(w *workloads.Workload, sched string, smID int, run jobs.Runner) ([]stats.TBSpan, *stats.KernelResult, error) {
-	rs, err := runnerOrDefault(run).Run(context.Background(), []jobs.Job{TimelineJob(w, sched)})
+	rs, err := runnerOrDefault(run).Run(context.Background(), []jobs.Job{timelineJob(w, sched)})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -283,7 +281,7 @@ func Timeline(w *workloads.Workload, sched string, smID int, run jobs.Runner) ([
 // OrderTrace runs w under PRO with order tracing and returns the SM-0
 // samples. run may be nil (direct run, no cache).
 func OrderTrace(w *workloads.Workload, threshold int64, run jobs.Runner) ([]stats.OrderSample, error) {
-	rs, err := runnerOrDefault(run).Run(context.Background(), []jobs.Job{OrderTraceJob(w, threshold)})
+	rs, err := runnerOrDefault(run).Run(context.Background(), []jobs.Job{orderTraceJob(w, threshold)})
 	if err != nil {
 		return nil, err
 	}

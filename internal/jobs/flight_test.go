@@ -58,7 +58,6 @@ func TestFlightDirWritesArtifact(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.FlightDir = filepath.Join(dir, "flight")
-	e.FlightOpts = flight.Options{MemSample: 4}
 
 	if _, err := e.RunOne(context.Background(), j); err != nil {
 		t.Fatal(err)

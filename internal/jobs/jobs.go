@@ -159,9 +159,6 @@ type Engine struct {
 	// and unrecorded runs share identity. Cache hits record nothing: a
 	// replayed result never executed, so there is no flight to record.
 	FlightDir string
-	// FlightOpts tune the recorders FlightDir creates (zero value =
-	// flight defaults).
-	FlightOpts flight.Options
 
 	// Engine-lifetime counters, summed over every batch this engine ran
 	// (a harness typically runs several: the main suite, timelines,
@@ -291,8 +288,7 @@ func (e *Engine) Key(j *Job) (key string, ok bool, err error) {
 
 // Key returns the content-addressed identity of j without needing an
 // engine or an open cache: the same key Engine.Key computes at the
-// current schema version. Layers that route jobs across processes — the
-// cluster shard selector and coordinator — use it to slice and merge
+// current schema version. The cluster coordinator uses it to merge
 // batches by the exact identity the result cache files entries under.
 func Key(j *Job) (key string, ok bool, err error) {
 	var e Engine
@@ -341,7 +337,7 @@ func (e *Engine) runOne(ctx context.Context, j *Job, key string) (r *stats.Kerne
 	opts := j.Options
 	var rec *flight.Recorder
 	if e.FlightDir != "" && opts.Flight == nil {
-		rec = flight.New(e.FlightOpts)
+		rec = flight.New(flight.Options{})
 		opts.Flight = rec
 	}
 
