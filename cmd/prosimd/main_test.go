@@ -245,7 +245,9 @@ func TestNDJSONStreamReadableLineByLine(t *testing.T) {
 
 // TestRemovedFlagsAreFlagErrors: the tenancy, shared-cache-tier,
 // job-tracer and interactive-weight flags are gone, so each is a flag
-// error (exit 2) before the daemon listens.
+// error (exit 2) before the daemon listens. A row whose flag still
+// exists would start a listening daemon, so each run has a deadline and
+// such a row fails instead of hanging.
 func TestRemovedFlagsAreFlagErrors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("re-exec integration test")
@@ -262,9 +264,11 @@ func TestRemovedFlagsAreFlagErrors(t *testing.T) {
 		{"-trace-out", "jobs.ndjson"},
 		{"-interactive-weight", "4"},
 	} {
-		cmd := exec.Command(exe, append(args, "-listen", "unix:"+filepath.Join(t.TempDir(), "d.sock"))...)
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		cmd := exec.CommandContext(ctx, exe, append(args, "-listen", "unix:"+filepath.Join(t.TempDir(), "d.sock"))...)
 		cmd.Env = append(os.Environ(), "PROSIMD_TEST_DAEMON=1")
 		out, err := cmd.CombinedOutput()
+		cancel()
 		var ee *exec.ExitError
 		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
 			t.Errorf("prosimd %s: err %v, want exit 2\n%s", args[0], err, out)

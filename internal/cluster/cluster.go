@@ -26,21 +26,6 @@ import (
 	"fmt"
 
 	"repro/internal/jobs"
-	"repro/internal/obs"
-)
-
-// Cluster telemetry (internal/obs). Process-wide counters; per-worker
-// series are created per address via obs.Labeled when a Coordinator is
-// built.
-var (
-	mRetries = obs.NewCounter("cluster_retries_total",
-		"jobs put back on the queue after a worker loss or an overload refusal")
-	mLost = obs.NewCounter("cluster_workers_lost_total",
-		"workers marked down by the New probe or a failed dispatch")
-	mMergeHits = obs.NewCounter("cluster_merge_hits_total",
-		"jobs assembled from the shared result cache without any dispatch")
-	mDispatched = obs.NewCounter("cluster_jobs_dispatched_total",
-		"job attempts handed to a worker (retries included)")
 )
 
 // batchKeys computes the result-cache key of every job, failing on jobs
@@ -60,12 +45,4 @@ func batchKeys(js []jobs.Job) ([]string, error) {
 		keys[k] = key
 	}
 	return keys, nil
-}
-
-// shortKey abbreviates a 64-hex-char cache key for log lines.
-func shortKey(key string) string {
-	if len(key) > 12 {
-		return key[:12]
-	}
-	return key
 }

@@ -48,7 +48,6 @@ type worker struct {
 	// set for the coordinator's lifetime.
 	down       atomic.Bool
 	dispatched atomic.Int64
-	mJobs      *obs.Counter
 }
 
 // Coordinator fans batches out to a fixed set of prosimd workers. It
@@ -119,12 +118,7 @@ func New(cfg Config) (*Coordinator, error) {
 	for _, addr := range cfg.Workers {
 		client := daemon.NewClient(addr)
 		client.Priority = cfg.Priority
-		w := &worker{
-			addr:   addr,
-			client: client,
-			slots:  1,
-			mJobs:  obs.NewCounter(obs.Labeled("cluster_worker_jobs_total", "worker", addr), "job attempts dispatched to this worker"),
-		}
+		w := &worker{addr: addr, client: client, slots: 1}
 		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 		h, err := w.client.Health(ctx)
 		cancel()
@@ -172,7 +166,6 @@ func (c *Coordinator) markLost(w *worker, cause error) {
 		return
 	}
 	c.lost.Add(1)
-	mLost.Inc()
 	c.log.Warn("worker lost", "worker", w.addr, "err", cause)
 }
 
@@ -203,7 +196,6 @@ func (c *Coordinator) Run(ctx context.Context, js []jobs.Job) ([]*stats.KernelRe
 		if r, ok := c.cache.Get(keys[i]); ok {
 			results[i] = r
 			c.mergeHits.Add(1)
-			mMergeHits.Inc()
 		}
 	}
 
@@ -234,8 +226,6 @@ func (c *Coordinator) lane(w *worker, js []jobs.Job, keys []string, lostTries []
 			return nil, false, &jobs.Requeue{Stop: true, Err: fmt.Errorf("worker %s is down", w.addr)}
 		}
 		w.dispatched.Add(1)
-		w.mJobs.Inc()
-		mDispatched.Inc()
 		rs, err := w.client.Run(ctx, js[i:i+1])
 		if err == nil {
 			// Prefer the cache's copy, so the returned batch is exactly
@@ -285,6 +275,5 @@ func (c *Coordinator) lane(w *worker, js []jobs.Job, keys []string, lostTries []
 // dispatch to w failed.
 func (c *Coordinator) retry(i int, key string, w *worker, cause error) {
 	c.retries.Add(1)
-	mRetries.Inc()
-	c.log.Warn("requeueing job", "job", i, "key", shortKey(key), "failed_worker", w.addr, "err", cause)
+	c.log.Warn("requeueing job", "job", i, "key", key, "failed_worker", w.addr, "err", cause)
 }

@@ -10,8 +10,8 @@
 //	admit(class, n)  reserves queue room for n jobs at batch admission
 //	                 (all-or-nothing; a full queue fast-fails the batch
 //	                 with 429 instead of absorbing unbounded work)
-//	acquire(...)     waits for a worker slot; the reservation converts
-//	                 into a slot grant, a canceled wait, or shutdown
+//	acquire(ctx, cl) waits for a worker slot; the reservation converts
+//	                 into a slot grant or, on shutdown, an error
 //	release()        returns the slot, granting it to the next waiter
 //	forfeit(class)   drops a reservation that will never reach acquire
 //	                 (dedupe follower, key error, canceled pre-submit)
@@ -141,10 +141,10 @@ func (d *dispatcher) dequeued(cl class) {
 	}
 }
 
-// acquire blocks until a worker slot is granted, waitCtx is done (the
-// submitter gave up), or baseCtx is done (daemon shutdown). A nil
-// error means the caller owns a slot and must release() it.
-func (d *dispatcher) acquire(waitCtx, baseCtx context.Context, cl class) error {
+// acquire blocks until a worker slot is granted or ctx, the daemon's
+// own context, is done (shutdown). A nil error means the caller owns a
+// slot and must release() it.
+func (d *dispatcher) acquire(ctx context.Context, cl class) error {
 	d.mu.Lock()
 	if d.free > 0 {
 		d.free--
@@ -159,19 +159,12 @@ func (d *dispatcher) acquire(waitCtx, baseCtx context.Context, cl class) error {
 	select {
 	case <-t.ready:
 		return nil
-	case <-waitCtx.Done():
-		if d.abandon(t) {
-			return waitCtx.Err()
+	case <-ctx.Done():
+		if !d.abandon(t) {
+			// Granted in the race window: hand the slot straight onward.
+			d.release()
 		}
-		// Granted in the race window: hand the slot straight onward.
-		d.release()
-		return waitCtx.Err()
-	case <-baseCtx.Done():
-		if d.abandon(t) {
-			return fmt.Errorf("daemon: shutting down: %w", baseCtx.Err())
-		}
-		d.release()
-		return fmt.Errorf("daemon: shutting down: %w", baseCtx.Err())
+		return fmt.Errorf("daemon: shutting down: %w", ctx.Err())
 	}
 }
 

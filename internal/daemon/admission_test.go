@@ -481,7 +481,7 @@ func TestDispatcherWeightedFairness(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if err := disp.acquire(context.Background(), context.Background(), cl); err != nil {
+				if err := disp.acquire(context.Background(), cl); err != nil {
 					t.Error(err)
 					return
 				}
@@ -525,7 +525,7 @@ func TestDispatcherWeightedFairness(t *testing.T) {
 func newTestDispatcherSaturated(t *testing.T, weight int) *dispatcher {
 	t.Helper()
 	disp := newDispatcher(1, 64, weight)
-	if err := disp.acquire(context.Background(), context.Background(), classInteractive); err != nil {
+	if err := disp.acquire(context.Background(), classInteractive); err != nil {
 		t.Fatal(err)
 	}
 	return disp

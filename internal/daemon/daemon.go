@@ -50,42 +50,33 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/gpu"
 	"repro/internal/jobs"
 	"repro/internal/obs"
 	"repro/internal/resultcache"
 	"repro/internal/stats"
 )
 
-// Daemon telemetry (internal/obs). The HTTP request series are
+// Daemon telemetry (internal/obs). The HTTP latency series are
 // per-endpoint; everything else is process-wide like the jobs_ and
 // resultcache_ families.
 var (
 	mBatches  = obs.NewCounter("prosimd_batches_total", "batch requests accepted")
 	mDeduped  = obs.NewCounter("prosimd_dedupe_attached_total", "submissions that attached to another client's identical in-flight run")
-	mInflight = obs.NewGauge("prosimd_jobs_inflight", "jobs executing or waiting for a worker slot")
+	mInflight = obs.NewGauge("prosimd_jobs_inflight", "jobs holding a worker slot")
 	mAttached = obs.NewGauge("prosimd_attached_waiting", "submissions currently waiting on a leader's run")
 	mDraining = obs.NewGauge("prosimd_draining", "1 while the daemon drains for shutdown")
 
 	mMemoHits   = obs.NewCounter("prosimd_wire_memo_hits_total", "wire jobs whose decoded form and cache key came from the request memo")
 	mMemoMisses = obs.NewCounter("prosimd_wire_memo_misses_total", "wire jobs decoded, resolved and keyed from their bytes")
-
-	// Simulation heartbeat mirror (gpu.SetHeartbeat; registered by New).
-	mSimBeats    = obs.NewCounter("sim_heartbeats_total", "simulation heartbeats observed")
-	mSimCycle    = obs.NewGauge("sim_last_heartbeat_cycle", "simulated cycle of the most recent heartbeat")
-	mSimResident = obs.NewGauge("sim_resident_tbs", "resident thread blocks at the most recent heartbeat")
 )
 
-// httpMetrics wraps an endpoint handler with a request counter and a
-// latency histogram labeled by path. For /v1/batch the latency is the
-// full stream duration — submission to terminal batch line.
+// httpMetrics wraps an endpoint handler with a latency histogram labeled
+// by path; its _count is the request count. For /v1/batch the latency is
+// the full stream duration — submission to terminal batch line.
 func httpMetrics(path string, h http.HandlerFunc) http.Handler {
-	reqs := obs.NewCounter(
-		obs.Labeled("prosimd_http_requests_total", "path", path), "HTTP requests by endpoint")
 	lat := obs.NewHistogram(
 		obs.Labeled("prosimd_http_request_seconds", "path", path), "HTTP request latency by endpoint", nil)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		reqs.Inc()
 		start := time.Now()
 		h(w, r)
 		lat.Observe(time.Since(start).Seconds())
@@ -213,15 +204,6 @@ func New(cfg Config) (*Daemon, error) {
 	}
 	d.baseCtx, d.baseCancel = context.WithCancel(context.Background())
 	d.server = &http.Server{Handler: d.Handler()}
-	// The daemon is a long-running service, so it turns on the
-	// low-frequency simulation heartbeat: liveness of in-flight runs
-	// becomes visible on /metrics. Results are unaffected (the listener
-	// only reads; see gpu.SetHeartbeat).
-	gpu.SetHeartbeat(func(h gpu.Heartbeat) {
-		mSimBeats.Inc()
-		mSimCycle.Set(h.Cycle)
-		mSimResident.Set(int64(h.ResidentTBs))
-	}, 0)
 	return d, nil
 }
 
@@ -230,8 +212,8 @@ func (d *Daemon) Engine() *jobs.Engine { return d.eng }
 
 // Handler returns the daemon's HTTP handler (useful for tests and for
 // mounting under an existing server). Every /v1 endpoint carries a
-// request counter and latency histogram; /metrics serves the process
-// registry in Prometheus text format.
+// latency histogram; /metrics serves the process registry in Prometheus
+// text format.
 func (d *Daemon) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/v1/batch", httpMetrics("/v1/batch", d.handleBatch))
@@ -361,7 +343,7 @@ func (d *Daemon) runJob(waitCtx context.Context, mj *memoJob, cl class) (r *stat
 
 	// Leader: from here on the run belongs to every attached follower,
 	// so it waits and executes under d.baseCtx, not waitCtx.
-	f.res, f.fromCache, f.err = d.execute(d.baseCtx, j, key, cl)
+	f.res, f.fromCache, f.err = d.execute(j, key, cl)
 	d.mu.Lock()
 	delete(d.inflight, key)
 	d.mu.Unlock()
@@ -370,12 +352,11 @@ func (d *Daemon) runJob(waitCtx context.Context, mj *memoJob, cl class) (r *stat
 }
 
 // execute waits for a worker slot and runs j (cache key key) through
-// the engine. The run itself is bound to the daemon's lifetime (plus
-// JobTimeout), not to the submitting request: followers may be attached
-// to it. waitCtx only bounds the slot wait (callers running on behalf of
-// followers pass d.baseCtx).
-func (d *Daemon) execute(waitCtx context.Context, j *jobs.Job, key string, cl class) (*stats.KernelResult, bool, error) {
-	if err := d.disp.acquire(waitCtx, d.baseCtx, cl); err != nil {
+// the engine. The slot wait and the run are bound to the daemon's
+// lifetime (plus JobTimeout for the run), not to the submitting request:
+// followers may be attached to it.
+func (d *Daemon) execute(j *jobs.Job, key string, cl class) (*stats.KernelResult, bool, error) {
+	if err := d.disp.acquire(d.baseCtx, cl); err != nil {
 		return nil, false, err
 	}
 	defer d.disp.release()

@@ -278,6 +278,76 @@ func TestJobTimeoutAbortsRun(t *testing.T) {
 	}
 }
 
+// submit runs js through c in the background; the channel carries
+// Run's error.
+func submit(c *Client, js ...jobs.Job) chan error {
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Run(context.Background(), js)
+		done <- err
+	}()
+	return done
+}
+
+// queueBehindSlowJob fills d's only worker slot with a slow job and
+// parks a distinct quick job in the slot wait behind it. The returned
+// channels carry each submission's error.
+func queueBehindSlowJob(t *testing.T, d *Daemon, c *Client) (running, queued chan error) {
+	t.Helper()
+	running = submit(c, slowJob(t))
+	waitFor(t, "the slow job to hold the slot", func() bool { return d.running.Load() == 1 })
+	queued = submit(c, quickJob(t, "LRR"))
+	waitFor(t, "the second job to wait for a slot", func() bool {
+		d.disp.mu.Lock()
+		defer d.disp.mu.Unlock()
+		return len(d.disp.waiters[classInteractive]) == 1
+	})
+	return running, queued
+}
+
+// TestInFlightCountsSlotHolders: InFlight counts jobs holding a worker
+// slot, and a job waiting for one is counted in the class queue instead.
+func TestInFlightCountsSlotHolders(t *testing.T) {
+	d, c := newTestDaemon(t, Config{Workers: 1})
+	running, queued := queueBehindSlowJob(t, d, c)
+	st, err := c.Stats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := c.Health(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.InFlight != 1 || st.QueueInteractive != 1 || h.InFlight != 1 || h.QueueDepth != 1 || mInflight.Value() != 1 {
+		t.Fatalf("one job running and one queued: stats InFlight %d QueueInteractive %d, health InFlight %d QueueDepth %d, prosimd_jobs_inflight %d; want 1 each",
+			st.InFlight, st.QueueInteractive, h.InFlight, h.QueueDepth, mInflight.Value())
+	}
+	for _, done := range []chan error{running, queued} {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestShutdownFailsQueuedLeaderWithOneError: a leader still waiting for
+// a slot when the daemon shuts down always fails with the shutdown
+// error. Its slot wait used to select on the daemon's context twice, so
+// the error was a bare context.Canceled about half the time; the
+// repetitions make a coin flip fail.
+func TestShutdownFailsQueuedLeaderWithOneError(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		d, c := newTestDaemon(t, Config{Workers: 1})
+		running, queued := queueBehindSlowJob(t, d, c)
+		if err := d.Shutdown(); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-queued; err == nil || !strings.Contains(err.Error(), "daemon: shutting down") {
+			t.Fatalf("repetition %d: queued leader's error %v, want the shutting-down error", i, err)
+		}
+		<-running // aborted too; its error is the simulation's
+	}
+}
+
 func TestStatsAndGC(t *testing.T) {
 	dir := t.TempDir()
 	_, c := newTestDaemon(t, Config{Workers: 2, CacheDir: dir})

@@ -5,13 +5,20 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/jobs"
+	"repro/internal/obs"
 	"repro/internal/obs/obstest"
 )
 
@@ -51,10 +58,10 @@ func TestMetricsEndpointServesPrometheus(t *testing.T) {
 	obstest.ValidatePrometheus(t, text)
 
 	// One family per instrumented layer. Values are process-global (other
-	// tests in the package contribute), so assert presence, not counts.
+	// tests in the package contribute), so assert presence, not counts;
+	// TestEveryMetricFamilyMoves asserts that each family moves.
 	for _, family := range []string{
 		"prosimd_batches_total",
-		"prosimd_http_requests_total",
 		"prosimd_jobs_inflight",
 		"prosimd_wire_memo_hits_total",
 		"prosimd_wire_memo_misses_total",
@@ -64,29 +71,207 @@ func TestMetricsEndpointServesPrometheus(t *testing.T) {
 		"resultcache_hits_total",
 		"resultcache_front_hits_total",
 		"resultcache_written_bytes_total",
-		"sim_heartbeats_total",
-		"sim_flight_runs_total",
-		"sim_flight_events_total",
-		"sim_flight_spans_total",
-		"sim_flight_event_ring_occupancy_pct",
-		"sim_flight_span_ring_occupancy_pct",
 	} {
 		if !strings.Contains(text, family) {
 			t.Errorf("/metrics missing family %s", family)
 		}
 	}
-	if !strings.Contains(text, `prosimd_http_requests_total{path="/v1/batch"}`) {
-		t.Errorf("/metrics missing per-endpoint request series:\n%s", text)
+	if !strings.Contains(text, `prosimd_http_request_seconds_count{path="/v1/batch"}`) {
+		t.Errorf("/metrics missing per-endpoint latency series:\n%s", text)
 	}
-	// The flight-recorder attribution histograms are pre-registered per
-	// component at package init, so dashboards see the full label set
-	// from daemon start even before any recorded run.
-	for _, series := range []string{
-		`sim_flight_attr_cycles_bucket{component="dram_queue"`,
-		`sim_flight_attr_cycles_bucket{component="total"`,
-	} {
-		if !strings.Contains(text, series) {
-			t.Errorf("/metrics missing series %s", series)
+}
+
+// exposition parses Prometheus text as /metrics serves it into each
+// family's samples by series name, in the order of its # TYPE lines.
+func exposition(t *testing.T, text string) (families []string, samples map[string]map[string]string) {
+	t.Helper()
+	samples = make(map[string]map[string]string)
+	for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
+		if f, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			family, _, _ := strings.Cut(f, " ")
+			families = append(families, family)
+			samples[family] = make(map[string]string)
+			continue
+		}
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		if i < 0 || len(families) == 0 {
+			t.Fatalf("unparsable exposition line %q", line)
+		}
+		samples[families[len(families)-1]][line[:i]] = line[i+1:]
+	}
+	return families, samples
+}
+
+// registry parses the process registry /metrics serves.
+func registry(t *testing.T) (families []string, samples map[string]map[string]string) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := obs.Default.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return exposition(t, buf.String())
+}
+
+// designInventory returns the family names in the first column of
+// DESIGN.md §10.3's table, label sets dropped.
+func designInventory(t *testing.T) []string {
+	t.Helper()
+	doc, err := os.ReadFile(filepath.Join("..", "..", "DESIGN.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sec, ok := strings.Cut(string(doc), "\n### 10.3 ")
+	if !ok {
+		t.Fatal("DESIGN.md has no section 10.3")
+	}
+	sec, _, _ = strings.Cut(sec, "\n#")
+	name := regexp.MustCompile("`([a-z0-9_]+)[^`]*`")
+	var names []string
+	for _, line := range strings.Split(sec, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 3 {
+			continue
+		}
+		for _, m := range name.FindAllStringSubmatch(cells[1], -1) {
+			names = append(names, m[1])
+		}
+	}
+	return names
+}
+
+// TestMetricInventoryMatchesDesign: every family the daemon's /metrics
+// declares has a DESIGN.md §10.3 row saying what question it answers,
+// and every row names a family that is served, so the inventory cannot
+// drift from the code.
+func TestMetricInventoryMatchesDesign(t *testing.T) {
+	d, c := newTestDaemon(t, Config{Workers: 1, MaxBatchJobs: 1})
+	// prosimd_rejected_total's series are made by the first refusal.
+	var oe *OverloadedError
+	if _, err := c.Run(context.Background(), quickBatch(t)[:2]); err == nil || errors.As(err, &oe) {
+		t.Fatalf("batch over the job cap: err = %v, want a 413", err)
+	}
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served, _ := exposition(t, string(body))
+	documented := designInventory(t)
+	slices.Sort(documented)
+	if !slices.Equal(served, documented) {
+		t.Fatalf("/metrics serves %d families, DESIGN.md §10.3 lists %d\nserved:     %v\ndocumented: %v",
+			len(served), len(documented), served, documented)
+	}
+}
+
+// TestEveryMetricFamilyMoves drives one daemon through a deduped slow
+// run, cold and warm runs, a failing job, a refused batch, a GC pass and
+// a drain, snapshotting the registry mid-way, and requires every family
+// /metrics serves to differ in some snapshot from where it started: a
+// family no work can move answers no question.
+func TestEveryMetricFamilyMoves(t *testing.T) {
+	dir := t.TempDir()
+	d, err := New(Config{Workers: 1, CacheDir: dir, MaxBatchJobs: 2, DrainTimeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- d.Serve(l) }()
+	c, err := Dial(l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+
+	_, start := registry(t)
+	moved := make(map[string]bool)
+	snapshot := func() {
+		_, now := registry(t)
+		for family, series := range now {
+			for name, v := range series {
+				if start[family][name] != v {
+					moved[family] = true
+				}
+			}
+		}
+	}
+
+	// A leader holding the only slot and a follower attached to it: the
+	// in-flight, busy and attached gauges.
+	slow := slowJob(t)
+	leader := submit(c, slow)
+	waitFor(t, "the leader to run", func() bool { return d.running.Load() == 1 })
+	follower := submit(c, slow)
+	waitFor(t, "the follower to attach", func() bool { return d.attached.Load() == 1 })
+	snapshot()
+	for _, done := range []chan error{leader, follower} {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Cold, warm from the file, warm from the decoded front.
+	quick := quickBatch(t)[:1]
+	for i := 0; i < 3; i++ {
+		if _, err := c.Run(ctx, quick); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A job the simulator refuses, and a batch over the job cap.
+	bad := quickJob(t, "PRO")
+	l2 := *bad.Launch
+	l2.SharedMemPerTB = 1 << 40
+	bad.Launch = &l2
+	if _, err := c.Run(ctx, []jobs.Job{bad}); err == nil {
+		t.Fatal("a launch over the SM's shared memory ran")
+	}
+	if _, err := c.Run(ctx, quickBatch(t)[:3]); err == nil {
+		t.Fatal("a batch over the job cap ran")
+	}
+	// GC to zero beside a temp file a killed writer left an hour ago.
+	tmp := filepath.Join(dir, "put-abandoned.tmp")
+	if err := os.WriteFile(tmp, []byte("{"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old := time.Now().Add(-2 * time.Hour)
+	if err := os.Chtimes(tmp, old, old); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.GC(ctx, "0"); err != nil {
+		t.Fatal(err)
+	}
+	snapshot()
+
+	// Drain while a job runs: the draining gauge.
+	running := submit(c, slowJobSched(t, "GTO"))
+	waitFor(t, "the job to run", func() bool { return d.running.Load() == 1 })
+	shutdown := make(chan error, 1)
+	go func() { shutdown <- d.Shutdown() }()
+	waitFor(t, "the drain to start", func() bool { return mDraining.Value() == 1 })
+	snapshot()
+	for _, done := range []chan error{running, shutdown, serveDone} {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	served, _ := registry(t)
+	for _, family := range served {
+		if !moved[family] {
+			t.Errorf("%s did not move", family)
 		}
 	}
 }

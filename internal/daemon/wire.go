@@ -238,9 +238,10 @@ type Stats struct {
 	CacheGCRuns       int64 `json:"cacheGCRuns"`
 	CacheGCEvicted    int64 `json:"cacheGCEvicted"`
 	CacheGCFreedBytes int64 `json:"cacheGCFreedBytes"`
-	// InFlight counts jobs currently executing or queued for a worker
-	// slot; Attached counts submissions currently waiting on another
-	// client's identical in-flight run.
+	// InFlight counts jobs holding a worker slot (jobs still queued for
+	// one are in QueueInteractive and QueueBulk); Attached counts
+	// submissions currently waiting on another client's identical
+	// in-flight run.
 	InFlight int64 `json:"inFlight"`
 	Attached int64 `json:"attached"`
 	// Batches counts batch requests accepted since start.
@@ -274,7 +275,8 @@ type Health struct {
 	Status string `json:"status"`
 	// Draining mirrors Status for programmatic callers.
 	Draining bool `json:"draining"`
-	// InFlight counts jobs executing or queued for a worker slot.
+	// InFlight counts jobs holding a worker slot (jobs still queued for
+	// one are in QueueDepth).
 	InFlight int64 `json:"inFlight"`
 	// UptimeSec is seconds since the daemon started.
 	UptimeSec float64 `json:"uptimeSec"`

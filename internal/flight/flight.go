@@ -213,12 +213,10 @@ func (r *Recorder) SM(i int) *SMTrace { return r.sms[i] }
 func (r *Recorder) Mem() *MemTrace { return r.mem }
 
 // FinishRun stamps the run's identity and aggregate stall taxonomy onto
-// the capture and flushes the sim_flight_* metrics. Called by the GPU
-// after the cycle loop completes.
+// the capture. Called by the GPU after the cycle loop completes.
 func (r *Recorder) FinishRun(kernel, scheduler string, cycles int64, stalls stats.StallBreakdown) {
 	r.kernel, r.scheduler, r.cycles, r.stalls = kernel, scheduler, cycles, stalls
 	r.finished = true
-	r.flushMetrics()
 }
 
 // Recorded reports whether FinishRun ran — false means the run never

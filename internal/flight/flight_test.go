@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/obs"
-	"repro/internal/obs/obstest"
 	"repro/internal/stats"
 )
 
@@ -250,48 +248,5 @@ func TestFlightReportAggregates(t *testing.T) {
 	rep.WriteText(&buf)
 	if !strings.Contains(buf.String(), "k/s") && !strings.Contains(buf.String(), "k") {
 		t.Fatalf("text report missing run identity:\n%s", buf.String())
-	}
-}
-
-// TestFlightMetricsExposition pins the sim_flight_* families: after a
-// finished run flushes, the default registry exposes well-formed
-// Prometheus text containing every family, including the pre-registered
-// per-component attribution histograms.
-func TestFlightMetricsExposition(t *testing.T) {
-	r := New(Options{})
-	r.Start(1)
-	r.SM(0).Size(4, 2)
-	r.SM(0).OnWarpFinish(10, 0, 0, 1, 0)
-	m := r.Mem()
-	sp := m.Start(SpanLoad, 0, 0, 1, 0, 0)
-	sp.L2At, sp.DRAMq, sp.Grant, sp.Done, sp.Deliver = 10, 20, 50, 90, 100
-	m.Commit(sp)
-	r.FinishRun("k", "s", 100, stats.StallBreakdown{})
-
-	var buf bytes.Buffer
-	if err := obs.Default.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
-	obstest.ValidatePrometheus(t, text)
-	for _, family := range []string{
-		"sim_flight_runs_total",
-		"sim_flight_events_total",
-		"sim_flight_events_dropped_total",
-		"sim_flight_spans_total",
-		"sim_flight_spans_dropped_total",
-		"sim_flight_event_ring_occupancy_pct",
-		"sim_flight_span_ring_occupancy_pct",
-		`sim_flight_attr_cycles_bucket{component="icnt_req"`,
-		`sim_flight_attr_cycles_bucket{component="l2_service"`,
-		`sim_flight_attr_cycles_bucket{component="l2_mshr"`,
-		`sim_flight_attr_cycles_bucket{component="dram_queue"`,
-		`sim_flight_attr_cycles_bucket{component="dram_service"`,
-		`sim_flight_attr_cycles_bucket{component="icnt_resp"`,
-		`sim_flight_attr_cycles_bucket{component="total"`,
-	} {
-		if !strings.Contains(text, family) {
-			t.Errorf("exposition missing %s", family)
-		}
 	}
 }

@@ -4,11 +4,12 @@ import "sync/atomic"
 
 // Heartbeat is a low-frequency snapshot of one running simulation,
 // delivered to the process-wide listener registered with SetHeartbeat.
-// It exists so a long-running service (the daemon) can show liveness
-// and progress of in-flight simulations without touching the cycle
-// loop's hot path: when no listener is registered the loop pays one
-// predictable branch per iteration, and the listener can never alter
-// simulation state — it only reads counters.
+// When no listener is registered the loop pays one predictable branch
+// per iteration, and the listener can never alter simulation state — it
+// only reads counters.
+//
+// Deprecated: no product code listens; the benchmark harness in bench/
+// is the only caller of SetHeartbeat.
 type Heartbeat struct {
 	// Kernel and Scheduler identify the run.
 	Kernel, Scheduler string
@@ -51,6 +52,8 @@ var hbState atomic.Pointer[hbConfig]
 // DefaultHeartbeatEvery is the sampling interval SetHeartbeat applies
 // when every <= 0: one heartbeat per 2^20 simulated cycles, a few per
 // second of wall time on typical kernels — invisible in profiles.
+//
+// Deprecated: used only through SetHeartbeat, which only bench/ calls.
 const DefaultHeartbeatEvery = 1 << 20
 
 // SetHeartbeat registers fn as the process-wide simulation heartbeat
@@ -60,6 +63,10 @@ const DefaultHeartbeatEvery = 1 << 20
 // from independent simulations and must not block; it must not (and
 // cannot, through the Heartbeat value) mutate simulation state, so
 // results remain bit-identical with or without a listener.
+//
+// Deprecated: it replaces any other listener in the process and has no
+// product caller; it survives only because the benchmark harness in
+// bench/ calls it.
 func SetHeartbeat(fn func(Heartbeat), every int64) {
 	if fn == nil {
 		hbState.Store(nil)

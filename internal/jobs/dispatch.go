@@ -51,7 +51,6 @@ func Dispatch(ctx context.Context, js []Job, order []int, results []*stats.Kerne
 	case len(lanes) == 0:
 		return fmt.Errorf("jobs: no lane to run %d of %d jobs", b.remaining, len(js))
 	}
-	mQueued.Add(int64(len(b.queue)))
 	// Every outcome cancels ctx; wake the lanes waiting on an empty queue.
 	defer context.AfterFunc(ctx, func() {
 		b.mu.Lock()
@@ -68,7 +67,6 @@ func Dispatch(ctx context.Context, js []Job, order []int, results []*stats.Kerne
 		}()
 	}
 	wg.Wait()
-	mQueued.Add(-int64(len(b.queue)))
 	if b.err == nil && b.remaining > 0 {
 		return fmt.Errorf("jobs: %w", ctx.Err())
 	}
@@ -106,7 +104,6 @@ func (b *batch) lane(ctx context.Context, run func(context.Context, int) (*stats
 		}
 		i := b.queue[0]
 		b.queue = b.queue[1:]
-		mQueued.Add(-1)
 		b.mu.Unlock()
 		r, fromCache, err := run(ctx, i)
 		b.mu.Lock()
@@ -122,7 +119,6 @@ func (b *batch) lane(ctx context.Context, run func(context.Context, int) (*stats
 		}
 		// It was next in line when its lane gave it up.
 		b.queue = append([]int{i}, b.queue...)
-		mQueued.Add(1)
 		b.cond.Signal()
 		if rq.Stop {
 			if b.live--; b.live == 0 {

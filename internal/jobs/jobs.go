@@ -39,20 +39,17 @@ import (
 )
 
 // Process-wide job telemetry (internal/obs). Counters aggregate over
-// every engine in the process; the gauges describe the instantaneous
-// state of whatever batches are running. All updates are O(1) atomics
-// at job granularity — the simulation cycle loop itself is never
-// touched.
+// every engine in the process; the gauge describes whatever batches are
+// running now. All updates are O(1) atomics at job granularity — the
+// simulation cycle loop itself is never touched.
 var (
 	mCompleted = obs.NewCounter("jobs_completed_total", "jobs finished (including failures)")
 	mSimulated = obs.NewCounter("jobs_simulated_total", "jobs that ran the simulator")
 	mReplayed  = obs.NewCounter("jobs_replayed_total", "jobs served from the result cache")
 	mFailed    = obs.NewCounter("jobs_failed_total", "jobs that returned an error (panics included)")
-	mQueued    = obs.NewGauge("jobs_queue_depth", "batch jobs accepted but not yet picked up by a worker")
 	mBusy      = obs.NewGauge("jobs_workers_busy", "workers currently executing a job")
 	mSimCycles = obs.NewCounter("jobs_sim_cycles_total", "simulated GPU cycles summed over simulated jobs")
 	mSimTime   = obs.NewHistogram("jobs_sim_duration_seconds", "wall time of simulated (non-cached) jobs", nil)
-	mCycleRate = obs.NewGauge("jobs_sim_cycles_per_sec", "simulated cycles per wall second of the most recently finished simulated job")
 )
 
 // Job describes one simulation. Scheduler is a policy spec
@@ -407,9 +404,6 @@ func observeDone(r *stats.KernelResult, fromCache bool, dur time.Duration, err e
 		mSimulated.Inc()
 		mSimCycles.Add(r.Cycles)
 		mSimTime.Observe(dur.Seconds())
-		if s := dur.Seconds(); s > 0 {
-			mCycleRate.Set(int64(float64(r.Cycles) / s))
-		}
 	}
 }
 

@@ -8,17 +8,14 @@
 // atomic cell created once (Counter/Gauge/Histogram are get-or-create
 // by full name, so concurrent daemons in one process share series
 // instead of colliding) and read lock-free on the hot path. The
-// simulator's own hot loops are never instrumented directly: the
-// layers above it (job engine, daemon, result cache) count work at
-// job granularity, and the only in-simulation hook is the low-
-// frequency heartbeat in internal/gpu, disabled unless a listener is
-// registered.
+// simulator's own loops are never instrumented: the layers above it
+// (job engine, daemon, result cache) count work at job granularity.
 //
 // Metric names follow Prometheus conventions: snake_case families
-// with a subsystem prefix (prosimd_, jobs_, resultcache_, sim_) and
+// with a subsystem prefix (prosimd_, jobs_, resultcache_) and
 // optional constant labels given inline in the name, e.g.
 //
-//	obs.Counter(`prosimd_http_requests_total{path="/v1/batch"}`, "...")
+//	obs.NewCounter(`prosimd_rejected_total{reason="queue"}`, "...")
 package obs
 
 import (
@@ -282,7 +279,7 @@ func NewHistogram(name, help string, buckets []float64) *Histogram {
 
 // Labeled composes a metric name with one inline constant label,
 // quoting the value (Prometheus label values may contain anything):
-// Labeled("cluster_worker_jobs_total", "worker", addr). Callers with a
+// Labeled("prosimd_rejected_total", "reason", reason). Callers with a
 // bounded label set use it with the get-or-create constructors to make
 // one series per label value.
 func Labeled(family, key, value string) string {
