@@ -18,13 +18,14 @@ import (
 // recordFlight runs one kernel under the flight recorder per scheduler
 // and renders the capture: an aggregated stall-attribution report
 // (kernel × scheduler table of mean memory latency split by lifecycle
-// component, plus the top-N least-progressed warps), a Perfetto/Chrome
+// component, plus the least-progressed warps), a Perfetto/Chrome
 // trace-event JSON file loadable at ui.perfetto.dev, or raw NDJSON for
 // downstream tooling.
 //
 // Unlike the other subcommands it never uses a result cache (it has no
 // -cache): a cached result was not executed, so it has no flight to
-// record.
+// record. It is the one way to record a flight, and records every warp
+// and every memory transaction.
 //
 //	prosim flight -kernel scalarProdGPU -scheds LRR,PRO                # report to stdout
 //	prosim flight -kernel scalarProdGPU -scheds PRO -format perfetto -out pro.trace.json
@@ -36,11 +37,6 @@ func recordFlight(args []string) {
 		"comma-separated schedulers (report compares them; perfetto/ndjson need exactly one)")
 	format := h.Flags.String("format", "report", "output format: report | perfetto | ndjson")
 	out := h.Flags.String("out", "", "output file (default stdout)")
-	warpSample := h.Flags.Int("warp-sample", 1, "record warp-level events for every Nth warp slot (1 = all)")
-	memSample := h.Flags.Int("mem-sample", 1, "record every Nth memory transaction as a span (1 = all)")
-	ringEvents := h.Flags.Int("ring-events", 0, fmt.Sprintf("per-SM event ring capacity (0 = %d)", flight.DefaultRingEvents))
-	ringSpans := h.Flags.Int("ring-spans", 0, fmt.Sprintf("memory-span ring capacity (0 = %d)", flight.DefaultRingSpans))
-	topN := h.Flags.Int("topn", flight.DefaultTopN, "least-progressed warps listed per scheduler in the report")
 	h.Parse(args)
 
 	// Every argument check comes before -out is created or anything
@@ -64,11 +60,6 @@ func recordFlight(args []string) {
 	}
 	w := h.Workload(*kernel)
 
-	fopts := flight.Options{
-		WarpSample: *warpSample, MemSample: *memSample,
-		RingEvents: *ringEvents, RingSpans: *ringSpans, TopN: *topN,
-	}
-
 	// No cache (the spec declares no -cache): every run must execute.
 	h.Runner()
 	eng := h.Engine
@@ -89,7 +80,7 @@ func recordFlight(args []string) {
 
 	var reports []flight.Report
 	for _, sched := range names {
-		rec := flight.New(fopts)
+		rec := flight.New()
 		_, err := eng.RunOne(context.Background(), jobs.Job{
 			Launch:    w.Launch,
 			Kernel:    w.Kernel,

@@ -83,7 +83,7 @@ func record(t *testing.T, sched string) *flight.Recorder {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := flight.New(flight.Options{ProgressEvery: 8})
+	rec := flight.New()
 	if _, err := eng.RunOne(context.Background(), jobs.Job{
 		Launch:    w.Launch,
 		Kernel:    w.Kernel,
@@ -224,13 +224,15 @@ func TestFlightNDJSONStream(t *testing.T) {
 }
 
 // TestFlightReportTable smoke-tests the report rendering used by the
-// default format: a header row plus one row per scheduler.
+// default format: a header row plus one row per scheduler, each naming
+// its run (kernel and scheduler), then the least-progressed warps.
 func TestFlightReportTable(t *testing.T) {
 	reps := []flight.Report{record(t, "LRR").Report(), record(t, "PRO").Report()}
 	var buf bytes.Buffer
 	writeReportTable(&buf, reps)
 	out := buf.String()
-	for _, want := range []string{"scheduler", "dram_queue", "LRR", "PRO", "least-progressed"} {
+	for _, want := range []string{"scheduler", "dram_queue", "scalarProdGPU  LRR", "scalarProdGPU  PRO",
+		"scalarProdGPU/PRO least-progressed"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("report table missing %q:\n%s", want, out)
 		}

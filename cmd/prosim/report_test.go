@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"net/http/httptest"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -136,34 +138,74 @@ func TestBadCacheGCFailsFast(t *testing.T) {
 	}
 }
 
-// TestBadPriorityFailsFast pins that -priority is validated before any
-// simulation, on the local path too, and that the removed -token,
-// -trace-out and -shard are flag errors: each exits non-zero (1, or 2
-// for a flag error) with nothing on stdout instead of running the grid.
+// TestBadPriorityFailsFast pins that removed flags fail before anything
+// runs: report and sweep -priority (each subcommand sends one fixed
+// class), trace -flight-out and flight's -warp-sample, -mem-sample,
+// -ring-events, -ring-spans and -topn (prosim flight is the one way to
+// record, and records everything at fixed ring sizes), and report's
+// -token, -trace-out and -shard. Each is a flag error: exit 2, nothing
+// on stdout, and an existing -out left as it was. The -out goes before
+// the removed flag, so it is parsed first.
 func TestBadPriorityFailsFast(t *testing.T) {
 	if testing.Short() {
 		t.Skip("re-exec integration test")
 	}
 	for _, tc := range []struct {
-		flag, value, want string
-		code              int
+		name string
+		args []string // subcommand, removed flag, its value
 	}{
-		{"-priority", "bogus", `unknown priority "bogus"`, 1},
-		{"-token", "x", "flag provided but not defined: -token", 2},
-		{"-trace-out", "jobs.ndjson", "flag provided but not defined: -trace-out", 2},
-		{"-shard", "1/2", "flag provided but not defined: -shard", 2},
+		{"-priority", []string{"report", "-priority", "bulk"}},
+		{"-token", []string{"report", "-token", "x"}},
+		{"-trace-out", []string{"report", "-trace-out", "jobs.ndjson"}},
+		{"-shard", []string{"report", "-shard", "1/2"}},
+		{"sweep -priority", []string{"sweep", "-priority", "interactive"}},
+		{"trace -flight-out", []string{"trace", "-flight-out", "pro.trace.json"}},
+		{"flight -warp-sample", []string{"flight", "-warp-sample", "4"}},
+		{"flight -mem-sample", []string{"flight", "-mem-sample", "4"}},
+		{"flight -ring-events", []string{"flight", "-ring-events", "4096"}},
+		{"flight -ring-spans", []string{"flight", "-ring-spans", "4096"}},
+		{"flight -topn", []string{"flight", "-topn", "5"}},
 	} {
-		t.Run(tc.flag, func(t *testing.T) {
-			stdout, stderr, err := runReport(t, "-maxtbs", "1", tc.flag, tc.value)
+		t.Run(tc.name, func(t *testing.T) {
+			sub, flag := tc.args[0], tc.args[1]
+			args := []string{sub, "-maxtbs", "1"}
+			// keep is a file that must keep its bytes: inside report's
+			// -out directory, or flight's -out file itself.
+			var keep string
+			switch sub {
+			case "report":
+				dir := t.TempDir()
+				keep = filepath.Join(dir, "fig4.txt")
+				args = append(args, "-out", dir)
+			case "flight":
+				keep = filepath.Join(t.TempDir(), "keep.out")
+				args = append(args, "-out", keep)
+			}
+			old := []byte("an earlier artifact\n")
+			if keep != "" {
+				if err := os.WriteFile(keep, old, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			stdout, stderr, err := runProsim(t, append(args, tc.args[1:]...)...)
 			var ee *exec.ExitError
-			if !errors.As(err, &ee) || ee.ExitCode() != tc.code {
-				t.Fatalf("report %s %s: err %v, want exit %d", tc.flag, tc.value, err, tc.code)
+			if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+				t.Fatalf("%s %s: err %v, want exit 2\nstderr:\n%s", sub, flag, err, stderr)
 			}
 			if stdout != "" {
-				t.Errorf("report simulated before rejecting %s; stdout:\n%s", tc.flag, stdout)
+				t.Errorf("%s ran before rejecting %s; stdout:\n%s", sub, flag, stdout)
 			}
-			if !strings.Contains(stderr, tc.want) {
-				t.Errorf("stderr %q does not say %q", stderr, tc.want)
+			if want := "flag provided but not defined: " + flag; !strings.Contains(stderr, want) {
+				t.Errorf("stderr %q does not say %q", stderr, want)
+			}
+			if keep == "" {
+				return
+			}
+			if got, err := os.ReadFile(keep); err != nil || !bytes.Equal(got, old) {
+				t.Errorf("-out changed: %q (%v), want %q", got, err, old)
+			}
+			if entries, err := os.ReadDir(filepath.Dir(keep)); err != nil || len(entries) != 1 {
+				t.Errorf("-out's directory holds %d entries (%v), want only the earlier file", len(entries), err)
 			}
 		})
 	}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/cli"
 	"repro/internal/config"
 	"repro/internal/experiments"
-	"repro/internal/flight"
 	"repro/internal/jobs"
 	"repro/internal/stats"
 	"repro/internal/workloads"
@@ -175,47 +174,22 @@ func trace(args []string) {
 	kernel := h.Flags.String("kernel", "scalarProdGPU", "Table II kernel to trace")
 	sched := h.Flags.String("sched", "PRO", "scheduler")
 	every := h.Flags.Int64("every", 1000, "sampling window in cycles")
-	flightOut := h.Flags.String("flight-out", "",
-		"write the run's flight-recorder capture as Perfetto trace-event JSON to this file (a cache-served run records nothing; a warning is printed)")
 	h.Parse(args)
 
 	if *every <= 0 {
 		h.Fatal(errors.New("-every must be a positive number of cycles"))
 	}
 	w := h.Workload(*kernel)
-	opts := prosim.Options{SampleEvery: *every}
-	var rec *flight.Recorder
-	if *flightOut != "" {
-		rec = flight.New(flight.Options{})
-		opts.Flight = rec
-	}
 	rs, err := h.Runner().Run(context.Background(), []jobs.Job{{
 		Launch:    w.Launch,
 		Kernel:    w.Kernel,
 		Scheduler: *sched,
-		Options:   opts,
+		Options:   prosim.Options{SampleEvery: *every},
 	}})
 	if err != nil {
 		h.Fatal(err)
 	}
 	r := rs[0]
-	if rec != nil {
-		if !rec.Recorded() {
-			fmt.Fprintf(os.Stderr, "trace: -flight-out: result served from the cache, nothing recorded (clear %s or change -cache)\n", h.Cache)
-		} else {
-			f, err := os.Create(*flightOut)
-			if err != nil {
-				h.Fatal(err)
-			}
-			if err := rec.Capture().WritePerfetto(f); err != nil {
-				h.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				h.Fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "trace: flight capture written to %s\n", *flightOut)
-		}
-	}
 	fmt.Println("cycle,ipc,issued,idle,scoreboard,pipeline,resident_tbs,pending_tbs")
 	for _, s := range r.Samples {
 		fmt.Printf("%d,%.4f,%d,%d,%d,%d,%d,%d\n",

@@ -57,15 +57,9 @@ func main() {
 	queueDepth := flag.Int("queue-depth", 0,
 		fmt.Sprintf("pending jobs admitted per priority class before batches get 429 (0 = %d)", daemon.DefaultQueueDepth))
 	maxBatch := flag.Int("max-batch", 0, "max jobs in one batch request, 413 beyond it (0 = the queue depth)")
-	flightOut := flag.String("flight-out", "",
-		"flight-recorder directory: every simulated job writes a Perfetto capture <cache-key>.trace.json there (cache hits record nothing)")
-	quiet := flag.Bool("quiet", false, "suppress lifecycle logging (same as -log-level error)")
 	logCfg := obs.LogFlags(nil)
 	flag.Parse()
 
-	if *quiet && logCfg.Level == "info" {
-		logCfg.Level = "error"
-	}
 	log, err := logCfg.Setup()
 	if err != nil {
 		fatal(err)
@@ -78,7 +72,6 @@ func main() {
 		DrainTimeout: *drain,
 		QueueDepth:   *queueDepth,
 		MaxBatchJobs: *maxBatch,
-		FlightDir:    *flightOut,
 		Log:          log,
 	}
 	d, err := daemon.New(cfg)

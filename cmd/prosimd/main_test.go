@@ -141,7 +141,7 @@ func TestDaemonServesBatchOverTCP(t *testing.T) {
 	}
 	sock := filepath.Join(t.TempDir(), "d.sock")
 	cache := filepath.Join(t.TempDir(), "cache")
-	startDaemon(t, sock, "-jobs", "2", "-cache", cache, "-quiet")
+	startDaemon(t, sock, "-jobs", "2", "-cache", cache, "-log-level", "error")
 
 	c, err := daemon.Dial("unix:" + sock)
 	if err != nil {
@@ -182,7 +182,7 @@ func TestNDJSONStreamReadableLineByLine(t *testing.T) {
 		t.Skip("re-exec integration test")
 	}
 	sock := filepath.Join(t.TempDir(), "d.sock")
-	startDaemon(t, sock, "-jobs", "2", "-quiet")
+	startDaemon(t, sock, "-jobs", "2", "-log-level", "error")
 
 	w, err := workloads.ByKernel("aesEncrypt128")
 	if err != nil {
@@ -244,8 +244,9 @@ func TestNDJSONStreamReadableLineByLine(t *testing.T) {
 }
 
 // TestRemovedFlagsAreFlagErrors: the tenancy, shared-cache-tier,
-// job-tracer and interactive-weight flags are gone, so each is a flag
-// error (exit 2) before the daemon listens. A row whose flag still
+// job-tracer, interactive-weight, -quiet (the same as -log-level error)
+// and -flight-out (prosim flight records captures) flags are gone, so
+// each is a flag error (exit 2) before the daemon listens. A row whose flag still
 // exists would start a listening daemon, so each run has a deadline and
 // such a row fails instead of hanging.
 func TestRemovedFlagsAreFlagErrors(t *testing.T) {
@@ -263,6 +264,8 @@ func TestRemovedFlagsAreFlagErrors(t *testing.T) {
 		{"-serve-cache"},
 		{"-trace-out", "jobs.ndjson"},
 		{"-interactive-weight", "4"},
+		{"-quiet"},
+		{"-flight-out", "captures"},
 	} {
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 		cmd := exec.CommandContext(ctx, exe, append(args, "-listen", "unix:"+filepath.Join(t.TempDir(), "d.sock"))...)

@@ -158,6 +158,3 @@ func (c *Cache) Reset() {
 
 // Sets returns the number of sets (for tests).
 func (c *Cache) Sets() int { return c.sets }
-
-// Assoc returns the associativity (for tests).
-func (c *Cache) Assoc() int { return c.assoc }

@@ -41,8 +41,9 @@ type Spec struct {
 	Quiet bool
 	// CacheGC declares -cache-gc.
 	CacheGC bool
-	// Priority, when non-empty, declares -daemon, -workers and -priority
-	// with this default.
+	// Priority, when non-empty, declares -daemon and -workers and is the
+	// scheduling class (daemon.PriorityInteractive or PriorityBulk) every
+	// batch they send carries.
 	Priority string
 	// Profile declares -cpuprofile and -memprofile.
 	Profile bool
@@ -83,7 +84,7 @@ type Harness struct {
 func New(name string, spec Spec) *Harness {
 	fs := flag.NewFlagSet(name, flag.ExitOnError)
 	// A tool without -quiet reports no progress.
-	h := &Harness{Flags: fs, name: name, quiet: true}
+	h := &Harness{Flags: fs, name: name, quiet: true, priority: spec.Priority}
 	fs.IntVar(&h.MaxTBs, "maxtbs", 0, "shrink grids to at most this many TBs (0 = full)")
 	if !spec.NoCache {
 		fs.StringVar(&h.Cache, "cache", "", "result-cache directory (optional; makes warm re-runs instant)")
@@ -99,7 +100,6 @@ func New(name string, spec Spec) *Harness {
 	if spec.Priority != "" {
 		fs.StringVar(&h.daemon, "daemon", "", "run simulations on a prosimd daemon at this address (host:port or unix:/path) instead of locally")
 		fs.StringVar(&h.workers, "workers", "", "fan simulations out across these comma-separated prosimd addresses (-cache is the merge cache they share)")
-		fs.StringVar(&h.priority, "priority", spec.Priority, "scheduling class on the daemon/workers: interactive runs preempt bulk ones")
 	}
 	if spec.Profile {
 		fs.StringVar(&h.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
@@ -109,8 +109,8 @@ func New(name string, spec Spec) *Harness {
 }
 
 // Parse parses args and checks everything that can be checked before a
-// simulation runs: the log flags, -daemon against -workers, -priority,
-// and the -cache-gc size and target. It then starts the CPU profile, if
+// simulation runs: the log flags, -daemon against -workers, and the
+// -cache-gc size and target. It then starts the CPU profile, if
 // asked.
 func (h *Harness) Parse(args []string) {
 	h.Flags.Parse(args)
@@ -121,9 +121,6 @@ func (h *Harness) Parse(args []string) {
 	h.log = log
 	if h.daemon != "" && h.workers != "" {
 		h.Fatal(errors.New("-daemon and -workers are mutually exclusive"))
-	}
-	if err := daemon.CheckPriority(h.priority); err != nil {
-		h.Fatal(err)
 	}
 	if h.cacheGC != "" {
 		if _, err := resultcache.ParseSize(h.cacheGC); err != nil {

@@ -46,7 +46,7 @@ func (c class) String() string {
 	return PriorityInteractive
 }
 
-// parseClass maps a wire priority string to a class. The empty string
+// parseClass maps a batch's wire priority string to a class. The empty string
 // is interactive: untagged clients predate priority classes and were
 // written as interactive tools.
 func parseClass(s string) (class, error) {
@@ -58,13 +58,6 @@ func parseClass(s string) (class, error) {
 	default:
 		return 0, fmt.Errorf("daemon: unknown priority %q (want %q or %q)", s, PriorityInteractive, PriorityBulk)
 	}
-}
-
-// CheckPriority reports whether the daemon would accept s as a batch or
-// job priority, so a client can refuse a bad -priority before it runs.
-func CheckPriority(s string) error {
-	_, err := parseClass(s)
-	return err
 }
 
 // ticket is one waiter in a dispatcher queue. The dispatcher signals a

@@ -136,9 +136,6 @@ func (a *appender) wireJob(wj *WireJob) {
 	if wj.Cost != 0 {
 		a.int(`,"cost":`, wj.Cost)
 	}
-	if wj.Priority != "" {
-		a.str(`,"priority":`, wj.Priority)
-	}
 	a.raw("}")
 }
 

@@ -72,7 +72,7 @@ func appendExact(t *testing.T, what string, req *BatchRequest) {
 // FuzzAppendBatch: every request the paper grid makes — at -maxtbs 8 and
 // at full size, under each batch priority — and one with every knob a
 // client can turn (PRO+… specs, a 56-SM config, timeline and sampling
-// options, per-job priorities, costs, unlabelled jobs) must be appended
+// options, costs, unlabelled jobs) must be appended
 // byte for byte as json.Marshal writes it.
 func TestAppendBatchMatchesMarshal(t *testing.T) {
 	scheds := []string{"TL", "LRR", "GTO", "PRO"}
@@ -88,16 +88,14 @@ func TestAppendBatchMatchesMarshal(t *testing.T) {
 	opts := gpu.Options{Timeline: true, SampleEvery: 500, MaxCycles: 1 << 40, StallWindow: 7}
 	req := wireRequest(t, jobs.Grid(workloads.All(), scheds, 8, opts), PriorityBulk)
 	for i := range req.Jobs {
-		switch wj := &req.Jobs[i]; i % 5 {
+		switch wj := &req.Jobs[i]; i % 4 {
 		case 0:
 			wj.Scheduler = specs[i%len(specs)]
 		case 1:
 			wj.Config = wide
 		case 2:
-			wj.Priority = PriorityInteractive
+			wj.Cost = int64(i) - 50
 		case 3:
-			wj.Priority, wj.Cost = PriorityBulk, int64(i)-50
-		case 4:
 			wj.Kernel = ""
 		}
 	}
@@ -129,8 +127,8 @@ func fuzzRequest(p float64, kernel, sched, priority string, n int64, u uint64) *
 	cfg.NumSMs = int(n)
 	opts := gpu.Options{Timeline: u%2 == 1, SampleEvery: n, MaxCycles: -n, StallWindow: int64(u)}
 	return &BatchRequest{Priority: priority, Jobs: []WireJob{
-		{Config: cfg, Launch: launch, Kernel: kernel, Scheduler: sched, Options: opts, Cost: n, Priority: priority},
-		{Launch: launch, Kernel: sched, Scheduler: kernel, Cost: -n, Priority: kernel},
+		{Config: cfg, Launch: launch, Kernel: kernel, Scheduler: sched, Options: opts, Cost: n},
+		{Launch: launch, Kernel: sched, Scheduler: kernel, Cost: -n},
 	}}
 }
 

@@ -68,7 +68,18 @@ var (
 
 	mMemoHits   = obs.NewCounter("prosimd_wire_memo_hits_total", "wire jobs whose decoded form and cache key came from the request memo")
 	mMemoMisses = obs.NewCounter("prosimd_wire_memo_misses_total", "wire jobs decoded, resolved and keyed from their bytes")
+
+	// prosimd_rejected_total, one series per reason a batch is refused.
+	mRejectedDraining  = rejectedCounter("draining")
+	mRejectedBodySize  = rejectedCounter("body_size")
+	mRejectedBatchSize = rejectedCounter("batch_size")
+	mRejectedQueue     = rejectedCounter("queue")
 )
+
+func rejectedCounter(reason string) *obs.Counter {
+	return obs.NewCounter(obs.Labeled("prosimd_rejected_total", "reason", reason),
+		"batch requests refused at admission, by reason")
+}
 
 // httpMetrics wraps an endpoint handler with a latency histogram labeled
 // by path; its _count is the request count. For /v1/batch the latency is
@@ -106,10 +117,6 @@ type Config struct {
 	// MaxBatchJobs caps one batch request's job count (413 beyond it);
 	// <= 0 means the queue depth.
 	MaxBatchJobs int
-	// FlightDir, when non-empty, attaches a flight recorder to every
-	// simulated job and writes its Perfetto capture artifact there,
-	// named by the job's result-cache key (see jobs.Engine.FlightDir).
-	FlightDir string
 	// Log, when non-nil, receives structured lifecycle events (batch
 	// accepted/finished, shutdown progress); nil logs nothing.
 	Log *slog.Logger
@@ -189,7 +196,6 @@ func New(cfg Config) (*Daemon, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng.FlightDir = cfg.FlightDir
 	log := cfg.Log
 	if log == nil {
 		log = obs.Discard()
@@ -377,14 +383,12 @@ func (d *Daemon) execute(j *jobs.Job, key string, cl class) (*stats.KernelResult
 	return d.eng.RunJobKeyed(ctx, j, key)
 }
 
-// reject refuses a batch before any job ran: it counts the rejection
-// (globally and by reason), sets Retry-After for retryable statuses,
-// and writes the error body.
-func (d *Daemon) reject(w http.ResponseWriter, code int, reason, msg string, retryAfter time.Duration) {
+// reject refuses a batch before any job ran: it counts the rejection in
+// /v1/stats and in reason (one of the mRejected* series), sets
+// Retry-After for retryable statuses, and writes the error body.
+func (d *Daemon) reject(w http.ResponseWriter, code int, reason *obs.Counter, msg string, retryAfter time.Duration) {
 	d.rejected.Add(1)
-	obs.NewCounter(
-		obs.Labeled("prosimd_rejected_total", "reason", reason),
-		"batch requests refused at admission, by reason").Inc()
+	reason.Inc()
 	if retryAfter > 0 {
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", int(retryAfter.Seconds()+0.999)))
 	}
@@ -443,18 +447,18 @@ func (d *Daemon) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if d.draining.Load() {
-		d.reject(w, http.StatusServiceUnavailable, "draining", "daemon is draining", 2*time.Second)
+		d.reject(w, http.StatusServiceUnavailable, mRejectedDraining, "daemon is draining", 2*time.Second)
 		return
 	}
-	if js, cls, ok := d.readBatch(w, r); ok {
-		d.serveBatch(w, r, js, cls)
+	if js, cl, ok := d.readBatch(w, r); ok {
+		d.serveBatch(w, r, js, cl)
 	}
 }
 
 // readBatch reads the body once and splits it in one pass; any refusal is
 // left to the reference, the decoder over the same bytes and read error
 // (DESIGN.md §9.5). ok false means it answered (400 or a counted 413).
-func (d *Daemon) readBatch(w http.ResponseWriter, r *http.Request) ([]*memoJob, []class, bool) {
+func (d *Daemon) readBatch(w http.ResponseWriter, r *http.Request) ([]*memoJob, class, bool) {
 	bodyCap := maxJobBytes * int64(d.cfg.MaxBatchJobs)
 	var buf bytes.Buffer
 	if n := r.ContentLength; n > 0 && n <= bodyCap {
@@ -462,8 +466,8 @@ func (d *Daemon) readBatch(w http.ResponseWriter, r *http.Request) ([]*memoJob, 
 	}
 	_, rerr := buf.ReadFrom(http.MaxBytesReader(w, r.Body, bodyCap))
 	if raws, priority, ok := splitBatch(buf.Bytes()); ok && rerr == nil && len(raws) <= d.cfg.MaxBatchJobs {
-		if js, cls, err := d.decodeBatch(raws, priority); err == nil {
-			return js, cls, true
+		if js, cl, err := d.decodeBatch(raws, priority); err == nil {
+			return js, cl, true
 		}
 	}
 	var req struct { // BatchRequest, its jobs left as bytes for decodeJob
@@ -472,24 +476,24 @@ func (d *Daemon) readBatch(w http.ResponseWriter, r *http.Request) ([]*memoJob, 
 	}
 	src := io.MultiReader(bytes.NewReader(buf.Bytes()), errReader{rerr})
 	if err := json.NewDecoder(src).Decode(&req); errors.As(err, new(*http.MaxBytesError)) {
-		d.reject(w, http.StatusRequestEntityTooLarge, "body_size",
+		d.reject(w, http.StatusRequestEntityTooLarge, mRejectedBodySize,
 			fmt.Sprintf("batch body exceeds the %d-byte cap; split it", bodyCap), 0)
-		return nil, nil, false
+		return nil, 0, false
 	} else if err != nil {
 		http.Error(w, "bad batch: "+err.Error(), http.StatusBadRequest)
-		return nil, nil, false
+		return nil, 0, false
 	}
 	if len(req.Jobs) > d.cfg.MaxBatchJobs {
-		d.reject(w, http.StatusRequestEntityTooLarge, "batch_size",
+		d.reject(w, http.StatusRequestEntityTooLarge, mRejectedBatchSize,
 			fmt.Sprintf("batch of %d jobs exceeds the %d-job cap; split it", len(req.Jobs), d.cfg.MaxBatchJobs), 0)
-		return nil, nil, false
+		return nil, 0, false
 	}
-	js, cls, err := d.decodeBatch(req.Jobs, req.Priority)
+	js, cl, err := d.decodeBatch(req.Jobs, req.Priority)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
-		return nil, nil, false
+		return nil, 0, false
 	}
-	return js, cls, true
+	return js, cl, true
 }
 
 // errReader replays the error that ended a body read (io.EOF for none).
@@ -497,50 +501,28 @@ type errReader struct{ err error }
 
 func (e errReader) Read([]byte) (int, error) { return 0, cmp.Or(e.err, io.EOF) }
 
-// decodeBatch decodes jobs and their classes; an error is the 400's text.
-func (d *Daemon) decodeBatch(raws []json.RawMessage, priority string) ([]*memoJob, []class, error) {
-	defCl, err := parseClass(priority)
+// decodeBatch decodes jobs and the batch's class; an error is the 400's
+// text.
+func (d *Daemon) decodeBatch(raws []json.RawMessage, priority string) ([]*memoJob, class, error) {
+	cl, err := parseClass(priority)
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
 	js := make([]*memoJob, len(raws))
-	cls := make([]class, len(raws))
 	for i, raw := range raws {
-		mj, err := d.decodeJob(raw)
-		if cls[i] = defCl; err == nil && mj.priority != "" {
-			cls[i], err = parseClass(mj.priority)
+		if js[i], err = d.decodeJob(raw); err != nil {
+			return nil, 0, fmt.Errorf("bad job %d: %v", i, err)
 		}
-		if err != nil {
-			return nil, nil, fmt.Errorf("bad job %d: %v", i, err)
-		}
-		js[i] = mj
 	}
-	return js, cls, nil
+	return js, cl, nil
 }
 
-// serveBatch admits a decoded batch to its class queues and streams it.
-func (d *Daemon) serveBatch(w http.ResponseWriter, r *http.Request, js []*memoJob, cls []class) {
-	var nByClass [numClasses]int
-	for _, cl := range cls {
-		nByClass[cl]++
-	}
-	admitted := [numClasses]bool{}
-	for cl := class(0); cl < numClasses; cl++ {
-		if nByClass[cl] == 0 {
-			admitted[cl] = true
-			continue
-		}
-		if admitted[cl] = d.disp.admit(cl, nByClass[cl]); !admitted[cl] {
-			// Roll back whatever the earlier classes reserved.
-			for rb := class(0); rb < cl; rb++ {
-				for k := 0; k < nByClass[rb]; k++ {
-					d.disp.forfeit(rb)
-				}
-			}
-			d.reject(w, http.StatusTooManyRequests, "queue",
-				fmt.Sprintf("%s queue is full (%d pending)", cl, d.cfg.QueueDepth), d.retryAfterHint(cl))
-			return
-		}
+// serveBatch admits a decoded batch to its class queue and streams it.
+func (d *Daemon) serveBatch(w http.ResponseWriter, r *http.Request, js []*memoJob, cl class) {
+	if !d.disp.admit(cl, len(js)) {
+		d.reject(w, http.StatusTooManyRequests, mRejectedQueue,
+			fmt.Sprintf("%s queue is full (%d pending)", cl, d.cfg.QueueDepth), d.retryAfterHint(cl))
+		return
 	}
 	d.batches.Add(1)
 	mBatches.Inc()
@@ -606,11 +588,11 @@ func (d *Daemon) serveBatch(w http.ResponseWriter, r *http.Request, js []*memoJo
 				if err := r.Context().Err(); err != nil {
 					// Client gone before this job was submitted: drop its
 					// reservation instead of launching work nobody reads.
-					d.disp.forfeit(cls[i])
+					d.disp.forfeit(cl)
 					results[i] = JobResult{Err: "submission canceled: " + err.Error()}
 					continue
 				}
-				res, fromCache, deduped, err := d.runJob(r.Context(), js[i], cls[i])
+				res, fromCache, deduped, err := d.runJob(r.Context(), js[i], cl)
 				ev := Event{
 					Type:      "job",
 					Index:     i,

@@ -5,11 +5,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"slices"
@@ -65,7 +65,6 @@ func TestMetricsEndpointServesPrometheus(t *testing.T) {
 		"prosimd_jobs_inflight",
 		"prosimd_wire_memo_hits_total",
 		"prosimd_wire_memo_misses_total",
-		"jobs_completed_total",
 		"jobs_simulated_total",
 		"jobs_sim_duration_seconds_bucket",
 		"resultcache_hits_total",
@@ -142,34 +141,66 @@ func designInventory(t *testing.T) []string {
 	return names
 }
 
+// freshScrapeEnv, set in the environment of a re-executed test binary,
+// names the file TestMetricInventoryMatchesDesign writes a fresh
+// daemon's /metrics to.
+const freshScrapeEnv = "PROSIM_DAEMON_FRESH_SCRAPE"
+
 // TestMetricInventoryMatchesDesign: every family the daemon's /metrics
 // declares has a DESIGN.md §10.3 row saying what question it answers,
 // and every row names a family that is served, so the inventory cannot
-// drift from the code.
+// drift from the code. The scrape is of a fresh daemon in a process
+// where nothing else ran (the test binary re-executed), and it must
+// serve each prosimd_rejected_total series at 0: a scrape can tell
+// "never refused" from "not instrumented".
 func TestMetricInventoryMatchesDesign(t *testing.T) {
-	d, c := newTestDaemon(t, Config{Workers: 1, MaxBatchJobs: 1})
-	// prosimd_rejected_total's series are made by the first refusal.
-	var oe *OverloadedError
-	if _, err := c.Run(context.Background(), quickBatch(t)[:2]); err == nil || errors.As(err, &oe) {
-		t.Fatalf("batch over the job cap: err = %v, want a 413", err)
+	if out := os.Getenv(freshScrapeEnv); out != "" {
+		d, _ := newTestDaemon(t, Config{Workers: 1})
+		srv := httptest.NewServer(d.Handler())
+		defer srv.Close()
+		resp, err := http.Get(srv.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(out, body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
 	}
-	srv := httptest.NewServer(d.Handler())
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/metrics")
+	if testing.Short() {
+		t.Skip("re-exec integration test")
+	}
+	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	out := filepath.Join(t.TempDir(), "metrics.txt")
+	cmd := exec.Command(exe, "-test.run=^TestMetricInventoryMatchesDesign$")
+	cmd.Env = append(os.Environ(), freshScrapeEnv+"="+out)
+	if log, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("re-executed scrape: %v\n%s", err, log)
+	}
+	body, err := os.ReadFile(out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	served, _ := exposition(t, string(body))
+	served, samples := exposition(t, string(body))
 	documented := designInventory(t)
 	slices.Sort(documented)
 	if !slices.Equal(served, documented) {
 		t.Fatalf("/metrics serves %d families, DESIGN.md §10.3 lists %d\nserved:     %v\ndocumented: %v",
 			len(served), len(documented), served, documented)
+	}
+	for _, reason := range []string{"draining", "body_size", "batch_size", "queue"} {
+		series := obs.Labeled("prosimd_rejected_total", "reason", reason)
+		if v, ok := samples["prosimd_rejected_total"][series]; v != "0" {
+			t.Errorf("fresh daemon serves %s = %q (present %v), want 0", series, v, ok)
+		}
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 // refReadBatch is the reference for readBatch: /v1/batch's decode as it
 // was before the one-pass splitter, the streaming decoder reading straight
 // off the capped body and the per-job loop written out in full.
-func refReadBatch(d *Daemon, w http.ResponseWriter, r *http.Request) ([]*memoJob, []class, bool) {
+func refReadBatch(d *Daemon, w http.ResponseWriter, r *http.Request) ([]*memoJob, class, bool) {
 	var req struct {
 		Jobs     []json.RawMessage `json:"jobs"`
 		Priority string            `json:"priority"`
@@ -28,37 +28,33 @@ func refReadBatch(d *Daemon, w http.ResponseWriter, r *http.Request) ([]*memoJob
 	bodyCap := maxJobBytes * int64(d.cfg.MaxBatchJobs)
 	r.Body = http.MaxBytesReader(w, r.Body, bodyCap)
 	if err := json.NewDecoder(r.Body).Decode(&req); errors.As(err, new(*http.MaxBytesError)) {
-		d.reject(w, http.StatusRequestEntityTooLarge, "body_size",
+		d.reject(w, http.StatusRequestEntityTooLarge, mRejectedBodySize,
 			fmt.Sprintf("batch body exceeds the %d-byte cap; split it", bodyCap), 0)
-		return nil, nil, false
+		return nil, 0, false
 	} else if err != nil {
 		http.Error(w, "bad batch: "+err.Error(), http.StatusBadRequest)
-		return nil, nil, false
+		return nil, 0, false
 	}
 	if len(req.Jobs) > d.cfg.MaxBatchJobs {
-		d.reject(w, http.StatusRequestEntityTooLarge, "batch_size",
+		d.reject(w, http.StatusRequestEntityTooLarge, mRejectedBatchSize,
 			fmt.Sprintf("batch of %d jobs exceeds the %d-job cap; split it", len(req.Jobs), d.cfg.MaxBatchJobs), 0)
-		return nil, nil, false
+		return nil, 0, false
 	}
-	defCl, err := parseClass(req.Priority)
+	cl, err := parseClass(req.Priority)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
-		return nil, nil, false
+		return nil, 0, false
 	}
 	js := make([]*memoJob, len(req.Jobs))
-	cls := make([]class, len(req.Jobs))
 	for i, raw := range req.Jobs {
 		mj, err := d.decodeJob(raw)
-		if cls[i] = defCl; err == nil && mj.priority != "" {
-			cls[i], err = parseClass(mj.priority)
-		}
 		if err != nil {
 			http.Error(w, fmt.Sprintf("bad job %d: %v", i, err), http.StatusBadRequest)
-			return nil, nil, false
+			return nil, 0, false
 		}
 		js[i] = mj
 	}
-	return js, cls, true
+	return js, cl, true
 }
 
 // readCase is one /v1/batch body of the differential corpus: split is
@@ -97,11 +93,7 @@ func readCorpus(t testing.TB, grid []jobs.Job, maxJobs int) []readCase {
 			wj.Scheduler = "NOPE"
 		}
 	})
-	urgent := batchBody(t, grid[:2], "", func(i int, wj *WireJob) {
-		if i == 1 {
-			wj.Priority = "urgent"
-		}
-	})
+	urgent := []byte(`{` + jobsOf(a, withJobPriority(b, "urgent")) + `}`)
 	return []readCase{
 		{"client one job", one, true, 0},
 		{"client 25 jobs bulk", b25, true, 0},
@@ -188,8 +180,8 @@ func TestBatchReadMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	refHandle := func(w http.ResponseWriter, r *http.Request) {
-		if js, cls, ok := refReadBatch(ref, w, r); ok {
-			ref.serveBatch(w, r, js, cls)
+		if js, cl, ok := refReadBatch(ref, w, r); ok {
+			ref.serveBatch(w, r, js, cl)
 		}
 	}
 	// serve runs one request through h, returning the status, the body,

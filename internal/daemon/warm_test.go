@@ -103,9 +103,10 @@ func encodeWire(t testing.TB, j *jobs.Job, edit func(*WireJob)) json.RawMessage 
 // memoGroups builds the wire jobs the equivalence stream draws from.
 // Each group is one simulation identity — one result-cache key, or none
 // for the unknown scheduler — in several encodings that differ only in
-// what must stay out of the key: the job's own priority, its label, its
-// cost. Encoding 0 and 1 carry no priority of their own. keyed counts
-// the leading groups that have a key.
+// what must stay out of the key: its label, its cost, and the job-level
+// priority older clients could send, which the daemon ignores (encodings
+// 2 to 4, an unknown value among them). keyed counts the leading groups
+// that have a key.
 func memoGroups(t testing.TB) (groups [][]json.RawMessage, keyed int) {
 	t.Helper()
 	kernels := []string{"aesEncrypt128", "scalarProdGPU", "cenergy", "sha1_overlap",
@@ -133,8 +134,9 @@ func memoGroups(t testing.TB) (groups [][]json.RawMessage, keyed int) {
 		return []json.RawMessage{
 			set(nil),
 			set(func(wj *WireJob) { wj.Kernel = "relabelled"; wj.Cost = 7 }),
-			set(func(wj *WireJob) { wj.Priority = PriorityBulk }),
-			set(func(wj *WireJob) { wj.Priority = PriorityInteractive }),
+			withJobPriority(set(nil), PriorityBulk),
+			withJobPriority(set(nil), PriorityInteractive),
+			withJobPriority(set(nil), "urgent"),
 		}
 	}
 	for i := range grid {
@@ -154,13 +156,13 @@ func memoGroups(t testing.TB) (groups [][]json.RawMessage, keyed int) {
 
 // TestMemoEquivalence is the exactness gate of the decoded-request memo:
 // one seeded stream of one-job, 25-job and queue-overflowing requests —
-// repeats, per-job priority and label variants, a parameterised spec, an
-// unknown scheduler, undecodable jobs, bad priorities — goes to a daemon
-// that keeps its memo and to a fresh daemon (empty memo: every job takes
-// the plain decode) per request. Status codes, error texts and NDJSON
-// lines must be identical. Mutation-checked: hashing a prefix of the
-// bytes, memoising the class resolved under the batch's priority, and
-// dropping the memoised key error each fail it.
+// repeats, label variants, jobs carrying a legacy priority of their own,
+// a parameterised spec, an unknown scheduler, undecodable jobs, bad batch
+// priorities — goes to a daemon that keeps its memo and to a fresh daemon
+// (empty memo: every job takes the plain decode) per request. Status
+// codes, error texts and NDJSON lines must be identical. Mutation-checked:
+// hashing a prefix of the bytes and dropping the memoised key error each
+// fail it.
 func TestMemoEquivalence(t *testing.T) {
 	const queueDepth = 32
 	cfg := Config{Workers: 2, CacheDir: t.TempDir(), QueueDepth: queueDepth, MaxBatchJobs: 64}
@@ -187,11 +189,9 @@ func TestMemoEquivalence(t *testing.T) {
 	hits0, misses0 := mMemoHits.Value(), mMemoMisses.Value()
 	rng := rand.New(rand.NewSource(1))
 	priorities := []string{"", "", PriorityBulk, PriorityInteractive}
-	urgent := quickJob(t, "PRO")
 	broken := []json.RawMessage{
 		json.RawMessage(`{"launch":7,"scheduler":"PRO"}`), // does not decode
 		json.RawMessage(`{"scheduler":"PRO"}`),            // decodes, no launch
-		encodeWire(t, &urgent, func(wj *WireJob) { wj.Priority = "urgent" }),
 	}
 	outcomes := map[string]int{}
 	for req := 0; req < 150; req++ {
@@ -214,14 +214,12 @@ func TestMemoEquivalence(t *testing.T) {
 				raws[rng.Intn(len(raws))] = broken[rng.Intn(len(broken))]
 			}
 		default:
-			// More jobs than the class queue admits, none with a priority
-			// of its own: the refusal names the class the batch's priority
-			// resolved to, whatever an earlier batch resolved the same
-			// bytes to.
+			// More jobs than the class queue admits: the refusal names the
+			// batch's class, whatever priority a job's own bytes carry.
 			shape = "overflow"
 			g := groups[rng.Intn(len(groups))]
 			for len(raws) <= queueDepth {
-				raws = append(raws, g[rng.Intn(2)])
+				raws = append(raws, g[rng.Intn(len(g))])
 			}
 		}
 		body := rawBatch(t, raws, priority)

@@ -43,14 +43,9 @@ type WireJob struct {
 	Options gpu.Options `json:"options"`
 	// Cost is the job's expected relative run time (informational).
 	Cost int64 `json:"cost,omitempty"`
-	// Priority is this job's scheduling class (PriorityInteractive or
-	// PriorityBulk), overriding the batch-level default. It is an
-	// execution knob, not identity: it never reaches the cache key.
-	// Empty defers to the batch (and ultimately to interactive).
-	Priority string `json:"priority,omitempty"`
 }
 
-// Priority classes a wire job or batch may carry. Interactive work
+// Priority classes a batch may carry. Interactive work
 // (paper tables, report reruns, a human at a terminal) is granted
 // worker slots ahead of bulk work (sweeps) at a configured ratio, so a
 // saturating sweep cannot starve a quick look at one result.
@@ -63,9 +58,11 @@ const (
 // through as Job.Scheduler, which the engine resolves as it does for a
 // local job, so the cache key matches the local execution path; an
 // unknown spec fails that job when it is keyed. Payloads from older
-// clients may still carry the removed "smWorkers" field; the decoder
-// ignores unknown fields, so such a job decodes, keys and runs exactly
-// as without it (pinned by TestWireJobLegacySMWorkersIgnored).
+// clients may still carry the removed "smWorkers" and job-level
+// "priority" fields; the decoder ignores unknown fields, so such a job
+// decodes, keys and runs exactly as without them, in its batch's class
+// (pinned by TestWireJobLegacySMWorkersIgnored and
+// TestWireJobLegacyPriorityIgnored).
 func (wj *WireJob) Job() (jobs.Job, error) {
 	if wj.Launch == nil {
 		return jobs.Job{}, fmt.Errorf("daemon: wire job has no launch")
@@ -81,13 +78,13 @@ func (wj *WireJob) Job() (jobs.Job, error) {
 }
 
 // memoJob is a decoded wire job as the memo holds it: the job (shared
-// read-only by every request sending the same bytes), its own priority,
-// and Engine.Key's verdict on it — the key, or the error (keyErr) that
-// keeps failing that job, and not the batch, for an unknown scheduler.
+// read-only by every request sending the same bytes) and Engine.Key's
+// verdict on it — the key, or the error (keyErr) that keeps failing that
+// job, and not the batch, for an unknown scheduler.
 type memoJob struct {
-	job           jobs.Job
-	priority, key string
-	keyErr        error
+	job    jobs.Job
+	key    string
+	keyErr error
 }
 
 // maxJobBytes is the per-job share of the /v1/batch body cap and the
@@ -103,9 +100,9 @@ const memoBudget = 8 << 20
 // decodeJob is the only way a wire job becomes a jobs.Job. A memo hit
 // returns what decoding the same bytes produced earlier; a miss decodes,
 // resolves and keys the job, and remembers it unless it failed to decode.
-// The bytes are untrusted, hence a cryptographic hash; kernel, cost and
-// priority are inside them, so jobs differing only there never alias,
-// and another encoding of one job is a miss that lands on the same key.
+// The bytes are untrusted, hence a cryptographic hash; kernel and cost
+// are inside them, so jobs differing only there never alias, and another
+// encoding of one job is a miss that lands on the same key.
 func (d *Daemon) decodeJob(raw []byte) (*memoJob, error) {
 	sum := sha256.Sum256(raw)
 	d.memoMu.Lock()
@@ -118,7 +115,7 @@ func (d *Daemon) decodeJob(raw []byte) (*memoJob, error) {
 	mMemoMisses.Inc()
 	var wj WireJob
 	err := json.Unmarshal(raw, &wj)
-	mj = &memoJob{priority: wj.Priority}
+	mj = &memoJob{}
 	if err == nil {
 		mj.job, err = wj.Job()
 	}
@@ -168,10 +165,9 @@ func FromJob(j *jobs.Job) (WireJob, error) {
 // BatchRequest is the body of POST /v1/batch.
 type BatchRequest struct {
 	Jobs []WireJob `json:"jobs"`
-	// Priority is the default class for every job of the batch; a job's
-	// own Priority overrides it. Empty means interactive (additive
-	// field: batches from older clients predate priority classes and
-	// were interactive tools).
+	// Priority is the class of every job of the batch. Empty means
+	// interactive (additive field: batches from older clients predate
+	// priority classes and were interactive tools).
 	Priority string `json:"priority,omitempty"`
 }
 

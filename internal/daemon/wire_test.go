@@ -109,6 +109,59 @@ func TestWireJobLegacySMWorkersIgnored(t *testing.T) {
 	}
 }
 
+// withJobPriority returns the encoded wire job raw plus the job-level
+// "priority" member clients sent before classes became per batch.
+func withJobPriority(raw []byte, priority string) []byte {
+	return append(append([]byte{}, raw[:len(raw)-1]...), `,"priority":"`+priority+`"}`...)
+}
+
+// TestWireJobLegacyPriorityIgnored: a job's own "priority" went away with
+// per-job classes, but older clients may still send it. Such a job keys
+// as the same job without the field, runs to the same result, and is
+// admitted in its batch's class: two jobs carrying "bulk" in an
+// interactive batch overflow the one-deep interactive queue.
+func TestWireJobLegacyPriorityIgnored(t *testing.T) {
+	d, c := newTestDaemon(t, Config{Workers: 1, QueueDepth: 1, MaxBatchJobs: 2})
+	j := quickJob(t, "PRO")
+	plain := encodeWire(t, &j, nil)
+	legacy := withJobPriority(plain, PriorityBulk)
+	a, err := d.decodeJob(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := d.decodeJob(legacy)
+	if err != nil {
+		t.Fatalf("legacy payload does not decode: %v", err)
+	}
+	if a.keyErr != nil || b.keyErr != nil || a.key != b.key {
+		t.Fatalf("a job-level priority changed the cache key\nwithout %s (%v)\nwith    %s (%v)", a.key, a.keyErr, b.key, b.keyErr)
+	}
+
+	status, body := postBatch(t, c.base, rawBatch(t, []json.RawMessage{legacy, legacy}, ""))
+	if status != http.StatusTooManyRequests || !bytes.Contains(body, []byte("interactive queue is full")) {
+		t.Fatalf("two legacy bulk jobs in an interactive batch: %d %s, want 429 from the interactive queue", status, body)
+	}
+
+	want, err := c.Run(context.Background(), []jobs.Job{j})
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, body = postBatch(t, c.base, rawBatch(t, []json.RawMessage{legacy}, ""))
+	if status != http.StatusOK {
+		t.Fatalf("legacy batch: %d %s", status, body)
+	}
+	lines := bytes.Split(bytes.TrimSpace(body), []byte("\n"))
+	var batch Event
+	if err := json.Unmarshal(lines[len(lines)-1], &batch); err != nil || len(batch.Results) != 1 || batch.Results[0].Err != "" {
+		t.Fatalf("legacy batch line %s: %v", lines[len(lines)-1], err)
+	}
+	wantBytes, _ := json.Marshal(want[0])
+	gotBytes, _ := json.Marshal(batch.Results[0].Result)
+	if !bytes.Equal(gotBytes, wantBytes) {
+		t.Fatal("legacy job's result differs from the same job without a priority")
+	}
+}
+
 // FuzzWireJobToJob feeds arbitrary bytes through the daemon's job
 // decoder: json.Unmarshal into a WireJob, then Job(). Either step may
 // fail; a job that comes out must survive the validation RunContext
@@ -133,6 +186,7 @@ func FuzzWireJobToJob(f *testing.F) {
 	}
 	f.Add(seed(modern))
 	f.Add(withLegacySMWorkers(f, modern, 4))
+	f.Add(withJobPriority(seed(modern), "urgent"))
 	composed := modern
 	composed.Scheduler = "PRO+threshold=500"
 	f.Add(seed(composed))
@@ -159,9 +213,9 @@ func FuzzWireJobToJob(f *testing.F) {
 			if (derr == nil) != (err == nil) {
 				t.Fatalf("pass %d: decodeJob says %v, Unmarshal+Job() says %v", pass, derr, err)
 			}
-			if derr == nil && (mj.job.SchedLabel() != j.SchedLabel() || mj.job.Label() != j.Label() || mj.priority != wj.Priority) {
-				t.Fatalf("pass %d: decodeJob returned %s/%s priority %q, the plain decode %s/%s priority %q",
-					pass, mj.job.Label(), mj.job.SchedLabel(), mj.priority, j.Label(), j.SchedLabel(), wj.Priority)
+			if derr == nil && (mj.job.SchedLabel() != j.SchedLabel() || mj.job.Label() != j.Label()) {
+				t.Fatalf("pass %d: decodeJob returned %s/%s, the plain decode %s/%s",
+					pass, mj.job.Label(), mj.job.SchedLabel(), j.Label(), j.SchedLabel())
 			}
 		}
 		if err != nil {

@@ -94,9 +94,6 @@ func (c *Channel) Enqueue(r *Request) bool {
 	return true
 }
 
-// QueueLen returns the number of waiting requests.
-func (c *Channel) QueueLen() int { return len(c.queue) }
-
 // Busy reports whether any bank is still servicing at cycle.
 func (c *Channel) Busy(cycle int64) bool {
 	if len(c.queue) > 0 {

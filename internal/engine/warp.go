@@ -281,10 +281,6 @@ func (w *Warp) readyAt(in *isa.Instr) int64 {
 	return at // regPendingLoad == neverWake
 }
 
-// OutstandingLoads returns the number of global loads/atomics in flight —
-// the long-latency signal the TL scheduler watches.
-func (w *Warp) OutstandingLoads() int { return w.outstandingLoads }
-
 // setRegLatency marks dst unavailable until cycle+lat.
 func (w *Warp) setRegLatency(dst isa.Reg, cycle, lat int64) {
 	if dst != isa.NoReg {

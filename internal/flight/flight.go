@@ -1,6 +1,6 @@
 // Package flight is the simulation flight recorder: an opt-in,
-// sampling, ring-buffered capture of one run's warp-granular execution
-// story — per-warp progress timelines, scheduler-decision events, and
+// ring-buffered capture of one run's warp-granular execution story —
+// per-warp progress timelines, scheduler-decision events, and
 // memory-request lifecycle spans with latency attribution across the
 // hierarchy (interconnect, L2/MSHR, DRAM queueing and service).
 //
@@ -18,74 +18,38 @@
 //
 // Ring semantics are true flight-recorder semantics: when a ring fills,
 // the oldest record is overwritten and counted as dropped, so a capture
-// always holds the most recent window of the run.
+// always holds the most recent window of the run. Every warp and every
+// accepted memory transaction is recorded: a capture is never a sample.
 package flight
 
 import (
 	"repro/internal/stats"
 )
 
-// Defaults for Options fields left zero.
+// The capture's fixed bounds.
 const (
-	DefaultRingEvents    = 1 << 14
-	DefaultRingSpans     = 1 << 15
-	DefaultProgressEvery = 32
-	DefaultTopN          = 10
+	// ringEvents is the per-SM event ring capacity.
+	ringEvents = 1 << 14
+	// ringSpans is the committed memory-span ring capacity.
+	ringSpans = 1 << 15
+	// progressEvery is how many issues of a warp one progress point
+	// stands for.
+	progressEvery = 32
+	// topN is how many least-progressed warps the report lists.
+	topN = 10
 )
 
-// Options tune one recorder. The zero value records everything at the
-// default ring sizes and progress granularity.
-type Options struct {
-	// RingEvents is the per-SM event ring capacity (<=0 means
-	// DefaultRingEvents). Oldest events are overwritten when it fills.
-	RingEvents int
-	// RingSpans is the committed memory-span ring capacity (<=0 means
-	// DefaultRingSpans).
-	RingSpans int
-	// WarpSample samples warp-level events (progress points, stall
-	// causes, barrier arrivals) to warp slots where slot%WarpSample == 0;
-	// <=1 records every warp. Warp lifecycle (start/finish) events are
-	// always recorded so the least-progressed report stays complete.
-	WarpSample int
-	// ProgressEvery records one progress point per that many issues of a
-	// sampled warp (<=0 means DefaultProgressEvery). 1 records every
-	// issue.
-	ProgressEvery int
-	// MemSample records every Nth accepted memory transaction as a span;
-	// <=1 records all of them.
-	MemSample int
-	// TopN is how many least-progressed warps the report lists (<=0
-	// means DefaultTopN).
-	TopN int
-}
-
-func (o Options) withDefaults() Options {
-	if o.RingEvents <= 0 {
-		o.RingEvents = DefaultRingEvents
-	}
-	if o.RingSpans <= 0 {
-		o.RingSpans = DefaultRingSpans
-	}
-	if o.WarpSample <= 1 {
-		o.WarpSample = 1
-	}
-	if o.ProgressEvery <= 0 {
-		o.ProgressEvery = DefaultProgressEvery
-	}
-	if o.MemSample <= 1 {
-		o.MemSample = 1
-	}
-	if o.TopN <= 0 {
-		o.TopN = DefaultTopN
-	}
-	return o
-}
+// Options is empty: a recorder has nothing to set.
+//
+// Deprecated: call New with no argument. The type survives only because
+// bench/ calls New(flight.Options{}).
+type Options struct{}
 
 // EventKind enumerates warp/scheduler event types.
 type EventKind uint8
 
 const (
-	// EvWarpProgress is a progress checkpoint of a sampled warp:
+	// EvWarpProgress is a progress checkpoint of a warp:
 	// A = Warp.Progress (the paper's metric), B = PC.
 	EvWarpProgress EventKind = iota
 	// EvWarpStall marks a warp transitioning to blocked: A = the cycle
@@ -153,28 +117,10 @@ type Event struct {
 	Kind  EventKind
 }
 
-// SlotOutcomeName names the EvSlotState outcome codes (the engine's
-// slot classification, mirroring the stall taxonomy).
-func SlotOutcomeName(v int64) string {
-	switch v {
-	case 0:
-		return "issued"
-	case 1:
-		return "pipeline"
-	case 2:
-		return "scoreboard"
-	case 3:
-		return "idle"
-	}
-	return "unknown"
-}
-
 // Recorder captures one simulation run. Build with New, attach via
 // gpu.Options.Flight, then read the results with Report or Capture. A
 // Recorder records exactly one run; attach a fresh one per run.
 type Recorder struct {
-	opts Options
-
 	// Meta, filled by FinishRun.
 	kernel    string
 	scheduler string
@@ -186,11 +132,10 @@ type Recorder struct {
 	mem *MemTrace
 }
 
-// New builds a recorder with opts (zero value = defaults).
-func New(opts Options) *Recorder {
-	r := &Recorder{opts: opts.withDefaults()}
-	r.mem = &MemTrace{rec: r, every: r.opts.MemSample}
-	return r
+// New builds a recorder. It takes no Options; the variadic parameter
+// only keeps New(flight.Options{}) compiling.
+func New(...Options) *Recorder {
+	return &Recorder{mem: &MemTrace{}}
 }
 
 // Start sizes the per-SM traces. Called by the GPU once per run, before
@@ -202,7 +147,7 @@ func (r *Recorder) Start(numSMs int) {
 	}
 	r.sms = make([]*SMTrace, numSMs)
 	for i := range r.sms {
-		r.sms[i] = &SMTrace{rec: r, id: int16(i)}
+		r.sms[i] = &SMTrace{id: int16(i)}
 	}
 }
 
@@ -235,15 +180,14 @@ func (r *Recorder) eventCounts() (captured, dropped int64) {
 // SMTrace is one SM's event ring, written only by the goroutine that
 // runs the simulation — no synchronization.
 type SMTrace struct {
-	rec *Recorder
-	id  int16
+	id int16
 
 	ring        []Event
 	head        int
 	count       int64 // total pushed (retained + overwritten)
 	overwritten int64
 
-	// Per-warp-slot issue counters for progress sampling, and per-slot
+	// Per-warp-slot issue counters for progress points, and per-slot
 	// last-seen state for transition events. Sized by Size.
 	issueCnt    []int32
 	lastStall   []int64
@@ -260,7 +204,7 @@ const stallUnset = int64(-1) << 62
 // trace is attached to an SM (warpSlots resident warp slots, schedSlots
 // scheduler slots).
 func (t *SMTrace) Size(warpSlots, schedSlots int) {
-	t.ring = make([]Event, 0, t.rec.opts.RingEvents)
+	t.ring = make([]Event, 0, ringEvents)
 	t.issueCnt = make([]int32, warpSlots)
 	t.lastStall = make([]int64, warpSlots)
 	t.lastOutcome = make([]int8, schedSlots)
@@ -303,42 +247,30 @@ func (t *SMTrace) events() []Event {
 	return out
 }
 
-// sampled reports whether warp slot w's fine-grained events are kept.
-func (t *SMTrace) sampled(w int) bool {
-	s := t.rec.opts.WarpSample
-	return s == 1 || w%s == 0
-}
-
 // OnIssue records an issue commit: a leader-change event when the
 // scheduler slot switched warps, and a progress checkpoint every
-// ProgressEvery issues of a sampled warp.
+// progressEvery issues of the warp.
 func (t *SMTrace) OnIssue(cycle int64, schedSlot, warpSlot int, tb int, progress, pc int64) {
 	if prev := t.lastPick[schedSlot]; prev != int32(warpSlot) {
 		t.lastPick[schedSlot] = int32(warpSlot)
 		t.push(Event{Cycle: cycle, Kind: EvSchedPick, Slot: int16(schedSlot),
 			Warp: int32(warpSlot), TB: int32(tb), A: int64(prev)})
 	}
-	if !t.sampled(warpSlot) {
-		return
-	}
 	t.lastStall[warpSlot] = stallUnset
 	t.issueCnt[warpSlot]++
-	if (t.issueCnt[warpSlot]-1)%int32(t.rec.opts.ProgressEvery) != 0 {
+	if (t.issueCnt[warpSlot]-1)%progressEvery != 0 {
 		return
 	}
 	t.push(Event{Cycle: cycle, Kind: EvWarpProgress, Slot: int16(schedSlot),
 		Warp: int32(warpSlot), TB: int32(tb), A: progress, B: pc})
 }
 
-// OnWarpStall records a sampled warp entering a blocked state; readyAt
+// OnWarpStall records a warp entering a blocked state; readyAt
 // is the warp's gate cycle (math.MaxInt64 — a pending load — maps to
 // -1). Without cycle skipping the engine re-classifies a blocked warp
 // every cycle, so repeats of the same cause since the warp's last issue
 // are deduplicated here rather than flooding the ring.
 func (t *SMTrace) OnWarpStall(cycle int64, warpSlot, tb int, readyAt int64) {
-	if !t.sampled(warpSlot) {
-		return
-	}
 	a := readyAt
 	if a == int64(1<<63-1) {
 		a = -1
@@ -351,17 +283,14 @@ func (t *SMTrace) OnWarpStall(cycle int64, warpSlot, tb int, readyAt int64) {
 		Warp: int32(warpSlot), TB: int32(tb), A: a})
 }
 
-// OnBarrier records a sampled warp arriving at its TB barrier.
+// OnBarrier records a warp arriving at its TB barrier.
 func (t *SMTrace) OnBarrier(cycle int64, warpSlot, tb int) {
-	if !t.sampled(warpSlot) {
-		return
-	}
 	t.push(Event{Cycle: cycle, Kind: EvWarpBarrier, Slot: -1,
 		Warp: int32(warpSlot), TB: int32(tb)})
 }
 
-// OnWarpFinish records a warp exiting. Always recorded (not sampled):
-// the least-progressed report needs every warp's final progress.
+// OnWarpFinish records a warp exiting: the least-progressed report
+// reads every warp's final progress from these events.
 func (t *SMTrace) OnWarpFinish(cycle int64, warpSlot, tb int, progress, spawn int64) {
 	t.push(Event{Cycle: cycle, Kind: EvWarpFinish, Slot: -1,
 		Warp: int32(warpSlot), TB: int32(tb), A: progress, B: spawn})
@@ -508,27 +437,17 @@ type SpanComponents struct {
 // goroutine that runs the simulation (carrier callbacks, grants), so
 // there is no concurrent access.
 type MemTrace struct {
-	rec *Recorder
-
 	ring        []MemSpan
 	head        int
 	count       int64 // committed (retained + overwritten)
 	overwritten int64
 
-	free  []*MemSpan // live-span pool
-	live  int        // started but not yet committed
-	seen  int64      // accepted transactions observed (sampling base)
-	every int
+	free []*MemSpan // live-span pool
+	live int        // started but not yet committed
 }
 
-// Start begins a span for an accepted memory transaction, returning nil
-// when sampling skips it (callers keep a nil span pointer and every
-// later hook stays a single branch).
+// Start begins a span for an accepted memory transaction.
 func (m *MemTrace) Start(kind SpanKind, sm, part int, line uint64, inject, icntQueue int64) *MemSpan {
-	m.seen++
-	if m.every > 1 && (m.seen-1)%int64(m.every) != 0 {
-		return nil
-	}
 	var sp *MemSpan
 	if n := len(m.free); n > 0 {
 		sp = m.free[n-1]
@@ -548,7 +467,7 @@ func (m *MemTrace) Commit(sp *MemSpan) {
 	if len(m.ring) < cap(m.ring) {
 		m.ring = append(m.ring, *sp)
 	} else if cap(m.ring) == 0 {
-		m.ring = make([]MemSpan, 0, m.rec.opts.RingSpans)
+		m.ring = make([]MemSpan, 0, ringSpans)
 		m.ring = append(m.ring, *sp)
 	} else {
 		m.ring[m.head] = *sp

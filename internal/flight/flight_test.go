@@ -1,8 +1,6 @@
 package flight
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
 	"repro/internal/stats"
@@ -12,62 +10,30 @@ import (
 // event ring fills, the oldest events are overwritten (and counted as
 // dropped), and events() still reads back in chronological order.
 func TestFlightRingWrapKeepsNewest(t *testing.T) {
-	r := New(Options{RingEvents: 8})
+	r := New()
 	r.Start(1)
 	tr := r.SM(0)
 	tr.Size(4, 2)
 
-	for i := 0; i < 20; i++ {
+	const over = 12
+	for i := 0; i < ringEvents+over; i++ {
 		tr.OnWarpFinish(int64(i), i%4, 0, int64(i), 0)
 	}
 	evs := tr.events()
-	if len(evs) != 8 {
-		t.Fatalf("ring retained %d events, want 8", len(evs))
+	if len(evs) != ringEvents {
+		t.Fatalf("ring retained %d events, want %d", len(evs), ringEvents)
 	}
-	if tr.overwritten != 12 {
-		t.Fatalf("overwritten = %d, want 12", tr.overwritten)
+	if tr.overwritten != over {
+		t.Fatalf("overwritten = %d, want %d", tr.overwritten, over)
 	}
 	for i, e := range evs {
-		if want := int64(12 + i); e.Cycle != want {
+		if want := int64(over + i); e.Cycle != want {
 			t.Fatalf("event %d at cycle %d, want %d (not chronological)", i, e.Cycle, want)
 		}
 	}
 	captured, dropped := r.eventCounts()
-	if captured != 20 || dropped != 12 {
-		t.Fatalf("counts captured=%d dropped=%d, want 20/12", captured, dropped)
-	}
-}
-
-// TestFlightWarpSampling pins WarpSample: fine-grained events stick to
-// slots where slot%N == 0, but warp-finish events are always kept so
-// the least-progressed report stays complete.
-func TestFlightWarpSampling(t *testing.T) {
-	r := New(Options{WarpSample: 4})
-	r.Start(1)
-	tr := r.SM(0)
-	tr.Size(8, 2)
-
-	for w := 0; w < 8; w++ {
-		tr.OnBarrier(1, w, 0)
-		tr.OnWarpFinish(2, w, 0, 10, 0)
-	}
-	var barriers, finishes int
-	for _, e := range tr.events() {
-		switch e.Kind {
-		case EvWarpBarrier:
-			barriers++
-			if e.Warp%4 != 0 {
-				t.Fatalf("barrier recorded for unsampled warp %d", e.Warp)
-			}
-		case EvWarpFinish:
-			finishes++
-		}
-	}
-	if barriers != 2 {
-		t.Fatalf("%d barrier events, want 2 (warps 0 and 4)", barriers)
-	}
-	if finishes != 8 {
-		t.Fatalf("%d finish events, want all 8 regardless of sampling", finishes)
+	if captured != ringEvents+over || dropped != over {
+		t.Fatalf("counts captured=%d dropped=%d, want %d/%d", captured, dropped, ringEvents+over, over)
 	}
 }
 
@@ -76,7 +42,7 @@ func TestFlightWarpSampling(t *testing.T) {
 // same stall cause since the warp's last issue collapse to one event,
 // and the pending-load sentinel maps to -1.
 func TestFlightStallDedup(t *testing.T) {
-	r := New(Options{ProgressEvery: 1})
+	r := New()
 	r.Start(1)
 	tr := r.SM(0)
 	tr.Size(4, 2)
@@ -140,50 +106,23 @@ func TestFlightSpanComponentsSumIdentity(t *testing.T) {
 	}
 }
 
-// TestFlightMemSampling pins MemSample: every Nth accepted transaction
-// starts a span, the rest return nil so the carrier hooks stay single
-// branches.
-func TestFlightMemSampling(t *testing.T) {
-	r := New(Options{MemSample: 3})
-	m := r.Mem()
-	var started int
-	for i := 0; i < 9; i++ {
-		sp := m.Start(SpanLoad, 0, 0, uint64(i), int64(i), 0)
-		if sp != nil {
-			started++
-			sp.L2At, sp.Done, sp.Deliver = sp.Inject+1, sp.Inject+2, sp.Inject+3
-			sp.L2Hit = true
-			m.Commit(sp)
-		}
-	}
-	if started != 3 {
-		t.Fatalf("started %d spans of 9 at MemSample=3, want 3", started)
-	}
-	if got := len(m.spans()); got != 3 {
-		t.Fatalf("committed %d spans, want 3", got)
-	}
-	if m.live != 0 {
-		t.Fatalf("%d spans still live after commits", m.live)
-	}
-}
-
 // TestFlightSpanRingWrap pins span-ring overwrite and pooling: commits
 // beyond capacity overwrite the oldest span, and the pool recycles
 // span objects instead of growing.
 func TestFlightSpanRingWrap(t *testing.T) {
-	r := New(Options{RingSpans: 4})
-	m := r.Mem()
-	for i := 0; i < 10; i++ {
+	m := New().Mem()
+	const over = 6
+	for i := 0; i < ringSpans+over; i++ {
 		sp := m.Start(SpanLoad, 0, 0, uint64(i), int64(i), 0)
 		sp.L2At, sp.Done, sp.Deliver = sp.Inject+1, sp.Inject+2, sp.Inject+3
 		m.Commit(sp)
 	}
 	got := m.spans()
-	if len(got) != 4 || m.overwritten != 6 {
-		t.Fatalf("retained %d spans, overwritten %d; want 4/6", len(got), m.overwritten)
+	if len(got) != ringSpans || m.overwritten != over {
+		t.Fatalf("retained %d spans, overwritten %d; want %d/%d", len(got), m.overwritten, ringSpans, over)
 	}
 	for i, sp := range got {
-		if want := int64(6 + i); sp.Inject != want {
+		if want := int64(over + i); sp.Inject != want {
 			t.Fatalf("span %d injected at %d, want %d (not commit order)", i, sp.Inject, want)
 		}
 	}
@@ -194,16 +133,21 @@ func TestFlightSpanRingWrap(t *testing.T) {
 
 // TestFlightReportAggregates pins the report math on a hand-built
 // capture: conditional means, hit/merge counters and the
-// least-progressed ordering (ascending progress, TopN-truncated).
+// least-progressed ordering (ascending progress, cut to topN).
 func TestFlightReportAggregates(t *testing.T) {
-	r := New(Options{TopN: 2})
+	r := New()
 	r.Start(2)
 	r.SM(0).Size(4, 2)
-	r.SM(1).Size(4, 2)
+	r.SM(1).Size(topN, 2)
 
 	r.SM(0).OnWarpFinish(100, 0, 0, 50, 10)
 	r.SM(0).OnWarpFinish(110, 1, 0, 5, 10)
 	r.SM(1).OnWarpFinish(120, 0, 1, 20, 15)
+	// topN-1 more warps, each further along than the three above: the
+	// one at progress 50 is the first the table leaves out.
+	for w := 1; w < topN; w++ {
+		r.SM(1).OnWarpFinish(130, w, 2, int64(20+w), 15)
+	}
 
 	m := r.Mem()
 	hit := m.Start(SpanLoad, 0, 0, 1, 10, 0)
@@ -220,8 +164,8 @@ func TestFlightReportAggregates(t *testing.T) {
 	if rep.Stalls.Total() != 12 {
 		t.Fatalf("stall total %d, want 12", rep.Stalls.Total())
 	}
-	if rep.Events != 3 || rep.Spans != 2 {
-		t.Fatalf("events=%d spans=%d, want 3/2", rep.Events, rep.Spans)
+	if rep.Events != topN+2 || rep.Spans != 2 {
+		t.Fatalf("events=%d spans=%d, want %d/2", rep.Events, rep.Spans, topN+2)
 	}
 	if rep.Mem.L2Hits != 1 || rep.Mem.RowHits != 1 {
 		t.Fatalf("l2_hits=%d row_hits=%d, want 1/1", rep.Mem.L2Hits, rep.Mem.RowHits)
@@ -234,19 +178,19 @@ func TestFlightReportAggregates(t *testing.T) {
 	if rep.Mem.MeanDRAMQueue != 30 {
 		t.Fatalf("mean dram_queue %.1f, want 30", rep.Mem.MeanDRAMQueue)
 	}
-	if len(rep.LeastProgressed) != 2 {
-		t.Fatalf("least-progressed lists %d warps, want TopN=2", len(rep.LeastProgressed))
+	if len(rep.LeastProgressed) != topN {
+		t.Fatalf("least-progressed lists %d warps, want topN=%d", len(rep.LeastProgressed), topN)
 	}
-	if rep.LeastProgressed[0].Progress != 5 || rep.LeastProgressed[1].Progress != 20 {
-		t.Fatalf("least-progressed not ascending: %+v", rep.LeastProgressed)
+	for i, ws := range rep.LeastProgressed {
+		want := int64(5) // then 20, 21, ..., 20+topN-2
+		if i > 0 {
+			want = int64(20 + i - 1)
+		}
+		if ws.Progress != want {
+			t.Fatalf("least-progressed[%d] at progress %d, want %d: %+v", i, ws.Progress, want, rep.LeastProgressed)
+		}
 	}
 	if lt := rep.LeastProgressed[0].Lifetime; lt != 100 {
 		t.Fatalf("lifetime %d, want finish-spawn = 100", lt)
-	}
-
-	var buf bytes.Buffer
-	rep.WriteText(&buf)
-	if !strings.Contains(buf.String(), "k/s") && !strings.Contains(buf.String(), "k") {
-		t.Fatalf("text report missing run identity:\n%s", buf.String())
 	}
 }

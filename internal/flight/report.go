@@ -1,8 +1,6 @@
 package flight
 
 import (
-	"fmt"
-	"io"
 	"sort"
 
 	"repro/internal/stats"
@@ -41,7 +39,7 @@ type WarpStat struct {
 }
 
 // Report is the aggregated view of one capture: the run's stall
-// taxonomy extended with memory-side attribution, plus the top-N
+// taxonomy extended with memory-side attribution, plus the topN
 // least-progressed warps (the paper's progress-divergence lens).
 type Report struct {
 	Kernel    string               `json:"kernel"`
@@ -132,8 +130,7 @@ func mean(sum, n int64) float64 {
 }
 
 // leastProgressed ranks warps by final progress from their EvWarpFinish
-// events (always recorded), ascending, ties broken by SM then warp slot
-// for determinism.
+// events, ascending, ties broken by SM then warp slot for determinism.
 func (r *Recorder) leastProgressed() []WarpStat {
 	var ws []WarpStat
 	for _, t := range r.sms {
@@ -156,30 +153,8 @@ func (r *Recorder) leastProgressed() []WarpStat {
 		}
 		return ws[i].Warp < ws[j].Warp
 	})
-	if len(ws) > r.opts.TopN {
-		ws = ws[:r.opts.TopN]
+	if len(ws) > topN {
+		ws = ws[:topN]
 	}
 	return ws
-}
-
-// WriteText renders the report as the human stall-attribution table.
-func (rep Report) WriteText(w io.Writer) {
-	fmt.Fprintf(w, "kernel=%s scheduler=%s cycles=%d\n", rep.Kernel, rep.Scheduler, rep.Cycles)
-	fmt.Fprintf(w, "  stall slots: total=%d idle=%d scoreboard=%d pipeline=%d (issued=%d)\n",
-		rep.Stalls.Total(), rep.Stalls.Idle, rep.Stalls.Scoreboard, rep.Stalls.Pipeline, rep.Stalls.Issued)
-	fmt.Fprintf(w, "  events: %d captured, %d dropped; spans: %d captured, %d dropped\n",
-		rep.Events, rep.EventsDropped, rep.Spans, rep.SpansDropped)
-	m := rep.Mem
-	fmt.Fprintf(w, "  mem latency (mean cycles over %d spans): total=%.1f\n", m.Spans, m.MeanTotal)
-	fmt.Fprintf(w, "    icnt_req=%.1f l2_service=%.1f l2_mshr=%.1f dram_queue=%.1f dram_service=%.1f icnt_resp=%.1f\n",
-		m.MeanICNTReq, m.MeanL2Service, m.MeanL2MSHR, m.MeanDRAMQueue, m.MeanDRAMService, m.MeanICNTResp)
-	fmt.Fprintf(w, "    l2_hits=%d l2_merges=%d row_hits=%d l1_merged=%d retries=%d\n",
-		m.L2Hits, m.L2Merges, m.RowHits, m.MergedL1, m.Retries)
-	if len(rep.LeastProgressed) > 0 {
-		fmt.Fprintf(w, "  least-progressed warps (progress, lifetime):\n")
-		for _, ws := range rep.LeastProgressed {
-			fmt.Fprintf(w, "    sm=%-2d warp=%-2d tb=%-4d progress=%-8d lifetime=%d\n",
-				ws.SM, ws.Warp, ws.TB, ws.Progress, ws.Lifetime)
-		}
-	}
 }

@@ -38,7 +38,7 @@ func flProg(t *testing.T) *engine.Launch {
 
 // TestFlightRecorderDoesNotAlterResults is the bit-identity gate for
 // the flight recorder: for every registered scheduler, a run with a
-// full-fidelity recorder attached must produce byte-identical results
+// recorder attached must produce byte-identical results
 // (including the sampled timeline) to a bare run, while the capture
 // itself is sane — events and spans were recorded, the report's stall
 // taxonomy matches the run's, and every memory span's component split
@@ -56,7 +56,7 @@ func TestFlightRecorderDoesNotAlterResults(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			rec := flight.New(flight.Options{ProgressEvery: 1, MemSample: 1})
+			rec := flight.New()
 			observed, err := Run(config.GTX480(), launch, factory,
 				Options{SampleEvery: 512, Flight: rec})
 			if err != nil {
@@ -113,19 +113,20 @@ func TestFlightRecorderDoesNotAlterResults(t *testing.T) {
 	}
 }
 
-// flightPins are SHA-256 digests of flProg captures (every warp, every
-// issue, rings large enough to drop nothing) taken on the commit before
-// the issue board (PR 15): for the PRO family the whole NDJSON export,
-// for the three baselines the export without its meta line (which counts
-// events) and its sched_resort events.
+// flightPins are SHA-256 digests of flProg captures (every warp, a
+// progress point every 32 issues, and a grid small enough that the fixed
+// rings drop nothing) taken on commit 4271e86, the one before the issue
+// board: for the PRO family the whole NDJSON export, for the three
+// baselines the export without its meta line (which counts events) and
+// its sched_resort events.
 var flightPins = map[string]string{
-	"PRO":          "5c6defd02a11525110b80bd297a1dbe8f21437a236e2f0746b8adc63ff878d2d",
-	"PRO-nobar":    "cc0cb164f36d91e9c35f080c975cbf56b415e00276fe5435721a75920ccc7c6c",
-	"PRO-adaptive": "e218fcd6109ccff2cebfa8d4e09d51d7424aa259d6eb490de5d446357a425b08",
-	"PRO-norm":     "42203743a1e1354523cf3fe77ee9611e808ff6d21959224699a37051852e6a38",
-	"TL":           "75d99b06f7ba4d5907cb28d7165c1ac859dc6a374d1c59736ff208879c9fe059",
-	"LRR":          "cc86a0544af9a552a51fd8df73c5fba21282dd7f9ba1b87909f0a48f020e7f59",
-	"GTO":          "57e1edbb4e26379c11d8ec3c4de75d4ae8433c25f2d712803e90ab5389e8f5ee",
+	"PRO":          "4222d23e40d01d06c9328e8a0d31b30bd05f8ab120413dc1075382a1491a6313",
+	"PRO-nobar":    "a80f702df2a46b453fffbf551c22b34bf0946b06b7317ff692c544da5d5364c3",
+	"PRO-adaptive": "549c92b541bf9eba76c6cf9be3424207023e8ccb5a260eb465d2fb85738ab094",
+	"PRO-norm":     "c90062351035a4c67c99fc8f46b3b24baa635a2e563183b8282bba3ebf78fb98",
+	"TL":           "486d9e6bcbf46434bda30e31988dc6991ce4c01affa7d1b2830cf39725adf1bb",
+	"LRR":          "c8083ae59bfdd30ca18afd6c49087eb261cdec53f11e5625142a3b69fc9ac901",
+	"GTO":          "d4997e333b4dc7c98d9e2aed301fbdbd2204db16b210f89724d40ffaa342123b",
 }
 
 // TestFlightCaptureKeepsAllButResorts pins what the issue board may and
@@ -145,7 +146,7 @@ func TestFlightCaptureKeepsAllButResorts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rec := flight.New(flight.Options{RingEvents: 1 << 16, RingSpans: 1 << 17, ProgressEvery: 1})
+			rec := flight.New()
 			if _, err := Run(config.GTX480(), launch, factory, Options{Flight: rec}); err != nil {
 				t.Fatal(err)
 			}

@@ -18,8 +18,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"runtime/pprof"
@@ -29,7 +27,6 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/engine"
-	"repro/internal/flight"
 	"repro/internal/gpu"
 	"repro/internal/obs"
 	"repro/internal/resultcache"
@@ -43,7 +40,6 @@ import (
 // running now. All updates are O(1) atomics at job granularity — the
 // simulation cycle loop itself is never touched.
 var (
-	mCompleted = obs.NewCounter("jobs_completed_total", "jobs finished (including failures)")
 	mSimulated = obs.NewCounter("jobs_simulated_total", "jobs that ran the simulator")
 	mReplayed  = obs.NewCounter("jobs_replayed_total", "jobs served from the result cache")
 	mFailed    = obs.NewCounter("jobs_failed_total", "jobs that returned an error (panics included)")
@@ -148,14 +144,6 @@ type Engine struct {
 	// OnProgress, when non-nil, is called after every job completion.
 	// Calls are serialized; keep the callback fast.
 	OnProgress func(Event)
-	// FlightDir, when non-empty, attaches a flight recorder to every
-	// simulated (non-cached) job and writes its Perfetto trace as
-	// <key>.trace.json in that directory — the per-job capture artifact
-	// next to the result-cache entry. Like every execution knob it never
-	// enters cache keys (gpu.Options.Flight is json:"-"), so recorded
-	// and unrecorded runs share identity. Cache hits record nothing: a
-	// replayed result never executed, so there is no flight to record.
-	FlightDir string
 
 	// Engine-lifetime counters, summed over every batch this engine ran
 	// (a harness typically runs several: the main suite, timelines,
@@ -327,17 +315,6 @@ func (e *Engine) runOne(ctx context.Context, j *Job, key string) (r *stats.Kerne
 		}
 	}
 
-	// Flight capture: attach a per-job recorder when the engine has a
-	// capture directory and the job doesn't carry its own. The copy of
-	// Options is essential — jobs are shared batch-slice entries, and
-	// the recorder is strictly per-run.
-	opts := j.Options
-	var rec *flight.Recorder
-	if e.FlightDir != "" && opts.Flight == nil {
-		rec = flight.New(flight.Options{})
-		opts.Flight = rec
-	}
-
 	mBusy.Add(1)
 	defer mBusy.Add(-1)
 	// Worker goroutines run under pprof labels so `make profile`
@@ -345,15 +322,10 @@ func (e *Engine) runOne(ctx context.Context, j *Job, key string) (r *stats.Kerne
 	pprof.Do(ctx, pprof.Labels(
 		"kernel", j.Label(), "scheduler", j.SchedLabel(), "job_key", key,
 	), func(ctx context.Context) {
-		r, err = gpu.RunContext(ctx, cfg, j.Launch, factory, opts)
+		r, err = gpu.RunContext(ctx, cfg, j.Launch, factory, j.Options)
 	})
 	if err != nil {
 		return nil, false, err
-	}
-	if rec != nil && rec.Recorded() {
-		if werr := e.writeFlightArtifact(j, key, rec); werr != nil {
-			return nil, false, werr
-		}
 	}
 	if cacheable {
 		if err := e.Cache.Put(key, r); err != nil {
@@ -363,38 +335,9 @@ func (e *Engine) runOne(ctx context.Context, j *Job, key string) (r *stats.Kerne
 	return r, false, nil
 }
 
-// writeFlightArtifact persists one simulated job's flight capture as
-// Perfetto trace-event JSON under FlightDir, named by the job's cache
-// key (so the artifact sits next to — and shares identity with — the
-// result-cache entry), falling back to kernel_scheduler for uncacheable
-// jobs.
-func (e *Engine) writeFlightArtifact(j *Job, key string, rec *flight.Recorder) error {
-	name := key
-	if name == "" {
-		name = j.Label() + "_" + j.SchedLabel()
-	}
-	if err := os.MkdirAll(e.FlightDir, 0o755); err != nil {
-		return fmt.Errorf("flight artifact: %w", err)
-	}
-	path := filepath.Join(e.FlightDir, name+".trace.json")
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("flight artifact: %w", err)
-	}
-	if err := rec.Capture().WritePerfetto(f); err != nil {
-		f.Close()
-		return fmt.Errorf("flight artifact %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("flight artifact %s: %w", path, err)
-	}
-	return nil
-}
-
 // observeDone records one finished runOne in the process metrics. err
 // covers failures and captured panics.
 func observeDone(r *stats.KernelResult, fromCache bool, dur time.Duration, err error) {
-	mCompleted.Inc()
 	switch {
 	case err != nil:
 		mFailed.Inc()

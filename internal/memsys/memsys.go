@@ -364,9 +364,9 @@ func (s *System) StoreLine(sm int, line uint64) bool {
 }
 
 // traceRead starts a flight span for an accepted read transaction (no-op
-// without a recorder, nil-span under sampling). Called after getRead,
-// before the network injection, so Inject and the port backlog reflect
-// the injection decision point.
+// without a recorder). Called after getRead, before the network
+// injection, so Inject and the port backlog reflect the injection
+// decision point.
 func (s *System) traceRead(r *readReq) {
 	if s.fl == nil {
 		return

@@ -74,17 +74,6 @@ func (lc *LogConfig) SetupWriter(w io.Writer) (*slog.Logger, error) {
 	return l, nil
 }
 
-// NewLogger builds a stderr logger at the given level without touching
-// the slog default — for components that want an explicit logger
-// (daemon tests pass a discard logger).
-func NewLogger(w io.Writer, level slog.Level, json bool) *slog.Logger {
-	opts := &slog.HandlerOptions{Level: level}
-	if json {
-		return slog.New(slog.NewJSONHandler(w, opts))
-	}
-	return slog.New(slog.NewTextHandler(w, opts))
-}
-
 // Discard returns a logger that drops everything — the nil-object for
 // Config.Log fields.
 func Discard() *slog.Logger {

@@ -136,7 +136,6 @@ type metricKind int
 const (
 	kindCounter metricKind = iota
 	kindGauge
-	kindGaugeFunc
 	kindHistogram
 )
 
@@ -149,7 +148,6 @@ type series struct {
 	kind   metricKind
 	c      *Counter
 	g      *Gauge
-	fn     func() float64
 	h      *Histogram
 }
 
@@ -214,17 +212,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	}).g
 }
 
-// GaugeFunc registers a gauge whose value is computed at scrape time.
-// Re-registering the same name replaces the function (the latest
-// closure wins — a daemon restarted in-process must not read a stale
-// engine).
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	s := r.register(name, help, kindGaugeFunc, func() *series { return &series{} })
-	r.mu.Lock()
-	s.fn = fn
-	r.mu.Unlock()
-}
-
 // Histogram returns the histogram registered under name
 // (get-or-create). buckets are increasing upper bounds; nil means
 // DefBuckets. The bucket layout of the first registration wins.
@@ -268,9 +255,6 @@ func NewCounter(name, help string) *Counter { return Default.Counter(name, help)
 
 // NewGauge returns the Default-registry gauge for name.
 func NewGauge(name, help string) *Gauge { return Default.Gauge(name, help) }
-
-// NewGaugeFunc registers a computed gauge on the Default registry.
-func NewGaugeFunc(name, help string, fn func() float64) { Default.GaugeFunc(name, help, fn) }
 
 // NewHistogram returns the Default-registry histogram for name.
 func NewHistogram(name, help string, buckets []float64) *Histogram {

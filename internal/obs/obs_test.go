@@ -87,7 +87,6 @@ func TestWritePrometheusIsValidAndStable(t *testing.T) {
 	r.Counter(`http_requests_total{path="/v1/batch"}`, "requests").Add(3)
 	r.Counter(`http_requests_total{path="/v1/stats"}`, "requests").Add(1)
 	r.Gauge("inflight", "running jobs").Set(2)
-	r.GaugeFunc("uptime_seconds", "uptime", func() float64 { return 12.5 })
 	r.Histogram(`lat_seconds{path="/v1/batch"}`, "latency", []float64{0.5}).Observe(0.2)
 
 	var a, b strings.Builder
@@ -111,9 +110,6 @@ func TestWritePrometheusIsValidAndStable(t *testing.T) {
 	}
 	if !strings.Contains(out, `lat_seconds_bucket{path="/v1/batch",le="0.5"} 1`) {
 		t.Errorf("histogram label body must precede le:\n%s", out)
-	}
-	if !strings.Contains(out, "uptime_seconds 12.5") {
-		t.Errorf("missing gauge-func sample:\n%s", out)
 	}
 }
 

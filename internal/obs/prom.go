@@ -48,8 +48,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			fmt.Fprintf(bw, "%s %d\n", seriesName(s.family, s.labels), s.c.Value())
 		case kindGauge:
 			fmt.Fprintf(bw, "%s %d\n", seriesName(s.family, s.labels), s.g.Value())
-		case kindGaugeFunc:
-			fmt.Fprintf(bw, "%s %s\n", seriesName(s.family, s.labels), formatFloat(s.fn()))
 		case kindHistogram:
 			writeHistogram(bw, s)
 		}
