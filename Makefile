@@ -1,11 +1,10 @@
 # Developer / CI entry points. `make check` is the gate every change
 # must pass: gofmt, go vet, the full test suite once under the race
-# detector (never from the test cache), the fast-path differential test
-# (order cache, cycle skipping and warp pooling must be bit-invisible),
-# the results/ regeneration check and a compile check of the bench
-# harness. The per-surface -race gates (sleeptest … clustertest) run
-# subsets of what race already runs; they stay as targets for a focused
-# run of one surface.
+# detector (never from the test cache; it includes the fast-path
+# differential test), the results/ regeneration check and a compile
+# check of the bench harness. fastpath and the per-surface -race gates
+# (sleeptest … clustertest) run subsets of what race already runs; they
+# stay as targets for a focused run of one surface.
 
 GO ?= go
 GOFMT ?= gofmt
@@ -31,6 +30,9 @@ race:
 
 # The bit-identity oracle for the simulation fast paths: every fast-path
 # combination must reproduce the naive engine's results byte for byte.
+# Not a prerequisite of check: race already runs this test over ./...;
+# this target re-runs it alone, without the race detector, after an
+# engine or policy change.
 fastpath:
 	$(GO) test -run TestFastPathEquivalence -count=1 ./prosim
 
@@ -263,7 +265,7 @@ results-check:
 	for f in "$$tmp"/out/*; do cmp "results/$${f##*/}" "$$f"; done; \
 	echo "results-check: $$(ls "$$tmp/out" | wc -l) files in results/ match the code"
 
-check: fmt vet race fastpath results-check benchbuild
+check: fmt vet race results-check benchbuild
 
 # The per-layer measurement rungs, 5 repetitions with allocation counts,
 # to stdout: SMTickPipelineStall and SMTickIssue (internal/engine),

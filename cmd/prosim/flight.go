@@ -119,7 +119,7 @@ func writeReportTable(w io.Writer, reports []flight.Report) {
 		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%d\t%d\t%d\t%d\t%.1f\t%.1f\t%.1f\t%.1f\t%.1f\t%.1f\t%.1f\n",
 			rep.Kernel, rep.Scheduler, rep.Cycles,
 			rep.Stalls.Total(), rep.Stalls.Idle, rep.Stalls.Scoreboard, rep.Stalls.Pipeline,
-			m.Spans, m.MeanTotal, m.MeanICNTReq, m.MeanL2Service, m.MeanL2MSHR,
+			rep.Spans, m.MeanTotal, m.MeanICNTReq, m.MeanL2Service, m.MeanL2MSHR,
 			m.MeanDRAMQueue, m.MeanDRAMService, m.MeanICNTResp)
 	}
 	tw.Flush()

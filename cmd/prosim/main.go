@@ -1,9 +1,9 @@
 // Command prosim runs one Table II kernel (or all of them) under one or
 // more warp schedulers and prints runtime and stall statistics. Its
-// subcommands regenerate the paper's artifacts — one each (see
-// subcommands.go), or all of them (report) — check its claims
-// (papercheck), run the design-choice ablations (sweep) and record one
-// run's flight (flight).
+// subcommands regenerate the paper's artifacts — all of them (report),
+// or the single-run views timeline, tborder and trace (see
+// subcommands.go) — check its claims (papercheck), run the
+// design-choice ablations (sweep) and record one run's flight (flight).
 //
 // Usage:
 //
@@ -11,7 +11,7 @@
 //	prosim -all -sched TL,LRR,GTO,PRO
 //	prosim -program mykernel.k -grid 256 -block 128 -sched LRR,PRO
 //	prosim -list
-//	prosim speedup|stalls|timeline|tborder|trace|report|papercheck|sweep|flight [flags]
+//	prosim timeline|tborder|trace|report|papercheck|sweep|flight [flags]
 //
 // -program runs a kernel written in the text format of internal/isa
 // (see examples/kernels/*.k for the syntax).

@@ -2,10 +2,12 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -43,10 +45,11 @@ func runProsim(t *testing.T, args ...string) (stdout, stderr string, err error) 
 // progressLine matches jobs.PrintProgress output.
 var progressLine = regexp.MustCompile(`^\[ *[0-9.]+s\] +[0-9]+/[0-9]+ `)
 
-// TestSubcommandsPrintTheirArtifacts runs every subcommand, and plain
-// prosim, on 2-TB grids: each exits 0 with its artifact header on
-// stdout and no progress line there. speedup and stalls share a cache,
-// so stalls replays speedup's suite.
+// TestSubcommandsPrintTheirArtifacts runs every subcommand but flight
+// (flight_test.go) and papercheck, and plain prosim, on small grids:
+// each exits 0 with its artifact headers on stdout and no progress line
+// there. report is the one way to Figs. 1, 4, 5 and Table III, and
+// sweep -variants carries the Sec. IV barrier ablation's ratio column.
 func TestSubcommandsPrintTheirArtifacts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("re-exec integration test")
@@ -56,8 +59,9 @@ func TestSubcommandsPrintTheirArtifacts(t *testing.T) {
 		args []string
 		want []string
 	}{
-		{[]string{"speedup"}, []string{"Fig. 4"}},
-		{[]string{"stalls"}, []string{"Fig. 1", "Table III", "Fig. 5"}},
+		{[]string{"report"}, []string{"Fig. 1", "Fig. 4", "Table III", "Fig. 5"}},
+		{[]string{"sweep", "-variants", "-kernel", "scalarProdGPU", "-maxtbs", "16"},
+			[]string{"PRO-nobar", "nobar/PRO\n", "scalarProdGPU"}},
 		{[]string{"timeline", "-quiet=false"}, []string{"Fig. 2", "on SM 0"}},
 		{[]string{"timeline", "-sm", "3"}, []string{"on SM 3"}},
 		{[]string{"tborder"}, []string{"Table IV"}},
@@ -65,7 +69,11 @@ func TestSubcommandsPrintTheirArtifacts(t *testing.T) {
 		{[]string{"-kernel", "scalarProdGPU"}, []string{"KERNEL", "scalarProdGPU"}},
 	} {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
-			stdout, stderr, err := runProsim(t, append(tc.args, "-maxtbs", "2", "-cache", cache)...)
+			args := tc.args
+			if !slices.Contains(args, "-maxtbs") {
+				args = append(args, "-maxtbs", "2")
+			}
+			stdout, stderr, err := runProsim(t, append(args, "-cache", cache)...)
 			if err != nil {
 				t.Fatalf("exit: %v\nstderr:\n%s", err, stderr)
 			}
@@ -84,26 +92,33 @@ func TestSubcommandsPrintTheirArtifacts(t *testing.T) {
 }
 
 // TestSubcommandRejections pins the argument checks that run before
-// any simulation: each exits non-zero with nothing on stdout.
+// any simulation: each exits with its code (2 for an unknown subcommand
+// or flag, 1 for a bad value) and nothing on stdout. speedup and stalls
+// are gone: report prints their figures and tables.
 func TestSubcommandRejections(t *testing.T) {
 	if testing.Short() {
 		t.Skip("re-exec integration test")
 	}
+	const subcommands = "want timeline, tborder, trace, report, papercheck, sweep or flight"
 	for _, tc := range []struct {
 		args []string
+		code int
 		want string
 	}{
-		{[]string{"fig4"}, "want speedup, stalls, timeline, tborder, trace, report, papercheck, sweep or flight"},
-		{[]string{"timeline", "-sm", "14"}, "-sm 14"},
-		{[]string{"timeline", "-sm", "-1"}, "-sm -1"},
-		{[]string{"trace", "-every", "0"}, "-every"},
-		{[]string{"trace", "-every", "-5"}, "-every"},
-		{[]string{"tborder", "-jobs", "2"}, "flag provided but not defined: -jobs"},
+		{[]string{"fig4"}, 2, subcommands},
+		{[]string{"speedup"}, 2, subcommands},
+		{[]string{"stalls"}, 2, subcommands},
+		{[]string{"timeline", "-sm", "14"}, 1, "-sm 14"},
+		{[]string{"timeline", "-sm", "-1"}, 1, "-sm -1"},
+		{[]string{"trace", "-every", "0"}, 1, "-every"},
+		{[]string{"trace", "-every", "-5"}, 1, "-every"},
+		{[]string{"tborder", "-jobs", "2"}, 2, "flag provided but not defined: -jobs"},
 	} {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
 			stdout, stderr, err := runProsim(t, append(tc.args, "-maxtbs", "2")...)
-			if err == nil {
-				t.Fatal("exited 0")
+			var ee *exec.ExitError
+			if !errors.As(err, &ee) || ee.ExitCode() != tc.code {
+				t.Fatalf("err %v, want exit %d\nstderr:\n%s", err, tc.code, stderr)
 			}
 			if stdout != "" {
 				t.Errorf("stdout not empty:\n%s", stdout)

@@ -140,7 +140,8 @@ func TestBadCacheGCFailsFast(t *testing.T) {
 
 // TestBadPriorityFailsFast pins that removed flags fail before anything
 // runs: report and sweep -priority (each subcommand sends one fixed
-// class), trace -flight-out and flight's -warp-sample, -mem-sample,
+// class), sweep -ablate (sweep -variants prints its PRO and PRO-nobar
+// columns and their ratio), trace -flight-out and flight's -warp-sample, -mem-sample,
 // -ring-events, -ring-spans and -topn (prosim flight is the one way to
 // record, and records everything at fixed ring sizes), and report's
 // -token, -trace-out and -shard. Each is a flag error: exit 2, nothing
@@ -159,6 +160,7 @@ func TestBadPriorityFailsFast(t *testing.T) {
 		{"-trace-out", []string{"report", "-trace-out", "jobs.ndjson"}},
 		{"-shard", []string{"report", "-shard", "1/2"}},
 		{"sweep -priority", []string{"sweep", "-priority", "interactive"}},
+		{"sweep -ablate", []string{"sweep", "-ablate"}},
 		{"trace -flight-out", []string{"trace", "-flight-out", "pro.trace.json"}},
 		{"flight -warp-sample", []string{"flight", "-warp-sample", "4"}},
 		{"flight -mem-sample", []string{"flight", "-mem-sample", "4"}},

@@ -19,21 +19,15 @@ import (
 // or one view of a single run, on stdout; progress and summaries go to
 // stderr.
 //
-//	prosim speedup [-app ScalarProd]        # Fig. 4: PRO's speedup over TL, LRR, GTO
-//	prosim stalls [-fig1] [-table3] [-fig5] # Fig. 1, Table III, Fig. 5 (all by default)
 //	prosim timeline [-kernel K] [-sm N]     # Fig. 2: TB lifetimes on one SM, LRR vs PRO
 //	prosim tborder [-threshold 500 -rows 0] # Table IV: PRO's sorted TB order over time
 //	prosim trace -sched LRR -every 500      # sampled IPC / stall / occupancy CSV of one run
-//	prosim report [-out results]            # every artifact above (report.go)
+//	prosim report [-out results]            # every artifact (report.go): Figs. 1, 2, 4, 5, Tables III, IV
 //	prosim papercheck                       # PASS/FAIL per paper claim (papercheck.go)
-//	prosim sweep [-ablate] [-threshold] ... # design-choice ablations (sweep.go)
+//	prosim sweep [-variants] [-l1] ...      # design-choice ablations (sweep.go)
 //	prosim flight -scheds LRR,PRO           # flight-recorder capture of one kernel (flight.go)
 func runSubcommand(name string, args []string) {
 	switch name {
-	case "speedup":
-		speedup(args)
-	case "stalls":
-		stalls(args)
 	case "timeline":
 		timeline(args)
 	case "tborder":
@@ -49,69 +43,8 @@ func runSubcommand(name string, args []string) {
 	case "flight":
 		recordFlight(args)
 	default:
-		fmt.Fprintf(os.Stderr, "prosim: unknown subcommand %q (want speedup, stalls, timeline, tborder, trace, report, papercheck, sweep or flight, or flags only)\n", name)
+		fmt.Fprintf(os.Stderr, "prosim: unknown subcommand %q (want timeline, tborder, trace, report, papercheck, sweep or flight, or flags only)\n", name)
 		os.Exit(2)
-	}
-}
-
-// speedup prints Fig. 4: per-kernel speedup of PRO over the TL, LRR and
-// GTO baselines, with geometric means.
-func speedup(args []string) {
-	h := cli.New("prosim speedup", cli.Spec{})
-	app := h.Flags.String("app", "", "restrict to one application (Table III name)")
-	h.Parse(args)
-
-	ws := workloads.All()
-	if *app != "" {
-		if ws = workloads.ByApp(*app); len(ws) == 0 {
-			h.Fatal(fmt.Errorf("unknown application %q", *app))
-		}
-	}
-	suite, err := experiments.RunSuite(ws, []string{"TL", "LRR", "GTO", "PRO"}, h.MaxTBs, h.Runner())
-	if err != nil {
-		h.Fatal(err)
-	}
-	fmt.Print(experiments.FormatFig4(suite.ComputeFig4()))
-}
-
-// stalls prints the stall studies: Fig. 1 (Idle / Scoreboard / Pipeline
-// composition per application under TL, LRR and GTO), Table III (stall
-// ratios of each baseline over PRO) and Fig. 5 (Table III's totals).
-// With none of -fig1, -table3, -fig5 it prints all three; Fig. 1 alone
-// runs no PRO simulations.
-func stalls(args []string) {
-	h := cli.New("prosim stalls", cli.Spec{})
-	fig1 := h.Flags.Bool("fig1", false, "emit Fig. 1 stall composition")
-	table3 := h.Flags.Bool("table3", false, "emit Table III")
-	fig5 := h.Flags.Bool("fig5", false, "emit Fig. 5")
-	h.Parse(args)
-
-	if !*fig1 && !*table3 && !*fig5 {
-		*fig1, *table3, *fig5 = true, true, true
-	}
-	scheds := []string{"TL", "LRR", "GTO"}
-	if *table3 || *fig5 {
-		scheds = append(scheds, "PRO")
-	}
-	suite, err := experiments.RunSuite(workloads.All(), scheds, h.MaxTBs, h.Runner())
-	if err != nil {
-		h.Fatal(err)
-	}
-	if *fig1 {
-		for _, sched := range experiments.BaselineOrder {
-			fmt.Print(experiments.FormatFig1(sched, suite.ComputeFig1(sched)))
-			fmt.Println()
-		}
-	}
-	if *table3 || *fig5 {
-		t3 := suite.ComputeTable3()
-		if *table3 {
-			fmt.Print(experiments.FormatTable3(t3))
-			fmt.Println()
-		}
-		if *fig5 {
-			fmt.Print(experiments.FormatFig5(t3))
-		}
 	}
 }
 

@@ -14,12 +14,12 @@ import (
 
 // sweep runs the design-choice ablations:
 //
-//   - -ablate: PRO with and without special barrier handling, per kernel.
-//     Sec. IV reports scalarProd speeding up 11% with the handling
+//   - -variants: PRO against the paper's future-work variants, with the
+//     Sec. IV barrier ablation as its nobar/PRO column: Sec. IV reports
+//     scalarProd speeding up 11% with the special barrier handling
 //     disabled — the motivation for the paper's future-work profiling.
 //   - -threshold: sensitivity of PRO to the re-sort THRESHOLD
 //     (Sec. III-C.1 uses 1000 cycles).
-//   - -variants: PRO against the paper's future-work variants.
 //   - -l1: L1 capacity sensitivity under LRR and PRO.
 //
 // All points of a sweep run in parallel across -jobs workers; -cache DIR
@@ -31,23 +31,22 @@ import (
 // several prosimd instances through the cluster coordinator.
 // Progress goes to stderr; stdout carries only the tables.
 //
-//	prosim sweep -ablate
+//	prosim sweep -variants
 //	prosim sweep -threshold -kernel aesEncrypt128
 //	prosim sweep -cache .simcache
 //	prosim sweep -daemon unix:/tmp/prosimd.sock -threshold
 //	prosim sweep -workers 127.0.0.1:9753,127.0.0.1:9754 -cache /shared/simcache
 func sweep(args []string) {
 	h := cli.New("prosim sweep", cli.Spec{CacheGC: true, Priority: "bulk", Profile: true})
-	ablate := h.Flags.Bool("ablate", false, "compare PRO vs PRO-nobar (barrier-handling ablation)")
-	variants := h.Flags.Bool("variants", false, "compare PRO against the paper's future-work variants (PRO-adaptive, PRO-norm)")
+	variants := h.Flags.Bool("variants", false, "compare PRO against PRO-nobar (the barrier-handling ablation) and the paper's future-work variants (PRO-adaptive, PRO-norm)")
 	threshold := h.Flags.Bool("threshold", false, "sweep the PRO re-sort threshold")
 	l1Sweep := h.Flags.Bool("l1", false, "sweep the L1 size (paper future work: cache behaviour of prioritized warps)")
 	kernels := h.Flags.String("kernel", "scalarProdGPU,MonteCarloOneBlockPerOption,calculate_temp,aesEncrypt128",
 		"comma-separated kernels to sweep")
 	h.Parse(args)
 
-	if !*ablate && !*threshold && !*variants && !*l1Sweep {
-		*ablate, *threshold, *variants, *l1Sweep = true, true, true, true
+	if !*threshold && !*variants && !*l1Sweep {
+		*threshold, *variants, *l1Sweep = true, true, true
 	}
 	runner := h.Runner()
 	run := func(batch []jobs.Job) []*stats.KernelResult {
@@ -63,9 +62,6 @@ func sweep(args []string) {
 		targets = append(targets, h.Workload(strings.TrimSpace(name)))
 	}
 
-	if *ablate {
-		printAblation(targets, run(ablationJobs(targets)))
-	}
 	if *variants {
 		printVariants(targets, run(variantJobs(targets)))
 	}
@@ -84,12 +80,8 @@ func sweep(args []string) {
 // Each sweep's exact job list, in the order its printer reads the
 // results.
 
-// ablationJobs is the PRO vs PRO-nobar grid (Sec. IV).
-func ablationJobs(targets []*prosim.Workload) []jobs.Job {
-	return jobs.Grid(targets, []string{"PRO", "PRO-nobar"}, 0, prosim.Options{})
-}
-
-// variantNames orders the future-work variant comparison.
+// variantNames orders the future-work variant comparison; printVariants
+// reads PRO and PRO-nobar from its first two columns.
 var variantNames = []string{"PRO", "PRO-nobar", "PRO-adaptive", "PRO-norm"}
 
 // variantJobs is the future-work variant grid.
@@ -146,32 +138,23 @@ func l1Jobs(targets []*prosim.Workload) []jobs.Job {
 
 // ---- Printers ----
 
-// printAblation compares PRO against PRO-nobar per kernel (Sec. IV).
-func printAblation(targets []*prosim.Workload, rs []*stats.KernelResult) {
-	fmt.Println("Ablation — PRO barrier handling (Sec. IV: scalarProd gains when disabled)")
-	fmt.Printf("%-28s %12s %12s %10s\n", "KERNEL", "PRO", "PRO-nobar", "nobar/PRO")
-	for i, w := range targets {
-		on, off := rs[2*i], rs[2*i+1]
-		fmt.Printf("%-28s %12d %12d %9.3fx\n", w.Kernel, on.Cycles, off.Cycles,
-			float64(on.Cycles)/float64(off.Cycles))
-	}
-	fmt.Println()
-}
-
-// printVariants compares PRO against the future-work variants.
+// printVariants compares PRO against the future-work variants, and
+// against PRO-nobar in the nobar/PRO column (Sec. IV: scalarProd gains
+// when the barrier handling is disabled).
 func printVariants(targets []*prosim.Workload, rs []*stats.KernelResult) {
 	fmt.Println("Future-work variants (Sec. IV profiling, Sec. III-A normalized progress)")
 	fmt.Printf("%-28s", "KERNEL")
 	for _, n := range variantNames {
 		fmt.Printf(" %13s", n)
 	}
-	fmt.Println()
+	fmt.Printf(" %10s\n", "nobar/PRO")
 	for i, w := range targets {
+		row := rs[i*len(variantNames) : (i+1)*len(variantNames)]
 		fmt.Printf("%-28s", w.Kernel)
-		for k := range variantNames {
-			fmt.Printf(" %13d", rs[i*len(variantNames)+k].Cycles)
+		for _, r := range row {
+			fmt.Printf(" %13d", r.Cycles)
 		}
-		fmt.Println()
+		fmt.Printf(" %9.3fx\n", float64(row[0].Cycles)/float64(row[1].Cycles))
 	}
 	fmt.Println()
 }

@@ -134,9 +134,6 @@ type Config struct {
 	// are bit-identical by construction (see DESIGN.md, "Performance
 	// notes") — so they are excluded from result-cache keys.
 
-	// DisableOrderCache rebuilds every scheduler slot's warp order each
-	// cycle instead of reusing the generation-tagged cached order.
-	DisableOrderCache bool `json:"-"`
 	// DisableCycleSkip ticks fully-stalled SMs cycle by cycle instead of
 	// letting them sleep until their next wake-up event and accounting
 	// the slept cycles' stalls in bulk on wake.

@@ -37,6 +37,17 @@ func steadyProg(t *testing.T) *isa.Program {
 	return p
 }
 
+// uncachedOrder wraps a policy so that the SM rebuilds its order on
+// every slot-cycle: OrderGen runs the wrapped policy's OrderGen and
+// returns the cycle, a generation no earlier slot-cycle returned. Every
+// other method is the wrapped policy's.
+type uncachedOrder struct{ engine.Scheduler }
+
+func (u uncachedOrder) OrderGen(slot int, cycle int64) uint64 {
+	u.Scheduler.OrderGen(slot, cycle)
+	return uint64(cycle)
+}
+
 func TestSteadyStateCycleDoesNotAllocate(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -47,8 +58,11 @@ func TestSteadyStateCycleDoesNotAllocate(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := config.GTX480()
-			cfg.DisableOrderCache = tc.naive
 			cfg.DisableCycleSkip = tc.naive
+			factory := engine.Factory(sched.NewGTO)
+			if tc.naive {
+				factory = func(sm *engine.SM) engine.Scheduler { return uncachedOrder{sched.NewGTO(sm)} }
+			}
 
 			prog := steadyProg(t)
 			wheel := timing.NewWheel()
@@ -57,7 +71,7 @@ func TestSteadyStateCycleDoesNotAllocate(t *testing.T) {
 			if err := launch.Validate(cfg); err != nil {
 				t.Fatal(err)
 			}
-			sm := engine.NewSM(0, cfg, wheel, mem, launch, sched.NewGTO)
+			sm := engine.NewSM(0, cfg, wheel, mem, launch, factory)
 			sm.AssignTB(0, 0)
 
 			cycle := int64(0)

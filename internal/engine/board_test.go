@@ -301,8 +301,8 @@ func TestIssueBoardMatchesReferenceWalk(t *testing.T) {
 				pol = newBoardPolicy(sm, int(seed%numModes), rng.Next())
 				return pol
 			})
-			if !sm.cycleSkipOn || !sm.orderCacheOn {
-				t.Fatal("the board's fast paths are off")
+			if !sm.cycleSkipOn {
+				t.Fatal("the board's cycle skipping is off")
 			}
 			nextTB := 0
 			for cycle := int64(1); cycle <= 6000; cycle++ {

@@ -82,9 +82,8 @@ type SM struct {
 	orderBuf []*Warp
 	lineBuf  []uint64
 
-	// orderCacheOn and cycleSkipOn fold in the Config switches.
-	orderCacheOn bool
-	cycleSkipOn  bool
+	// cycleSkipOn folds in Config.DisableCycleSkip.
+	cycleSkipOn bool
 
 	// WarpsExamined counts warps the issue scans dereferenced and
 	// OrderBuilds the Scheduler.Order calls — exported for benchmarks
@@ -243,7 +242,6 @@ func NewSM(id int, cfg *config.Config, wheel *timing.Wheel, mem *memsys.System, 
 	}
 	mem.OnStoreRelease(id, sm.storeReleased)
 	sm.poolOn = !cfg.DisableWarpPooling
-	sm.orderCacheOn = !cfg.DisableOrderCache
 	sm.cycleSkipOn = !cfg.DisableCycleSkip
 	sm.Sched = factory(sm)
 	return sm
@@ -648,7 +646,7 @@ func (sm *SM) tickSlot(slot int, cycle int64) (slotOutcome, int64) {
 	// hints and residency changes that cleared valid, decides whether the
 	// cached order is still current.
 	gen := sm.Sched.OrderGen(slot, cycle)
-	if !sm.orderCacheOn || !b.valid || b.gen != gen {
+	if !b.valid || b.gen != gen {
 		sm.buildOrder(b, slot, cycle)
 		b.gen, b.valid = gen, true
 		if sm.fl != nil {

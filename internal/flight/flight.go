@@ -187,6 +187,10 @@ type SMTrace struct {
 	count       int64 // total pushed (retained + overwritten)
 	overwritten int64
 
+	// finished holds every exited warp's final standing, whatever the
+	// ring still holds: the least-progressed table reads it.
+	finished []WarpStat
+
 	// Per-warp-slot issue counters for progress points, and per-slot
 	// last-seen state for transition events. Sized by Size.
 	issueCnt    []int32
@@ -289,11 +293,13 @@ func (t *SMTrace) OnBarrier(cycle int64, warpSlot, tb int) {
 		Warp: int32(warpSlot), TB: int32(tb)})
 }
 
-// OnWarpFinish records a warp exiting: the least-progressed report
-// reads every warp's final progress from these events.
+// OnWarpFinish records a warp exiting, and keeps its final standing
+// for the least-progressed report.
 func (t *SMTrace) OnWarpFinish(cycle int64, warpSlot, tb int, progress, spawn int64) {
 	t.push(Event{Cycle: cycle, Kind: EvWarpFinish, Slot: -1,
 		Warp: int32(warpSlot), TB: int32(tb), A: progress, B: spawn})
+	t.finished = append(t.finished, WarpStat{SM: int(t.id), Warp: warpSlot, TB: tb,
+		Progress: progress, Lifetime: cycle - spawn})
 }
 
 // OnSlotOutcome records a scheduler slot's outcome class changing.
@@ -442,6 +448,14 @@ type MemTrace struct {
 	count       int64 // committed (retained + overwritten)
 	overwritten int64
 
+	// Whole-run totals over every committed span, whatever the ring
+	// still holds: each latency component's sum, how many spans
+	// exercised it (a component > 0), and the flag counts, whose
+	// Attribution gets its means from Report. The report reads only
+	// these.
+	sum, exercised SpanComponents
+	flags          Attribution
+
 	free []*MemSpan // live-span pool
 	live int        // started but not yet committed
 }
@@ -462,8 +476,29 @@ func (m *MemTrace) Start(kind SpanKind, sm, part int, line uint64, inject, icntQ
 	return sp
 }
 
-// Commit files a finished span into the ring and recycles the object.
+// Commit adds a finished span to the totals, files it into the ring
+// and recycles the object.
 func (m *MemTrace) Commit(sp *MemSpan) {
+	c := sp.Components()
+	m.sum.Total += c.Total
+	tally(&m.sum.ICNTReq, &m.exercised.ICNTReq, c.ICNTReq)
+	tally(&m.sum.L2Service, &m.exercised.L2Service, c.L2Service)
+	tally(&m.sum.L2MSHR, &m.exercised.L2MSHR, c.L2MSHR)
+	tally(&m.sum.DRAMQueue, &m.exercised.DRAMQueue, c.DRAMQueue)
+	tally(&m.sum.DRAMService, &m.exercised.DRAMService, c.DRAMService)
+	tally(&m.sum.ICNTResp, &m.exercised.ICNTResp, c.ICNTResp)
+	if sp.L2Hit {
+		m.flags.L2Hits++
+	}
+	if sp.L2Merged {
+		m.flags.L2Merges++
+	}
+	if sp.RowHit {
+		m.flags.RowHits++
+	}
+	m.flags.MergedL1 += int64(sp.Merged)
+	m.flags.Retries += int64(sp.Retries)
+
 	if len(m.ring) < cap(m.ring) {
 		m.ring = append(m.ring, *sp)
 	} else if cap(m.ring) == 0 {
@@ -480,6 +515,14 @@ func (m *MemTrace) Commit(sp *MemSpan) {
 	m.count++
 	m.live--
 	m.free = append(m.free, sp)
+}
+
+// tally adds an exercised component v (> 0) to *sum and counts it in *n.
+func tally(sum, n *int64, v int64) {
+	if v > 0 {
+		*sum += v
+		*n++
+	}
 }
 
 // spans returns the retained spans in commit order.

@@ -194,3 +194,55 @@ func TestFlightReportAggregates(t *testing.T) {
 		t.Fatalf("lifetime %d, want finish-spawn = 100", lt)
 	}
 }
+
+// TestFlightReportCoversDroppedRecords pins that the report reads the
+// whole run, not the rings' window: spans committed past ringSpans all
+// count in the attribution, and a warp whose finish event the event
+// ring has overwritten still heads the least-progressed table.
+func TestFlightReportCoversDroppedRecords(t *testing.T) {
+	r := New()
+	r.Start(1)
+	tr := r.SM(0)
+	tr.Size(4, 2)
+
+	// The least-progressed warp finishes first; the slot-state events
+	// after it push it out of the event ring.
+	tr.OnWarpFinish(1, 3, 7, 2, 0)
+	for i := 0; i < ringEvents; i++ {
+		tr.OnSlotOutcome(int64(2+i), 0, uint8(i%2))
+	}
+	tr.OnWarpFinish(int64(ringEvents+2), 0, 8, 90, 1)
+	for _, e := range tr.events() {
+		if e.Kind == EvWarpFinish && e.A == 2 {
+			t.Fatal("the first finish event is still in the ring; the test does not overflow it")
+		}
+	}
+
+	m := r.Mem()
+	const n = ringSpans + 100
+	for i := 0; i < n; i++ {
+		sp := m.Start(SpanLoad, 0, 0, uint64(i), int64(i), 0)
+		sp.L2At, sp.Done, sp.Deliver = sp.Inject+1, sp.Inject+2, sp.Inject+4
+		sp.L2Merged = i%2 == 0
+		m.Commit(sp)
+	}
+	r.FinishRun("k", "s", ringEvents+3, stats.StallBreakdown{})
+	rep := r.Report()
+
+	if rep.SpansDropped != n-ringSpans || rep.EventsDropped == 0 {
+		t.Fatalf("dropped spans=%d events=%d, want %d and > 0", rep.SpansDropped, rep.EventsDropped, n-ringSpans)
+	}
+	if rep.Spans != n {
+		t.Fatalf("spans %d, want every committed span, %d", rep.Spans, n)
+	}
+	if rep.Mem.L2Merges != n/2 || rep.Mem.MeanTotal != 4 || rep.Mem.MeanL2MSHR != 1 {
+		t.Fatalf("l2_merges=%d mean total %.2f mean l2_mshr %.2f; want %d, 4, 1",
+			rep.Mem.L2Merges, rep.Mem.MeanTotal, rep.Mem.MeanL2MSHR, n/2)
+	}
+	if len(rep.LeastProgressed) != 2 {
+		t.Fatalf("least-progressed lists %d warps, want both finished ones: %+v", len(rep.LeastProgressed), rep.LeastProgressed)
+	}
+	if got, want := rep.LeastProgressed[0], (WarpStat{SM: 0, Warp: 3, TB: 7, Progress: 2, Lifetime: 1}); got != want {
+		t.Fatalf("least-progressed warp %+v, want %+v", got, want)
+	}
+}

@@ -6,12 +6,10 @@ import (
 	"repro/internal/stats"
 )
 
-// Attribution aggregates span latency components over a capture. Means
-// are conditional on the component being exercised (an L2 hit
-// contributes no DRAM legs); MeanTotal is over all spans.
+// Attribution aggregates span latency components over every span a run
+// committed. Means are conditional on the component being exercised (an
+// L2 hit contributes no DRAM legs); MeanTotal is over all spans.
 type Attribution struct {
-	Spans int64 `json:"spans"`
-
 	MeanTotal       float64 `json:"mean_total"`
 	MeanICNTReq     float64 `json:"mean_icnt_req"`
 	MeanL2Service   float64 `json:"mean_l2_service"`
@@ -56,7 +54,9 @@ type Report struct {
 	LeastProgressed []WarpStat  `json:"least_progressed"`
 }
 
-// Report aggregates the capture.
+// Report aggregates the whole run: the totals the traces kept for every
+// span and every warp, whatever the rings still hold, and the rings'
+// counters for the header.
 func (r *Recorder) Report() Report {
 	rep := Report{
 		Kernel:    r.kernel,
@@ -65,58 +65,17 @@ func (r *Recorder) Report() Report {
 		Stalls:    r.stalls,
 	}
 	rep.Events, rep.EventsDropped = r.eventCounts()
-	rep.Spans, rep.SpansDropped = r.mem.count, r.mem.overwritten
+	m := r.mem
+	rep.Spans, rep.SpansDropped = m.count, m.overwritten
 
-	var sum SpanComponents
-	var nReq, nHit, nMshr, nQ, nSvc, nResp int64
-	for _, sp := range r.mem.spans() {
-		c := sp.Components()
-		sum.Total += c.Total
-		if c.ICNTReq > 0 {
-			sum.ICNTReq += c.ICNTReq
-			nReq++
-		}
-		if c.L2Service > 0 {
-			sum.L2Service += c.L2Service
-			nHit++
-		}
-		if c.L2MSHR > 0 {
-			sum.L2MSHR += c.L2MSHR
-			nMshr++
-		}
-		if c.DRAMQueue > 0 {
-			sum.DRAMQueue += c.DRAMQueue
-			nQ++
-		}
-		if c.DRAMService > 0 {
-			sum.DRAMService += c.DRAMService
-			nSvc++
-		}
-		if c.ICNTResp > 0 {
-			sum.ICNTResp += c.ICNTResp
-			nResp++
-		}
-		if sp.L2Hit {
-			rep.Mem.L2Hits++
-		}
-		if sp.L2Merged {
-			rep.Mem.L2Merges++
-		}
-		if sp.RowHit {
-			rep.Mem.RowHits++
-		}
-		rep.Mem.MergedL1 += int64(sp.Merged)
-		rep.Mem.Retries += int64(sp.Retries)
-	}
-	n := int64(len(r.mem.spans()))
-	rep.Mem.Spans = n
-	rep.Mem.MeanTotal = mean(sum.Total, n)
-	rep.Mem.MeanICNTReq = mean(sum.ICNTReq, nReq)
-	rep.Mem.MeanL2Service = mean(sum.L2Service, nHit)
-	rep.Mem.MeanL2MSHR = mean(sum.L2MSHR, nMshr)
-	rep.Mem.MeanDRAMQueue = mean(sum.DRAMQueue, nQ)
-	rep.Mem.MeanDRAMService = mean(sum.DRAMService, nSvc)
-	rep.Mem.MeanICNTResp = mean(sum.ICNTResp, nResp)
+	rep.Mem = m.flags
+	rep.Mem.MeanTotal = mean(m.sum.Total, m.count)
+	rep.Mem.MeanICNTReq = mean(m.sum.ICNTReq, m.exercised.ICNTReq)
+	rep.Mem.MeanL2Service = mean(m.sum.L2Service, m.exercised.L2Service)
+	rep.Mem.MeanL2MSHR = mean(m.sum.L2MSHR, m.exercised.L2MSHR)
+	rep.Mem.MeanDRAMQueue = mean(m.sum.DRAMQueue, m.exercised.DRAMQueue)
+	rep.Mem.MeanDRAMService = mean(m.sum.DRAMService, m.exercised.DRAMService)
+	rep.Mem.MeanICNTResp = mean(m.sum.ICNTResp, m.exercised.ICNTResp)
 
 	rep.LeastProgressed = r.leastProgressed()
 	return rep
@@ -129,20 +88,12 @@ func mean(sum, n int64) float64 {
 	return float64(sum) / float64(n)
 }
 
-// leastProgressed ranks warps by final progress from their EvWarpFinish
-// events, ascending, ties broken by SM then warp slot for determinism.
+// leastProgressed ranks every finished warp by final progress,
+// ascending, ties broken by SM then warp slot for determinism.
 func (r *Recorder) leastProgressed() []WarpStat {
 	var ws []WarpStat
 	for _, t := range r.sms {
-		for _, e := range t.events() {
-			if e.Kind != EvWarpFinish {
-				continue
-			}
-			ws = append(ws, WarpStat{
-				SM: int(e.SM), Warp: int(e.Warp), TB: int(e.TB),
-				Progress: e.A, Lifetime: e.Cycle - e.B,
-			})
-		}
+		ws = append(ws, t.finished...)
 	}
 	sort.Slice(ws, func(i, j int) bool {
 		if ws[i].Progress != ws[j].Progress {

@@ -5,32 +5,52 @@ package prosim_test
 // purely to make simulations faster; by design they must be invisible in
 // every observable output — cycles, stall breakdowns, memory counters,
 // timelines and samples. These tests run a workload × scheduler grid
-// with each fast path toggled off via the Config switches and require
+// with each fast path toggled off — the order cache by the uncachedOrder
+// policy wrapper, the other two by their Config switches — and require
 // byte-identical results against the naive reference. `make check` runs
-// this test by name; it is the gate for any change to the cycle engine.
+// it in its race pass and `make fastpath` by name; it is the gate for
+// any change to the cycle engine.
 
 import (
 	"encoding/json"
 	"fmt"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/schedreg"
 	"repro/prosim"
 )
 
-// fastPaths names the simulation-speed switches under differential test.
+// fastPaths names the simulation-speed paths under differential test.
 // The zero value is the production configuration (everything on).
 type fastPaths struct {
-	disableOrderCache  bool
+	uncachedOrder      bool
 	disableCycleSkip   bool
 	disableWarpPooling bool
 }
 
 // naivePaths disables every fast path — the reference implementation.
 var naivePaths = fastPaths{
-	disableOrderCache:  true,
+	uncachedOrder:      true,
 	disableCycleSkip:   true,
 	disableWarpPooling: true,
+}
+
+// uncachedOrder wraps a policy so that the SM rebuilds its order on
+// every slot-cycle: OrderGen runs the wrapped policy's OrderGen, where
+// time-driven refreshes such as PRO's THRESHOLD re-sort live, and then
+// returns the cycle, a generation no earlier slot-cycle returned. Every
+// other method, Name included, is the wrapped policy's.
+type uncachedOrder struct{ engine.Scheduler }
+
+func (u uncachedOrder) OrderGen(slot int, cycle int64) uint64 {
+	u.Scheduler.OrderGen(slot, cycle)
+	return uint64(cycle)
+}
+
+// withUncachedOrder wraps every policy f builds in uncachedOrder.
+func withUncachedOrder(f prosim.Factory) prosim.Factory {
+	return func(sm *engine.SM) engine.Scheduler { return uncachedOrder{f(sm)} }
 }
 
 // diffRow is one kernel of a differential grid: its grid size, the
@@ -95,8 +115,8 @@ var churnRows = []diffRow{
 	{kernel: "bpnn_adjust_weights_cuda", maxTBs: 16, opts: []prosim.Options{{}}, hw: twoSMs},
 }
 
-// fastPathGrid simulates the differential grid with the given fast-path
-// switches and returns one canonical JSON encoding per run.
+// fastPathGrid simulates the differential grid with the given fast
+// paths and returns one canonical JSON encoding per run.
 func fastPathGrid(fp fastPaths) ([]string, error) {
 	// The sampled run checks that mid-run observations (per-interval
 	// counters, TB timelines) see the same state at the same cycles.
@@ -132,15 +152,21 @@ func fastPathGrid(fp fastPaths) ([]string, error) {
 			scheds = schedreg.All()
 		}
 		for _, s := range scheds {
+			f, err := prosim.Schedulers(s)
+			if err != nil {
+				return nil, err
+			}
+			if fp.uncachedOrder {
+				f = withUncachedOrder(f)
+			}
 			for _, o := range row.opts {
 				cfg := prosim.GTX480()
 				if row.hw != nil {
 					row.hw(cfg)
 				}
-				cfg.DisableOrderCache = fp.disableOrderCache
 				cfg.DisableCycleSkip = fp.disableCycleSkip
 				cfg.DisableWarpPooling = fp.disableWarpPooling
-				r, err := prosim.Run(cfg, w.Launch, s, o)
+				r, err := prosim.RunFactory(cfg, w.Launch, f, o)
 				if err != nil {
 					return nil, fmt.Errorf("%s/%s: %w", k, s, err)
 				}
@@ -176,7 +202,7 @@ func TestFastPathEquivalence(t *testing.T) {
 		name string
 		fp   fastPaths
 	}{
-		{"order-cache-only", each(func(fp *fastPaths) { fp.disableOrderCache = false })},
+		{"order-cache-only", each(func(fp *fastPaths) { fp.uncachedOrder = false })},
 		{"cycle-skip-only", each(func(fp *fastPaths) { fp.disableCycleSkip = false })},
 		{"warp-pooling-only", each(func(fp *fastPaths) { fp.disableWarpPooling = false })},
 		// Everything on together: the production configuration.

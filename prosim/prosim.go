@@ -12,7 +12,6 @@
 package prosim
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/config"
@@ -41,17 +40,20 @@ type (
 	Workload = workloads.Workload
 	// Factory builds a scheduling policy for an SM.
 	Factory = engine.Factory
-	// Job is one simulation in a parallel batch (see RunJobs).
+	// Job is one simulation in a parallel batch (see JobRunner).
 	Job = jobs.Job
 	// JobEngine fans jobs across a worker pool with an optional result
-	// cache.
+	// cache (see OpenResultCache). The zero value runs one worker per
+	// CPU core, uncached.
 	JobEngine = jobs.Engine
 	// JobEvent reports one job completion to a progress callback.
 	JobEvent = jobs.Event
 	// ResultCache memoizes simulation results on disk.
 	ResultCache = resultcache.Cache
 	// JobRunner executes job batches: a local JobEngine or a
-	// DaemonClient.
+	// DaemonClient. Run returns one result per job, in job order
+	// regardless of completion order; the simulator is deterministic, so
+	// the results equal a serial run's.
 	JobRunner = jobs.Runner
 	// DaemonClient submits batches to a running prosimd daemon.
 	DaemonClient = daemon.Client
@@ -136,13 +138,6 @@ func RunApp(app, scheduler string, opts Options) (*AppResult, error) {
 
 // ---- Parallel execution & caching ----
 
-// NewJobEngine builds a job engine with workers pool slots (<= 0 means
-// one per CPU core) and, when cacheDir is non-empty, a content-addressed
-// result cache in that directory. progress may be nil.
-func NewJobEngine(workers int, cacheDir string, progress func(JobEvent)) (*JobEngine, error) {
-	return jobs.New(workers, cacheDir, progress)
-}
-
 // OpenResultCache opens (creating if needed) a result cache directory at
 // the current schema version.
 func OpenResultCache(dir string) (*ResultCache, error) { return resultcache.Open(dir) }
@@ -168,18 +163,6 @@ func GCResultCache(dir, size string) (CacheGCStats, error) {
 	return c.GC(maxBytes)
 }
 
-// RunJobs executes a batch of simulation jobs through e (nil means a
-// default engine: one worker per core, no cache) and returns one result
-// per job, in job order regardless of completion order. The simulator is
-// deterministic, so the results are identical to running the batch
-// serially.
-func RunJobs(ctx context.Context, e *JobEngine, js []Job) ([]*Result, error) {
-	if e == nil {
-		e = &JobEngine{}
-	}
-	return e.Run(ctx, js)
-}
-
 // ---- Simulation daemon ----
 
 // DialDaemon connects to a prosimd daemon at addr — "host:port" for TCP
@@ -191,18 +174,8 @@ func RunJobs(ctx context.Context, e *JobEngine, js []Job) ([]*Result, error) {
 // no resolvable FactoryKey cannot cross the wire and fail per batch.
 func DialDaemon(addr string) (*DaemonClient, error) { return daemon.Dial(addr) }
 
-// SubmitBatch executes a batch of simulation jobs through any runner —
-// a local JobEngine or a DaemonClient (nil means a default local
-// engine) — returning one result per job in job order.
-func SubmitBatch(ctx context.Context, r JobRunner, js []Job) ([]*Result, error) {
-	if r == nil {
-		r = &JobEngine{}
-	}
-	return r.Run(ctx, js)
-}
-
 // WorkloadJobs builds the standard evaluation batch — every workload
-// under every named scheduler, in suite order — ready for RunJobs.
+// under every named scheduler, in suite order — ready for a JobRunner.
 // maxTBs > 0 shrinks each grid first.
 func WorkloadJobs(ws []*Workload, scheds []string, maxTBs int, opts Options) []Job {
 	return jobs.Grid(ws, scheds, maxTBs, opts)
