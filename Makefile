@@ -1,10 +1,11 @@
 # Developer / CI entry points. `make check` is the gate every change
 # must pass: gofmt, go vet, the full test suite once under the race
-# detector (never from the test cache; it includes the fast-path
-# differential test), the results/ regeneration check and a compile
-# check of the bench harness. fastpath and the per-surface -race gates
-# (sleeptest … clustertest) run subsets of what race already runs; they
-# stay as targets for a focused run of one surface.
+# detector (never from the test cache; the fast-path differential test
+# runs only its naive and all-on grids there), the fast-path differential
+# test's five grids without the race detector, the results/ regeneration
+# check and a compile check of the bench harness. The per-surface -race
+# gates (sleeptest … clustertest) run subsets of what race already runs;
+# they stay as targets for a focused run of one surface.
 
 GO ?= go
 GOFMT ?= gofmt
@@ -30,9 +31,9 @@ race:
 
 # The bit-identity oracle for the simulation fast paths: every fast-path
 # combination must reproduce the naive engine's results byte for byte.
-# Not a prerequisite of check: race already runs this test over ./...;
-# this target re-runs it alone, without the race detector, after an
-# engine or policy change.
+# A prerequisite of check: under -race, race runs only the naive grid
+# against the all-on one, so the three single-path grids run here,
+# without the race detector (about 20 s on 2 vCPUs).
 fastpath:
 	$(GO) test -run TestFastPathEquivalence -count=1 ./prosim
 
@@ -209,8 +210,8 @@ daemontest:
 # the memo, the one-pass body read must answer a corpus of bodies as the
 # streaming decoder did (mutation-checked) and the splitter may only
 # accept what that decoder accepts, the result cache's decoded front
-# must count, evict, bypass, drop on GC and touch as a disk hit would,
-# and its entry decoder must hit exactly on a valid envelope (fuzz seeds);
+# must count, evict and bypass as a disk hit would, and its entry
+# decoder must hit exactly on a valid envelope (fuzz seeds);
 # on the client, the request appender must write json.Marshal's bytes for
 # every grid request and every field (a field-drift guard), and reading a
 # table of response streams must end as the json.Decoder loop it replaced
@@ -228,8 +229,8 @@ obstest:
 # The admission surface under the race detector, re-run every time:
 # admission control (429/413 + Retry-After), weighted priority dispatch,
 # the documented-routes-only table, wire compatibility with daemons that
-# still send the removed tenancy and cache-tier stats fields, and the
-# singleflight / fan-out / socket-takeover regression tests.
+# still send the removed tenancy, cache-tier and cache-GC stats fields,
+# and the singleflight / fan-out / socket-takeover regression tests.
 admissiontest:
 	$(GO) test -race -count=1 -run 'TestLeaderDisconnect|TestFullQueue|TestOversizeBatch|TestOversizeBody|TestBulkFlood|TestLargeBatchBounded|TestHandlerServesOnlyDocumentedRoutes|TestStatsAndHealthReject|TestListenRefuses|TestClientSurfacesOverload|TestDispatcherWeighted|TestStatsWireCompat' ./internal/daemon
 
@@ -241,7 +242,7 @@ admissiontest:
 # `prosim flight` keeping an existing -out file when it rejects its
 # arguments.
 flighttest:
-	$(GO) test -race -count=1 -run 'TestFlight|TestPerfetto' ./internal/flight ./internal/gpu ./internal/engine ./internal/jobs ./cmd/prosim
+	$(GO) test -race -count=1 -run 'TestFlight' ./internal/flight ./internal/gpu ./internal/engine ./internal/jobs ./cmd/prosim
 
 # The sweep cluster under the race detector, re-run every time: the
 # acceptance test spins up three in-process daemons sharing a cache,
@@ -265,7 +266,7 @@ results-check:
 	for f in "$$tmp"/out/*; do cmp "results/$${f##*/}" "$$f"; done; \
 	echo "results-check: $$(ls "$$tmp/out" | wc -l) files in results/ match the code"
 
-check: fmt vet race results-check benchbuild
+check: fmt vet race fastpath results-check benchbuild
 
 # The per-layer measurement rungs, 5 repetitions with allocation counts,
 # to stdout: SMTickPipelineStall and SMTickIssue (internal/engine),

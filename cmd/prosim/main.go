@@ -33,7 +33,7 @@ func main() {
 		runSubcommand(os.Args[1], os.Args[2:])
 		return
 	}
-	h := cli.New("prosim", cli.Spec{Quiet: true, CacheGC: true, Profile: true})
+	h := cli.New("prosim", cli.Spec{Quiet: true, Profile: true})
 	kernel := h.Flags.String("kernel", "", "Table II kernel name to run")
 	scheds := h.Flags.String("sched", "TL,LRR,GTO,PRO", "comma-separated scheduler list")
 	all := h.Flags.Bool("all", false, "run every Table II kernel")

@@ -44,7 +44,7 @@ import (
 // Progress goes to stderr; stdout carries only the PASS/FAIL report.
 
 func papercheck(args []string) {
-	h := cli.New("prosim papercheck", cli.Spec{Quiet: true, CacheGC: true})
+	h := cli.New("prosim papercheck", cli.Spec{Quiet: true})
 	h.Parse(args)
 
 	failures := 0

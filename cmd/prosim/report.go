@@ -33,11 +33,13 @@ import (
 // coordinator that feeds every worker slot from one queue (retrying on
 // worker loss); -cache is then the shared merge cache, which the workers
 // should use too; a re-run after an interruption simulates only what
-// the cache still lacks.
+// the cache still lacks. Nothing evicts cache entries (the full grid is
+// about 100 of them, 82 KB): to bound a cache, delete its directory or
+// any entry, which the next run recomputes.
 //
 // Progress and timing go to stderr; stdout carries only the artifacts.
 func report(args []string) {
-	h := cli.New("prosim report", cli.Spec{CacheGC: true, Priority: "interactive"})
+	h := cli.New("prosim report", cli.Spec{Priority: "interactive"})
 	outDir := h.Flags.String("out", "", "directory to write artifact files into (optional)")
 	h.Parse(args)
 

@@ -108,31 +108,59 @@ func TestWorkersRunExitsZero(t *testing.T) {
 	}
 }
 
-// TestBadCacheGCFailsFast pins that -cache-gc is validated before any
-// simulation: a malformed size, or a local run with nowhere to collect,
-// exits non-zero with nothing on stdout.
+// TestBadCacheGCFailsFast pins that -cache-gc, removed with the cache's
+// collector, is a flag error on each of the four tools that declared it:
+// whatever its value, and with or without -cache, the tool exits 2 with
+// nothing on stdout, simulates nothing and leaves an existing -cache
+// directory's entries as they were.
 func TestBadCacheGCFailsFast(t *testing.T) {
 	if testing.Short() {
 		t.Skip("re-exec integration test")
 	}
 	cache := filepath.Join(t.TempDir(), "cache")
+	if _, stderr, err := runProsim(t, "-kernel", "scalarProdGPU", "-sched", "LRR", "-maxtbs", "1", "-cache", cache); err != nil {
+		t.Fatalf("filling the cache: %v\nstderr:\n%s", err, stderr)
+	}
+	entries := func() int {
+		t.Helper()
+		des, err := os.ReadDir(cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(des)
+	}
+	want := entries()
+	if want != 1 {
+		t.Fatalf("one run left %d cache entries, want 1", want)
+	}
 	for _, tc := range []struct {
-		name, want string
-		args       []string
+		name string
+		args []string
 	}{
-		{"bad size", "invalid size", []string{"-cache", cache, "-cache-gc", "12Q"}},
-		{"no cache", "-cache-gc needs -cache", []string{"-cache-gc", "1M"}},
+		{"bad size", []string{"-cache", cache, "-cache-gc", "12Q"}},
+		{"no cache", []string{"-cache-gc", "1M"}},
+		{"valid size", []string{"-cache", cache, "-cache-gc", "0"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			stdout, stderr, err := runReport(t, append(tc.args, "-maxtbs", "2")...)
-			if err == nil {
-				t.Fatal("report accepted the -cache-gc value")
-			}
-			if stdout != "" {
-				t.Errorf("report simulated before rejecting -cache-gc; stdout:\n%s", stdout)
-			}
-			if !strings.Contains(stderr, tc.want) {
-				t.Errorf("stderr %q does not say %q", stderr, tc.want)
+			for _, tool := range [][]string{{"-kernel", "scalarProdGPU"}, {"report"}, {"sweep"}, {"papercheck"}} {
+				args := append(append(tool[:len(tool):len(tool)], "-maxtbs", "1"), tc.args...)
+				stdout, stderr, err := runProsim(t, args...)
+				var ee *exec.ExitError
+				if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+					t.Fatalf("%v: err %v, want exit 2\nstderr:\n%s", args, err, stderr)
+				}
+				if stdout != "" {
+					t.Errorf("%v ran before rejecting -cache-gc; stdout:\n%s", args, stdout)
+				}
+				if want := "flag provided but not defined: -cache-gc"; !strings.Contains(stderr, want) {
+					t.Errorf("%v: stderr %q does not say %q", args, stderr, want)
+				}
+				if strings.Contains(stderr, " simulated, ") {
+					t.Errorf("%v simulated before rejecting -cache-gc; stderr:\n%s", args, stderr)
+				}
+				if got := entries(); got != want {
+					t.Errorf("%v left %d cache entries, want %d", args, got, want)
+				}
 			}
 		})
 	}

@@ -6,8 +6,9 @@
 // re-simulating.
 //
 // Endpoints: POST /v1/batch (NDJSON progress stream + results),
-// GET /v1/stats, GET /v1/health, POST /v1/gc, GET /metrics (Prometheus
-// text format).
+// GET /v1/stats, GET /v1/health, GET /metrics (Prometheus text format).
+// The result cache has no collector: bound it by deleting -cache's
+// directory or any of its entries (a missing entry is recomputed).
 // See DESIGN.md §9 for the protocol and §10 for the telemetry.
 //
 // Usage:

@@ -1,8 +1,8 @@
 // Package cli is the flag layer prosim's subcommands share: it declares
 // the harness flags once, each subcommand passing its own defaults, and
 // builds what they imply — the logger, the job runner (a local engine,
-// a prosimd client or a cluster coordinator), the CPU and heap profiles
-// and the post-run result-cache GC.
+// a prosimd client or a cluster coordinator) and the CPU and heap
+// profiles.
 //
 // A tool calls New, declares its own flags on Harness.Flags, then
 // Parse, Runner, its work, and Finish. Every error goes through Fatal,
@@ -10,7 +10,6 @@
 package cli
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -24,9 +23,7 @@ import (
 	"repro/internal/daemon"
 	"repro/internal/jobs"
 	"repro/internal/obs"
-	"repro/internal/resultcache"
 	"repro/internal/workloads"
-	"repro/prosim"
 )
 
 // Spec selects which shared flags a tool declares and their defaults.
@@ -39,8 +36,6 @@ type Spec struct {
 	OneJob bool
 	// Quiet is the default of -quiet.
 	Quiet bool
-	// CacheGC declares -cache-gc.
-	CacheGC bool
 	// Priority, when non-empty, declares -daemon and -workers and is the
 	// scheduling class (daemon.PriorityInteractive or PriorityBulk) every
 	// batch they send carries.
@@ -70,7 +65,6 @@ type Harness struct {
 	name                   string
 	jobs                   int
 	quiet                  bool
-	cacheGC                string
 	daemon, workers        string
 	priority               string
 	cpuprofile, memprofile string
@@ -94,9 +88,6 @@ func New(name string, spec Spec) *Harness {
 		fs.IntVar(&h.jobs, "jobs", runtime.NumCPU(), "parallel simulation workers")
 		fs.BoolVar(&h.quiet, "quiet", spec.Quiet, "suppress per-run progress (stderr)")
 	}
-	if spec.CacheGC {
-		fs.StringVar(&h.cacheGC, "cache-gc", "", "after the run, evict least-recently-used cache entries down to this size (e.g. 256M; needs -cache)")
-	}
 	if spec.Priority != "" {
 		fs.StringVar(&h.daemon, "daemon", "", "run simulations on a prosimd daemon at this address (host:port or unix:/path) instead of locally")
 		fs.StringVar(&h.workers, "workers", "", "fan simulations out across these comma-separated prosimd addresses (-cache is the merge cache they share)")
@@ -109,9 +100,8 @@ func New(name string, spec Spec) *Harness {
 }
 
 // Parse parses args and checks everything that can be checked before a
-// simulation runs: the log flags, -daemon against -workers, and the
-// -cache-gc size and target. It then starts the CPU profile, if
-// asked.
+// simulation runs: the log flags and -daemon against -workers. It then
+// starts the CPU profile, if asked.
 func (h *Harness) Parse(args []string) {
 	h.Flags.Parse(args)
 	log, err := h.logCfg.Setup()
@@ -121,14 +111,6 @@ func (h *Harness) Parse(args []string) {
 	h.log = log
 	if h.daemon != "" && h.workers != "" {
 		h.Fatal(errors.New("-daemon and -workers are mutually exclusive"))
-	}
-	if h.cacheGC != "" {
-		if _, err := resultcache.ParseSize(h.cacheGC); err != nil {
-			h.Fatal(err)
-		}
-		if h.Cache == "" && h.daemon == "" {
-			h.Fatal(errors.New("-cache-gc needs -cache"))
-		}
 	}
 	if h.cpuprofile != "" {
 		f, err := os.Create(h.cpuprofile)
@@ -187,24 +169,9 @@ func (h *Harness) Runner() jobs.Runner {
 	return eng
 }
 
-// Finish runs after the tool's work: it collects -cache-gc (on the
-// daemon's cache with -daemon), writes the heap profile and stops the
-// CPU profile.
+// Finish runs after the tool's work: it writes the heap profile and
+// stops the CPU profile.
 func (h *Harness) Finish() {
-	if h.cacheGC != "" {
-		var st prosim.CacheGCStats
-		var err error
-		if h.Client != nil {
-			st, err = h.Client.GC(context.Background(), h.cacheGC)
-		} else {
-			st, err = prosim.GCResultCache(h.Cache, h.cacheGC)
-		}
-		if err != nil {
-			h.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "cache-gc: evicted %d of %d entries, freed %d bytes\n",
-			st.Evicted, st.Entries, st.Freed)
-	}
 	if h.memprofile != "" {
 		f, err := os.Create(h.memprofile)
 		if err != nil {

@@ -338,11 +338,11 @@ func TestLargeBatchBoundedGoroutines(t *testing.T) {
 	}
 }
 
-// TestHandlerServesOnlyDocumentedRoutes: the daemon answers its five
+// TestHandlerServesOnlyDocumentedRoutes: the daemon answers its four
 // documented routes and nothing else — no result-cache object store
-// under /cache/ and no expvar view — so a forged envelope PUT by anyone
-// who can reach the port never becomes an answer: the job it names is
-// simulated.
+// under /cache/, no cache-GC endpoint and no expvar view — so a forged
+// envelope PUT by anyone who can reach the port never becomes an
+// answer: the job it names is simulated.
 func TestHandlerServesOnlyDocumentedRoutes(t *testing.T) {
 	d, c := newTestDaemon(t, Config{Workers: 1, CacheDir: t.TempDir()})
 	j := quickJob(t, "GTO")
@@ -364,7 +364,7 @@ func TestHandlerServesOnlyDocumentedRoutes(t *testing.T) {
 		{http.MethodPost, "/v1/batch", `{"jobs":[]}`, http.StatusOK},
 		{http.MethodGet, "/v1/stats", "", http.StatusOK},
 		{http.MethodGet, "/v1/health", "", http.StatusOK},
-		{http.MethodPost, "/v1/gc", `{"size":"1G"}`, http.StatusOK},
+		{http.MethodPost, "/v1/gc", `{"size":"0"}`, http.StatusNotFound},
 		{http.MethodGet, "/metrics", "", http.StatusOK},
 		{http.MethodGet, "/cache/" + key, "", http.StatusNotFound},
 		{http.MethodPut, "/cache/" + key, string(forged), http.StatusNotFound},
@@ -532,21 +532,25 @@ func newTestDispatcherSaturated(t *testing.T, weight int) *dispatcher {
 }
 
 // TestStatsWireCompatMultiTenantFields pins the additive-fields
-// contract across the removal of tenancy and the shared cache tier:
-// a payload from a daemon that still sends "tenants", "cacheRemote" and
-// "l2*" decodes with every surviving field intact, a legacy payload
+// contract across the removal of tenancy, the shared cache tier and
+// cache GC: a payload from a daemon that still sends "tenants",
+// "cacheRemote", "l2*" and "cacheGC*" decodes with every surviving field
+// intact, a legacy payload
 // leaves the admission fields zero, this daemon's /v1/stats carries none
 // of the removed fields, and a request still sending the old tenant
 // header is served exactly as one without it.
 func TestStatsWireCompatMultiTenantFields(t *testing.T) {
 	older := `{"completed":1,"simulated":1,"cacheHits":4,"workers":2,
 		"queueInteractive":3,"queueBulk":4,"rejected":5,"tenants":2,
-		"cacheRemote":"http://peer:9753/cache","l2Hits":6,"l2Misses":7,"l2Degraded":8}`
+		"cacheRemote":"http://peer:9753/cache","l2Hits":6,"l2Misses":7,"l2Degraded":8,
+		"cacheBytesRead":9,"cacheBytesWritten":10,
+		"cacheGCRuns":1,"cacheGCEvicted":2,"cacheGCFreedBytes":1024}`
 	var st Stats
 	if err := json.Unmarshal([]byte(older), &st); err != nil {
 		t.Fatal(err)
 	}
 	want := Stats{Completed: 1, Simulated: 1, CacheHits: 4, Workers: 2,
+		CacheBytesRead: 9, CacheBytesWritten: 10,
 		QueueInteractive: 3, QueueBulk: 4, Rejected: 5}
 	if st != want {
 		t.Fatalf("older daemon's stats payload decoded as %+v, want %+v", st, want)
@@ -593,7 +597,8 @@ func TestStatsWireCompatMultiTenantFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, gone := range []string{"tenants", "cacheRemote", "l2Hits", "l2Misses", "l2Degraded"} {
+	for _, gone := range []string{"tenants", "cacheRemote", "l2Hits", "l2Misses", "l2Degraded",
+		"cacheGCRuns", "cacheGCEvicted", "cacheGCFreedBytes"} {
 		if _, ok := fields[gone]; ok {
 			t.Errorf("/v1/stats still emits the removed field %q", gone)
 		}

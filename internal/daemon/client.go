@@ -294,28 +294,3 @@ func (c *Client) Health(ctx context.Context) (*Health, error) {
 	}
 	return &h, nil
 }
-
-// GC asks the daemon to evict result-cache entries down to size
-// (resultcache.ParseSize syntax) and returns what the pass removed.
-func (c *Client) GC(ctx context.Context, size string) (GCStats, error) {
-	body, _ := json.Marshal(GCRequest{Size: size})
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/gc", bytes.NewReader(body))
-	if err != nil {
-		return GCStats{}, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := c.hc.Do(hreq)
-	if err != nil {
-		return GCStats{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return GCStats{}, fmt.Errorf("daemon: gc: %s: %s", resp.Status, strings.TrimSpace(string(msg)))
-	}
-	var st GCStats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return GCStats{}, fmt.Errorf("daemon: gc: %w", err)
-	}
-	return st, nil
-}

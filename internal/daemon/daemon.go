@@ -9,7 +9,6 @@
 //	                progress events and ends with the results
 //	GET  /v1/stats  engine/cache/in-flight counters
 //	GET  /v1/health liveness probe (drain flag, in-flight, uptime)
-//	POST /v1/gc     evict result-cache entries down to a size budget
 //
 // Dedupe semantics (singleflight): every job with a stable identity is
 // keyed by its result-cache key. The first submission of a key becomes
@@ -52,7 +51,6 @@ import (
 
 	"repro/internal/jobs"
 	"repro/internal/obs"
-	"repro/internal/resultcache"
 	"repro/internal/stats"
 )
 
@@ -225,7 +223,6 @@ func (d *Daemon) Handler() http.Handler {
 	mux.Handle("/v1/batch", httpMetrics("/v1/batch", d.handleBatch))
 	mux.Handle("/v1/stats", httpMetrics("/v1/stats", d.handleStats))
 	mux.Handle("/v1/health", httpMetrics("/v1/health", d.handleHealth))
-	mux.Handle("/v1/gc", httpMetrics("/v1/gc", d.handleGC))
 	mux.Handle("/metrics", obs.Default.Handler())
 	return mux
 }
@@ -679,43 +676,9 @@ func (d *Daemon) handleStats(w http.ResponseWriter, r *http.Request) {
 		st.CacheWrites = c.Writes()
 		st.CacheBytesRead = c.BytesRead()
 		st.CacheBytesWritten = c.BytesWritten()
-		st.CacheGCRuns = c.GCRuns()
-		st.CacheGCEvicted = c.GCEvicted()
-		st.CacheGCFreedBytes = c.GCFreed()
 	}
 	st.QueueInteractive, st.QueueBulk = d.disp.depths()
 	st.Rejected = d.rejected.Load()
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(st)
-}
-
-func (d *Daemon) handleGC(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	if d.eng.Cache == nil {
-		http.Error(w, "daemon runs without a result cache", http.StatusBadRequest)
-		return
-	}
-	var req GCRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad gc request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	maxBytes, err := resultcache.ParseSize(req.Size)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	st, err := d.eng.Cache.GC(maxBytes)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	d.log.Info("cache gc",
-		"budget", req.Size, "evicted", st.Evicted, "entries", st.Entries,
-		"freed_bytes", st.Freed, "stale_tmp", st.TmpFiles)
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(st)
 }

@@ -348,7 +348,10 @@ func TestShutdownFailsQueuedLeaderWithOneError(t *testing.T) {
 	}
 }
 
-func TestStatsAndGC(t *testing.T) {
+// TestStatsCountColdAndWarmBatches: a cold batch simulates and writes
+// each job, the same batch again replays each from the cache, and
+// /v1/stats counts both.
+func TestStatsCountColdAndWarmBatches(t *testing.T) {
 	dir := t.TempDir()
 	_, c := newTestDaemon(t, Config{Workers: 2, CacheDir: dir})
 	js := quickBatch(t)[:2]
@@ -370,14 +373,6 @@ func TestStatsAndGC(t *testing.T) {
 	}
 	if st.Batches != 2 || st.Workers != 2 {
 		t.Fatalf("batch/worker counters: %+v", st)
-	}
-
-	gc, err := c.GC(context.Background(), "0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gc.Entries != 2 || gc.Evicted != 2 {
-		t.Fatalf("gc to zero: %+v", gc)
 	}
 }
 

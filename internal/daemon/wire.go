@@ -23,7 +23,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/gpu"
 	"repro/internal/jobs"
-	"repro/internal/resultcache"
 	"repro/internal/schedreg"
 	"repro/internal/stats"
 )
@@ -226,14 +225,10 @@ type Stats struct {
 	CacheMisses int64  `json:"cacheMisses"`
 	CacheWrites int64  `json:"cacheWrites"`
 	// Extended cache telemetry (additive; older clients ignore them):
-	// byte traffic and cumulative GC activity since the daemon opened
-	// its cache. Sourced from the same counters the obs registry
-	// exposes at /metrics.
+	// byte traffic since the daemon opened its cache. Sourced from the
+	// same counters the obs registry exposes at /metrics.
 	CacheBytesRead    int64 `json:"cacheBytesRead"`
 	CacheBytesWritten int64 `json:"cacheBytesWritten"`
-	CacheGCRuns       int64 `json:"cacheGCRuns"`
-	CacheGCEvicted    int64 `json:"cacheGCEvicted"`
-	CacheGCFreedBytes int64 `json:"cacheGCFreedBytes"`
 	// InFlight counts jobs holding a worker slot (jobs still queued for
 	// one are in QueueInteractive and QueueBulk); Attached counts
 	// submissions currently waiting on another client's identical
@@ -252,9 +247,10 @@ type Stats struct {
 	// Admission telemetry (additive). QueueInteractive and QueueBulk are
 	// the per-class admitted-but-not-running job counts; Rejected counts
 	// batch requests refused at admission (draining, size, full queue)
-	// since start. Older daemons may still send "tenants", "cacheRemote"
-	// and "l2Hits"/"l2Misses"/"l2Degraded"; the decoder ignores them
-	// (pinned by TestStatsWireCompatMultiTenantFields).
+	// since start. Older daemons may still send "tenants", "cacheRemote",
+	// "l2Hits"/"l2Misses"/"l2Degraded" and the cache-GC counters
+	// "cacheGCRuns"/"cacheGCEvicted"/"cacheGCFreedBytes"; the decoder
+	// ignores them (pinned by TestStatsWireCompat*).
 	QueueInteractive int   `json:"queueInteractive,omitempty"`
 	QueueBulk        int   `json:"queueBulk,omitempty"`
 	Rejected         int64 `json:"rejected,omitempty"`
@@ -283,12 +279,3 @@ type Health struct {
 	// backlog so pollers can prefer an idle replica).
 	QueueDepth int `json:"queueDepth,omitempty"`
 }
-
-// GCRequest is the body of POST /v1/gc: evict least-recently-used cache
-// entries down to Size (resultcache.ParseSize syntax, e.g. "256M").
-type GCRequest struct {
-	Size string `json:"size"`
-}
-
-// GCStats aliases the cache GC report for wire use.
-type GCStats = resultcache.GCStats

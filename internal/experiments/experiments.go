@@ -244,16 +244,11 @@ func timelineJob(w *workloads.Workload, sched string) jobs.Job {
 // orderTraceJob is the single job OrderTrace executes (threshold <= 0
 // means PRO's default re-sort threshold).
 func orderTraceJob(w *workloads.Workload, threshold int64) jobs.Job {
-	key := "PRO+ordertrace+threshold=default"
+	spec := "PRO+ordertrace+threshold=default"
 	if threshold > 0 {
-		key = fmt.Sprintf("PRO+ordertrace+threshold=%d", threshold)
+		spec = fmt.Sprintf("PRO+ordertrace+threshold=%d", threshold)
 	}
-	return jobs.Job{
-		Launch:     w.Launch,
-		Kernel:     w.Kernel,
-		Factory:    prosim.PRO(proTraceOptions(threshold)...),
-		FactoryKey: key,
-	}
+	return jobs.Job{Launch: w.Launch, Kernel: w.Kernel, Scheduler: spec}
 }
 
 // ---- Fig. 2: thread-block timelines ----

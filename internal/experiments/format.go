@@ -4,18 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/stats"
 )
-
-// proTraceOptions builds the PRO options for a Table IV trace run.
-func proTraceOptions(threshold int64) []core.Option {
-	opts := []core.Option{core.WithOrderTrace()}
-	if threshold > 0 {
-		opts = append(opts, core.WithThreshold(threshold))
-	}
-	return opts
-}
 
 // FormatFig4 renders Figure 4 as a text table.
 func FormatFig4(f *Fig4) string {

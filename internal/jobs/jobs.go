@@ -328,9 +328,10 @@ func (e *Engine) runOne(ctx context.Context, j *Job, key string) (r *stats.Kerne
 		return nil, false, err
 	}
 	if cacheable {
-		if err := e.Cache.Put(key, r); err != nil {
-			return nil, false, err
-		}
+		// A failed write (a full disk, an unwritable directory) costs
+		// only a later re-simulation, never this job's result; it shows
+		// as jobs_simulated_total running ahead of resultcache_writes_total.
+		_ = e.Cache.Put(key, r)
 	}
 	return r, false, nil
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -96,6 +98,35 @@ func TestCacheWarmRunSimulatesNothing(t *testing.T) {
 	}
 	if cache.Hits() != int64(len(js)) {
 		t.Fatalf("cache.Hits = %d, want %d", cache.Hits(), len(js))
+	}
+}
+
+// TestFailedPutKeepsTheResult: a cache that cannot be written (here its
+// directory replaced by a regular file after Open, so CreateTemp fails
+// with ENOTDIR whatever the caller's privileges) costs the job nothing —
+// it returns the result a cacheless engine computes, counted as
+// simulated, with no write.
+func TestFailedPutKeepsTheResult(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "cache")
+	cache, err := resultcache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, []byte("not a directory\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	js := testBatch(t)[:1]
+	e := &Engine{Workers: 1, Cache: cache}
+	got := mustRun(t, e, js)
+	want := mustRun(t, &Engine{Workers: 1}, js)
+	if string(got[0]) != string(want[0]) {
+		t.Fatalf("with an unwritable cache the job returned\n%s\nwant the cacheless run's\n%s", got[0], want[0])
+	}
+	if cache.Writes() != 0 || e.Simulated() != 1 {
+		t.Fatalf("Writes = %d, Simulated = %d; want 0, 1", cache.Writes(), e.Simulated())
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 )
 
 // openFilled opens a cache in a fresh directory holding n copies of
@@ -157,31 +156,6 @@ func TestFrontBudgetEvictsAndOversizeBypasses(t *testing.T) {
 	}
 }
 
-// TestFrontDroppedByGC: an entry this cache's GC evicts leaves the front
-// with its file, so the next Get misses instead of resurrecting it.
-func TestFrontDroppedByGC(t *testing.T) {
-	c, _, keys, _ := openFilled(t, 3)
-	for _, key := range keys {
-		if _, ok := c.Get(key); !ok {
-			t.Fatal("miss on a present entry")
-		}
-	}
-	if len(c.front) != 3 {
-		t.Fatalf("front holds %d entries after 3 disk hits", len(c.front))
-	}
-	if _, err := c.GC(0); err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range keys {
-		if _, ok := c.Get(key); ok {
-			t.Fatalf("Get(%s) hit after GC(0) emptied the cache", key)
-		}
-	}
-	if len(c.front) != 0 || c.frontBytes != 0 {
-		t.Fatalf("front still holds %d entries, %d bytes after GC(0)", len(c.front), c.frontBytes)
-	}
-}
-
 // TestFrontNeverOutlivesTheProcess: the front holds only what a disk
 // read validated, so a file corrupted afterwards cannot make it serve a
 // wrong answer — it keeps serving the right one — and a fresh Open of
@@ -206,53 +180,5 @@ func TestFrontNeverOutlivesTheProcess(t *testing.T) {
 	}
 	if fresh.Misses() != 1 || len(fresh.front) != 0 {
 		t.Fatalf("fresh cache: Misses = %d, front entries = %d", fresh.Misses(), len(fresh.front))
-	}
-}
-
-// TestFrontTouchesAtMostOncePerMinute: front hits do not pay a Chtimes
-// each, yet a hot entry's file never looks cold to GC's LRU: its
-// timestamps move when the disk read fills the front and then at most
-// once per touchEvery, however many hits land in between.
-func TestFrontTouchesAtMostOncePerMinute(t *testing.T) {
-	c, _, keys, _ := openFilled(t, 1)
-	clock := time.Date(2031, 5, 6, 7, 0, 0, 0, time.UTC)
-	c.now = func() time.Time { return clock }
-	stamp := func() time.Time {
-		t.Helper()
-		fi, err := os.Stat(c.path(keys[0]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fi.ModTime().UTC()
-	}
-	hits := func(n int) {
-		t.Helper()
-		for i := 0; i < n; i++ {
-			if _, ok := c.Get(keys[0]); !ok {
-				t.Fatal("miss on a present entry")
-			}
-		}
-	}
-
-	t0 := clock
-	hits(1) // the disk read: touches
-	if got := stamp(); !got.Equal(t0) {
-		t.Fatalf("disk hit left mtime %v, want the clock's %v", got, t0)
-	}
-	clock = t0.Add(touchEvery - time.Second)
-	hits(100)
-	if got := stamp(); !got.Equal(t0) {
-		t.Fatalf("front hits inside the interval moved mtime to %v", got)
-	}
-	t1 := t0.Add(touchEvery)
-	clock = t1
-	hits(1)
-	if got := stamp(); !got.Equal(t1) {
-		t.Fatalf("first front hit past the interval left mtime %v, want %v", got, t1)
-	}
-	clock = t1.Add(touchEvery / 2)
-	hits(100)
-	if got := stamp(); !got.Equal(t1) {
-		t.Fatalf("front hits after the refresh moved mtime again, to %v", got)
 	}
 }

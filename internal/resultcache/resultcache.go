@@ -11,6 +11,12 @@
 // miss, never an error: the caller recomputes and overwrites. Writes go
 // through a temp file plus rename so concurrent writers (the parallel
 // job engine) can never expose a half-written entry.
+//
+// Nothing evicts entries: keys are content hashes, so a cache grows only
+// with distinct inputs (the full paper grid is about 80 KB). To bound
+// one, delete the directory or any of its entries; a missing entry is a
+// miss and is recomputed. A put-*.tmp file left by a killed writer is
+// inert, since Get reads only <key>.json.
 package resultcache
 
 import (
@@ -22,7 +28,6 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/stats"
@@ -66,16 +71,9 @@ type Cache struct {
 	bytesRead    atomic.Int64
 	bytesWritten atomic.Int64
 
-	// Cumulative GC telemetry over this cache's lifetime (each pass's
-	// GCStats describes only that pass).
-	gcRuns    atomic.Int64
-	gcEvicted atomic.Int64
-	gcFreed   atomic.Int64
-
 	// The decoded front (DESIGN.md §9.5): results Get read from disk and
 	// validated, by key; entries are immutable, so callers share them.
-	now         func() time.Time // the touch clock; tests inject one
-	frontBudget int64            // frontBudgetBytes; tests shrink it
+	frontBudget int64 // frontBudgetBytes; tests shrink it
 	mu          sync.Mutex
 	front       map[string]*frontEntry
 	frontBytes  int64
@@ -84,19 +82,14 @@ type Cache struct {
 // frontEntry is one decoded result in the front. size is its encoded
 // length: the budget's unit, and what a hit adds to BytesRead.
 type frontEntry struct {
-	res     *stats.KernelResult
-	size    int64
-	touched time.Time
+	res  *stats.KernelResult
+	size int64
 }
 
 // frontBudgetBytes bounds the front by summed encoded entry bytes (~60 000
 // ordinary 0.5 KB entries). An entry over 1/32 of it — a Timeline-bearing
 // result — bypasses the front, so one large result cannot flush the rest.
 const frontBudgetBytes = 32 << 20
-
-// touchEvery is how often a front-served entry's file timestamps are
-// refreshed — often enough that GC's LRU still sees a hot key as hot.
-const touchEvery = time.Minute
 
 // envelope is the on-disk wrapper: the version and key guard against
 // reading entries written by a different schema or a corrupted file.
@@ -119,7 +112,7 @@ func OpenVersion(dir string, version int) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("resultcache: %w", err)
 	}
-	return &Cache{dir: dir, version: version, now: time.Now,
+	return &Cache{dir: dir, version: version,
 		frontBudget: frontBudgetBytes, front: make(map[string]*frontEntry)}, nil
 }
 
@@ -153,17 +146,12 @@ func (c *Cache) path(key string) string { return filepath.Join(c.dir, key+".json
 // miss — absent, unreadable, corrupt, or from a different schema. The
 // result may be shared with other callers: treat it as read-only.
 func (c *Cache) Get(key string) (*stats.KernelResult, bool) {
-	now := c.now()
 	c.mu.Lock()
 	fe := c.front[key]
-	stale := fe != nil && now.Sub(fe.touched) >= touchEvery
-	if stale {
-		fe.touched = now
-	}
 	c.mu.Unlock()
 	if fe != nil {
 		mFrontHits.Inc()
-		c.hit(key, fe.size, stale)
+		c.hit(fe.size)
 		return fe.res, true
 	}
 	data, err := os.ReadFile(c.path(key))
@@ -175,7 +163,7 @@ func (c *Cache) Get(key string) (*stats.KernelResult, bool) {
 		return nil, false
 	}
 	size := int64(len(data))
-	c.hit(key, size, true)
+	c.hit(size)
 	if size <= c.frontBudget/32 {
 		c.mu.Lock()
 		c.forget(key) // a racing Get of the same key may have filled it
@@ -185,7 +173,7 @@ func (c *Cache) Get(key string) (*stats.KernelResult, bool) {
 			}
 			c.forget(k)
 		}
-		c.front[key] = &frontEntry{res: env.Result, size: size, touched: now}
+		c.front[key] = &frontEntry{res: env.Result, size: size}
 		c.frontBytes += size
 		c.mu.Unlock()
 	}
@@ -200,18 +188,12 @@ func (c *Cache) forget(key string) {
 	}
 }
 
-// hit counts one successful read of an entry of size encoded bytes and,
-// when touch is set, marks its file as recently used — best effort: a
-// vanished entry or a read-only directory is not an error.
-func (c *Cache) hit(key string, size int64, touch bool) {
+// hit counts one successful read of an entry of size encoded bytes.
+func (c *Cache) hit(size int64) {
 	c.hits.Add(1)
 	c.bytesRead.Add(size)
 	mHits.Inc()
 	mBytesRead.Add(size)
-	if touch {
-		now := c.now()
-		_ = os.Chtimes(c.path(key), now, now)
-	}
 }
 
 // Put stores a result under key, atomically replacing any previous
@@ -259,13 +241,3 @@ func (c *Cache) BytesRead() int64 { return c.bytesRead.Load() }
 
 // BytesWritten returns the bytes written by Puts since Open.
 func (c *Cache) BytesWritten() int64 { return c.bytesWritten.Load() }
-
-// GCRuns returns the number of GC passes since Open.
-func (c *Cache) GCRuns() int64 { return c.gcRuns.Load() }
-
-// GCEvicted returns entries evicted across all GC passes since Open.
-func (c *Cache) GCEvicted() int64 { return c.gcEvicted.Load() }
-
-// GCFreed returns bytes freed across all GC passes since Open (stale
-// temp files included).
-func (c *Cache) GCFreed() int64 { return c.gcFreed.Load() }

@@ -7,9 +7,13 @@ package prosim_test
 // timelines and samples. These tests run a workload × scheduler grid
 // with each fast path toggled off — the order cache by the uncachedOrder
 // policy wrapper, the other two by their Config switches — and require
-// byte-identical results against the naive reference. `make check` runs
-// it in its race pass and `make fastpath` by name; it is the gate for
-// any change to the cycle engine.
+// byte-identical results against the naive reference. It is the gate for
+// any change to the cycle engine: `make check` runs all five grids in its
+// `fastpath` pass, and under -race in its race pass only the naive
+// reference against all fast paths on (raceDetector): a simulation runs
+// on one goroutine, so the detector watches only the test's own
+// concurrency, which that pair already has, and the three single-path
+// grids would more than double the package's minutes there.
 
 import (
 	"encoding/json"
@@ -184,7 +188,8 @@ func fastPathGrid(fp fastPaths) ([]string, error) {
 func TestFastPathEquivalence(t *testing.T) {
 	// The five grids are independent, so the naive reference runs beside
 	// the four fast-path grids, which are parallel subtests: the test is
-	// about 30 s of CPU, and some 18 times that under -race.
+	// about 30 s of CPU, and some 18 times that under -race, where only
+	// default-all-on runs beside the reference.
 	var naive []string
 	var naiveErr error
 	naiveDone := make(chan struct{})
@@ -199,16 +204,20 @@ func TestFastPathEquivalence(t *testing.T) {
 		return fp
 	}
 	for _, tc := range []struct {
-		name string
-		fp   fastPaths
+		name   string
+		fp     fastPaths
+		noRace bool // skipped under -race; `make fastpath` runs it
 	}{
-		{"order-cache-only", each(func(fp *fastPaths) { fp.uncachedOrder = false })},
-		{"cycle-skip-only", each(func(fp *fastPaths) { fp.disableCycleSkip = false })},
-		{"warp-pooling-only", each(func(fp *fastPaths) { fp.disableWarpPooling = false })},
+		{"order-cache-only", each(func(fp *fastPaths) { fp.uncachedOrder = false }), true},
+		{"cycle-skip-only", each(func(fp *fastPaths) { fp.disableCycleSkip = false }), true},
+		{"warp-pooling-only", each(func(fp *fastPaths) { fp.disableWarpPooling = false }), true},
 		// Everything on together: the production configuration.
-		{"default-all-on", fastPaths{}},
+		{"default-all-on", fastPaths{}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.noRace && raceDetector {
+				t.Skip("single-path grid: runs without -race in `make fastpath`")
+			}
 			t.Parallel()
 			got, err := fastPathGrid(tc.fp)
 			if err != nil {

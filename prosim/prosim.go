@@ -142,27 +142,6 @@ func RunApp(app, scheduler string, opts Options) (*AppResult, error) {
 // the current schema version.
 func OpenResultCache(dir string) (*ResultCache, error) { return resultcache.Open(dir) }
 
-// CacheGCStats reports what a result-cache GC pass found and removed.
-type CacheGCStats = resultcache.GCStats
-
-// GCResultCache evicts least-recently-used entries from the result
-// cache at dir until it fits in the human-readable size budget
-// (e.g. "256M", "2G"; see resultcache.ParseSize).
-func GCResultCache(dir, size string) (CacheGCStats, error) {
-	if dir == "" {
-		return CacheGCStats{}, fmt.Errorf("prosim: cache GC needs a cache directory")
-	}
-	maxBytes, err := resultcache.ParseSize(size)
-	if err != nil {
-		return CacheGCStats{}, err
-	}
-	c, err := resultcache.Open(dir)
-	if err != nil {
-		return CacheGCStats{}, err
-	}
-	return c.GC(maxBytes)
-}
-
 // ---- Simulation daemon ----
 
 // DialDaemon connects to a prosimd daemon at addr — "host:port" for TCP
