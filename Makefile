@@ -5,12 +5,13 @@
 # test's five grids without the race detector, the results/ regeneration
 # check and a compile check of the bench harness. The per-surface -race
 # gates (sleeptest … clustertest) run subsets of what race already runs;
-# they stay as targets for a focused run of one surface.
+# they stay as targets for a focused run of one surface, and runcheck (in
+# check) proves each focused -run pattern still names its tests.
 
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test vet fmt race fastpath sleeptest issuetest retrytest identity pairs fuzz benchbuild daemontest servetest obstest clustertest admissiontest flighttest results-check check bench profile profile-grid profile-serve report papercheck
+.PHONY: build test vet fmt runcheck race fastpath sleeptest issuetest retrytest identity pairs fuzz benchbuild daemontest servetest obstest clustertest admissiontest flighttest results-check check bench profile profile-grid profile-serve report papercheck
 
 build:
 	$(GO) build ./...
@@ -45,8 +46,10 @@ fastpath:
 # ledger must balance at every sample. Under -race like the other gates:
 # the wake callbacks fire from wheel events and memory-system
 # notifications, and the detector proves nothing else reaches an SM.
+sleeptest_RUN = TestSleepsThrough|TestFillWithEmptyLDSTUnit|TestStallAccountingInvariant
+sleeptest_PKGS = ./internal/engine ./internal/gpu
 sleeptest:
-	$(GO) test -race -count=1 -run 'TestSleepsThrough|TestFillWithEmptyLDSTUnit|TestStallAccountingInvariant' ./internal/engine ./internal/gpu
+	$(GO) test -race -count=1 -run '$(sleeptest_RUN)' $(sleeptest_PKGS)
 
 # The issue-board gate (DESIGN.md §8.4, §8.1): on seeded random programs,
 # under policies whose hooks return every order hint — rotate, a new head
@@ -58,8 +61,10 @@ sleeptest:
 # and every registered policy must be served from the order cache, not
 # rebuilt every cycle. (The >64-warps-per-slot rows that make the masks
 # multi-word run in fastpath, and under -race in race.)
+issuetest_RUN = TestIssueBoard|TestGTOGreedyFirstThenOldest|TestLRROrderRotates|TestTLDoesNotDemoteOnALUIssue|TestEveryPolicyIsServedFromTheOrderCache
+issuetest_PKGS = ./internal/engine ./internal/sched ./internal/schedreg
 issuetest:
-	$(GO) test -race -count=1 -run 'TestIssueBoard|TestGTOGreedyFirstThenOldest|TestLRROrderRotates|TestTLDoesNotDemoteOnALUIssue|TestEveryPolicyIsServedFromTheOrderCache' ./internal/engine ./internal/sched ./internal/schedreg
+	$(GO) test -race -count=1 -run '$(issuetest_RUN)' $(issuetest_PKGS)
 
 # The exactness gate for the memory side of §8.3: a refused L2 re-poll
 # settled by an MSHR stamp must be a re-poll the probe would have refused
@@ -68,8 +73,10 @@ issuetest:
 # test), and the two together must leave a retry storm's every delivery
 # cycle and counter where the commit before them had it (pinned golden),
 # with re-polls outnumbering wheel events and skipping the tag probe.
+retrytest_RUN = TestMSHRStampSound|TestTrain|TestRetryStormGolden|TestCheapRepoll
+retrytest_PKGS = ./internal/cache ./internal/timing ./internal/memsys
 retrytest:
-	$(GO) test -race -count=1 -run 'TestMSHRStampSound|TestTrain|TestRetryStormGolden|TestCheapRepoll' ./internal/cache ./internal/timing ./internal/memsys
+	$(GO) test -race -count=1 -run '$(retrytest_RUN)' $(retrytest_PKGS)
 
 # The one command a bit-identical-by-construction PR cites:
 # `make identity BASE=<ref>` builds cmd/prosim from BASE (a `git archive`
@@ -217,22 +224,31 @@ daemontest:
 # table of response streams must end as the json.Decoder loop it replaced
 # did (mutation-checked), the line decoder only accepting what
 # json.Unmarshal decodes alike (fuzz seeds).
+servetest_RUN = TestMemo|TestReencodedJob|TestBatchWireFormatPinned|TestBatchReadMatchesReference|FuzzSplitBatch|FuzzWireJobToJob|FuzzCacheEntry|TestFront|TestCorruptEntryFallsBackToMiss|TestKeyMatchesCachedEntries|TestAppendBatchMatchesMarshal|TestCodecCoversEveryField|TestFastDecoderTakesDaemonLines|TestRunMatchesReferenceOnStreams|TestRunRejectsEmptyJobResult|FuzzDecodeEvent|FuzzAppendBatch
+servetest_PKGS = ./internal/daemon ./internal/resultcache ./internal/jobs
 servetest:
-	$(GO) test -race -count=1 -run 'TestMemo|TestReencodedJob|TestBatchWireFormatPinned|TestBatchReadMatchesReference|FuzzSplitBatch|FuzzWireJobToJob|FuzzCacheEntry|TestFront|TestCorruptEntryFallsBackToMiss|TestKeyMatchesCachedEntries|TestAppendBatchMatchesMarshal|TestCodecCoversEveryField|TestFastDecoderTakesDaemonLines|TestRunMatchesReferenceOnStreams|TestRunRejectsEmptyJobResult|FuzzDecodeEvent|FuzzAppendBatch' ./internal/daemon ./internal/resultcache ./internal/jobs
+	$(GO) test -race -count=1 -run '$(servetest_RUN)' $(servetest_PKGS)
 
 # Telemetry smoke under the race detector: the /metrics acceptance test
 # (valid Prometheus exposition after real work), the /metrics + pprof
 # debug mux and the heartbeat bit-identity gate.
+obstest_RUN = TestMetricsEndpointServesPrometheus|TestDebugHandlerServesMetricsAndPprof|TestHeartbeat
+obstest_PKGS = ./internal/daemon ./internal/obs ./internal/gpu
 obstest:
-	$(GO) test -race -count=1 -run 'TestMetricsEndpointServesPrometheus|TestDebugHandlerServesMetricsAndPprof|TestHeartbeat' ./internal/daemon ./internal/obs ./internal/gpu
+	$(GO) test -race -count=1 -run '$(obstest_RUN)' $(obstest_PKGS)
 
 # The admission surface under the race detector, re-run every time:
-# admission control (429/413 + Retry-After), weighted priority dispatch,
-# the documented-routes-only table, wire compatibility with daemons that
-# still send the removed tenancy, cache-tier and cache-GC stats fields,
-# and the singleflight / fan-out / socket-takeover regression tests.
+# admission control (429/413 + Retry-After), the one FIFO slot queue (a
+# cached job completes with every slot held, batches get slots in
+# admission order, a legacy batch "priority" changes nothing), the
+# documented-routes-only table, wire compatibility with daemons that
+# still send the removed tenancy, cache-tier, cache-GC and per-class
+# queue stats fields, and the singleflight / fan-out / socket-takeover
+# regression tests.
+admissiontest_RUN = TestLeaderDisconnect|TestFullQueue|TestOversizeBatch|TestOversizeBody|TestCachedJobSkipsHeldSlots|TestSlotsGrantedInAdmissionOrder|TestLegacyBatchPriorityIgnored|TestLargeBatchBounded|TestHandlerServesOnlyDocumentedRoutes|TestStatsAndHealthReject|TestListenRefuses|TestClientSurfacesOverload|TestStatsWireCompat
+admissiontest_PKGS = ./internal/daemon
 admissiontest:
-	$(GO) test -race -count=1 -run 'TestLeaderDisconnect|TestFullQueue|TestOversizeBatch|TestOversizeBody|TestBulkFlood|TestLargeBatchBounded|TestHandlerServesOnlyDocumentedRoutes|TestStatsAndHealthReject|TestListenRefuses|TestClientSurfacesOverload|TestDispatcherWeighted|TestStatsWireCompat' ./internal/daemon
+	$(GO) test -race -count=1 -run '$(admissiontest_RUN)' $(admissiontest_PKGS)
 
 # The flight-recorder gate under the race detector, re-run every time:
 # the bit-identity differential (recorder on vs off for every
@@ -241,13 +257,26 @@ admissiontest:
 # and the structural validation of the Perfetto and NDJSON exports, and
 # `prosim flight` keeping an existing -out file when it rejects its
 # arguments.
+flighttest_RUN = TestFlight
+flighttest_PKGS = ./internal/flight ./internal/gpu ./internal/engine ./internal/jobs ./cmd/prosim
 flighttest:
-	$(GO) test -race -count=1 -run 'TestFlight' ./internal/flight ./internal/gpu ./internal/engine ./internal/jobs ./cmd/prosim
+	$(GO) test -race -count=1 -run '$(flighttest_RUN)' $(flighttest_PKGS)
+
+# The focused gates' guard: every alternative of a -run pattern above must
+# name a Test or Fuzz function in that gate's packages, or a renamed or
+# deleted test leaves its gate green while it runs nothing.
+FOCUSED = sleeptest issuetest retrytest servetest obstest admissiontest flighttest
+runcheck:
+	@status=0; $(foreach g,$(FOCUSED),names=$$(sed -n 's/^func \(\(Test\|Fuzz\)[A-Za-z0-9_]*\).*/\1/p' $(addsuffix /*_test.go,$($(g)_PKGS))); \
+	for alt in $$(echo '$($(g)_RUN)' | tr '|' ' '); do \
+		echo "$$names" | grep -qE -- "$$alt" || { echo "$(g): -run alternative $$alt names no Test or Fuzz function in $($(g)_PKGS)" >&2; status=1; }; \
+	done;) exit $$status
 
 # The sweep cluster under the race detector, re-run every time: the
 # acceptance test spins up three in-process daemons sharing a cache,
 # kills one mid-batch and asserts the assembled suite is byte-identical
-# to a serial run — real sockets and timing, so no test-cache reuse.
+# to a serial run, and a worker whose drain expires mid-job must have its
+# aborted job requeued — real sockets and timing, so no test-cache reuse.
 clustertest:
 	$(GO) test -race -count=1 ./internal/cluster
 
@@ -266,7 +295,7 @@ results-check:
 	for f in "$$tmp"/out/*; do cmp "results/$${f##*/}" "$$f"; done; \
 	echo "results-check: $$(ls "$$tmp/out" | wc -l) files in results/ match the code"
 
-check: fmt vet race fastpath results-check benchbuild
+check: fmt vet runcheck race fastpath results-check benchbuild
 
 # The per-layer measurement rungs, 5 repetitions with allocation counts,
 # to stdout: SMTickPipelineStall and SMTickIssue (internal/engine),

@@ -27,7 +27,9 @@ import (
 //	prosim report -workers a:9753,b:9753  # fan out across a prosimd cluster
 //
 // With -daemon the simulations execute on a running prosimd instance
-// (sharing its warm cache and deduping against other clients); -jobs and
+// (sharing its warm cache and deduping against other clients; its jobs
+// queue FIFO with theirs, and a cached result needs no worker slot, so
+// a warm report returns at once even beside a running sweep); -jobs and
 // -cache then configure the daemon, not this process, and are ignored.
 // With -workers they fan out across several prosimd instances through a
 // coordinator that feeds every worker slot from one queue (retrying on
@@ -39,7 +41,7 @@ import (
 //
 // Progress and timing go to stderr; stdout carries only the artifacts.
 func report(args []string) {
-	h := cli.New("prosim report", cli.Spec{Priority: "interactive"})
+	h := cli.New("prosim report", cli.Spec{Remote: true})
 	outDir := h.Flags.String("out", "", "directory to write artifact files into (optional)")
 	h.Parse(args)
 

@@ -167,8 +167,8 @@ func TestBadCacheGCFailsFast(t *testing.T) {
 }
 
 // TestBadPriorityFailsFast pins that removed flags fail before anything
-// runs: report and sweep -priority (each subcommand sends one fixed
-// class), sweep -ablate (sweep -variants prints its PRO and PRO-nobar
+// runs: report and sweep -priority (a daemon has one admission queue),
+// sweep -ablate (sweep -variants prints its PRO and PRO-nobar
 // columns and their ratio), trace -flight-out and flight's -warp-sample, -mem-sample,
 // -ring-events, -ring-spans and -topn (prosim flight is the one way to
 // record, and records everything at fixed ring sizes), and report's

@@ -26,8 +26,8 @@ import (
 // simulates the new points (nothing evicts them; delete the directory
 // to start over). With -daemon ADDR the points execute on a running
 // prosimd instance instead (sharing its warm cache and deduping against
-// concurrent clients); -jobs and -cache then belong to the daemon and
-// are ignored here. With -workers the points fan out across
+// concurrent clients, its jobs queued FIFO with theirs); -jobs and
+// -cache then belong to the daemon and are ignored here. With -workers the points fan out across
 // several prosimd instances through the cluster coordinator.
 // Progress goes to stderr; stdout carries only the tables.
 //
@@ -37,7 +37,7 @@ import (
 //	prosim sweep -daemon unix:/tmp/prosimd.sock -threshold
 //	prosim sweep -workers 127.0.0.1:9753,127.0.0.1:9754 -cache /shared/simcache
 func sweep(args []string) {
-	h := cli.New("prosim sweep", cli.Spec{Priority: "bulk", Profile: true})
+	h := cli.New("prosim sweep", cli.Spec{Remote: true, Profile: true})
 	variants := h.Flags.Bool("variants", false, "compare PRO against PRO-nobar (the barrier-handling ablation) and the paper's future-work variants (PRO-adaptive, PRO-norm)")
 	threshold := h.Flags.Bool("threshold", false, "sweep the PRO re-sort threshold")
 	l1Sweep := h.Flags.Bool("l1", false, "sweep the L1 size (paper future work: cache behaviour of prioritized warps)")

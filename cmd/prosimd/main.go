@@ -19,7 +19,9 @@
 //	prosimd -debug-addr 127.0.0.1:9754           # pprof + /metrics
 //	prosimd -log-level debug -log-json           # structured logs (stderr)
 //
-// Admission and priority (see DESIGN.md §13):
+// Admission (see DESIGN.md §13): every client's jobs share one FIFO
+// queue for the -jobs worker slots, and a job whose result is cached
+// completes without a slot.
 //
 //	prosimd -queue-depth 512 -max-batch 256      # admission bounds (429 beyond)
 //
@@ -30,7 +32,8 @@
 //
 // SIGINT/SIGTERM drain gracefully: the daemon stops accepting work,
 // waits up to -drain for running batches, aborts whatever is left via
-// context cancellation, and exits 0 on a clean drain.
+// context cancellation, and exits 0 on a clean drain. An aborted job
+// gets no result, so a -workers coordinator requeues it elsewhere.
 package main
 
 import (
@@ -56,7 +59,7 @@ func main() {
 	debugAddr := flag.String("debug-addr", "",
 		"serve /debug/pprof and /metrics on this extra address (keep it loopback-only)")
 	queueDepth := flag.Int("queue-depth", 0,
-		fmt.Sprintf("pending jobs admitted per priority class before batches get 429 (0 = %d)", daemon.DefaultQueueDepth))
+		fmt.Sprintf("pending jobs (not yet simulating or done) admitted before batches get 429 (0 = %d)", daemon.DefaultQueueDepth))
 	maxBatch := flag.Int("max-batch", 0, "max jobs in one batch request, 413 beyond it (0 = the queue depth)")
 	logCfg := obs.LogFlags(nil)
 	flag.Parse()

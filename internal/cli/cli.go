@@ -36,10 +36,8 @@ type Spec struct {
 	OneJob bool
 	// Quiet is the default of -quiet.
 	Quiet bool
-	// Priority, when non-empty, declares -daemon and -workers and is the
-	// scheduling class (daemon.PriorityInteractive or PriorityBulk) every
-	// batch they send carries.
-	Priority string
+	// Remote declares -daemon and -workers.
+	Remote bool
 	// Profile declares -cpuprofile and -memprofile.
 	Profile bool
 	// NoCache is for a tool that must never read or write a result
@@ -66,7 +64,6 @@ type Harness struct {
 	jobs                   int
 	quiet                  bool
 	daemon, workers        string
-	priority               string
 	cpuprofile, memprofile string
 	logCfg                 *obs.LogConfig
 	log                    *slog.Logger
@@ -78,7 +75,7 @@ type Harness struct {
 func New(name string, spec Spec) *Harness {
 	fs := flag.NewFlagSet(name, flag.ExitOnError)
 	// A tool without -quiet reports no progress.
-	h := &Harness{Flags: fs, name: name, quiet: true, priority: spec.Priority}
+	h := &Harness{Flags: fs, name: name, quiet: true}
 	fs.IntVar(&h.MaxTBs, "maxtbs", 0, "shrink grids to at most this many TBs (0 = full)")
 	if !spec.NoCache {
 		fs.StringVar(&h.Cache, "cache", "", "result-cache directory (optional; makes warm re-runs instant)")
@@ -88,7 +85,7 @@ func New(name string, spec Spec) *Harness {
 		fs.IntVar(&h.jobs, "jobs", runtime.NumCPU(), "parallel simulation workers")
 		fs.BoolVar(&h.quiet, "quiet", spec.Quiet, "suppress per-run progress (stderr)")
 	}
-	if spec.Priority != "" {
+	if spec.Remote {
 		fs.StringVar(&h.daemon, "daemon", "", "run simulations on a prosimd daemon at this address (host:port or unix:/path) instead of locally")
 		fs.StringVar(&h.workers, "workers", "", "fan simulations out across these comma-separated prosimd addresses (-cache is the merge cache they share)")
 	}
@@ -139,7 +136,7 @@ func (h *Harness) Runner() jobs.Runner {
 		if err != nil {
 			h.Fatal(err)
 		}
-		c.Progress, c.Priority = progress, h.priority
+		c.Progress = progress
 		h.Client = c
 		return c
 	case h.workers != "":
@@ -152,7 +149,6 @@ func (h *Harness) Runner() jobs.Runner {
 		coord, err := cluster.New(cluster.Config{
 			Workers:  addrs,
 			CacheDir: h.Cache,
-			Priority: h.priority,
 			Log:      h.log,
 		})
 		if err != nil {

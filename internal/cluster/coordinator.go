@@ -30,10 +30,10 @@ type Config struct {
 	// dispatch (free resume) and re-reads each dispatched result from
 	// it, so the final batch is built purely from the cache.
 	CacheDir string
-	// Priority is the scheduling class every dispatched batch carries
-	// (daemon.PriorityInteractive or daemon.PriorityBulk); empty means
-	// the daemon default (interactive). Sweeps should run bulk so they
-	// yield worker slots to interactive lookups.
+	// Deprecated: Priority named the removed priority class of every
+	// dispatched batch and is ignored: a daemon has one admission queue.
+	// The field survives only because bench/, which this tree may not
+	// edit, sets it.
 	Priority string
 	// Log, when non-nil, receives worker-loss and retry events.
 	Log *slog.Logger
@@ -116,9 +116,7 @@ func New(cfg Config) (*Coordinator, error) {
 		c.cache = cache
 	}
 	for _, addr := range cfg.Workers {
-		client := daemon.NewClient(addr)
-		client.Priority = cfg.Priority
-		w := &worker{addr: addr, client: client, slots: 1}
+		w := &worker{addr: addr, client: daemon.NewClient(addr), slots: 1}
 		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 		h, err := w.client.Health(ctx)
 		cancel()

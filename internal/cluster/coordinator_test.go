@@ -13,6 +13,7 @@ import (
 	"repro/internal/daemon"
 	"repro/internal/gpu"
 	"repro/internal/jobs"
+	"repro/internal/jobs/jobstest"
 	"repro/internal/stats"
 	"repro/internal/workloads"
 	"repro/prosim"
@@ -139,6 +140,78 @@ func TestClusterSurvivesWorkerLossAndMatchesSerial(t *testing.T) {
 		if w.Dispatched != 0 {
 			t.Fatalf("re-run dispatched %d jobs to %s, want 0 (full merge)", w.Dispatched, w.Addr)
 		}
+	}
+}
+
+// TestClusterRequeuesJobsADrainingWorkerAborts: when one worker's drain
+// expires mid-job, the jobs its shutdown aborts are lost work, not
+// failures — the daemon ends their batch without results, so the
+// coordinator requeues them on the survivor and the batch still equals a
+// serial run.
+func TestClusterRequeuesJobsADrainingWorkerAborts(t *testing.T) {
+	cacheDir := t.TempDir()
+	victim, err := daemon.New(daemon.Config{Workers: 1, CacheDir: cacheDir, DrainTimeout: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := daemon.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- victim.Serve(l) }()
+	addrs, _ := testCluster(t, 1, cacheDir)
+	addrs = append([]string{l.Addr().String()}, addrs...)
+
+	var batch []jobs.Job
+	for _, sched := range []string{"PRO", "GTO", "LRR", "TL"} {
+		j := jobstest.SlowJob(250 * time.Millisecond)
+		j.Scheduler = sched
+		batch = append(batch, j)
+	}
+	want := serialRun(t, batch)
+
+	coord, err := New(Config{Workers: addrs, CacheDir: cacheDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type outcome struct {
+		rs  []*stats.KernelResult
+		err error
+	}
+	ran := make(chan outcome, 1)
+	go func() {
+		rs, err := coord.Run(context.Background(), batch)
+		ran <- outcome{rs, err}
+	}()
+	probe := daemon.NewClient(addrs[0])
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		st, err := probe.Stats(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.InFlight == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the victim never ran a job")
+		}
+	}
+	if err := victim.Shutdown(); err == nil {
+		t.Fatal("the victim drained cleanly: its drain did not expire mid-job")
+	}
+	if err := <-served; err != nil {
+		t.Fatal(err)
+	}
+
+	got := <-ran
+	if got.err != nil {
+		t.Fatalf("cluster run with a worker whose drain expired: %v", got.err)
+	}
+	compareResults(t, want, got.rs, "cluster vs serial")
+	st := coord.Snapshot()
+	if st.Retries < 1 || !st.Workers[0].Down {
+		t.Fatalf("the aborted job was not requeued: %d retries, victim down %v", st.Retries, st.Workers[0].Down)
 	}
 }
 

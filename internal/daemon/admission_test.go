@@ -1,7 +1,8 @@
-// Admission tests: admission control (429/413 + Retry-After), priority
-// classes, the routes the daemon serves, wire compatibility with the
-// daemons that had tenancy and a shared cache tier, and the singleflight
-// and fan-out bugfixes that rode along.
+// Admission tests: admission control (429/413 + Retry-After), the one
+// FIFO slot queue that cached jobs skip, the routes the daemon serves,
+// wire compatibility with the daemons that had tenancy, a shared cache
+// tier and priority classes, and the singleflight and fan-out bugfixes
+// that rode along.
 package daemon
 
 import (
@@ -19,7 +20,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -68,12 +68,17 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// batchBody marshals jobs into a BatchRequest body with a batch-level
-// priority, as Client.Run does, each wire job passed through edit (which
-// may be nil) with its index.
+// batchBody marshals jobs into a BatchRequest body, as Client.Run does,
+// each wire job passed through edit (which may be nil) with its index.
+// A non-empty priority adds the batch-level "priority" older clients
+// sent.
 func batchBody(t testing.TB, js []jobs.Job, priority string, edit func(int, *WireJob)) []byte {
 	t.Helper()
-	req := BatchRequest{Jobs: make([]WireJob, len(js)), Priority: priority}
+	var req struct {
+		Jobs     []WireJob `json:"jobs"`
+		Priority string    `json:"priority,omitempty"`
+	}
+	req.Jobs, req.Priority = make([]WireJob, len(js)), priority
 	for i := range js {
 		wj, err := FromJob(&js[i])
 		if err != nil {
@@ -91,11 +96,35 @@ func batchBody(t testing.TB, js []jobs.Job, priority string, edit func(int, *Wir
 	return body
 }
 
-// keyedJob is what decodeJob would hand runJob for j's wire form.
-func keyedJob(d *Daemon, j jobs.Job) *memoJob {
+// admittedJob is what decodeJob would hand runJob for j's wire form,
+// with its queue room reserved as serveBatch reserves it.
+func admittedJob(t *testing.T, d *Daemon, j jobs.Job) *memoJob {
+	t.Helper()
+	if !d.disp.admit(1) {
+		t.Fatal("the queue refused one job")
+	}
 	mj := &memoJob{job: j}
 	mj.key, _, mj.keyErr = d.eng.Key(&mj.job)
 	return mj
+}
+
+// holdSlot takes a worker slot the way a simulation that never ends
+// would; the caller hands it back with d.disp.release().
+func holdSlot(t *testing.T, d *Daemon) {
+	t.Helper()
+	if !d.disp.admit(1) {
+		t.Fatal("the queue refused one job")
+	}
+	if err := d.disp.acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// waiting reports how many acquire callers wait for a slot.
+func waiting(d *Daemon) int {
+	d.disp.mu.Lock()
+	defer d.disp.mu.Unlock()
+	return len(d.disp.waiters)
 }
 
 // TestLeaderDisconnectDuringSlotWaitDoesNotPoisonFollowers is the
@@ -108,12 +137,12 @@ func TestLeaderDisconnectDuringSlotWaitDoesNotPoisonFollowers(t *testing.T) {
 	d, _ := newTestDaemon(t, Config{Workers: 1})
 
 	// Occupy the only worker slot so the leader has to queue.
-	blocker := slowJobSched(t, "GTO")
+	blocker := admittedJob(t, d, slowJobSched(t, "GTO"))
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		d.runJob(context.Background(), keyedJob(d, blocker), classInteractive)
+		d.runJob(context.Background(), blocker)
 	}()
 	waitFor(t, "blocker to hold the slot", func() bool { return d.running.Load() == 1 })
 
@@ -124,8 +153,9 @@ func TestLeaderDisconnectDuringSlotWaitDoesNotPoisonFollowers(t *testing.T) {
 	}
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	leaderErr := make(chan error, 1)
+	leader := admittedJob(t, d, shared)
 	go func() {
-		_, _, _, err := d.runJob(leaderCtx, keyedJob(d, shared), classInteractive)
+		_, _, _, err := d.runJob(leaderCtx, leader)
 		leaderErr <- err
 	}()
 	waitFor(t, "leader to register its flight", func() bool {
@@ -136,8 +166,9 @@ func TestLeaderDisconnectDuringSlotWaitDoesNotPoisonFollowers(t *testing.T) {
 
 	var followerRes *stats.KernelResult
 	followerErr := make(chan error, 1)
+	follower := admittedJob(t, d, shared)
 	go func() {
-		r, _, _, err := d.runJob(context.Background(), keyedJob(d, shared), classInteractive)
+		r, _, _, err := d.runJob(context.Background(), follower)
 		followerRes = r
 		followerErr <- err
 	}()
@@ -157,9 +188,12 @@ func TestLeaderDisconnectDuringSlotWaitDoesNotPoisonFollowers(t *testing.T) {
 		t.Fatalf("leader errored despite running under the daemon context: %v", err)
 	}
 	wg.Wait()
+	if got := d.disp.depth(); got != 0 {
+		t.Fatalf("%d reservations left after every job settled", got)
+	}
 }
 
-// TestFullQueueFastFailsWith429: once a class's pending queue is full,
+// TestFullQueueFastFailsWith429: once the pending queue is full,
 // further batches are rejected immediately with 429 and a Retry-After
 // hint instead of being absorbed without bound.
 func TestFullQueueFastFailsWith429(t *testing.T) {
@@ -174,10 +208,9 @@ func TestFullQueueFastFailsWith429(t *testing.T) {
 			c.Run(context.Background(), []jobs.Job{j})
 		}()
 	}
-	// One job running, two queued: the interactive queue is exactly full.
+	// One job running, two queued: the queue is exactly full.
 	waitFor(t, "queue to fill", func() bool {
-		qi, _ := d.disp.depths()
-		return d.running.Load() == 1 && qi == 2
+		return d.running.Load() == 1 && d.disp.depth() == 2
 	})
 
 	body := batchBody(t, []jobs.Job{slowJobSched(t, "TL")}, "", nil)
@@ -247,51 +280,6 @@ func TestOversizeBodyRejected(t *testing.T) {
 	}
 	if len(d.memo) != 0 {
 		t.Fatalf("a job that failed to decode entered the memo (%d entries)", len(d.memo))
-	}
-}
-
-// TestBulkFloodDoesNotStarveInteractive: with one worker slot fully
-// saturated by a bulk batch, a later interactive batch must still
-// complete (without any 5xx) while bulk work remains queued — the
-// weighted dispatcher grants the freed slot to the interactive class
-// first.
-func TestBulkFloodDoesNotStarveInteractive(t *testing.T) {
-	d, c := newTestDaemon(t, Config{Workers: 1})
-
-	bulkC := NewClient(c.Addr())
-	bulkC.Priority = PriorityBulk
-	bulkJobs := []jobs.Job{
-		slowJobSched(t, "PRO"), slowJobSched(t, "GTO"),
-		slowJobSched(t, "LRR"), slowJobSched(t, "TL"),
-	}
-	var bulkFinished atomic.Bool
-	bulkErr := make(chan error, 1)
-	go func() {
-		_, err := bulkC.Run(context.Background(), bulkJobs)
-		bulkFinished.Store(true)
-		bulkErr <- err
-	}()
-	waitFor(t, "bulk flood to saturate the daemon", func() bool {
-		_, qb := d.disp.depths()
-		return d.running.Load() == 1 && qb == len(bulkJobs)-1
-	})
-
-	ic := NewClient(c.Addr()) // empty Priority = interactive
-	rs, err := ic.Run(context.Background(), []jobs.Job{quickJob(t, "PRO")})
-	if err != nil {
-		t.Fatalf("interactive batch failed under bulk saturation: %v", err)
-	}
-	if len(rs) != 1 || rs[0] == nil {
-		t.Fatalf("interactive batch returned %d results", len(rs))
-	}
-	if bulkFinished.Load() {
-		t.Fatal("bulk flood drained before the interactive batch returned — the test exerted no contention")
-	}
-	if _, qb := d.disp.depths(); qb == 0 {
-		t.Fatal("no bulk work left queued when the interactive batch completed — priority was not exercised")
-	}
-	if err := <-bulkErr; err != nil {
-		t.Fatalf("bulk batch failed: %v", err)
 	}
 }
 
@@ -449,7 +437,7 @@ func TestListenRefusesLiveSocketReclaimsStale(t *testing.T) {
 func TestClientSurfacesOverloadAsTypedError(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "7")
-		http.Error(w, "interactive queue is full", http.StatusTooManyRequests)
+		http.Error(w, "queue is full", http.StatusTooManyRequests)
 	}))
 	t.Cleanup(srv.Close)
 	c := NewClient(srv.URL)
@@ -467,78 +455,14 @@ func TestClientSurfacesOverloadAsTypedError(t *testing.T) {
 	}
 }
 
-// TestDispatcherWeightedFairness exercises the dispatcher directly:
-// with both classes saturated, grants follow the configured
-// interactive:bulk ratio, and abandoned waiters are skipped.
-func TestDispatcherWeightedFairness(t *testing.T) {
-	disp := newTestDispatcherSaturated(t, 2)
-	var order []class
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	enqueue := func(cl class, k int) {
-		for i := 0; i < k; i++ {
-			disp.admit(cl, 1)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if err := disp.acquire(context.Background(), cl); err != nil {
-					t.Error(err)
-					return
-				}
-				mu.Lock()
-				order = append(order, cl)
-				mu.Unlock()
-				disp.release()
-			}()
-		}
-	}
-	enqueue(classBulk, 4)
-	waitFor(t, "bulk waiters to park", func() bool {
-		disp.mu.Lock()
-		defer disp.mu.Unlock()
-		return len(disp.waiters[classBulk]) == 4
-	})
-	enqueue(classInteractive, 4)
-	waitFor(t, "interactive waiters to park", func() bool {
-		disp.mu.Lock()
-		defer disp.mu.Unlock()
-		return len(disp.waiters[classInteractive]) == 4
-	})
-
-	disp.release() // hand back the one held slot; grants cascade
-	wg.Wait()
-	// Weight 2: the first three grants must be interactive, interactive,
-	// bulk — bulk is delayed but never starved.
-	if len(order) != 8 {
-		t.Fatalf("served %d waiters, want 8", len(order))
-	}
-	want := []class{classInteractive, classInteractive, classBulk}
-	for i, cl := range want {
-		if order[i] != cl {
-			t.Fatalf("grant order %v, want prefix %v", order, want)
-		}
-	}
-}
-
-// newTestDispatcherSaturated builds a 1-slot dispatcher with the slot
-// already taken, so every subsequent acquire parks.
-func newTestDispatcherSaturated(t *testing.T, weight int) *dispatcher {
-	t.Helper()
-	disp := newDispatcher(1, 64, weight)
-	if err := disp.acquire(context.Background(), classInteractive); err != nil {
-		t.Fatal(err)
-	}
-	return disp
-}
-
 // TestStatsWireCompatMultiTenantFields pins the additive-fields
-// contract across the removal of tenancy, the shared cache tier and
-// cache GC: a payload from a daemon that still sends "tenants",
-// "cacheRemote", "l2*" and "cacheGC*" decodes with every surviving field
-// intact, a legacy payload
-// leaves the admission fields zero, this daemon's /v1/stats carries none
-// of the removed fields, and a request still sending the old tenant
-// header is served exactly as one without it.
+// contract across the removal of tenancy, the shared cache tier, cache
+// GC and the priority classes: a payload from a daemon that still sends
+// "tenants", "cacheRemote", "l2*", "cacheGC*" and "queueInteractive" /
+// "queueBulk" decodes with every surviving field intact, a legacy
+// payload leaves the admission field zero, this daemon's /v1/stats
+// carries none of the removed fields, and a request still sending the
+// old tenant header is served exactly as one without it.
 func TestStatsWireCompatMultiTenantFields(t *testing.T) {
 	older := `{"completed":1,"simulated":1,"cacheHits":4,"workers":2,
 		"queueInteractive":3,"queueBulk":4,"rejected":5,"tenants":2,
@@ -550,8 +474,7 @@ func TestStatsWireCompatMultiTenantFields(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := Stats{Completed: 1, Simulated: 1, CacheHits: 4, Workers: 2,
-		CacheBytesRead: 9, CacheBytesWritten: 10,
-		QueueInteractive: 3, QueueBulk: 4, Rejected: 5}
+		CacheBytesRead: 9, CacheBytesWritten: 10, Rejected: 5}
 	if st != want {
 		t.Fatalf("older daemon's stats payload decoded as %+v, want %+v", st, want)
 	}
@@ -561,7 +484,7 @@ func TestStatsWireCompatMultiTenantFields(t *testing.T) {
 	if err := json.Unmarshal([]byte(legacy), &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.QueueInteractive != 0 || st.QueueBulk != 0 || st.Rejected != 0 {
+	if st.Rejected != 0 {
 		t.Fatalf("legacy stats payload fabricated admission fields: %+v", st)
 	}
 
@@ -598,7 +521,7 @@ func TestStatsWireCompatMultiTenantFields(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, gone := range []string{"tenants", "cacheRemote", "l2Hits", "l2Misses", "l2Degraded",
-		"cacheGCRuns", "cacheGCEvicted", "cacheGCFreedBytes"} {
+		"cacheGCRuns", "cacheGCEvicted", "cacheGCFreedBytes", "queueInteractive", "queueBulk"} {
 		if _, ok := fields[gone]; ok {
 			t.Errorf("/v1/stats still emits the removed field %q", gone)
 		}
@@ -622,13 +545,95 @@ func TestStatsWireCompatMultiTenantFields(t *testing.T) {
 		t.Fatalf("legacy health payload fabricated queueDepth: %+v", h)
 	}
 
-	// A priority-less batch request (old client) decodes to the empty
-	// string, which parses as interactive — the legacy behaviour.
-	var br BatchRequest
-	if err := json.Unmarshal([]byte(`{"jobs":[]}`), &br); err != nil {
+}
+
+// TestCachedJobSkipsHeldSlots: slots gate simulations only. With every
+// worker slot held, a job whose result is cached still completes, after
+// exactly one cache lookup, and settles its queue reservation.
+func TestCachedJobSkipsHeldSlots(t *testing.T) {
+	d, c := newTestDaemon(t, Config{Workers: 1, CacheDir: t.TempDir()})
+	j := quickJob(t, "GTO")
+	want, err := c.Run(context.Background(), []jobs.Job{j})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if cl, err := parseClass(br.Priority); err != nil || cl != classInteractive {
-		t.Fatalf("legacy batch priority parsed as %v (%v), want interactive", cl, err)
+	holdSlot(t, d)
+	defer d.disp.release()
+	hits, misses := d.eng.Cache.Hits(), d.eng.Cache.Misses()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	got, err := c.Run(ctx, []jobs.Job{j})
+	if err != nil {
+		t.Fatalf("cached job with every slot held: %v", err)
+	}
+	a, _ := json.Marshal(got[0])
+	b, _ := json.Marshal(want[0])
+	if !bytes.Equal(a, b) {
+		t.Fatal("the cached job's result differs from its simulation")
+	}
+	if h, m := d.eng.Cache.Hits()-hits, d.eng.Cache.Misses()-misses; h != 1 || m != 0 {
+		t.Fatalf("the cached job made %d hits and %d misses, want one hit", h, m)
+	}
+	if got := d.disp.depth(); got != 0 {
+		t.Fatalf("%d reservations left after the cached job", got)
+	}
+}
+
+// TestSlotsGrantedInAdmissionOrder: one queue serves every batch in the
+// order its jobs asked for a slot, a batch still carrying an older
+// client's "priority":"bulk" included.
+func TestSlotsGrantedInAdmissionOrder(t *testing.T) {
+	d, c := newTestDaemon(t, Config{Workers: 1})
+	holdSlot(t, d)
+	type done struct {
+		sched string
+		code  int
+		err   error
+	}
+	finished := make(chan done, 3)
+	scheds := []string{"LRR", "GTO", "TL"}
+	for k, priority := range []string{"", "bulk", ""} {
+		body := batchBody(t, []jobs.Job{slowJobSched(t, scheds[k])}, priority, nil)
+		go func() {
+			resp, err := http.Post(c.base+"/v1/batch", "application/json", bytes.NewReader(body))
+			if err != nil {
+				finished <- done{scheds[k], 0, err}
+				return
+			}
+			_, err = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			finished <- done{scheds[k], resp.StatusCode, err}
+		}()
+		waitFor(t, fmt.Sprintf("batch %d to queue", k+1), func() bool { return waiting(d) == k+1 })
+	}
+	d.disp.release()
+	// One slot runs the jobs one at a time, each for slowFloor or more,
+	// so each batch ends well before the next.
+	for _, want := range scheds {
+		got := <-finished
+		if got.err != nil || got.code != http.StatusOK {
+			t.Fatalf("batch %s: status %d, %v", got.sched, got.code, got.err)
+		}
+		if got.sched != want {
+			t.Fatalf("batch %s got a slot before batch %s, admitted earlier", got.sched, want)
+		}
+	}
+}
+
+// TestLegacyBatchPriorityIgnored: a batch still carrying an older
+// client's "priority" is served exactly as one without it, whatever the
+// value — one the priority classes refused with 400 included.
+func TestLegacyBatchPriorityIgnored(t *testing.T) {
+	_, c := newTestDaemon(t, Config{Workers: 2})
+	js := []jobs.Job{quickJob(t, "LRR"), quickJob(t, "GTO")}
+	code, want := postBatch(t, c.base, batchBody(t, js, "", nil))
+	if code != http.StatusOK {
+		t.Fatalf("plain batch: %d %s", code, want)
+	}
+	for _, priority := range []string{"urgent", "bulk", "interactive"} {
+		code, got := postBatch(t, c.base, batchBody(t, js, priority, nil))
+		if code != http.StatusOK || !slices.Equal(canonNDJSON(got), canonNDJSON(want)) {
+			t.Fatalf("batch with priority %q: %d\n%s\nwithout: %s", priority, code, got, want)
+		}
 	}
 }

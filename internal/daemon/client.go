@@ -29,10 +29,6 @@ type Client struct {
 	// callback shape the local engine uses, so jobs.PrintProgress works
 	// unchanged. Calls arrive on Run's goroutine.
 	Progress func(jobs.Event)
-
-	// Priority is the batch-level scheduling class sent with every Run
-	// (PriorityInteractive or PriorityBulk). Empty means interactive.
-	Priority string
 }
 
 // OverloadedError reports a batch the daemon refused at admission —
@@ -160,7 +156,7 @@ func (c *Client) Run(ctx context.Context, js []jobs.Job) ([]*stats.KernelResult,
 	if len(js) == 0 {
 		return nil, nil
 	}
-	req := BatchRequest{Jobs: make([]WireJob, len(js)), Priority: c.Priority}
+	req := BatchRequest{Jobs: make([]WireJob, len(js))}
 	for i := range js {
 		wj, err := FromJob(&js[i])
 		if err != nil {

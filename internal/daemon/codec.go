@@ -94,9 +94,6 @@ func (a *appender) list(n int, isNil bool, elem func(i int)) {
 func (a *appender) batch(req *BatchRequest) {
 	a.raw(`{"jobs":`)
 	a.list(len(req.Jobs), req.Jobs == nil, func(i int) { a.wireJob(&req.Jobs[i]) })
-	if req.Priority != "" {
-		a.str(`,"priority":`, req.Priority)
-	}
 	a.raw("}")
 }
 
@@ -132,11 +129,7 @@ func (a *appender) wireJob(wj *WireJob) {
 	a.int(`,"SampleEvery":`, wj.Options.SampleEvery)
 	a.int(`,"MaxCycles":`, wj.Options.MaxCycles)
 	a.int(`,"StallWindow":`, wj.Options.StallWindow)
-	a.raw("}")
-	if wj.Cost != 0 {
-		a.int(`,"cost":`, wj.Cost)
-	}
-	a.raw("}")
+	a.raw("}}")
 }
 
 func (a *appender) program(p *isa.Program) {

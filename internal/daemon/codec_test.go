@@ -33,9 +33,9 @@ import (
 // these; `make fuzz` runs the two fuzz targets.
 
 // wireRequest is the BatchRequest Client.Run builds for js.
-func wireRequest(t testing.TB, js []jobs.Job, priority string) *BatchRequest {
+func wireRequest(t testing.TB, js []jobs.Job) *BatchRequest {
 	t.Helper()
-	req := &BatchRequest{Jobs: make([]WireJob, len(js)), Priority: priority}
+	req := &BatchRequest{Jobs: make([]WireJob, len(js))}
 	for i := range js {
 		wj, err := FromJob(&js[i])
 		if err != nil {
@@ -70,32 +70,27 @@ func appendExact(t *testing.T, what string, req *BatchRequest) {
 
 // TestAppendBatchMatchesMarshal is the deterministic twin of
 // FuzzAppendBatch: every request the paper grid makes — at -maxtbs 8 and
-// at full size, under each batch priority — and one with every knob a
-// client can turn (PRO+… specs, a 56-SM config, timeline and sampling
-// options, costs, unlabelled jobs) must be appended
-// byte for byte as json.Marshal writes it.
+// at full size — and one with every knob a client can turn (PRO+… specs,
+// a 56-SM config, timeline and sampling options, unlabelled jobs) must be
+// appended byte for byte as json.Marshal writes it.
 func TestAppendBatchMatchesMarshal(t *testing.T) {
 	scheds := []string{"TL", "LRR", "GTO", "PRO"}
 	for _, maxTBs := range []int{8, 0} {
 		grid := jobs.Grid(workloads.All(), scheds, maxTBs, gpu.Options{})
-		for _, priority := range []string{"", PriorityInteractive, PriorityBulk} {
-			appendExact(t, fmt.Sprintf("grid at maxtbs %d, priority %q", maxTBs, priority), wireRequest(t, grid, priority))
-		}
+		appendExact(t, fmt.Sprintf("grid at maxtbs %d", maxTBs), wireRequest(t, grid))
 	}
 	wide := config.GTX480()
 	wide.NumSMs = 56
 	specs := []string{"PRO+threshold=500", "PRO+ordertrace+threshold=default", "PRO-nobar+ordertrace", "PRO-norm+threshold=1"}
 	opts := gpu.Options{Timeline: true, SampleEvery: 500, MaxCycles: 1 << 40, StallWindow: 7}
-	req := wireRequest(t, jobs.Grid(workloads.All(), scheds, 8, opts), PriorityBulk)
+	req := wireRequest(t, jobs.Grid(workloads.All(), scheds, 8, opts))
 	for i := range req.Jobs {
-		switch wj := &req.Jobs[i]; i % 4 {
+		switch wj := &req.Jobs[i]; i % 3 {
 		case 0:
 			wj.Scheduler = specs[i%len(specs)]
 		case 1:
 			wj.Config = wide
 		case 2:
-			wj.Cost = int64(i) - 50
-		case 3:
 			wj.Kernel = ""
 		}
 	}
@@ -115,7 +110,7 @@ func plainString(s string) bool {
 // fuzzRequest builds a two-job request around the fuzzed values: one job
 // with a config, one without, a program with a memory, a branch and a
 // loop record, the integers at both signs.
-func fuzzRequest(p float64, kernel, sched, priority string, n int64, u uint64) *BatchRequest {
+func fuzzRequest(p float64, kernel, sched string, n int64, u uint64) *BatchRequest {
 	prog := &isa.Program{Name: kernel, Code: []isa.Instr{
 		{Op: isa.OpLdGlobal, Dst: 1, Srcs: [3]isa.Reg{2, 3, isa.Reg(u)},
 			Mem: &isa.MemSpec{Pattern: isa.PatStrided, Stride: int(n), Region: u, Space: uint8(n), IterVaries: n%2 == 0}},
@@ -126,9 +121,9 @@ func fuzzRequest(p float64, kernel, sched, priority string, n int64, u uint64) *
 	cfg := config.GTX480()
 	cfg.NumSMs = int(n)
 	opts := gpu.Options{Timeline: u%2 == 1, SampleEvery: n, MaxCycles: -n, StallWindow: int64(u)}
-	return &BatchRequest{Priority: priority, Jobs: []WireJob{
-		{Config: cfg, Launch: launch, Kernel: kernel, Scheduler: sched, Options: opts, Cost: n},
-		{Launch: launch, Kernel: sched, Scheduler: kernel, Cost: -n},
+	return &BatchRequest{Jobs: []WireJob{
+		{Config: cfg, Launch: launch, Kernel: kernel, Scheduler: sched, Options: opts},
+		{Launch: launch, Kernel: sched, Scheduler: kernel},
 	}}
 }
 
@@ -140,14 +135,15 @@ func fuzzRequest(p float64, kernel, sched, priority string, n int64, u uint64) *
 func FuzzAppendBatch(f *testing.F) {
 	for _, p := range []float64{0, math.Copysign(0, -1), 0.25, 1.0 / 3, 1, 1e-6, 9.999999999999999e-7, 1e-7,
 		1.5e-10, 5e-324, 1e20, 9.999999999999999e20, 1e21, math.MaxFloat64, -1e-7, -1e21, math.NaN(), math.Inf(-1)} {
-		f.Add(p, "aesEncrypt128", "PRO+threshold=500", PriorityBulk, int64(7), uint64(1))
+		f.Add(p, "aesEncrypt128", "PRO+threshold=500", int64(7), uint64(1))
 	}
 	for _, s := range []string{"", `"`, `\`, "<", ">", "&", "\x00", "\x1f", "\x7f", "é", "\u2028", "\xff", " ~"} {
-		f.Add(0.5, s, "LRR", s, int64(-1), uint64(math.MaxUint64))
+		f.Add(0.5, s, "LRR", int64(-1), uint64(math.MaxUint64))
+		f.Add(0.5, "k", s, int64(1), uint64(2))
 	}
-	f.Add(0.5, "k", "s", "", int64(math.MinInt64), uint64(0))
-	f.Fuzz(func(t *testing.T, p float64, kernel, sched, priority string, n int64, u uint64) {
-		req := fuzzRequest(p, kernel, sched, priority, n, u)
+	f.Add(0.5, "k", "s", int64(math.MinInt64), uint64(0))
+	f.Fuzz(func(t *testing.T, p float64, kernel, sched string, n int64, u uint64) {
+		req := fuzzRequest(p, kernel, sched, n, u)
 		got, gotErr := encodeBatch(req)
 		want, wantErr := json.Marshal(req)
 		if (gotErr != nil) != (wantErr != nil) || gotErr == nil && !bytes.Equal(got, want) {
@@ -155,9 +151,9 @@ func FuzzAppendBatch(f *testing.F) {
 		}
 		a := appender{ok: true}
 		a.batch(req)
-		takes := !math.IsNaN(p) && !math.IsInf(p, 0) && plainString(kernel) && plainString(sched) && plainString(priority)
+		takes := !math.IsNaN(p) && !math.IsInf(p, 0) && plainString(kernel) && plainString(sched)
 		if a.ok != takes {
-			t.Fatalf("appender took the request: %v, want %v (p %v, strings %q %q %q)", a.ok, takes, p, kernel, sched, priority)
+			t.Fatalf("appender took the request: %v, want %v (p %v, strings %q %q)", a.ok, takes, p, kernel, sched)
 		}
 	})
 }
@@ -275,7 +271,7 @@ func TestCodecCoversEveryField(t *testing.T) {
 	next := 0
 	var wj WireJob
 	fill(t, reflect.ValueOf(&wj).Elem(), &next, nil)
-	appendExact(t, "every request field set", &BatchRequest{Jobs: []WireJob{wj, {}}, Priority: "p"})
+	appendExact(t, "every request field set", &BatchRequest{Jobs: []WireJob{wj, {}}})
 
 	skip := map[string]bool{}
 	for _, name := range nullOnly {
@@ -320,7 +316,7 @@ func TestFastDecoderTakesDaemonLines(t *testing.T) {
 		encodeWire(t, &j, nil),
 		encodeWire(t, &j, func(wj *WireJob) { wj.Scheduler = "PRO+threshold=500" }),
 		encodeWire(t, &j, func(wj *WireJob) { wj.Scheduler = "NOPE"; wj.Kernel = "mislabelled" }),
-	}, PriorityBulk)
+	}, "")
 	taken := 0
 	for _, phase := range []string{"cold", "warm"} {
 		status, out := postBatch(t, c.base, body)

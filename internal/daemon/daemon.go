@@ -23,9 +23,11 @@
 //
 // Shutdown: on Shutdown (cmd/prosimd wires SIGINT/SIGTERM to it) the
 // daemon stops accepting connections and drains running batches; jobs
-// still running when the drain timeout expires are aborted through
-// context cancellation (gpu.RunContext polls it), so even a stuck
-// daemon exits within a bounded delay.
+// still running or queued when the drain timeout expires are aborted
+// through context cancellation (gpu.RunContext polls it), so even a
+// stuck daemon exits within a bounded delay. An aborted job is lost
+// work, not a result: its batch ends without a batch line, so the
+// client reports it pending and a coordinator requeues it elsewhere.
 package daemon
 
 import (
@@ -108,9 +110,9 @@ type Config struct {
 	// DrainTimeout bounds how long Shutdown waits for running batches
 	// before aborting their jobs; 0 means DefaultDrainTimeout.
 	DrainTimeout time.Duration
-	// QueueDepth bounds each priority class's admitted-but-not-running
-	// jobs; a batch that would overflow its class queue is rejected with
-	// 429 instead of absorbed. <= 0 means DefaultQueueDepth.
+	// QueueDepth bounds the admitted jobs not yet holding a worker slot
+	// or finished; a batch that would overflow the queue is rejected
+	// with 429 instead of absorbed. <= 0 means DefaultQueueDepth.
 	QueueDepth int
 	// MaxBatchJobs caps one batch request's job count (413 beyond it);
 	// <= 0 means the queue depth.
@@ -124,16 +126,11 @@ type Config struct {
 // zero.
 const DefaultDrainTimeout = 30 * time.Second
 
-// DefaultQueueDepth is the per-class pending-job bound when Config
-// leaves it zero: deep enough for the repo's sweep and report batches
+// DefaultQueueDepth is the pending-job bound when Config leaves it
+// zero: deep enough for the repo's sweep and report batches
 // (tens to a few hundred jobs), shallow enough that a runaway client
 // hits 429 long before the daemon's memory does.
 const DefaultQueueDepth = 1024
-
-// interactiveWeight is the weighted round-robin ratio: up to this many
-// consecutive interactive grants before one queued bulk job gets a slot
-// when both classes have waiters.
-const interactiveWeight = 8
 
 // flight is one in-flight keyed run: the leader fills res/err and
 // closes done; followers wait on done.
@@ -202,7 +199,7 @@ func New(cfg Config) (*Daemon, error) {
 		cfg:      cfg,
 		log:      log,
 		eng:      eng,
-		disp:     newDispatcher(cfg.Workers, cfg.QueueDepth, interactiveWeight),
+		disp:     newDispatcher(cfg.Workers, cfg.QueueDepth),
 		inflight: make(map[string]*flight),
 		start:    time.Now(),
 	}
@@ -315,17 +312,17 @@ func (d *Daemon) ServeUntilSignal(l net.Listener) error {
 // slot wait and execution proceed under the daemon's own context, so a
 // leader whose client disconnects mid-queue cannot poison the result
 // its attached followers are waiting on.
-func (d *Daemon) runJob(waitCtx context.Context, mj *memoJob, cl class) (r *stats.KernelResult, fromCache, deduped bool, err error) {
+func (d *Daemon) runJob(waitCtx context.Context, mj *memoJob) (r *stats.KernelResult, fromCache, deduped bool, err error) {
 	j, key := &mj.job, mj.key
 	if mj.keyErr != nil {
-		d.disp.forfeit(cl)
+		d.disp.forfeit()
 		return nil, false, false, mj.keyErr
 	}
 
 	d.mu.Lock()
 	if f := d.inflight[key]; f != nil {
 		d.mu.Unlock()
-		d.disp.forfeit(cl) // the leader holds the queue position
+		d.disp.forfeit() // the leader holds the queue position
 		d.attached.Add(1)
 		mAttached.Add(1)
 		defer func() {
@@ -346,7 +343,7 @@ func (d *Daemon) runJob(waitCtx context.Context, mj *memoJob, cl class) (r *stat
 
 	// Leader: from here on the run belongs to every attached follower,
 	// so it waits and executes under d.baseCtx, not waitCtx.
-	f.res, f.fromCache, f.err = d.execute(j, key, cl)
+	f.res, f.fromCache, f.err = d.execute(j, key)
 	d.mu.Lock()
 	delete(d.inflight, key)
 	d.mu.Unlock()
@@ -354,30 +351,34 @@ func (d *Daemon) runJob(waitCtx context.Context, mj *memoJob, cl class) (r *stat
 	return f.res, f.fromCache, false, f.err
 }
 
-// execute waits for a worker slot and runs j (cache key key) through
-// the engine. The slot wait and the run are bound to the daemon's
-// lifetime (plus JobTimeout for the run), not to the submitting request:
-// followers may be attached to it.
-func (d *Daemon) execute(j *jobs.Job, key string, cl class) (*stats.KernelResult, bool, error) {
-	if err := d.disp.acquire(d.baseCtx, cl); err != nil {
-		return nil, false, err
+// execute runs j (cache key key) through the engine: a cached result
+// returns without a worker slot, a miss waits for one. The slot wait and
+// the run are bound to the daemon's lifetime (plus JobTimeout for the
+// run), not to the submitting request: followers may be attached to it.
+func (d *Daemon) execute(j *jobs.Job, key string) (*stats.KernelResult, bool, error) {
+	acquired := false
+	r, fromCache, err := d.eng.RunJobKeyed(d.baseCtx, j, key, func(ctx context.Context) (context.Context, func(), error) {
+		acquired = true
+		if err := d.disp.acquire(ctx); err != nil {
+			return nil, nil, err
+		}
+		d.running.Add(1)
+		mInflight.Add(1)
+		cancel := context.CancelFunc(func() {})
+		if d.cfg.JobTimeout > 0 {
+			ctx, cancel = context.WithTimeout(ctx, d.cfg.JobTimeout)
+		}
+		return ctx, func() {
+			cancel()
+			d.running.Add(-1)
+			mInflight.Add(-1)
+			d.disp.release()
+		}, nil
+	})
+	if !acquired {
+		d.disp.forfeit() // a cache hit, or a job that failed before simulating
 	}
-	defer d.disp.release()
-
-	d.running.Add(1)
-	mInflight.Add(1)
-	defer func() {
-		d.running.Add(-1)
-		mInflight.Add(-1)
-	}()
-
-	ctx := d.baseCtx
-	if d.cfg.JobTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d.cfg.JobTimeout)
-		defer cancel()
-	}
-	return d.eng.RunJobKeyed(ctx, j, key)
+	return r, fromCache, err
 }
 
 // reject refuses a batch before any job ran: it counts the rejection in
@@ -392,22 +393,11 @@ func (d *Daemon) reject(w http.ResponseWriter, code int, reason *obs.Counter, ms
 	http.Error(w, msg, code)
 }
 
-// retryAfterHint estimates when a full class queue will have drained
-// enough to admit new work: pending jobs over worker slots, clamped to
-// a sane polling range.
-func (d *Daemon) retryAfterHint(cl class) time.Duration {
-	qi, qb := d.disp.depths()
-	pending := qi
-	if cl == classBulk {
-		pending = qb
-	}
-	sec := pending / d.cfg.Workers
-	if sec < 1 {
-		sec = 1
-	}
-	if sec > 60 {
-		sec = 60
-	}
+// retryAfterHint estimates when a full queue will have drained enough
+// to admit new work: pending jobs over worker slots, clamped to a sane
+// polling range.
+func (d *Daemon) retryAfterHint() time.Duration {
+	sec := min(max(d.disp.depth()/d.cfg.Workers, 1), 60)
 	return time.Duration(sec) * time.Second
 }
 
@@ -436,8 +426,8 @@ func (d *Daemon) submitPoolSize(n int) int {
 // and do not abort the rest of the batch.
 //
 // Admission happens before the stream starts, in order: drain check
-// (503), body cap (413) and parsing (400), job-count cap (413),
-// per-class queue capacity (429). Every 429 carries Retry-After.
+// (503), body cap (413) and parsing (400), job-count cap (413), queue
+// capacity (429). Every 429 carries Retry-After.
 func (d *Daemon) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
@@ -447,50 +437,49 @@ func (d *Daemon) handleBatch(w http.ResponseWriter, r *http.Request) {
 		d.reject(w, http.StatusServiceUnavailable, mRejectedDraining, "daemon is draining", 2*time.Second)
 		return
 	}
-	if js, cl, ok := d.readBatch(w, r); ok {
-		d.serveBatch(w, r, js, cl)
+	if js, ok := d.readBatch(w, r); ok {
+		d.serveBatch(w, r, js)
 	}
 }
 
 // readBatch reads the body once and splits it in one pass; any refusal is
 // left to the reference, the decoder over the same bytes and read error
 // (DESIGN.md §9.5). ok false means it answered (400 or a counted 413).
-func (d *Daemon) readBatch(w http.ResponseWriter, r *http.Request) ([]*memoJob, class, bool) {
+func (d *Daemon) readBatch(w http.ResponseWriter, r *http.Request) ([]*memoJob, bool) {
 	bodyCap := maxJobBytes * int64(d.cfg.MaxBatchJobs)
 	var buf bytes.Buffer
 	if n := r.ContentLength; n > 0 && n <= bodyCap {
 		buf.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF
 	}
 	_, rerr := buf.ReadFrom(http.MaxBytesReader(w, r.Body, bodyCap))
-	if raws, priority, ok := splitBatch(buf.Bytes()); ok && rerr == nil && len(raws) <= d.cfg.MaxBatchJobs {
-		if js, cl, err := d.decodeBatch(raws, priority); err == nil {
-			return js, cl, true
+	if raws, ok := splitBatch(buf.Bytes()); ok && rerr == nil && len(raws) <= d.cfg.MaxBatchJobs {
+		if js, err := d.decodeBatch(raws); err == nil {
+			return js, true
 		}
 	}
 	var req struct { // BatchRequest, its jobs left as bytes for decodeJob
-		Jobs     []json.RawMessage `json:"jobs"`
-		Priority string            `json:"priority"`
+		Jobs []json.RawMessage `json:"jobs"`
 	}
 	src := io.MultiReader(bytes.NewReader(buf.Bytes()), errReader{rerr})
 	if err := json.NewDecoder(src).Decode(&req); errors.As(err, new(*http.MaxBytesError)) {
 		d.reject(w, http.StatusRequestEntityTooLarge, mRejectedBodySize,
 			fmt.Sprintf("batch body exceeds the %d-byte cap; split it", bodyCap), 0)
-		return nil, 0, false
+		return nil, false
 	} else if err != nil {
 		http.Error(w, "bad batch: "+err.Error(), http.StatusBadRequest)
-		return nil, 0, false
+		return nil, false
 	}
 	if len(req.Jobs) > d.cfg.MaxBatchJobs {
 		d.reject(w, http.StatusRequestEntityTooLarge, mRejectedBatchSize,
 			fmt.Sprintf("batch of %d jobs exceeds the %d-job cap; split it", len(req.Jobs), d.cfg.MaxBatchJobs), 0)
-		return nil, 0, false
+		return nil, false
 	}
-	js, cl, err := d.decodeBatch(req.Jobs, req.Priority)
+	js, err := d.decodeBatch(req.Jobs)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
-		return nil, 0, false
+		return nil, false
 	}
-	return js, cl, true
+	return js, true
 }
 
 // errReader replays the error that ended a body read (io.EOF for none).
@@ -498,27 +487,23 @@ type errReader struct{ err error }
 
 func (e errReader) Read([]byte) (int, error) { return 0, cmp.Or(e.err, io.EOF) }
 
-// decodeBatch decodes jobs and the batch's class; an error is the 400's
-// text.
-func (d *Daemon) decodeBatch(raws []json.RawMessage, priority string) ([]*memoJob, class, error) {
-	cl, err := parseClass(priority)
-	if err != nil {
-		return nil, 0, err
-	}
+// decodeBatch decodes jobs; an error is the 400's text.
+func (d *Daemon) decodeBatch(raws []json.RawMessage) ([]*memoJob, error) {
 	js := make([]*memoJob, len(raws))
 	for i, raw := range raws {
+		var err error
 		if js[i], err = d.decodeJob(raw); err != nil {
-			return nil, 0, fmt.Errorf("bad job %d: %v", i, err)
+			return nil, fmt.Errorf("bad job %d: %v", i, err)
 		}
 	}
-	return js, cl, nil
+	return js, nil
 }
 
-// serveBatch admits a decoded batch to its class queue and streams it.
-func (d *Daemon) serveBatch(w http.ResponseWriter, r *http.Request, js []*memoJob, cl class) {
-	if !d.disp.admit(cl, len(js)) {
+// serveBatch admits a decoded batch to the queue and streams it.
+func (d *Daemon) serveBatch(w http.ResponseWriter, r *http.Request, js []*memoJob) {
+	if !d.disp.admit(len(js)) {
 		d.reject(w, http.StatusTooManyRequests, mRejectedQueue,
-			fmt.Sprintf("%s queue is full (%d pending)", cl, d.cfg.QueueDepth), d.retryAfterHint(cl))
+			fmt.Sprintf("queue is full (%d pending)", d.cfg.QueueDepth), d.retryAfterHint())
 		return
 	}
 	d.batches.Add(1)
@@ -536,6 +521,7 @@ func (d *Daemon) serveBatch(w http.ResponseWriter, r *http.Request, js []*memoJo
 		hits       int
 		free       int // hits + deduped: jobs that cost this batch ~nothing
 		streamDead bool
+		lost       atomic.Bool
 		start      = time.Now()
 		results    = make([]JobResult, len(js))
 		wg         sync.WaitGroup
@@ -585,11 +571,18 @@ func (d *Daemon) serveBatch(w http.ResponseWriter, r *http.Request, js []*memoJo
 				if err := r.Context().Err(); err != nil {
 					// Client gone before this job was submitted: drop its
 					// reservation instead of launching work nobody reads.
-					d.disp.forfeit(cl)
+					d.disp.forfeit()
 					results[i] = JobResult{Err: "submission canceled: " + err.Error()}
 					continue
 				}
-				res, fromCache, deduped, err := d.runJob(r.Context(), js[i], cl)
+				res, fromCache, deduped, err := d.runJob(r.Context(), js[i])
+				if err != nil && d.baseCtx.Err() != nil {
+					// The daemon's own shutdown ended the job: lost work,
+					// not a result. It gets no event and the batch no
+					// batch line, so the client names it pending.
+					lost.Store(true)
+					continue
+				}
 				ev := Event{
 					Type:      "job",
 					Index:     i,
@@ -616,7 +609,7 @@ func (d *Daemon) serveBatch(w http.ResponseWriter, r *http.Request, js []*memoJo
 
 	emu.Lock()
 	defer emu.Unlock()
-	if !streamDead {
+	if !streamDead && !lost.Load() {
 		enc.Encode(&Event{Type: "batch", Results: results})
 		if flusher != nil {
 			flusher.Flush()
@@ -636,14 +629,13 @@ func (d *Daemon) handleHealth(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "GET required", http.StatusMethodNotAllowed)
 		return
 	}
-	qi, qb := d.disp.depths()
 	h := Health{
 		Status:     "ok",
 		Draining:   d.draining.Load(),
 		InFlight:   d.running.Load(),
 		UptimeSec:  time.Since(d.start).Seconds(),
 		Workers:    d.cfg.Workers,
-		QueueDepth: qi + qb,
+		QueueDepth: d.disp.depth(),
 	}
 	if h.Draining {
 		h.Status = "draining"
@@ -677,7 +669,6 @@ func (d *Daemon) handleStats(w http.ResponseWriter, r *http.Request) {
 		st.CacheBytesRead = c.BytesRead()
 		st.CacheBytesWritten = c.BytesWritten()
 	}
-	st.QueueInteractive, st.QueueBulk = d.disp.depths()
 	st.Rejected = d.rejected.Load()
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(st)

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -297,16 +298,12 @@ func queueBehindSlowJob(t *testing.T, d *Daemon, c *Client) (running, queued cha
 	running = submit(c, slowJob(t))
 	waitFor(t, "the slow job to hold the slot", func() bool { return d.running.Load() == 1 })
 	queued = submit(c, quickJob(t, "LRR"))
-	waitFor(t, "the second job to wait for a slot", func() bool {
-		d.disp.mu.Lock()
-		defer d.disp.mu.Unlock()
-		return len(d.disp.waiters[classInteractive]) == 1
-	})
+	waitFor(t, "the second job to wait for a slot", func() bool { return waiting(d) == 1 })
 	return running, queued
 }
 
 // TestInFlightCountsSlotHolders: InFlight counts jobs holding a worker
-// slot, and a job waiting for one is counted in the class queue instead.
+// slot, and a job waiting for one is counted in the queue depth instead.
 func TestInFlightCountsSlotHolders(t *testing.T) {
 	d, c := newTestDaemon(t, Config{Workers: 1})
 	running, queued := queueBehindSlowJob(t, d, c)
@@ -318,9 +315,9 @@ func TestInFlightCountsSlotHolders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.InFlight != 1 || st.QueueInteractive != 1 || h.InFlight != 1 || h.QueueDepth != 1 || mInflight.Value() != 1 {
-		t.Fatalf("one job running and one queued: stats InFlight %d QueueInteractive %d, health InFlight %d QueueDepth %d, prosimd_jobs_inflight %d; want 1 each",
-			st.InFlight, st.QueueInteractive, h.InFlight, h.QueueDepth, mInflight.Value())
+	if st.InFlight != 1 || h.InFlight != 1 || h.QueueDepth != 1 || mInflight.Value() != 1 {
+		t.Fatalf("one job running and one queued: stats InFlight %d, health InFlight %d QueueDepth %d, prosimd_jobs_inflight %d; want 1 each",
+			st.InFlight, h.InFlight, h.QueueDepth, mInflight.Value())
 	}
 	for _, done := range []chan error{running, queued} {
 		if err := <-done; err != nil {
@@ -330,8 +327,10 @@ func TestInFlightCountsSlotHolders(t *testing.T) {
 }
 
 // TestShutdownFailsQueuedLeaderWithOneError: a leader still waiting for
-// a slot when the daemon shuts down always fails with the shutdown
-// error. Its slot wait used to select on the daemon's context twice, so
+// a slot when the daemon shuts down always fails with one error, a
+// TransportError naming the job pending: the daemon's shutdown ended it,
+// so it is lost work a coordinator requeues, not a job that ran and
+// failed. Its slot wait used to select on the daemon's context twice, so
 // the error was a bare context.Canceled about half the time; the
 // repetitions make a coin flip fail.
 func TestShutdownFailsQueuedLeaderWithOneError(t *testing.T) {
@@ -341,10 +340,11 @@ func TestShutdownFailsQueuedLeaderWithOneError(t *testing.T) {
 		if err := d.Shutdown(); err != nil {
 			t.Fatal(err)
 		}
-		if err := <-queued; err == nil || !strings.Contains(err.Error(), "daemon: shutting down") {
-			t.Fatalf("repetition %d: queued leader's error %v, want the shutting-down error", i, err)
+		var te *TransportError
+		if err := <-queued; !errors.As(err, &te) || len(te.Pending) != 1 {
+			t.Fatalf("repetition %d: queued leader's error %v, want a TransportError naming it pending", i, err)
 		}
-		<-running // aborted too; its error is the simulation's
+		<-running // aborted too
 	}
 }
 

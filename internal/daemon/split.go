@@ -1,18 +1,15 @@
 package daemon
 
-import (
-	"bytes"
-	"encoding/json"
-)
+import "encoding/json"
 
-// splitBatch splits the body clients send, {"jobs":[{…},…],"priority":"…"}
-// (keys exact, each at most once, in either order; priority optional and
-// printable ASCII; bytes after the closing brace ignored, as by the
-// decoder), into raws aliasing body, each the json.RawMessage the decoder
-// yields. It may only accept: if every raw is valid JSON (decodeJob checks)
-// the decoder accepts body alike (DESIGN.md §9.5); the rest is declined.
-func splitBatch(body []byte) (raws []json.RawMessage, priority string, ok bool) {
-	i, haveJobs, havePriority := 0, false, false
+// splitBatch splits the body clients send, {"jobs":[{…},…]} (the key
+// exact; bytes after the closing brace ignored, as by the decoder), into
+// raws aliasing body, each the json.RawMessage the decoder yields. It may
+// only accept: if every raw is valid JSON (decodeJob checks) the decoder
+// accepts body alike (DESIGN.md §9.5); the rest — another key, such as
+// an older client's "priority", included — is declined.
+func splitBatch(body []byte) (raws []json.RawMessage, ok bool) {
+	i := 0
 	// eat consumes tokens, each after optional whitespace, or none of them.
 	eat := func(tokens ...string) bool {
 		j := i
@@ -28,33 +25,21 @@ func splitBatch(body []byte) (raws []json.RawMessage, priority string, ok bool) 
 		i = j
 		return true
 	}
-	for sep := "{"; eat(sep); sep = "," {
-		if !haveJobs && eat(`"jobs"`, ":", "[") {
-			haveJobs, raws = true, []json.RawMessage{}
-			for !eat("]") {
-				if len(raws) > 0 && !eat(",") || !eat("{") {
-					return nil, "", false
-				}
-				end := objectEnd(body, i-1)
-				if end < 0 {
-					return nil, "", false
-				}
-				raws, i = append(raws, body[i-1:end:end]), end
-			}
-		} else if !havePriority && eat(`"priority"`, ":", `"`) {
-			n := bytes.IndexByte(body[i:], '"')
-			if n < 0 || bytes.ContainsFunc(body[i:i+n], func(r rune) bool { return r < ' ' || r > '~' || r == '\\' }) {
-				return nil, "", false
-			}
-			havePriority, priority, i = true, string(body[i:i+n]), i+n+1
-		} else {
-			return nil, "", false
-		}
-		if eat("}") {
-			return raws, priority, haveJobs
-		}
+	if !eat("{", `"jobs"`, ":", "[") {
+		return nil, false
 	}
-	return nil, "", false
+	raws = []json.RawMessage{}
+	for !eat("]") {
+		if len(raws) > 0 && !eat(",") || !eat("{") {
+			return nil, false
+		}
+		end := objectEnd(body, i-1)
+		if end < 0 {
+			return nil, false
+		}
+		raws, i = append(raws, body[i-1:end:end]), end
+	}
+	return raws, eat("}")
 }
 
 // objectEnd returns the index past the '}' closing the object whose '{' is

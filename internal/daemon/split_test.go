@@ -20,41 +20,35 @@ import (
 // refReadBatch is the reference for readBatch: /v1/batch's decode as it
 // was before the one-pass splitter, the streaming decoder reading straight
 // off the capped body and the per-job loop written out in full.
-func refReadBatch(d *Daemon, w http.ResponseWriter, r *http.Request) ([]*memoJob, class, bool) {
+func refReadBatch(d *Daemon, w http.ResponseWriter, r *http.Request) ([]*memoJob, bool) {
 	var req struct {
-		Jobs     []json.RawMessage `json:"jobs"`
-		Priority string            `json:"priority"`
+		Jobs []json.RawMessage `json:"jobs"`
 	}
 	bodyCap := maxJobBytes * int64(d.cfg.MaxBatchJobs)
 	r.Body = http.MaxBytesReader(w, r.Body, bodyCap)
 	if err := json.NewDecoder(r.Body).Decode(&req); errors.As(err, new(*http.MaxBytesError)) {
 		d.reject(w, http.StatusRequestEntityTooLarge, mRejectedBodySize,
 			fmt.Sprintf("batch body exceeds the %d-byte cap; split it", bodyCap), 0)
-		return nil, 0, false
+		return nil, false
 	} else if err != nil {
 		http.Error(w, "bad batch: "+err.Error(), http.StatusBadRequest)
-		return nil, 0, false
+		return nil, false
 	}
 	if len(req.Jobs) > d.cfg.MaxBatchJobs {
 		d.reject(w, http.StatusRequestEntityTooLarge, mRejectedBatchSize,
 			fmt.Sprintf("batch of %d jobs exceeds the %d-job cap; split it", len(req.Jobs), d.cfg.MaxBatchJobs), 0)
-		return nil, 0, false
-	}
-	cl, err := parseClass(req.Priority)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return nil, 0, false
+		return nil, false
 	}
 	js := make([]*memoJob, len(req.Jobs))
 	for i, raw := range req.Jobs {
 		mj, err := d.decodeJob(raw)
 		if err != nil {
 			http.Error(w, fmt.Sprintf("bad job %d: %v", i, err), http.StatusBadRequest)
-			return nil, 0, false
+			return nil, false
 		}
 		js[i] = mj
 	}
-	return js, cl, true
+	return js, true
 }
 
 // readCase is one /v1/batch body of the differential corpus: split is
@@ -70,7 +64,7 @@ type readCase struct {
 // readCorpus builds the differential corpus over grid's wire encodings.
 func readCorpus(t testing.TB, grid []jobs.Job, maxJobs int) []readCase {
 	one := batchBody(t, grid[:1], "", nil)
-	b25 := batchBody(t, grid[:25], PriorityBulk, nil)
+	b25 := batchBody(t, grid[:25], "", nil)
 	a := encodeWire(t, &grid[0], nil)
 	b := encodeWire(t, &grid[1], nil)
 	jobsOf := func(raws ...[]byte) string {
@@ -96,12 +90,13 @@ func readCorpus(t testing.TB, grid []jobs.Job, maxJobs int) []readCase {
 	urgent := []byte(`{` + jobsOf(a, withJobPriority(b, "urgent")) + `}`)
 	return []readCase{
 		{"client one job", one, true, 0},
-		{"client 25 jobs bulk", b25, true, 0},
+		{"client 25 jobs", b25, true, 0},
+		{"older client's batch priority", batchBody(t, grid[:25], "bulk", nil), false, 0},
 		{"client labels with quotes, brackets, backslashes, non-ASCII", escaped, true, 0},
 		{"client unknown scheduler among known", mixed, true, 0},
-		{"reordered keys", []byte(`{"priority":"bulk",` + jobsOf(a, b) + `}`), true, 0},
+		{"priority before jobs", []byte(`{"priority":"bulk",` + jobsOf(a, b) + `}`), false, 0},
 		{"indented", indented.Bytes(), true, 0},
-		{"whitespace around every token", []byte(" \r\n{\t\"jobs\" :\n[ " + string(a) + " ,\n" + string(b) + " ] , \"priority\" : \"bulk\" }\n"), true, 0},
+		{"whitespace around every token", []byte(" \r\n{\t\"jobs\" :\n[ " + string(a) + " ,\n" + string(b) + " ] }\n"), true, 0},
 		{"trailing bytes after the object", append(append([]byte{}, one...), "garbage}]"...), true, 0},
 		{"empty jobs", []byte(`{"jobs":[]}`), true, 0},
 		{"case-variant key", []byte(`{"Jobs":[` + string(a) + `]}`), false, 0},
@@ -114,7 +109,7 @@ func readCorpus(t testing.TB, grid []jobs.Job, maxJobs int) []readCase {
 		{"null priority", []byte(`{` + jobsOf(a) + `,"priority":null}`), false, 0},
 		{"escaped priority", []byte(`{` + jobsOf(a) + `,"priority":"b` + bs + `u0075lk"}`), false, 0},
 		{"non-ASCII priority", []byte(`{` + jobsOf(a) + `,"priority":"bülk"}`), false, 0},
-		{"unknown priority", batchBody(t, grid[:2], "bogus", nil), true, 0},
+		{"unknown priority", batchBody(t, grid[:2], "bogus", nil), false, 0},
 		{"unknown job priority", urgent, true, 0},
 		{"unknown top-level key", []byte(`{` + jobsOf(a) + `,"x":{"jobs":[]}}`), false, 0},
 		{"no jobs key", []byte(`{}`), false, 0},
@@ -180,8 +175,8 @@ func TestBatchReadMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	refHandle := func(w http.ResponseWriter, r *http.Request) {
-		if js, cl, ok := refReadBatch(ref, w, r); ok {
-			ref.serveBatch(w, r, js, cl)
+		if js, ok := refReadBatch(ref, w, r); ok {
+			ref.serveBatch(w, r, js)
 		}
 	}
 	// serve runs one request through h, returning the status, the body,
@@ -203,7 +198,7 @@ func TestBatchReadMatchesReference(t *testing.T) {
 
 	statuses := map[int]int{}
 	for _, c := range readCorpus(t, grid, maxJobs) {
-		if _, _, ok := splitBatch(c.body); ok != c.split {
+		if _, ok := splitBatch(c.body); ok != c.split {
 			t.Errorf("%s: splitBatch accepts = %v, want %v", c.name, ok, c.split)
 		}
 		// Twice: a cold memo, then a warm one.
@@ -243,12 +238,12 @@ func TestBatchReadMatchesReference(t *testing.T) {
 
 // FuzzSplitBatch checks the one-sided contract of splitBatch: whenever it
 // accepts and every raw is valid JSON, json.Decoder.Decode of the same
-// bytes succeeds with the same raws and priority. (It may decline what the
-// decoder accepts; readBatch then asks the decoder.) `make fuzz` runs it
+// bytes succeeds with the same raws. (It may decline what the decoder
+// accepts; readBatch then asks the decoder.) `make fuzz` runs it
 // for 10 s; the seeds run under plain `go test`.
 func FuzzSplitBatch(f *testing.F) {
 	js := quickBatch(f)
-	client := batchBody(f, js[:2], PriorityBulk, nil)
+	client := batchBody(f, js[:2], "", nil)
 	a := string(encodeWire(f, &js[0], nil))
 	f.Add(client)
 	f.Add(batchBody(f, js[:1], "", func(_ int, wj *WireJob) { wj.Kernel = `"}"]"\"` }))
@@ -263,7 +258,7 @@ func FuzzSplitBatch(f *testing.F) {
 	f.Add([]byte(`{"jobs":[{}]} trailing {"jobs":[]}`))
 	f.Add([]byte(" {\n\"jobs\"\t: [ {} , {\"a\":[1,{}]} ] }"))
 	f.Fuzz(func(t *testing.T, body []byte) {
-		raws, priority, ok := splitBatch(body)
+		raws, ok := splitBatch(body)
 		if !ok {
 			return
 		}
@@ -273,15 +268,13 @@ func FuzzSplitBatch(f *testing.F) {
 			}
 		}
 		var req struct {
-			Jobs     []json.RawMessage `json:"jobs"`
-			Priority string            `json:"priority"`
+			Jobs []json.RawMessage `json:"jobs"`
 		}
 		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
 			t.Fatalf("splitBatch accepted a body the decoder refuses: %v", err)
 		}
-		if req.Priority != priority || len(req.Jobs) != len(raws) {
-			t.Fatalf("splitBatch: %d jobs, priority %q; decoder: %d jobs, priority %q",
-				len(raws), priority, len(req.Jobs), req.Priority)
+		if len(req.Jobs) != len(raws) {
+			t.Fatalf("splitBatch: %d jobs; decoder: %d jobs", len(raws), len(req.Jobs))
 		}
 		for i := range raws {
 			if !bytes.Equal(raws[i], req.Jobs[i]) {

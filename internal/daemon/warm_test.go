@@ -54,7 +54,8 @@ func canonNDJSON(body []byte) []string {
 	return lines
 }
 
-// rawBatch assembles a /v1/batch body from already-encoded wire jobs.
+// rawBatch assembles a /v1/batch body from already-encoded wire jobs. A
+// non-empty priority adds the batch-level "priority" older clients sent.
 func rawBatch(t testing.TB, raws []json.RawMessage, priority string) []byte {
 	t.Helper()
 	body, err := json.Marshal(struct {
@@ -103,10 +104,10 @@ func encodeWire(t testing.TB, j *jobs.Job, edit func(*WireJob)) json.RawMessage 
 // memoGroups builds the wire jobs the equivalence stream draws from.
 // Each group is one simulation identity — one result-cache key, or none
 // for the unknown scheduler — in several encodings that differ only in
-// what must stay out of the key: its label, its cost, and the job-level
-// priority older clients could send, which the daemon ignores (encodings
-// 2 to 4, an unknown value among them). keyed counts the leading groups
-// that have a key.
+// what must stay out of the key: its label, and the job-level "cost" and
+// "priority" older clients could send, which the daemon ignores
+// (encodings 1 to 4, an unknown priority among them). keyed counts the
+// leading groups that have a key.
 func memoGroups(t testing.TB) (groups [][]json.RawMessage, keyed int) {
 	t.Helper()
 	kernels := []string{"aesEncrypt128", "scalarProdGPU", "cenergy", "sha1_overlap",
@@ -133,9 +134,9 @@ func memoGroups(t testing.TB) (groups [][]json.RawMessage, keyed int) {
 		}
 		return []json.RawMessage{
 			set(nil),
-			set(func(wj *WireJob) { wj.Kernel = "relabelled"; wj.Cost = 7 }),
-			withJobPriority(set(nil), PriorityBulk),
-			withJobPriority(set(nil), PriorityInteractive),
+			withMember(set(func(wj *WireJob) { wj.Kernel = "relabelled" }), `"cost":7`),
+			withJobPriority(set(nil), "bulk"),
+			withJobPriority(set(nil), "interactive"),
 			withJobPriority(set(nil), "urgent"),
 		}
 	}
@@ -156,9 +157,9 @@ func memoGroups(t testing.TB) (groups [][]json.RawMessage, keyed int) {
 
 // TestMemoEquivalence is the exactness gate of the decoded-request memo:
 // one seeded stream of one-job, 25-job and queue-overflowing requests —
-// repeats, label variants, jobs carrying a legacy priority of their own,
-// a parameterised spec, an unknown scheduler, undecodable jobs, bad batch
-// priorities — goes to a daemon that keeps its memo and to a fresh daemon
+// repeats, label variants, jobs carrying a legacy cost or priority of
+// their own, a parameterised spec, an unknown scheduler, undecodable
+// jobs, legacy batch priorities, an unknown one among them — goes to a daemon that keeps its memo and to a fresh daemon
 // (empty memo: every job takes the plain decode) per request. Status
 // codes, error texts and NDJSON lines must be identical. Mutation-checked:
 // hashing a prefix of the bytes and dropping the memoised key error each
@@ -188,7 +189,7 @@ func TestMemoEquivalence(t *testing.T) {
 	warm, warmClient := newTestDaemon(t, cfg)
 	hits0, misses0 := mMemoHits.Value(), mMemoMisses.Value()
 	rng := rand.New(rand.NewSource(1))
-	priorities := []string{"", "", PriorityBulk, PriorityInteractive}
+	priorities := []string{"", "", "bulk", "interactive"}
 	broken := []json.RawMessage{
 		json.RawMessage(`{"launch":7,"scheduler":"PRO"}`), // does not decode
 		json.RawMessage(`{"scheduler":"PRO"}`),            // decodes, no launch
@@ -214,8 +215,8 @@ func TestMemoEquivalence(t *testing.T) {
 				raws[rng.Intn(len(raws))] = broken[rng.Intn(len(broken))]
 			}
 		default:
-			// More jobs than the class queue admits: the refusal names the
-			// batch's class, whatever priority a job's own bytes carry.
+			// More jobs than the queue admits, whatever priority the batch
+			// or a job's own bytes carry.
 			shape = "overflow"
 			g := groups[rng.Intn(len(groups))]
 			for len(raws) <= queueDepth {
@@ -368,7 +369,7 @@ func TestBatchWireFormatPinned(t *testing.T) {
 		encodeWire(t, &j, nil),
 		encodeWire(t, &j, func(wj *WireJob) { wj.Scheduler = "PRO+threshold=500" }),
 		encodeWire(t, &j, func(wj *WireJob) { wj.Scheduler = "NOPE"; wj.Kernel = "mislabelled" }),
-	}, PriorityBulk)
+	}, "bulk")
 	var got []string
 	for _, phase := range []string{"cold", "warm"} {
 		status, out := postBatch(t, c.base, body)

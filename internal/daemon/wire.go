@@ -40,28 +40,23 @@ type WireJob struct {
 	Scheduler string `json:"scheduler"`
 	// Options tune the run.
 	Options gpu.Options `json:"options"`
-	// Cost is the job's expected relative run time (informational).
-	Cost int64 `json:"cost,omitempty"`
 }
 
-// Priority classes a batch may carry. Interactive work
-// (paper tables, report reruns, a human at a terminal) is granted
-// worker slots ahead of bulk work (sweeps) at a configured ratio, so a
-// saturating sweep cannot starve a quick look at one result.
-const (
-	PriorityInteractive = "interactive"
-	PriorityBulk        = "bulk"
-)
+// PriorityBulk named the bulk class of the removed priority queues.
+//
+// Deprecated: the daemon has one admission queue and ignores a batch's
+// "priority". The constant survives only because bench/, which this
+// tree may not edit, sets cluster.Config.Priority to it.
+const PriorityBulk = "bulk"
 
 // Job converts the wire form into an executable job. The spec passes
 // through as Job.Scheduler, which the engine resolves as it does for a
 // local job, so the cache key matches the local execution path; an
 // unknown spec fails that job when it is keyed. Payloads from older
-// clients may still carry the removed "smWorkers" and job-level
+// clients may still carry the removed "smWorkers", "cost" and job-level
 // "priority" fields; the decoder ignores unknown fields, so such a job
-// decodes, keys and runs exactly as without them, in its batch's class
-// (pinned by TestWireJobLegacySMWorkersIgnored and
-// TestWireJobLegacyPriorityIgnored).
+// decodes, keys and runs exactly as without them (pinned by
+// TestWireJobLegacySMWorkersIgnored and TestWireJobLegacyPriorityIgnored).
 func (wj *WireJob) Job() (jobs.Job, error) {
 	if wj.Launch == nil {
 		return jobs.Job{}, fmt.Errorf("daemon: wire job has no launch")
@@ -72,7 +67,6 @@ func (wj *WireJob) Job() (jobs.Job, error) {
 		Kernel:    wj.Kernel,
 		Scheduler: wj.Scheduler,
 		Options:   wj.Options,
-		Cost:      wj.Cost,
 	}, nil
 }
 
@@ -99,8 +93,8 @@ const memoBudget = 8 << 20
 // decodeJob is the only way a wire job becomes a jobs.Job. A memo hit
 // returns what decoding the same bytes produced earlier; a miss decodes,
 // resolves and keys the job, and remembers it unless it failed to decode.
-// The bytes are untrusted, hence a cryptographic hash; kernel and cost
-// are inside them, so jobs differing only there never alias, and another
+// The bytes are untrusted, hence a cryptographic hash; the kernel label
+// is inside them, so jobs differing only there never alias, and another
 // encoding of one job is a miss that lands on the same key.
 func (d *Daemon) decodeJob(raw []byte) (*memoJob, error) {
 	sum := sha256.Sum256(raw)
@@ -145,7 +139,6 @@ func FromJob(j *jobs.Job) (WireJob, error) {
 		Launch:  j.Launch,
 		Kernel:  j.Kernel,
 		Options: j.Options,
-		Cost:    j.Cost,
 	}
 	if j.Factory == nil {
 		wj.Scheduler = j.Scheduler
@@ -161,13 +154,11 @@ func FromJob(j *jobs.Job) (WireJob, error) {
 	return wj, nil
 }
 
-// BatchRequest is the body of POST /v1/batch.
+// BatchRequest is the body of POST /v1/batch. Older clients may still
+// send a batch-level "priority"; the daemon has one queue and serves
+// such a batch exactly as one without it, whatever the value.
 type BatchRequest struct {
 	Jobs []WireJob `json:"jobs"`
-	// Priority is the class of every job of the batch. Empty means
-	// interactive (additive field: batches from older clients predate
-	// priority classes and were interactive tools).
-	Priority string `json:"priority,omitempty"`
 }
 
 // Event is one NDJSON line of a batch response. Type "job" reports one
@@ -230,9 +221,8 @@ type Stats struct {
 	CacheBytesRead    int64 `json:"cacheBytesRead"`
 	CacheBytesWritten int64 `json:"cacheBytesWritten"`
 	// InFlight counts jobs holding a worker slot (jobs still queued for
-	// one are in QueueInteractive and QueueBulk); Attached counts
-	// submissions currently waiting on another client's identical
-	// in-flight run.
+	// one are in /v1/health's queueDepth); Attached counts submissions
+	// currently waiting on another client's identical in-flight run.
 	InFlight int64 `json:"inFlight"`
 	Attached int64 `json:"attached"`
 	// Batches counts batch requests accepted since start.
@@ -244,16 +234,14 @@ type Stats struct {
 	// Draining is true once a shutdown began (additive; older daemons
 	// omit it and older clients ignore it — absent decodes as false).
 	Draining bool `json:"draining,omitempty"`
-	// Admission telemetry (additive). QueueInteractive and QueueBulk are
-	// the per-class admitted-but-not-running job counts; Rejected counts
-	// batch requests refused at admission (draining, size, full queue)
-	// since start. Older daemons may still send "tenants", "cacheRemote",
-	// "l2Hits"/"l2Misses"/"l2Degraded" and the cache-GC counters
-	// "cacheGCRuns"/"cacheGCEvicted"/"cacheGCFreedBytes"; the decoder
-	// ignores them (pinned by TestStatsWireCompat*).
-	QueueInteractive int   `json:"queueInteractive,omitempty"`
-	QueueBulk        int   `json:"queueBulk,omitempty"`
-	Rejected         int64 `json:"rejected,omitempty"`
+	// Rejected counts batch requests refused at admission (draining,
+	// size, full queue) since start (additive). Older daemons may still
+	// send "tenants", "cacheRemote", "l2Hits"/"l2Misses"/"l2Degraded",
+	// the cache-GC counters "cacheGCRuns"/"cacheGCEvicted"/
+	// "cacheGCFreedBytes" and the per-class queue depths
+	// "queueInteractive"/"queueBulk"; the decoder ignores them (pinned by
+	// TestStatsWireCompat*).
+	Rejected int64 `json:"rejected,omitempty"`
 }
 
 // Health is the body of GET /v1/health — the lightweight liveness probe
@@ -274,8 +262,8 @@ type Health struct {
 	UptimeSec float64 `json:"uptimeSec"`
 	// Workers is the worker-slot count.
 	Workers int `json:"workers"`
-	// QueueDepth is the total admitted-but-not-running job count across
-	// both priority classes (additive; a loaded daemon advertises its
-	// backlog so pollers can prefer an idle replica).
+	// QueueDepth counts admitted jobs not yet holding a worker slot or
+	// finished (additive; a loaded daemon advertises its backlog so
+	// pollers can prefer an idle replica).
 	QueueDepth int `json:"queueDepth,omitempty"`
 }

@@ -12,31 +12,27 @@ import (
 	"repro/internal/jobs"
 )
 
-// withLegacySMWorkers re-encodes wj the way a pre-PR-13 client did when
-// run with -sm-workers N: the same object plus an "smWorkers" member.
-func withLegacySMWorkers(t testing.TB, wj WireJob, n int) []byte {
-	t.Helper()
-	data, err := json.Marshal(wj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var obj map[string]json.RawMessage
-	if err := json.Unmarshal(data, &obj); err != nil {
-		t.Fatal(err)
-	}
-	obj["smWorkers"], _ = json.Marshal(n)
-	out, err := json.Marshal(obj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
+// withMember returns the encoded wire job raw plus member, a field an
+// older client sent.
+func withMember(raw []byte, member string) []byte {
+	return append(append([]byte{}, raw[:len(raw)-1]...), ","+member+"}"...)
 }
 
 // TestWireJobLegacySMWorkersIgnored: the "smWorkers" wire field went
-// away with the parallel tick, but clients built before that still send
-// it. Such a job must decode, key identically to the same job without
-// the field, and run to the same result through /v1/batch.
+// away with the parallel tick, and "cost", which the daemon never read,
+// after it, but clients built before that still send them. Such a job
+// must decode, key identically to the same job without the field, and
+// run to the same result through /v1/batch.
 func TestWireJobLegacySMWorkersIgnored(t *testing.T) {
+	for _, tc := range []struct{ field, member string }{
+		{"smWorkers", `"smWorkers":4`},
+		{"cost", `"cost":3276800`},
+	} {
+		t.Run(tc.field, func(t *testing.T) { legacyFieldIgnored(t, tc.member) })
+	}
+}
+
+func legacyFieldIgnored(t *testing.T, member string) {
 	js := quickBatch(t)[:2]
 	eng := &jobs.Engine{}
 	var legacyJobs []json.RawMessage
@@ -45,7 +41,11 @@ func TestWireJobLegacySMWorkersIgnored(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		legacy := withLegacySMWorkers(t, wj, 4)
+		data, err := json.Marshal(wj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		legacy := withMember(data, member)
 		legacyJobs = append(legacyJobs, legacy)
 
 		var back WireJob
@@ -65,7 +65,7 @@ func TestWireJobLegacySMWorkersIgnored(t *testing.T) {
 			t.Fatalf("job %d: legacy key: %v ok=%v", i, err, ok)
 		}
 		if got != want {
-			t.Fatalf("job %d: smWorkers changed the cache key\nwithout %s\nwith    %s", i, want, got)
+			t.Fatalf("job %d: %s changed the cache key\nwithout %s\nwith    %s", i, member, want, got)
 		}
 	}
 
@@ -104,7 +104,7 @@ func TestWireJobLegacySMWorkersIgnored(t *testing.T) {
 		a, _ := json.Marshal(want[i])
 		b, _ := json.Marshal(jr.Result)
 		if !bytes.Equal(a, b) {
-			t.Fatalf("legacy job %d: result differs from the same job without smWorkers", i)
+			t.Fatalf("legacy job %d: result differs from the same job without %s", i, member)
 		}
 	}
 }
@@ -112,19 +112,19 @@ func TestWireJobLegacySMWorkersIgnored(t *testing.T) {
 // withJobPriority returns the encoded wire job raw plus the job-level
 // "priority" member clients sent before classes became per batch.
 func withJobPriority(raw []byte, priority string) []byte {
-	return append(append([]byte{}, raw[:len(raw)-1]...), `,"priority":"`+priority+`"}`...)
+	return withMember(raw, `"priority":"`+priority+`"`)
 }
 
 // TestWireJobLegacyPriorityIgnored: a job's own "priority" went away with
 // per-job classes, but older clients may still send it. Such a job keys
 // as the same job without the field, runs to the same result, and is
-// admitted in its batch's class: two jobs carrying "bulk" in an
-// interactive batch overflow the one-deep interactive queue.
+// admitted to the one queue like any job: two of them overflow a
+// one-deep queue.
 func TestWireJobLegacyPriorityIgnored(t *testing.T) {
 	d, c := newTestDaemon(t, Config{Workers: 1, QueueDepth: 1, MaxBatchJobs: 2})
 	j := quickJob(t, "PRO")
 	plain := encodeWire(t, &j, nil)
-	legacy := withJobPriority(plain, PriorityBulk)
+	legacy := withJobPriority(plain, "bulk")
 	a, err := d.decodeJob(plain)
 	if err != nil {
 		t.Fatal(err)
@@ -138,8 +138,8 @@ func TestWireJobLegacyPriorityIgnored(t *testing.T) {
 	}
 
 	status, body := postBatch(t, c.base, rawBatch(t, []json.RawMessage{legacy, legacy}, ""))
-	if status != http.StatusTooManyRequests || !bytes.Contains(body, []byte("interactive queue is full")) {
-		t.Fatalf("two legacy bulk jobs in an interactive batch: %d %s, want 429 from the interactive queue", status, body)
+	if status != http.StatusTooManyRequests || !bytes.Contains(body, []byte("queue is full")) {
+		t.Fatalf("two legacy bulk jobs against a one-deep queue: %d %s, want 429", status, body)
 	}
 
 	want, err := c.Run(context.Background(), []jobs.Job{j})
@@ -185,7 +185,8 @@ func FuzzWireJobToJob(f *testing.F) {
 		return data
 	}
 	f.Add(seed(modern))
-	f.Add(withLegacySMWorkers(f, modern, 4))
+	f.Add(withMember(seed(modern), `"smWorkers":4`))
+	f.Add(withMember(seed(modern), `"cost":7`))
 	f.Add(withJobPriority(seed(modern), "urgent"))
 	composed := modern
 	composed.Scheduler = "PRO+threshold=500"

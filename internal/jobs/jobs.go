@@ -200,7 +200,7 @@ func (e *Engine) Run(ctx context.Context, js []Job) ([]*stats.KernelResult, erro
 	lanes := make([]func(context.Context, int) (*stats.KernelResult, bool, error), min(workers, len(js)))
 	for k := range lanes {
 		lanes[k] = func(ctx context.Context, i int) (*stats.KernelResult, bool, error) {
-			r, fromCache, err := e.runOne(ctx, &js[i], "")
+			r, fromCache, err := e.runOne(ctx, &js[i], "", nil)
 			if err == nil {
 				e.count(fromCache)
 			}
@@ -284,8 +284,9 @@ func Key(j *Job) (key string, ok bool, err error) {
 // panic into an error. ctx aborts an in-flight simulation within a
 // bounded delay (see gpu.RunContext). key is j's Engine.Key when the
 // caller already holds it; given "", runOne computes it if anything
-// needs it. Every call feeds the process metrics.
-func (e *Engine) runOne(ctx context.Context, j *Job, key string) (r *stats.KernelResult, fromCache bool, err error) {
+// needs it. slot, when non-nil, gates the simulation (see RunJobKeyed).
+// Every call feeds the process metrics.
+func (e *Engine) runOne(ctx context.Context, j *Job, key string, slot Slot) (r *stats.KernelResult, fromCache bool, err error) {
 	start := time.Now()
 	defer func() {
 		if p := recover(); p != nil {
@@ -315,6 +316,14 @@ func (e *Engine) runOne(ctx context.Context, j *Job, key string) (r *stats.Kerne
 		}
 	}
 
+	if slot != nil {
+		var release func()
+		if ctx, release, err = slot(ctx); err != nil {
+			return nil, false, err
+		}
+		defer release()
+		start = time.Now() // jobs_sim_duration_seconds times the run, not the wait
+	}
 	mBusy.Add(1)
 	defer mBusy.Add(-1)
 	// Worker goroutines run under pprof labels so `make profile`
@@ -357,17 +366,24 @@ func observeDone(r *stats.KernelResult, fromCache bool, dur time.Duration, err e
 // concurrency, progress streaming and dedupe live above the engine. It
 // additionally reports whether the result was replayed from the cache.
 func (e *Engine) RunJob(ctx context.Context, j *Job) (*stats.KernelResult, bool, error) {
-	return e.RunJobKeyed(ctx, j, "")
+	return e.RunJobKeyed(ctx, j, "", nil)
 }
 
-// RunJobKeyed is RunJob for a caller that already computed j's key: key
-// must be what e.Key(j) returned ("" when j has none), and saves the
-// engine hashing the job a second time.
-func (e *Engine) RunJobKeyed(ctx context.Context, j *Job, key string) (*stats.KernelResult, bool, error) {
+// Slot gates one simulation: it blocks until the caller may simulate and
+// returns the context to simulate under and the function that ends the
+// simulation's hold, or an error that ends the job.
+type Slot func(ctx context.Context) (context.Context, func(), error)
+
+// RunJobKeyed is RunJob for a caller that already computed j's key and
+// bounds its own simulations: key must be what e.Key(j) returned ("" when
+// j has none), and saves the engine hashing the job a second time. slot,
+// when non-nil, is called after a cache miss, and only then, so a cached
+// result never waits for it.
+func (e *Engine) RunJobKeyed(ctx context.Context, j *Job, key string, slot Slot) (*stats.KernelResult, bool, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, false, fmt.Errorf("jobs: %w", err)
 	}
-	r, fromCache, err := e.runOne(ctx, j, key)
+	r, fromCache, err := e.runOne(ctx, j, key, slot)
 	if err != nil {
 		return nil, false, fmt.Errorf("jobs: job (%s/%s): %w", j.Label(), j.SchedLabel(), err)
 	}
