@@ -68,13 +68,16 @@ issuetest:
 
 # The exactness gate for the memory side of §8.3: a refused L2 re-poll
 # settled by an MSHR stamp must be a re-poll the probe would have refused
-# (property test against a map model), re-polls coalesced onto one wheel
+# (property test against a map model), re-polls batched onto one wheel
 # event must fire in the order one event each would (twin-wheel property
-# test), and the two together must leave a retry storm's every delivery
-# cycle and counter where the commit before them had it (pinned golden),
-# with re-polls outnumbering wheel events and skipping the tag probe.
-retrytest_RUN = TestMSHRStampSound|TestTrain|TestRetryStormGolden|TestCheapRepoll
-retrytest_PKGS = ./internal/cache ./internal/timing ./internal/memsys
+# test, ParkAll runs included), the MSHR line table must answer as a map
+# does and the per-bank DRAM queues must grant as the whole-queue scan did
+# (both against a model kept in the test), and together they must leave a
+# retry storm's every delivery cycle and counter where the commit before
+# them had it (pinned golden), with re-polls outnumbering wheel events and
+# skipping the tag probe.
+retrytest_RUN = TestMSHRStampSound|TestMSHRTableMatchesMapModel|TestTrain|TestChannelMatchesReferenceScan|TestRetryStormGolden|TestCheapRepoll
+retrytest_PKGS = ./internal/cache ./internal/timing ./internal/dram ./internal/memsys
 retrytest:
 	$(GO) test -race -count=1 -run '$(retrytest_RUN)' $(retrytest_PKGS)
 
@@ -299,10 +302,11 @@ check: fmt vet runcheck race fastpath results-check benchbuild
 
 # The per-layer measurement rungs, 5 repetitions with allocation counts,
 # to stdout: SMTickPipelineStall and SMTickIssue (internal/engine),
-# WideGPU (internal/gpu) and L2RetryStorm (internal/memsys). Regressions
-# are judged by bench/ (BENCHMARK.json); these locate them in a layer.
+# WideGPU (internal/gpu), L2RetryStorm (internal/memsys) and ChannelTick
+# at queue depth 4 and 32 (internal/dram). Regressions are judged by
+# bench/ (BENCHMARK.json); these locate them in a layer.
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem -count=5 ./internal/engine ./internal/gpu ./internal/memsys
+	$(GO) test -run '^$$' -bench . -benchmem -count=5 ./internal/engine ./internal/gpu ./internal/memsys ./internal/dram
 
 # CPU + heap profiles of the paper grid (all kernels, the four headline
 # schedulers) into results/, for digging into where a simulated cycle's

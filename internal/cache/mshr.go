@@ -8,7 +8,13 @@ package cache
 type MSHR struct {
 	capacity  int
 	maxMerges int
-	entries   map[uint64]*mshrEntry
+	// slots is an open-addressed line table: linear probing from a line's
+	// home slot and backward-shift deletion, so a probe ends at the first
+	// empty slot. Its power-of-two size, at least four times the capacity,
+	// keeps probe runs short in a full file — L2 files stay full under
+	// memory-bound kernels.
+	slots []mshrSlot
+	n     int // live entries
 	// free recycles filled entries (and their waiter slices): an MSHR
 	// allocates and fills entries at memory-traffic rate, so without
 	// reuse the entry table dominates the simulator's allocation count.
@@ -26,18 +32,46 @@ type mshrEntry struct {
 	waiters []func(cycle int64)
 }
 
+type mshrSlot struct {
+	line uint64
+	e    *mshrEntry // nil: empty slot
+}
+
 // NewMSHR builds an MSHR file with the given entry capacity and per-entry
 // merge limit (including the allocating request).
 func NewMSHR(capacity, maxMerges int) *MSHR {
 	if capacity <= 0 || maxMerges <= 0 {
 		panic("cache: MSHR capacity and merge limit must be positive")
 	}
+	size := 4
+	for size < 4*capacity {
+		size *= 2
+	}
 	return &MSHR{
 		capacity:  capacity,
 		maxMerges: maxMerges,
-		entries:   make(map[uint64]*mshrEntry, capacity),
+		slots:     make([]mshrSlot, size),
 	}
 }
+
+// home is line's first probe position.
+func (m *MSHR) home(line uint64) int {
+	return int(line*0x9E3779B97F4A7C15>>32) & (len(m.slots) - 1)
+}
+
+// find returns the index of the slot holding line's entry, else of the
+// empty slot where a probe for line ends (where Add would put it).
+func (m *MSHR) find(line uint64) int {
+	mask := len(m.slots) - 1
+	for i := m.home(line); ; i = (i + 1) & mask {
+		if s := &m.slots[i]; s.e == nil || s.line == line {
+			return i
+		}
+	}
+}
+
+// lookup returns line's live entry, or nil.
+func (m *MSHR) lookup(line uint64) *mshrEntry { return m.slots[m.find(line)].e }
 
 // Outcome of an MSHR lookup.
 type Outcome uint8
@@ -58,16 +92,17 @@ const (
 // Merged, without committing. Used to test a whole warp instruction's
 // lines atomically before committing any of them.
 func (m *MSHR) CanAccept(line uint64, extraAllocs int) (ok, wouldAlloc bool) {
-	if e, found := m.entries[line]; found {
+	if e := m.lookup(line); e != nil {
 		return len(e.waiters) < m.maxMerges, false
 	}
-	return len(m.entries)+extraAllocs < m.capacity, true
+	return m.n+extraAllocs < m.capacity, true
 }
 
 // Add registers waiter for line and returns the outcome. The waiter fires
 // when Fill is called for the line.
 func (m *MSHR) Add(line uint64, waiter func(cycle int64)) Outcome {
-	if e, found := m.entries[line]; found {
+	s := &m.slots[m.find(line)]
+	if e := s.e; e != nil {
 		if len(e.waiters) >= m.maxMerges {
 			return Refused
 		}
@@ -75,7 +110,7 @@ func (m *MSHR) Add(line uint64, waiter func(cycle int64)) Outcome {
 		m.Merged++
 		return Merged
 	}
-	if len(m.entries) >= m.capacity {
+	if m.n >= m.capacity {
 		return Refused
 	}
 	var e *mshrEntry
@@ -87,7 +122,8 @@ func (m *MSHR) Add(line uint64, waiter func(cycle int64)) Outcome {
 		e = &mshrEntry{}
 	}
 	e.waiters = append(e.waiters[:0], waiter)
-	m.entries[line] = e
+	*s = mshrSlot{line, e}
+	m.n++
 	m.gen[stampClass(line)]++
 	m.Allocated++
 	return Allocated
@@ -104,7 +140,7 @@ func stampClass(line uint64) uint64 { return line * 0x9E3779B97F4A7C15 >> 58 }
 // allocation in line's class — so while valid, no entry for line was
 // allocated, hence none is pending and none was filled.
 func (m *MSHR) Stamp(line uint64) uint64 {
-	if _, found := m.entries[line]; found {
+	if m.lookup(line) != nil {
 		return 0
 	}
 	return m.gen[stampClass(line)] + 1
@@ -114,18 +150,19 @@ func (m *MSHR) Stamp(line uint64) uint64 {
 // be Refused as it was when stamp was taken: the stamp is still valid and
 // the table is full. False means "ask Add".
 func (m *MSHR) StillRefused(line, stamp uint64) bool {
-	return stamp == m.gen[stampClass(line)]+1 && len(m.entries) >= m.capacity
+	return stamp == m.gen[stampClass(line)]+1 && m.n >= m.capacity
 }
 
 // Fill completes the in-flight line: the entry is removed and every
 // waiter is invoked (in registration order) with the fill cycle. Filling
 // a line with no entry is a protocol bug and panics.
 func (m *MSHR) Fill(line uint64, cycle int64) {
-	e, found := m.entries[line]
-	if !found {
+	i := m.find(line)
+	e := m.slots[i].e
+	if e == nil {
 		panic("cache: MSHR fill for line with no entry")
 	}
-	delete(m.entries, line)
+	m.remove(i)
 	for _, w := range e.waiters {
 		w(cycle)
 	}
@@ -139,20 +176,33 @@ func (m *MSHR) Fill(line uint64, cycle int64) {
 	m.free = append(m.free, e)
 }
 
+// remove empties slot hole, then walks the probe run behind it, shifting
+// back each entry whose home does not lie cyclically in (hole, its slot],
+// so every entry stays reachable from its home without crossing an empty
+// slot.
+func (m *MSHR) remove(hole int) {
+	mask := len(m.slots) - 1
+	for j := (hole + 1) & mask; m.slots[j].e != nil; j = (j + 1) & mask {
+		if (j-m.home(m.slots[j].line))&mask >= (j-hole)&mask {
+			m.slots[hole] = m.slots[j]
+			hole = j
+		}
+	}
+	m.slots[hole] = mshrSlot{}
+	m.n--
+}
+
 // InFlight returns the number of live entries.
-func (m *MSHR) InFlight() int { return len(m.entries) }
+func (m *MSHR) InFlight() int { return m.n }
 
 // Pending reports whether line has a live entry.
-func (m *MSHR) Pending(line uint64) bool {
-	_, found := m.entries[line]
-	return found
-}
+func (m *MSHR) Pending(line uint64) bool { return m.lookup(line) != nil }
 
 // Waiters returns how many requests line's live entry is tracking
 // (including the allocating one), or 0 when no entry is in flight. The
 // flight recorder reads it just before a Fill to attribute merge waits.
 func (m *MSHR) Waiters(line uint64) int {
-	if e, found := m.entries[line]; found {
+	if e := m.lookup(line); e != nil {
 		return len(e.waiters)
 	}
 	return 0

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -212,7 +213,7 @@ func TestMSHRStampSoundAgainstMapModel(t *testing.T) {
 					}
 					kept = append(kept, p)
 				} else if rng.Intn(2) == 0 {
-					retry = append(retry, p.line) // re-offer, as retryL2 does
+					retry = append(retry, p.line) // re-offer, as a stale re-poll does
 				} else {
 					kept = append(kept, p) // a stale stamp must stay void
 				}
@@ -225,5 +226,103 @@ func TestMSHRStampSoundAgainstMapModel(t *testing.T) {
 	}
 	if stillTrue < 1000 || zeroStamps < 100 {
 		t.Fatalf("vacuous run: %d still-refused answers, %d merge-limit stamps", stillTrue, zeroStamps)
+	}
+}
+
+// TestMSHRTableMatchesMapModel drives seeded random Add/Fill traffic at
+// small files and checks every answer against a plain map model: Add's
+// outcome, CanAccept's at each batch size, the waiters a Fill wakes and
+// their order, and after every operation InFlight, Pending and Waiters of
+// every line. The lines are picked by home slot — five on the last slot,
+// so their probe runs wrap the table end, two each on the first two slots,
+// which the wrapped runs push aside, and three on one middle slot — so
+// every Fill deletes from a collision run and must shift the run back.
+//
+// Mutation-checked: `>` for `>=` in remove's backward-shift condition, and
+// shifting every entry or none, each fail it at once.
+func TestMSHRTableMatchesMapModel(t *testing.T) {
+	const merges = 3
+	var fills, shifts int
+	for _, capacity := range []int{3, 4, 7} { // tables of 16, 16 and 32 slots
+		probe := NewMSHR(capacity, merges)
+		mask := len(probe.slots) - 1
+		quota := map[int]int{mask: 5, 0: 2, 1: 2, mask / 2: 3}
+		var lines []uint64
+		for l := uint64(0); len(lines) < 12; l += 128 {
+			if h := probe.home(l); quota[h] > 0 {
+				quota[h]--
+				lines = append(lines, l)
+			}
+		}
+		for seed := int64(1); seed <= 50; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			m := NewMSHR(capacity, merges)
+			model := map[uint64][]int{}
+			var fired []int
+			next := 0
+			for step := 0; step < 500; step++ {
+				if rng.Intn(3) == 0 && len(model) > 0 {
+					var pend []uint64
+					for _, l := range lines {
+						if _, ok := model[l]; ok {
+							pend = append(pend, l)
+						}
+					}
+					l := pend[rng.Intn(len(pend))]
+					for i, s := range m.slots {
+						if s.e != nil && m.home(s.line) != i {
+							shifts++ // a displaced entry the Fill may have to move
+						}
+					}
+					fired = fired[:0]
+					m.Fill(l, int64(step))
+					if fmt.Sprint(fired) != fmt.Sprint(model[l]) {
+						t.Fatalf("cap %d seed %d step %d: Fill(%d) woke %v, model %v", capacity, seed, step, l, fired, model[l])
+					}
+					delete(model, l)
+					fills++
+				} else {
+					l := lines[rng.Intn(len(lines))]
+					ws, pending := model[l]
+					for extra := 0; extra < 3; extra++ {
+						ok, alloc := m.CanAccept(l, extra)
+						wantOK := (pending && len(ws) < merges) || (!pending && len(model)+extra < capacity)
+						if ok != wantOK || alloc != !pending {
+							t.Fatalf("cap %d seed %d step %d: CanAccept(%d, %d) = %v, %v; model %v, %v",
+								capacity, seed, step, l, extra, ok, alloc, wantOK, !pending)
+						}
+					}
+					id := next
+					next++
+					got := m.Add(l, func(int64) { fired = append(fired, id) })
+					want := Refused
+					switch {
+					case pending && len(ws) < merges:
+						want = Merged
+					case !pending && len(model) < capacity:
+						want = Allocated
+					}
+					if got != want {
+						t.Fatalf("cap %d seed %d step %d: Add(%d) = %v, model %v", capacity, seed, step, l, got, want)
+					}
+					if got != Refused {
+						model[l] = append(ws, id)
+					}
+				}
+				if m.InFlight() != len(model) {
+					t.Fatalf("cap %d seed %d step %d: InFlight %d, model %d", capacity, seed, step, m.InFlight(), len(model))
+				}
+				for _, l := range lines {
+					ws, pending := model[l]
+					if m.Pending(l) != pending || m.Waiters(l) != len(ws) {
+						t.Fatalf("cap %d seed %d step %d: line %d Pending %v Waiters %d, model %v %d",
+							capacity, seed, step, l, m.Pending(l), m.Waiters(l), pending, len(ws))
+					}
+				}
+			}
+		}
+	}
+	if fills < 10000 || shifts < fills {
+		t.Fatalf("vacuous run: %d fills, %d displaced entries seen before them", fills, shifts)
 	}
 }

@@ -26,8 +26,8 @@ import (
 // readReqBytes is the size of a read-request control packet.
 const readReqBytes = 8
 
-// retryDelay is the back-off before re-offering a refused request. Two call
-// sites: parkL2 (a read refused by the L2 MSHR file — hot, ~97 % of
+// retryDelay is the back-off before re-offering a refused request. Two
+// users: l2Read (a read refused by the L2 MSHR file — hot, ~97 % of
 // memory_grid's L2 accesses, hence the stamp and the train) and enqueueDRAM
 // (a full channel queue: ≈1.75 M plain events per compute_grid run, yet a
 // train made compute_grid only 0–3 % faster — DESIGN.md §8.3).
@@ -61,7 +61,8 @@ type System struct {
 	// L2Repolls counts re-offers of reads the L2 MSHR file refused, L2Probes
 	// the l2Read calls (tag probe + MSHR lookup) — observable for tests.
 	L2Repolls, L2Probes int64
-	l2retry             *timing.Train // carries the re-offers
+	l2retry             *timing.Train[l2Park] // carries the re-offers
+	reads               []*readReq            // every read carrier, by readReq.id
 
 	// Free lists of pooled request carriers. Each carrier binds its event
 	// callbacks once at first allocation, so the steady-state memory path
@@ -93,9 +94,9 @@ type readReq struct {
 	sm     int
 	p      int
 	fillL1 bool
+	id     int32 // index in System.reads
 	dreq   dram.Request
 	next   *readReq // free-list link
-	stamp  uint64   // l2mshr[p].Stamp(line) at the last refusal
 	// span, when non-nil, is this transaction's flight-recorder span;
 	// the callbacks below stamp its stage timestamps as they fire.
 	span *flight.MemSpan
@@ -104,8 +105,16 @@ type readReq struct {
 	respond   timing.Event // L2 data ready: send response toward the SM
 	deliver   timing.Event // response arrived: fill the L1 side, recycle
 	dramDone  timing.Event // DRAM service done: fill the L2 side
-	retryL2   timing.Car   // L2 MSHRs were full: re-offer the L2 access
 	retryDRAM timing.Event // DRAM queue was full: replay the enqueue
+}
+
+// l2Park is a read the L2 MSHR file refused, parked for its next re-offer:
+// all a futile re-poll needs, so that it settles without reading the
+// carrier, reads[id].
+type l2Park struct {
+	line, stamp uint64 // stamp: l2mshr[p].Stamp(line) at the refusal
+	id, p       int32
+	traced      bool // reads[id].span != nil
 }
 
 // getRead takes a carrier off the free list, building one (and binding
@@ -118,10 +127,11 @@ func (s *System) getRead(sm int, line uint64, fillL1 bool) *readReq {
 		s.readFree = r.next
 		r.next = nil
 	} else {
-		r = &readReq{s: s}
+		r = &readReq{s: s, id: int32(len(s.reads))}
+		s.reads = append(s.reads, r)
 		r.start = func(cy int64) {
 			// First partition arrival stamps the end of the request's
-			// network leg; retryL2 replays keep the original arrival so
+			// network leg; re-polls keep the original arrival so
 			// full-MSHR wait attributes to the L2/MSHR component.
 			if r.span != nil {
 				r.span.L2At = cy
@@ -160,19 +170,6 @@ func (s *System) getRead(sm int, line uint64, fillL1 bool) *readReq {
 			sys.l2[r.p].Fill(r.line)
 			sys.l2mshr[r.p].Fill(r.line, cy)
 		}
-		r.retryL2.Bind(func(int64) {
-			sys := r.s
-			sys.L2Repolls++
-			if !sys.l2mshr[r.p].StillRefused(r.line, r.stamp) {
-				sys.l2Read(r)
-				return
-			}
-			// Line still absent from L2 and from the full MSHR file: the
-			// probe would miss and be refused again, so account just that.
-			sys.l2[r.p].Accesses++
-			sys.l2[r.p].Misses++
-			sys.parkL2(r)
-		})
 		r.retryDRAM = func(int64) { r.s.enqueueDRAM(r.p, &r.dreq, r.retryDRAM) }
 	}
 	r.sm, r.line, r.fillL1 = sm, line, fillL1
@@ -261,8 +258,8 @@ func New(cfg *config.Config, wheel *timing.Wheel) *System {
 		chans:     make([]*dram.Channel, cfg.L2Partitions),
 		storesOut: make([]int, cfg.NumSMs),
 		storeWake: make([]func(), cfg.NumSMs),
-		l2retry:   timing.NewTrain(wheel),
 	}
+	s.l2retry = timing.NewTrain(wheel, s.repollL2)
 	for i := range s.l1 {
 		s.l1[i] = cache.MustNew(cfg.L1Size, cfg.L1Assoc, cfg.L1Line)
 		s.l1mshr[i] = cache.NewMSHR(cfg.L1MSHRs, cfg.L1Merges)
@@ -421,20 +418,39 @@ func (s *System) l2Read(r *readReq) {
 			r.span.L2Merged = true
 		}
 	case cache.Refused:
-		// L2 MSHRs full: re-offer the whole L2 access later. The L1-side
-		// MSHR entry stays allocated meanwhile, so the SM sees a longer miss.
-		r.stamp = s.l2mshr[r.p].Stamp(r.line)
-		s.parkL2(r)
+		// L2 MSHRs full: re-offer the whole L2 access later, at the bucket
+		// position its own wheel event would take: that order decides which
+		// re-poll wins a freed MSHR entry. The L1-side MSHR entry stays
+		// allocated meanwhile, so the SM sees a longer miss.
+		if r.span != nil {
+			r.span.Retries++
+		}
+		s.l2retry.Park(s.wheel.Now()+retryDelay, l2Park{line: r.line, stamp: s.l2mshr[r.p].Stamp(r.line),
+			id: r.id, p: int32(r.p), traced: r.span != nil})
 	}
 }
 
-// parkL2 books r's next re-offer at the bucket position its own wheel event
-// would take: that order decides which re-poll wins a freed MSHR entry.
-func (s *System) parkL2(r *readReq) {
-	if r.span != nil {
-		r.span.Retries++
+// repollL2 re-offers one wheel event's parked reads in park order. A run of
+// reads whose stamps prove the probe would miss and be refused again is
+// accounted as just that and re-parked whole; a stale stamp runs l2Read.
+func (s *System) repollL2(cycle int64, batch []l2Park) {
+	s.L2Repolls += int64(len(batch))
+	run := 0 // batch[run:i] is the futile run not yet re-parked
+	for i, k := range batch {
+		if s.l2mshr[k.p].StillRefused(k.line, k.stamp) {
+			l2 := s.l2[k.p]
+			l2.Accesses++
+			l2.Misses++
+			if k.traced {
+				s.reads[k.id].span.Retries++
+			}
+			continue
+		}
+		s.l2retry.ParkAll(cycle+retryDelay, batch[run:i])
+		run = i + 1
+		s.l2Read(s.reads[k.id])
 	}
-	s.l2retry.Park(s.wheel.Now()+retryDelay, &r.retryL2)
+	s.l2retry.ParkAll(cycle+retryDelay, batch[run:])
 }
 
 // l2Write handles a store arriving at line's partition: L2 write hit

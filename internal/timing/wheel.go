@@ -57,7 +57,7 @@ func NewWheel() *Wheel {
 func (w *Wheel) Now() int64 { return w.now }
 
 // Pending returns the number of scheduled-but-unfired events (a Train's
-// linked cars count as the one event that carries them).
+// batch counts as the one event that carries it).
 func (w *Wheel) Pending() int { return w.pending }
 
 // Schedule registers fn to fire at cycle at. Scheduling in the past or at
